@@ -4,7 +4,8 @@ Three evaluation strategies share one sum-product core:
 
 * brute-force map enumeration (the oracle-friendly naive path),
 * variable elimination along a greedy fill-in order, polynomial for motifs
-  of bounded width, and
+  of bounded width, compiled once per motif shape into a fixed sequence
+  of einsum steps and replayed on every call, and
 * a copy-gluing recursion for iterated doublings that collapses the
   blown-up motif onto tables indexed by assignments of the glued classes,
   one diagonal-weighted matmul per doubling level.
@@ -16,10 +17,12 @@ for the step graphon of a finite graph G this equals hom(F, G) / n^{|V(F)|}.
 
 from __future__ import annotations
 
+import functools
 import math
 import string
 from dataclasses import dataclass
 from itertools import product as iter_product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +46,8 @@ __all__ = [
 
 _BRUTE_MOTIF_CAP = 12
 DEFAULT_BUDGET = 1 << 24  # max entries of any intermediate table
-_DEFAULT_BUDGET = DEFAULT_BUDGET
+# compiled plans kept per process; a forcing run needs fewer than ten
+_PLAN_CACHE_SIZE = 256
 
 
 # ---------------------------------------------------------------------------
@@ -82,88 +86,102 @@ def _min_fill_order(num_vertices: int, scopes, free) -> list[int]:
     return order
 
 
-def _spread_axes(vars_, arr, union, size):
-    """Reshape `arr` (axes = vars_) for broadcasting over the `union` axes."""
-    pos = [union.index(x) for x in vars_]
-    perm = tuple(np.argsort(pos))
-    arr2 = np.transpose(arr, perm)
-    shape = [1] * len(union)
-    for q in sorted(pos):
-        shape[q] = size
-    return arr2.reshape(shape)
+class _Step(NamedTuple):
+    """One contraction of a compiled plan."""
+
+    expr: str
+    operands: tuple[int, ...]  # slot ids, see _EDGE below
+    optimize: bool
+    axes: int  # vertices spanned by the step's table
+    entries: int  # size ** axes
 
 
-def _contract_group(group, union, out_vars, size, obj_mode):
-    if not obj_mode:
+# operand slots of a plan: the edge matrix, the free-vertex weight, the
+# all-ones vector of a kept vertex, the scalar one of an empty motif, then
+# the result of each step in step order
+_EDGE, _WEIGHT, _ONE, _UNIT = range(4)
+_FIRST_TEMP = 4
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _compile_plan(size: int, num_vertices: int, edges, keep) -> tuple[_Step, ...]:
+    """The contractions of _sum_product, one per eliminated vertex plus the
+    final combine onto the kept vertices.
+
+    Pure in its hashable arguments; the budget is checked against the
+    stored table sizes on every call, so it is not part of the key.
+    """
+    keep_set = set(keep)
+    factors: list[tuple[tuple[int, ...], int]] = [((u, v), _EDGE) for u, v in edges]
+    for v in range(num_vertices):
+        factors.append(((v,), _ONE if v in keep_set else _WEIGHT))
+    steps: list[_Step] = []
+
+    def emit(group, union, out_vars) -> int:
         letters = {u: string.ascii_letters[i] for i, u in enumerate(union)}
         expr = ",".join("".join(letters[x] for x in vars_) for vars_, _ in group)
         expr += "->" + "".join(letters[x] for x in out_vars)
+        entries = size ** len(union)
         # path search costs more than the contraction on small tables
-        optimize = size ** len(union) > 4096
-        return np.einsum(expr, *[a for _, a in group], optimize=optimize)
-    full = None
-    for vars_, a in group:
-        b = _spread_axes(vars_, a, union, size)
-        full = b if full is None else full * b
-    summed = [i for i, u in enumerate(union) if u not in out_vars]
-    for i in reversed(summed):
-        full = full.sum(axis=i)
-    # axes now follow union order restricted to out_vars; match out_vars order
-    kept = [u for u in union if u in set(out_vars)]
-    if tuple(kept) != tuple(out_vars):
-        full = np.transpose(full, tuple(kept.index(u) for u in out_vars))
-    # summing object arrays can demote scalars to Python ints, which numpy
-    # would silently re-promote to int64 downstream
-    return np.asarray(full, dtype=object)
-
-
-def _sum_product(size, num_vertices, edges, edge_matrix, free_weight, keep=(),
-                 budget=_DEFAULT_BUDGET):
-    """Sum over all maps of vertex factors times edge factors.
-
-    Computes sum over phi: [num_vertices] -> [size] of
-    prod_{v not in keep} free_weight[phi(v)] * prod_{(u,v) in edges}
-    edge_matrix[phi(u), phi(v)], returning an array whose axes are the
-    vertices in `keep`, in that order (kept vertices get no weight factor).
-    """
-    keep = tuple(keep)
-    keep_set = set(keep)
-    if num_vertices > 50:
-        raise UnsupportedSizeError("sum-product core supports at most 50 vertices")
-    if size ** len(keep) > budget:
-        raise UnsupportedSizeError(
-            f"output table with {len(keep)} axes of size {size} exceeds the budget"
-        )
-    obj_mode = edge_matrix.dtype == object or free_weight.dtype == object
-    one = np.ones(size, dtype=object) if obj_mode else np.ones(size)
-    factors: list[tuple[tuple[int, ...], np.ndarray]] = [
-        ((u, v), edge_matrix) for u, v in edges
-    ]
-    for v in range(num_vertices):
-        factors.append(((v,), one if v in keep_set else free_weight))
+        steps.append(_Step(expr, tuple(slot for _, slot in group), entries > 4096,
+                           len(union), entries))
+        return _FIRST_TEMP + len(steps) - 1
 
     free = [v for v in range(num_vertices) if v not in keep_set]
     for v in _min_fill_order(num_vertices, [f[0] for f in factors], free):
         group = [f for f in factors if v in f[0]]
         rest = [f for f in factors if v not in f[0]]
         union = sorted(set().union(*[set(f[0]) for f in group]))
-        if size ** len(union) > budget:
-            raise UnsupportedSizeError(
-                f"intermediate table over {len(union)} vertices of size {size} "
-                f"exceeds the budget of {budget} entries"
-            )
         out_vars = tuple(u for u in union if u != v)
-        factors = rest + [(out_vars, _contract_group(group, union, out_vars, size, obj_mode))]
+        factors = rest + [(out_vars, emit(group, union, out_vars))]
 
     # everything left lives on kept vertices (or is scalar); combine
-    factors = [f for f in factors if True]
-    return _contract_group(
-        factors or [((), np.ones((), dtype=object) if obj_mode else np.ones(()))],
-        list(keep),
-        keep,
-        size,
-        obj_mode,
+    emit(factors or [((), _UNIT)], list(keep), keep)
+    return tuple(steps)
+
+
+def _sum_product(size, num_vertices, edges, edge_matrix, free_weight, keep=(),
+                 budget=DEFAULT_BUDGET):
+    """Sum over all maps of vertex factors times edge factors.
+
+    Computes sum over phi: [num_vertices] -> [size] of
+    prod_{v not in keep} free_weight[phi(v)] * prod_{(u,v) in edges}
+    edge_matrix[phi(u), phi(v)], returning an array whose axes are the
+    vertices in `keep`, in that order (kept vertices get no weight factor).
+    The contraction plan is compiled once per (size, vertices, edges, keep)
+    and replayed; every table it builds is checked against `budget` first.
+    """
+    keep = tuple(keep)
+    if num_vertices > 50:
+        raise UnsupportedSizeError("sum-product core supports at most 50 vertices")
+    if size ** len(keep) > budget:
+        raise UnsupportedSizeError(
+            f"output table with {len(keep)} axes of size {size} exceeds the budget"
+        )
+    plan = _compile_plan(size, num_vertices, tuple(edges), keep)
+    for step in plan:
+        if step.entries > budget:
+            raise UnsupportedSizeError(
+                f"intermediate table over {step.axes} vertices of size {size} "
+                f"exceeds the budget of {budget} entries"
+            )
+    # object arrays hold exact big integers; einsum keeps them exact, but a
+    # scalar result comes back as a bare Python int, so rewrap every result
+    obj_mode = edge_matrix.dtype == object or free_weight.dtype == object
+    dtype = object if obj_mode else float
+    inputs = (
+        edge_matrix,
+        free_weight,
+        np.ones(size, dtype=dtype) if keep else None,
+        None if num_vertices else np.ones((), dtype=dtype),
     )
+    temps: dict[int, np.ndarray] = {}
+    for slot, step in enumerate(plan, _FIRST_TEMP):
+        # each step result feeds exactly one later step: pop it when read
+        ops = [temps.pop(i) if i >= _FIRST_TEMP else inputs[i] for i in step.operands]
+        out = np.einsum(step.expr, *ops, optimize=step.optimize)
+        temps[slot] = np.asarray(out, dtype=object) if obj_mode else out
+    return temps[slot]
 
 
 def _adjacency(g: Graph, dtype) -> np.ndarray:
@@ -222,7 +240,7 @@ def _hom_count_brute(motif: Graph, target: Graph) -> int:
 
 
 def hom_count(motif: Graph, target: Graph, method: str = "auto",
-              budget: int = _DEFAULT_BUDGET) -> int:
+              budget: int = DEFAULT_BUDGET) -> int:
     """Number of homomorphisms (edge-preserving maps) from motif to target.
 
     ``method='brute'`` enumerates maps with backtracking and handles motifs
@@ -255,7 +273,7 @@ def hom_count(motif: Graph, target: Graph, method: str = "auto",
 
 
 def hom_density(motif: Graph, target: Graph, method: str = "auto",
-                budget: int = _DEFAULT_BUDGET) -> float:
+                budget: int = DEFAULT_BUDGET) -> float:
     """hom(F, G) / n^{|V(F)|}: the probability a uniform map is a homomorphism."""
     if target.n == 0:
         raise ValueError("target graph must have at least one vertex")
@@ -267,7 +285,7 @@ def hom_density(motif: Graph, target: Graph, method: str = "auto",
 
 
 def graphon_density(motif: Graph, graphon: StepGraphon,
-                    budget: int = _DEFAULT_BUDGET) -> float:
+                    budget: int = DEFAULT_BUDGET) -> float:
     """Density t(F, W) of a motif in a step graphon."""
     if motif.n == 0:
         return 1.0
@@ -305,7 +323,7 @@ def _check_pinned(motif: Graph, pinned, assignment, num_parts: int):
 
 
 def pinned_density(motif: Graph, pinned, assignment, graphon: StepGraphon,
-                   budget: int = _DEFAULT_BUDGET) -> float:
+                   budget: int = DEFAULT_BUDGET) -> float:
     """Density of `motif` with the `pinned` vertices held at fixed parts.
 
     Free vertices are summed over parts with their weights; pinned vertices
@@ -341,7 +359,7 @@ def pinned_density(motif: Graph, pinned, assignment, graphon: StepGraphon,
 
 
 def pinned_table(motif: Graph, pinned, graphon: StepGraphon,
-                 budget: int = _DEFAULT_BUDGET) -> np.ndarray:
+                 budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """All pinned densities at once: an array over assignments of `pinned`.
 
     Axis i ranges over the part assigned to pinned[i]; entry-by-entry this
@@ -377,7 +395,7 @@ class PinnedDensity:
 
 
 def evaluate_pinned(motif: Graph, pinned, assignment, graphon: StepGraphon,
-                    budget: int = _DEFAULT_BUDGET) -> PinnedDensity:
+                    budget: int = DEFAULT_BUDGET) -> PinnedDensity:
     pinned = tuple(int(v) for v in pinned)
     value = pinned_density(motif, pinned, assignment, graphon, budget=budget)
     return PinnedDensity(
@@ -396,6 +414,39 @@ def _weight_products(w: np.ndarray, g: int) -> np.ndarray:
     return d
 
 
+class _Level(NamedTuple):
+    """Axis layout of one doubling level of the gluing recursion."""
+
+    g: int  # axes of the class glued at this level
+    r: int  # axes of the classes still pinned after it
+    perm: tuple[int, ...]  # glued-table axes into (class, vertex, version) order
+    inv: tuple[int, ...]  # the inverse of perm, for the reverse pass
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _doubling_layout(classes, k: int) -> tuple[tuple[int, ...], tuple[_Level, ...]]:
+    """Pinned vertices of the base table and the axis layout of each level.
+
+    Axis labels (class, vertex, version) keep the copies straight across
+    levels: doubling class j leaves two versions of every later axis, and
+    perm sorts the glued product's axes back into label order.
+    """
+    pinned0 = tuple(v for c in range(k) for v in classes[c])
+    labels = [(c, i, 0) for c in range(k) for i in range(len(classes[c]))]
+    levels = []
+    for j in range(k):
+        g_axes = sum(1 for lab in labels if lab[0] == j)
+        half = 1 << j
+        rest = labels[g_axes:]
+        raw = list(rest) + [(c, i, ver + half) for (c, i, ver) in rest]
+        target = sorted(raw)
+        perm = tuple(raw.index(lab) for lab in target)
+        inv = tuple(int(x) for x in np.argsort(perm))
+        levels.append(_Level(g_axes, len(rest), perm, inv))
+        labels = target
+    return pinned0, tuple(levels)
+
+
 def _doubling_forward(colored: ColoredGraph, k: int, graphon: StepGraphon,
                       budget: int):
     """Forward tables of the gluing recursion, innermost doubling first.
@@ -404,41 +455,34 @@ def _doubling_forward(colored: ColoredGraph, k: int, graphon: StepGraphon,
     ("version") of classes j..k-1 pinned.  Doubling class j identifies the
     shared copies, so the level-(j+1) table is A^T diag(weights) A where A is
     the level-j table split into (class-j assignments) x (the rest); the two
-    factors of A are the two glued copies.  Axis labels (class, vertex,
-    version) keep the copies straight across levels.
+    factors of A are the two glued copies.  Returns the final table and one
+    (level, A, diag(weights)) triple per level.
     """
     m = graphon.num_parts
-    pinned0 = tuple(v for c in range(k) for v in colored.classes[c])
-    labels = [
-        (c, i, 0) for c in range(k) for i in range(len(colored.classes[c]))
-    ]
-    table = pinned_table(colored.graph, pinned0, graphon, budget=budget)
+    g = colored.graph
+    pinned0, levels = _doubling_layout(colored.classes, k)
+    table = _sum_product(
+        m, g.n, g.edges, graphon.values, graphon.weights, keep=pinned0, budget=budget,
+    )
     steps = []
-    for j in range(k):
-        g_axes = sum(1 for lab in labels if lab[0] == j)
-        r_axes = len(labels) - g_axes
-        if m ** (g_axes + r_axes) > budget or m ** (2 * r_axes) > budget:
+    for j, level in enumerate(levels):
+        if m ** (level.g + level.r) > budget or m ** (2 * level.r) > budget:
             raise UnsupportedSizeError(
                 f"doubling level {j} needs tables beyond the budget of {budget} entries"
             )
-        a = table.reshape(m**g_axes, m**r_axes)
-        d = _weight_products(graphon.weights, g_axes)
+        a = table.reshape(m**level.g, m**level.r)
+        d = _weight_products(graphon.weights, level.g)
         t = a.T @ (d[:, None] * a)
-        half = 1 << j
-        rest = labels[g_axes:]
-        raw = list(rest) + [(c, i, ver + half) for (c, i, ver) in rest]
-        target = sorted(raw)
-        perm = tuple(raw.index(lab) for lab in target)
         table = (
-            t.reshape((m,) * (2 * r_axes)).transpose(perm) if r_axes else t.reshape(())
+            t.reshape((m,) * (2 * level.r)).transpose(level.perm)
+            if level.r else t.reshape(())
         )
-        steps.append({"A": a, "D": d, "g": g_axes, "r": r_axes, "perm": perm})
-        labels = target
+        steps.append((level, a, d))
     return table, steps
 
 
 def doubling_density(colored: ColoredGraph, k: int, graphon: StepGraphon,
-                     budget: int = _DEFAULT_BUDGET) -> float:
+                     budget: int = DEFAULT_BUDGET) -> float:
     """Density of the k-times-doubled motif, without ever building it.
 
     Equals graphon_density(iterated_double(colored, k).graph, graphon) but
@@ -456,7 +500,7 @@ def doubling_density(colored: ColoredGraph, k: int, graphon: StepGraphon,
 
 
 def doubling_step_moments(colored: ColoredGraph, j: int, graphon: StepGraphon,
-                          budget: int = _DEFAULT_BUDGET):
+                          budget: int = DEFAULT_BUDGET):
     """Moments of the pinned density summed out by doubling step j (1-based).
 
     Returns (mean, second_moment, variance) of the (j-1)-times-doubled
@@ -468,9 +512,8 @@ def doubling_step_moments(colored: ColoredGraph, j: int, graphon: StepGraphon,
     if not 1 <= j <= colored.num_classes:
         raise ValueError(f"step {j} out of range for {colored.num_classes} classes")
     _, steps = _doubling_forward(colored, j, graphon, budget)
-    last = steps[-1]
-    a = last["A"].reshape(-1)
-    d = last["D"]
+    _, a, d = steps[-1]
+    a = a.reshape(-1)
     mean = float(d @ a)
     second = float(d @ (a * a))
     variance = float(d @ (a - mean) ** 2)
@@ -490,8 +533,42 @@ def _symmetrize_param_grad(m_ordered: np.ndarray) -> np.ndarray:
     return m_ordered + m_ordered.T - np.diag(np.diag(m_ordered))
 
 
+class _EdgeTerm(NamedTuple):
+    """One edge's share of the base-table gradient."""
+
+    rest: tuple[tuple[int, int], ...]  # the motif's edges without this one
+    keep: tuple[int, ...]  # the pinned vertices plus the edge's unpinned ends
+    expr: str  # folds tbar times the table of `rest` onto the edge's two parts
+    weights: int  # weight-vector operands of expr after tbar and the table
+    transpose: bool  # expr yields the (v, u) orientation of edge (u, v)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _edge_terms(edges, pinned) -> tuple[_EdgeTerm, ...]:
+    """Per-edge derivative tables: remove the edge, pin its ends, fold."""
+    idx = {v: i for i, v in enumerate(pinned)}
+    letters = string.ascii_letters
+    base = "".join(letters[i] for i in range(len(pinned)))
+    x, y = letters[len(pinned)], letters[len(pinned) + 1]
+    terms = []
+    for e in edges:
+        u, v = e
+        rest = tuple(f for f in edges if f != e)
+        if u in idx and v in idx:
+            out = letters[idx[u]] + letters[idx[v]]
+            terms.append(_EdgeTerm(rest, pinned, f"{base},{base}->{out}", 0, False))
+        elif u in idx or v in idx:
+            pv, fv = (u, v) if u in idx else (v, u)
+            expr = f"{base},{base}{x},{x}->{letters[idx[pv]]}{x}"
+            terms.append(_EdgeTerm(rest, pinned + (fv,), expr, 1, pv != u))
+        else:
+            expr = f"{base},{base}{x}{y},{x},{y}->{x}{y}"
+            terms.append(_EdgeTerm(rest, pinned + (u, v), expr, 2, False))
+    return tuple(terms)
+
+
 def graphon_density_gradient(motif: Graph, graphon: StepGraphon,
-                             budget: int = _DEFAULT_BUDGET):
+                             budget: int = DEFAULT_BUDGET):
     """t(F, W) together with its gradient in the symmetric value matrix.
 
     Assembled edge by edge: pinning an edge's endpoints at parts (a, b) and
@@ -503,50 +580,35 @@ def graphon_density_gradient(motif: Graph, graphon: StepGraphon,
     if motif.n == 0:
         return 1.0, np.zeros((m, m))
     value = graphon_density(motif, graphon, budget=budget)
+    ww = np.outer(w, w)
     ordered = np.zeros((m, m))
-    for u, v in motif.edges:
-        q = pinned_table(motif.without_edge(u, v), (u, v), graphon, budget=budget)
-        ordered += np.outer(w, w) * q
+    # with nothing pinned, each term keeps exactly the edge's two ends
+    for term in _edge_terms(motif.edges, ()):
+        q = _sum_product(m, motif.n, term.rest, graphon.values, w,
+                         keep=term.keep, budget=budget)
+        ordered += ww * q
     return value, _symmetrize_param_grad(ordered)
 
 
-def _base_table_gradient(colored: ColoredGraph, k: int, graphon: StepGraphon,
+def _base_table_gradient(colored: ColoredGraph, pinned0, graphon: StepGraphon,
                          tbar: np.ndarray, budget: int) -> np.ndarray:
     g = colored.graph
     w = graphon.weights
     m = graphon.num_parts
-    pinned0 = [v for c in range(k) for v in colored.classes[c]]
     if len(pinned0) + 2 > 50:
         raise UnsupportedSizeError("too many pinned vertices for the gradient pass")
-    idx = {v: i for i, v in enumerate(pinned0)}
-    letters = string.ascii_letters
-    base = "".join(letters[i] for i in range(len(pinned0)))
-    x, y = letters[len(pinned0)], letters[len(pinned0) + 1]
     ordered = np.zeros((m, m))
-    for u, v in g.edges:
-        rest = g.without_edge(u, v)
-        if u in idx and v in idx:
-            q = pinned_table(rest, tuple(pinned0), graphon, budget=budget)
-            out = letters[idx[u]] + letters[idx[v]]
-            ordered += np.einsum(f"{base},{base}->{out}", tbar, q)
-        elif u in idx or v in idx:
-            pv, fv = (u, v) if u in idx else (v, u)
-            q = pinned_table(rest, tuple(pinned0) + (fv,), graphon, budget=budget)
-            contrib = np.einsum(
-                f"{base},{base}{x},{x}->{letters[idx[pv]]}{x}", tbar, q, w
-            )
-            ordered += contrib if pv == u else contrib.T
-        else:
-            q = pinned_table(rest, tuple(pinned0) + (u, v), graphon, budget=budget)
-            ordered += np.einsum(
-                f"{base},{base}{x}{y},{x},{y}->{x}{y}", tbar, q, w, w
-            )
+    for term in _edge_terms(g.edges, pinned0):
+        q = _sum_product(m, g.n, term.rest, graphon.values, w,
+                         keep=term.keep, budget=budget)
+        contrib = np.einsum(term.expr, tbar, q, *(w,) * term.weights)
+        ordered += contrib.T if term.transpose else contrib
     return _symmetrize_param_grad(ordered)
 
 
 def doubling_density_gradient(colored: ColoredGraph, k: int,
                               graphon: StepGraphon,
-                              budget: int = _DEFAULT_BUDGET):
+                              budget: int = DEFAULT_BUDGET):
     """Doubling density and its gradient, by reverse accumulation.
 
     Runs the gluing recursion forward, then pushes the adjoint back through
@@ -563,14 +625,13 @@ def doubling_density_gradient(colored: ColoredGraph, k: int,
     table, steps = _doubling_forward(colored, k, graphon, budget)
     value = float(table[()])
     tbar = np.ones(())
-    for step in reversed(steps):
-        r, g = step["r"], step["g"]
+    for level, a, d in reversed(steps):
+        r = level.r
         if r:
-            inv = tuple(np.argsort(step["perm"]))
-            tflat = tbar.transpose(inv).reshape(m**r, m**r)
+            tflat = tbar.transpose(level.inv).reshape(m**r, m**r)
         else:
             tflat = tbar.reshape(1, 1)
-        a, d = step["A"], step["D"]
         abar = d[:, None] * (a @ (tflat + tflat.T))
-        tbar = abar.reshape((m,) * (g + r))
-    return value, _base_table_gradient(colored, k, graphon, tbar, budget)
+        tbar = abar.reshape((m,) * (level.g + r))
+    pinned0, _ = _doubling_layout(colored.classes, k)
+    return value, _base_table_gradient(colored, pinned0, graphon, tbar, budget)

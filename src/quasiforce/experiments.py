@@ -85,8 +85,7 @@ def _graphon(weights: np.ndarray, values: np.ndarray) -> StepGraphon:
     return StepGraphon._wrap(weights, np.clip(sym, 0.0, 1.0))
 
 
-def _descend(values: np.ndarray, weights: np.ndarray, objective, gradient,
-             max_iter: int, stop=None):
+def _descend(values: np.ndarray, objective, gradient, max_iter: int, stop=None):
     """Projected gradient descent on the symmetric value matrix.
 
     Accepts a step only when the objective drops by at least a 1e-6
@@ -341,7 +340,7 @@ def run_forcing_trial(t: int, p: float, start: StepGraphon, seed: int = 0,
                                             targets, budget)
         return 2 * a * g1 + 2 * b * g2
 
-    values, _, iters = _descend(start.values, weights, obj, grad,
+    values, _, iters = _descend(start.values, obj, grad,
                                 max_iter, stop=tol * tol)
     final = _graphon(weights, values)
     r1, r2 = _residuals(colored, k, final, targets, budget)
@@ -379,7 +378,7 @@ def _pareto_sweep(t: int, k: int, p: float, m: int, seed: int,
                 colored, k, _graphon(weights, v), targets, budget)
             return lam * (2 * a * g1 + 2 * b * g2) - _l2sq_grad(v, weights, p)
 
-        values, _, _ = _descend(values, weights, obj, grad, per_round)
+        values, _, _ = _descend(values, obj, grad, per_round)
         r1, r2 = _residuals(colored, k, _graphon(weights, values), targets, budget)
         points.append(ParetoPoint(
             lam, "penalty", r1, r2, float(np.sqrt(_l2sq(values, weights, p))),
@@ -579,7 +578,7 @@ def _banded_max(values, weights, colored, k, p, targets, bounds, budget,
             h2 = max(0.0, abs(b) - bounds[1]) * np.sign(b)
             return mu * (2 * h1 * g1 + 2 * h2 * g2) - _l2sq_grad(x, weights, p)
 
-        v, _, _ = _descend(v, weights, obj, grad, iters_per_round)
+        v, _, _ = _descend(v, obj, grad, iters_per_round)
     return _restore_feasibility(v, weights, colored, k, targets, bounds, budget)
 
 

@@ -37,6 +37,9 @@ class StepGraphon:
             raise ValueError(
                 f"values must be a {w.size} x {w.size} matrix matching the weights"
             )
+        # NaN fails every comparison below, so finiteness comes first
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
+            raise ValueError("weights and values must be finite numbers")
         if np.any(w <= 0):
             raise ValueError("weights must be strictly positive")
         if abs(float(w.sum()) - 1.0) > 1e-12:

@@ -2,7 +2,7 @@
 
 17 significant decimal digits are enough to round-trip any IEEE 754 double
 exactly, so files written here reload bit for bit.  Reading uses the stdlib
-parser unchanged.
+parser but rejects its NaN and Infinity extensions, which are not JSON.
 """
 
 from __future__ import annotations
@@ -57,5 +57,9 @@ def dump(obj, path) -> None:
     Path(path).write_text(dumps(obj))
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not valid JSON")
+
+
 def load(path):
-    return json.loads(Path(path).read_text())
+    return json.loads(Path(path).read_text(), parse_constant=_reject_constant)

@@ -104,6 +104,18 @@ def test_quasirandom_size_exit(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weights", ["[NaN, NaN]", "[Infinity, 0.5]", "[1e400, 0.5]"])
+def test_non_finite_graphon_exits_2(tmp_path, capsys, weights):
+    path = tmp_path / "w.json"
+    path.write_text('{"weights": %s, "values": [[0.3, 0.7], [0.7, 0.3]]}' % weights)
+    assert main(["density", "--kt", "3", "--graphon", str(path)]) == 2
+    assert main(["check-identity", "--graphon", str(path), "--p", "0.5",
+                 "--t", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 2
+
+
 def test_check_identity_worked_example(tmp_path, capsys):
     g = StepGraphon(np.array([0.5, 0.5]), np.array([[0.3, 0.7], [0.7, 0.3]]))
     path = _write(tmp_path, "w.json", g.to_dict())

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import brute_graphon_density, brute_hom_count
+from quasiforce import density
 from quasiforce import (
+    ColoredGraph,
     Graph,
     StepGraphon,
     UnsupportedSizeError,
@@ -78,6 +80,11 @@ def test_hom_count_big_integers():
     motif = Graph(12)
     target = complete_graph(40).graph
     assert hom_count(motif, target, method="eliminate") == 40**12
+    # the 13-vertex path: every elimination step multiplies edge tables
+    path = Graph(13, tuple((i, i + 1) for i in range(12)))
+    count = hom_count(path, target, method="eliminate")
+    assert type(count) is int
+    assert count == 40 * 39**12
 
 
 def test_brute_motif_cap():
@@ -182,6 +189,36 @@ def test_pinned_budget():
         pinned_table(complete_graph(5).graph, (0, 1, 2, 3), g, budget=10)
 
 
+def test_budget_is_checked_on_every_plan_replay():
+    # the plan cache is keyed without the budget: a plan compiled under the
+    # default budget must still be refused under a smaller one, and a
+    # refusal must not stop the next call from running
+    g = constant_graphon(0.5, 3)
+    k5 = complete_graph(5).graph
+    pinned_table(k5, (0, 1, 2, 3), g)
+    with pytest.raises(UnsupportedSizeError, match="output table"):
+        pinned_table(k5, (0, 1, 2, 3), g, budget=10)
+    graphon_density(k5, g)
+    with pytest.raises(UnsupportedSizeError, match="intermediate table over 5"):
+        graphon_density(k5, g, budget=100)
+    assert graphon_density(k5, g) == pytest.approx(0.5**10, abs=1e-15)
+    assert pinned_table(k5, (0, 1, 2, 3), g).shape == (3, 3, 3, 3)
+
+
+def test_plan_cache_hit_is_bitwise_identical():
+    rng = np.random.default_rng(31)
+    g = _random_graphon(rng, 3)
+    motif = cycle_graph(5)
+    density._compile_plan.cache_clear()
+    first = pinned_table(motif, (2, 0), g)
+    misses = density._compile_plan.cache_info().misses
+    again = pinned_table(motif, (2, 0), g)
+    info = density._compile_plan.cache_info()
+    assert info.misses == misses and info.hits >= 1
+    assert again.tobytes() == first.tobytes()
+    assert again is not first
+
+
 def test_evaluate_pinned_record():
     g = constant_graphon(0.5, 2)
     rec = evaluate_pinned(complete_graph(3).graph, (0,), {0: 1}, g)
@@ -223,6 +260,45 @@ def test_doubling_density_against_brute():
     doubled = iterated_double(complete_graph(3), 2).graph
     want = brute_graphon_density(doubled, g.weights, g.values)
     assert doubling_density(complete_graph(3), 2, g) == pytest.approx(want, abs=1e-13)
+
+
+# motifs whose color classes hold several vertices each
+_MULTI_CLASS_MOTIFS = {
+    "C6": ColoredGraph(cycle_graph(6), ((0, 3), (1, 4), (2, 5))),
+    "P4": ColoredGraph(Graph(4, ((0, 1), (1, 2), (2, 3))), ((0, 2), (1, 3))),
+    "C4": ColoredGraph(cycle_graph(4), ((0, 2), (1, 3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MULTI_CLASS_MOTIFS))
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_doubling_multi_vertex_classes(name, m):
+    colored = _MULTI_CLASS_MOTIFS[name]
+    rng = np.random.default_rng(37 + m)
+    g = _random_graphon(rng, m)
+    for k in range(colored.num_classes + 1):
+        doubled = iterated_double(colored, k).graph
+        want = graphon_density(doubled, g)
+        assert doubling_density(colored, k, g) == pytest.approx(want, abs=1e-13)
+        if m ** doubled.n <= 3**8:
+            brute = brute_graphon_density(doubled, g.weights, g.values)
+            assert want == pytest.approx(brute, abs=1e-13)
+
+
+@pytest.mark.parametrize("name", sorted(_MULTI_CLASS_MOTIFS))
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_doubling_gradient_multi_vertex_classes(name, m):
+    colored = _MULTI_CLASS_MOTIFS[name]
+    rng = np.random.default_rng(41 + m)
+    vals = 0.3 + 0.4 * rng.random((m, m))
+    w = rng.random(m) + 0.2
+    g = StepGraphon(w / w.sum(), (vals + vals.T) / 2)
+    for k in range(colored.num_classes + 1):
+        value, grad = doubling_density_gradient(colored, k, g)
+        assert value == pytest.approx(doubling_density(colored, k, g), abs=1e-13)
+        fd = _fd_gradient(lambda x, k=k: doubling_density(colored, k, x), g)
+        scale = max(np.abs(fd).max(), 1e-9)
+        assert np.abs(grad - fd).max() / scale < 1e-6
 
 
 def test_doubling_validation():

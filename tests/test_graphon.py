@@ -26,6 +26,15 @@ def test_constructor_validates():
         StepGraphon(np.array([1.0]), np.array([[0.5, 0.5]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_constructor_rejects_non_finite(bad):
+    # NaN slips past the positivity, sum and range checks on its own
+    with pytest.raises(ValueError, match="finite"):
+        StepGraphon(np.array([bad, bad]), np.full((2, 2), 0.5))
+    with pytest.raises(ValueError, match="finite"):
+        StepGraphon(np.array([0.5, 0.5]), np.array([[0.5, bad], [bad, 0.5]]))
+
+
 def test_values_become_read_only():
     g = constant_graphon(0.5, 2)
     with pytest.raises(ValueError):

@@ -47,3 +47,11 @@ def test_file_round_trip(tmp_path):
     payload = {"value": 0.1 + 0.2, "items": [[1, 2], [3, 4]]}
     dump(payload, path)
     assert load(path) == {"value": 0.1 + 0.2, "items": [[1, 2], [3, 4]]}
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_load_rejects_non_finite_literals(tmp_path, literal):
+    path = tmp_path / "bad.json"
+    path.write_text('{"x": [0.5, %s]}' % literal)
+    with pytest.raises(ValueError, match=literal):
+        load(path)
