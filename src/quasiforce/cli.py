@@ -185,9 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Density, doubling, and quasirandomness toolkit "
                     "for graphs and step graphons.",
     )
-    parser.add_argument("--threads", type=_positive_int, default=1,
-                        help="cap on internal parallelism (the current "
-                             "implementation is single-threaded)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("doubling", help="iterate the gluing construction")

@@ -10,6 +10,14 @@ Three evaluation strategies share one sum-product core:
   blown-up motif onto tables indexed by assignments of the glued classes,
   one diagonal-weighted matmul per doubling level.
 
+Gradients in the value matrix come from reverse accumulation over the same
+compiled plan: the forward replay keeps every step's table (the tape), and
+each step also carries, for every edge-matrix or intermediate operand, the
+einsum of its adjoint (the output adjoint contracted with the step's other
+operands).  Replaying those backwards from an output adjoint gives the
+whole gradient at the cost of about two more forward passes, whatever the
+number of edges.
+
 The density of a motif F in a step graphon W is the sum over all maps
 phi: V(F) -> parts of prod_v weights[phi(v)] * prod_{uv in E} values[phi(u)][phi(v)];
 for the step graphon of a finite graph G this equals hom(F, G) / n^{|V(F)|}.
@@ -94,6 +102,10 @@ class _Step(NamedTuple):
     optimize: bool
     axes: int  # vertices spanned by the step's table
     entries: int  # size ** axes
+    # (operand position, einsum of that operand's adjoint) for every
+    # edge-matrix or step-result operand; the adjoint einsum reads the
+    # output adjoint first, then the other operands in order
+    adjoints: tuple[tuple[int, str], ...]
 
 
 # operand slots of a plan: the edge matrix, the free-vertex weight, the
@@ -119,12 +131,20 @@ def _compile_plan(size: int, num_vertices: int, edges, keep) -> tuple[_Step, ...
 
     def emit(group, union, out_vars) -> int:
         letters = {u: string.ascii_letters[i] for i, u in enumerate(union)}
-        expr = ",".join("".join(letters[x] for x in vars_) for vars_, _ in group)
-        expr += "->" + "".join(letters[x] for x in out_vars)
+        subs = ["".join(letters[x] for x in vars_) for vars_, _ in group]
+        out = "".join(letters[x] for x in out_vars)
+        slots = tuple(slot for _, slot in group)
+        # every letter of an operand is either kept in the output or is the
+        # eliminated vertex, whose weight or ones factor is another operand,
+        # so each adjoint einsum sees all the letters it must produce
+        adjoints = tuple(
+            (i, ",".join([out, *subs[:i], *subs[i + 1:]]) + "->" + subs[i])
+            for i, slot in enumerate(slots) if slot == _EDGE or slot >= _FIRST_TEMP
+        )
         entries = size ** len(union)
         # path search costs more than the contraction on small tables
-        steps.append(_Step(expr, tuple(slot for _, slot in group), entries > 4096,
-                           len(union), entries))
+        steps.append(_Step(",".join(subs) + "->" + out, slots, entries > 4096,
+                           len(union), entries, adjoints))
         return _FIRST_TEMP + len(steps) - 1
 
     free = [v for v in range(num_vertices) if v not in keep_set]
@@ -140,17 +160,9 @@ def _compile_plan(size: int, num_vertices: int, edges, keep) -> tuple[_Step, ...
     return tuple(steps)
 
 
-def _sum_product(size, num_vertices, edges, edge_matrix, free_weight, keep=(),
-                 budget=DEFAULT_BUDGET):
-    """Sum over all maps of vertex factors times edge factors.
-
-    Computes sum over phi: [num_vertices] -> [size] of
-    prod_{v not in keep} free_weight[phi(v)] * prod_{(u,v) in edges}
-    edge_matrix[phi(u), phi(v)], returning an array whose axes are the
-    vertices in `keep`, in that order (kept vertices get no weight factor).
-    The contraction plan is compiled once per (size, vertices, edges, keep)
-    and replayed; every table it builds is checked against `budget` first.
-    """
+def _checked_plan(size, num_vertices, edges, keep, budget) -> tuple[_Step, ...]:
+    """The compiled plan of _sum_product, once every table it builds, the
+    output included, has been checked against `budget`."""
     keep = tuple(keep)
     if num_vertices > 50:
         raise UnsupportedSizeError("sum-product core supports at most 50 vertices")
@@ -165,23 +177,79 @@ def _sum_product(size, num_vertices, edges, edge_matrix, free_weight, keep=(),
                 f"intermediate table over {step.axes} vertices of size {size} "
                 f"exceeds the budget of {budget} entries"
             )
+    return plan
+
+
+def _plan_inputs(edge_matrix, free_weight, dtype) -> tuple:
+    """The operands of slots _EDGE.._UNIT."""
+    return (edge_matrix, free_weight, np.ones(free_weight.shape[0], dtype=dtype),
+            np.ones((), dtype=dtype))
+
+
+def _forward(plan, edge_matrix, free_weight, keep_tape: bool = False) -> list:
+    """Replay a compiled plan; returns every step's result, the output last.
+
+    Each step result feeds exactly one later step, so unless `keep_tape`
+    asks for the whole tape (the reverse pass reads it), a result is
+    released as soon as that step has run.
+    """
     # object arrays hold exact big integers; einsum keeps them exact, but a
     # scalar result comes back as a bare Python int, so rewrap every result
     obj_mode = edge_matrix.dtype == object or free_weight.dtype == object
-    dtype = object if obj_mode else float
-    inputs = (
-        edge_matrix,
-        free_weight,
-        np.ones(size, dtype=dtype) if keep else None,
-        None if num_vertices else np.ones((), dtype=dtype),
-    )
-    temps: dict[int, np.ndarray] = {}
-    for slot, step in enumerate(plan, _FIRST_TEMP):
-        # each step result feeds exactly one later step: pop it when read
-        ops = [temps.pop(i) if i >= _FIRST_TEMP else inputs[i] for i in step.operands]
+    inputs = _plan_inputs(edge_matrix, free_weight, object if obj_mode else float)
+    tape: list = []
+    for step in plan:
+        ops = [tape[i - _FIRST_TEMP] if i >= _FIRST_TEMP else inputs[i]
+               for i in step.operands]
+        if not keep_tape:
+            for i in step.operands:
+                if i >= _FIRST_TEMP:
+                    tape[i - _FIRST_TEMP] = None
         out = np.einsum(step.expr, *ops, optimize=step.optimize)
-        temps[slot] = np.asarray(out, dtype=object) if obj_mode else out
-    return temps[slot]
+        tape.append(np.asarray(out, dtype=object) if obj_mode else out)
+    return tape
+
+
+def _reverse(plan, tape, edge_matrix, free_weight, out_bar) -> np.ndarray:
+    """Gradient of sum(out_bar * output) in the ordered edge-matrix entries.
+
+    Walks the plan backwards: each step's adjoint einsums turn the adjoint
+    of its result into the adjoints of its edge-matrix operands, which
+    accumulate into the gradient, and of its step-result operands, which
+    the step that produced them consumes in turn.  No adjoint is larger
+    than an operand of the forward step, so the forward budget check
+    covers the reverse pass too.
+    """
+    inputs = _plan_inputs(edge_matrix, free_weight, float)
+    grad = np.zeros(edge_matrix.shape)
+    bars = {_FIRST_TEMP + len(plan) - 1: np.asarray(out_bar, dtype=float)}
+    for slot, step in reversed(list(enumerate(plan, _FIRST_TEMP))):
+        ybar = bars.pop(slot)
+        ops = [tape[i - _FIRST_TEMP] if i >= _FIRST_TEMP else inputs[i]
+               for i in step.operands]
+        for pos, expr in step.adjoints:
+            bar = np.einsum(expr, ybar, *ops[:pos], *ops[pos + 1:],
+                            optimize=step.optimize)
+            if step.operands[pos] == _EDGE:
+                grad += bar
+            else:
+                bars[step.operands[pos]] = bar
+    return grad
+
+
+def _sum_product(size, num_vertices, edges, edge_matrix, free_weight, keep=(),
+                 budget=DEFAULT_BUDGET):
+    """Sum over all maps of vertex factors times edge factors.
+
+    Computes sum over phi: [num_vertices] -> [size] of
+    prod_{v not in keep} free_weight[phi(v)] * prod_{(u,v) in edges}
+    edge_matrix[phi(u), phi(v)], returning an array whose axes are the
+    vertices in `keep`, in that order (kept vertices get no weight factor).
+    The contraction plan is compiled once per (size, vertices, edges, keep)
+    and replayed; every table it builds is checked against `budget` first.
+    """
+    plan = _checked_plan(size, num_vertices, edges, keep, budget)
+    return _forward(plan, edge_matrix, free_weight)[-1]
 
 
 def _adjacency(g: Graph, dtype) -> np.ndarray:
@@ -289,16 +357,18 @@ def graphon_density(motif: Graph, graphon: StepGraphon,
     """Density t(F, W) of a motif in a step graphon."""
     if motif.n == 0:
         return 1.0
+    plan = _density_plan(motif, graphon.num_parts, budget)
+    return float(_forward(plan, graphon.values, graphon.weights)[-1][()])
+
+
+def _density_plan(motif: Graph, num_parts: int, budget: int) -> tuple[_Step, ...]:
+    """The checked plan of t(motif, W) for W with `num_parts` parts."""
     try:
-        res = _sum_product(
-            graphon.num_parts, motif.n, motif.edges, graphon.values,
-            graphon.weights, budget=budget,
-        )
+        return _checked_plan(num_parts, motif.n, motif.edges, (), budget)
     except UnsupportedSizeError as exc:
         raise UnsupportedSizeError(
             f"{exc}; for iterated doublings use doubling_density"
         ) from None
-    return float(res[()])
 
 
 def _check_pinned(motif: Graph, pinned, assignment, num_parts: int):
@@ -447,38 +517,106 @@ def _doubling_layout(classes, k: int) -> tuple[tuple[int, ...], tuple[_Level, ..
     return pinned0, tuple(levels)
 
 
-def _doubling_forward(colored: ColoredGraph, k: int, graphon: StepGraphon,
-                      budget: int):
-    """Forward tables of the gluing recursion, innermost doubling first.
+class _DoublingRun(NamedTuple):
+    """The forward tables of one evaluation of the gluing recursion."""
 
-    Level j holds the densities of the j-times-doubled motif with every copy
-    ("version") of classes j..k-1 pinned.  Doubling class j identifies the
-    shared copies, so the level-(j+1) table is A^T diag(weights) A where A is
-    the level-j table split into (class-j assignments) x (the rest); the two
-    factors of A are the two glued copies.  Returns the final table and one
-    (level, A, diag(weights)) triple per level.
+    values: np.ndarray  # the value matrix evaluated at
+    tape: list  # the base plan's step results, the base table last
+    factors: list  # each level's glued factor A, innermost level first
+    table: np.ndarray  # the final table: a scalar once every class is glued
+
+
+class _Doubling:
+    """The gluing recursion of one colored motif and k doublings, bound to
+    fixed part weights and a table budget.
+
+    Binding checks the base plan and every level's tables against the
+    budget, so an oversized request fails before any contraction runs.
+    Weight products are made on first use and kept for later evaluations.
     """
-    m = graphon.num_parts
-    g = colored.graph
-    pinned0, levels = _doubling_layout(colored.classes, k)
-    table = _sum_product(
-        m, g.n, g.edges, graphon.values, graphon.weights, keep=pinned0, budget=budget,
-    )
-    steps = []
-    for j, level in enumerate(levels):
-        if m ** (level.g + level.r) > budget or m ** (2 * level.r) > budget:
-            raise UnsupportedSizeError(
-                f"doubling level {j} needs tables beyond the budget of {budget} entries"
+
+    def __init__(self, colored: ColoredGraph, k: int, weights: np.ndarray,
+                 budget: int):
+        if not 0 <= k <= colored.num_classes:
+            raise ValueError(
+                f"number of doublings {k} out of range for "
+                f"{colored.num_classes} classes"
             )
-        a = table.reshape(m**level.g, m**level.r)
-        d = _weight_products(graphon.weights, level.g)
-        t = a.T @ (d[:, None] * a)
-        table = (
-            t.reshape((m,) * (2 * level.r)).transpose(level.perm)
-            if level.r else t.reshape(())
-        )
-        steps.append((level, a, d))
-    return table, steps
+        m = weights.size
+        g = colored.graph
+        self.pinned, self.levels = _doubling_layout(colored.classes, k)
+        self.plan = _checked_plan(m, g.n, g.edges, self.pinned, budget)
+        for j, level in enumerate(self.levels):
+            if m ** (level.g + level.r) > budget or m ** (2 * level.r) > budget:
+                raise UnsupportedSizeError(
+                    f"doubling level {j} needs tables beyond the budget of "
+                    f"{budget} entries"
+                )
+        self.m = m
+        self.weights = weights
+        self._level_weights: list = [None] * len(self.levels)
+
+    @functools.cached_property
+    def base_weights(self) -> np.ndarray:
+        """Weight products over the pinned vertices.  Pinned vertices carry
+        no weight in the base table, so summing it against these gives the
+        density of the undoubled motif."""
+        return _weight_products(self.weights, len(self.pinned))
+
+    def level_weights(self, j: int) -> np.ndarray:
+        """The weight products that level j sums the glued class with."""
+        d = self._level_weights[j]
+        if d is None:
+            # made when level j first runs: making every level's products
+            # at binding allocates the large ones ahead of the tables, and
+            # cs_chain_check at m=5 then takes a third more page faults
+            d = self._level_weights[j] = _weight_products(self.weights,
+                                                          self.levels[j].g)
+        return d
+
+    def forward(self, values: np.ndarray, keep_tape: bool = False) -> _DoublingRun:
+        """Level j holds the densities of the j-times-doubled motif with
+        every copy ("version") of classes j..k-1 pinned.  Doubling class j
+        identifies the shared copies, so the level-(j+1) table is
+        A^T diag(weights) A where A is the level-j table split into
+        (class-j assignments) x (the rest); the two factors of A are the
+        two glued copies."""
+        m = self.m
+        tape = _forward(self.plan, values, self.weights, keep_tape)
+        table = tape[-1]
+        factors = []
+        for j, level in enumerate(self.levels):
+            d = self.level_weights(j)
+            a = table.reshape(m**level.g, m**level.r)
+            t = a.T @ (d[:, None] * a)
+            table = (
+                t.reshape((m,) * (2 * level.r)).transpose(level.perm)
+                if level.r else t.reshape(())
+            )
+            factors.append(a)
+        return _DoublingRun(values, tape, factors, table)
+
+    def base_adjoint(self, run: _DoublingRun, scale: float) -> np.ndarray:
+        """Adjoint on the base table of `scale` times the final density:
+        the adjoint pushed back through each diagonal-weighted matmul."""
+        m = self.m
+        tbar = np.full((), float(scale))
+        for j in reversed(range(len(self.levels))):
+            level, d, a = self.levels[j], self.level_weights(j), run.factors[j]
+            r = level.r
+            if r:
+                tflat = tbar.transpose(level.inv).reshape(m**r, m**r)
+            else:
+                tflat = tbar.reshape(1, 1)
+            abar = d[:, None] * (a @ (tflat + tflat.T))
+            tbar = abar.reshape((m,) * (level.g + r))
+        return tbar
+
+    def gradient(self, run: _DoublingRun, base_bar: np.ndarray) -> np.ndarray:
+        """Gradient in the symmetric value matrix of sum(base_bar * base
+        table), from one reverse pass over a tape kept by forward."""
+        return _symmetrize_param_grad(
+            _reverse(self.plan, run.tape, run.values, self.weights, base_bar))
 
 
 def doubling_density(colored: ColoredGraph, k: int, graphon: StepGraphon,
@@ -489,14 +627,10 @@ def doubling_density(colored: ColoredGraph, k: int, graphon: StepGraphon,
     runs in time polynomial in the table sizes of the glued classes instead
     of exponential in the doubled motif's vertex count.
     """
-    if not 0 <= k <= colored.num_classes:
-        raise ValueError(
-            f"number of doublings {k} out of range for {colored.num_classes} classes"
-        )
     if k == 0:
         return graphon_density(colored.graph, graphon, budget=budget)
-    table, _ = _doubling_forward(colored, k, graphon, budget)
-    return float(table[()])
+    run = _Doubling(colored, k, graphon.weights, budget).forward(graphon.values)
+    return float(run.table[()])
 
 
 def doubling_step_moments(colored: ColoredGraph, j: int, graphon: StepGraphon,
@@ -511,9 +645,9 @@ def doubling_step_moments(colored: ColoredGraph, j: int, graphon: StepGraphon,
     """
     if not 1 <= j <= colored.num_classes:
         raise ValueError(f"step {j} out of range for {colored.num_classes} classes")
-    _, steps = _doubling_forward(colored, j, graphon, budget)
-    _, a, d = steps[-1]
-    a = a.reshape(-1)
+    doubling = _Doubling(colored, j, graphon.weights, budget)
+    a = doubling.forward(graphon.values).factors[-1].reshape(-1)
+    d = doubling.level_weights(j - 1)
     mean = float(d @ a)
     second = float(d @ (a * a))
     variance = float(d @ (a - mean) ** 2)
@@ -533,77 +667,20 @@ def _symmetrize_param_grad(m_ordered: np.ndarray) -> np.ndarray:
     return m_ordered + m_ordered.T - np.diag(np.diag(m_ordered))
 
 
-class _EdgeTerm(NamedTuple):
-    """One edge's share of the base-table gradient."""
-
-    rest: tuple[tuple[int, int], ...]  # the motif's edges without this one
-    keep: tuple[int, ...]  # the pinned vertices plus the edge's unpinned ends
-    expr: str  # folds tbar times the table of `rest` onto the edge's two parts
-    weights: int  # weight-vector operands of expr after tbar and the table
-    transpose: bool  # expr yields the (v, u) orientation of edge (u, v)
-
-
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _edge_terms(edges, pinned) -> tuple[_EdgeTerm, ...]:
-    """Per-edge derivative tables: remove the edge, pin its ends, fold."""
-    idx = {v: i for i, v in enumerate(pinned)}
-    letters = string.ascii_letters
-    base = "".join(letters[i] for i in range(len(pinned)))
-    x, y = letters[len(pinned)], letters[len(pinned) + 1]
-    terms = []
-    for e in edges:
-        u, v = e
-        rest = tuple(f for f in edges if f != e)
-        if u in idx and v in idx:
-            out = letters[idx[u]] + letters[idx[v]]
-            terms.append(_EdgeTerm(rest, pinned, f"{base},{base}->{out}", 0, False))
-        elif u in idx or v in idx:
-            pv, fv = (u, v) if u in idx else (v, u)
-            expr = f"{base},{base}{x},{x}->{letters[idx[pv]]}{x}"
-            terms.append(_EdgeTerm(rest, pinned + (fv,), expr, 1, pv != u))
-        else:
-            expr = f"{base},{base}{x}{y},{x},{y}->{x}{y}"
-            terms.append(_EdgeTerm(rest, pinned + (u, v), expr, 2, False))
-    return tuple(terms)
-
-
 def graphon_density_gradient(motif: Graph, graphon: StepGraphon,
                              budget: int = DEFAULT_BUDGET):
     """t(F, W) together with its gradient in the symmetric value matrix.
 
-    Assembled edge by edge: pinning an edge's endpoints at parts (a, b) and
-    removing the edge itself gives the derivative of that edge's factor,
-    i.e. the weighted two-vertex pinned table of F minus the edge.
+    One forward pass over the motif's compiled plan, keeping its tape, and
+    one reverse pass from the unit adjoint of the density.
     """
     m = graphon.num_parts
-    w = graphon.weights
     if motif.n == 0:
         return 1.0, np.zeros((m, m))
-    value = graphon_density(motif, graphon, budget=budget)
-    ww = np.outer(w, w)
-    ordered = np.zeros((m, m))
-    # with nothing pinned, each term keeps exactly the edge's two ends
-    for term in _edge_terms(motif.edges, ()):
-        q = _sum_product(m, motif.n, term.rest, graphon.values, w,
-                         keep=term.keep, budget=budget)
-        ordered += ww * q
-    return value, _symmetrize_param_grad(ordered)
-
-
-def _base_table_gradient(colored: ColoredGraph, pinned0, graphon: StepGraphon,
-                         tbar: np.ndarray, budget: int) -> np.ndarray:
-    g = colored.graph
-    w = graphon.weights
-    m = graphon.num_parts
-    if len(pinned0) + 2 > 50:
-        raise UnsupportedSizeError("too many pinned vertices for the gradient pass")
-    ordered = np.zeros((m, m))
-    for term in _edge_terms(g.edges, pinned0):
-        q = _sum_product(m, g.n, term.rest, graphon.values, w,
-                         keep=term.keep, budget=budget)
-        contrib = np.einsum(term.expr, tbar, q, *(w,) * term.weights)
-        ordered += contrib.T if term.transpose else contrib
-    return _symmetrize_param_grad(ordered)
+    plan = _density_plan(motif, m, budget)
+    tape = _forward(plan, graphon.values, graphon.weights, keep_tape=True)
+    ordered = _reverse(plan, tape, graphon.values, graphon.weights, 1.0)
+    return float(tape[-1][()]), _symmetrize_param_grad(ordered)
 
 
 def doubling_density_gradient(colored: ColoredGraph, k: int,
@@ -611,27 +688,13 @@ def doubling_density_gradient(colored: ColoredGraph, k: int,
                               budget: int = DEFAULT_BUDGET):
     """Doubling density and its gradient, by reverse accumulation.
 
-    Runs the gluing recursion forward, then pushes the adjoint back through
-    each diagonal-weighted matmul down to the base table, whose gradient is
-    assembled edge by edge like graphon_density_gradient's.
+    Runs the gluing recursion forward, pushes the adjoint back through each
+    diagonal-weighted matmul down to the base table, then takes one reverse
+    pass over the base table's compiled plan.
     """
-    if not 0 <= k <= colored.num_classes:
-        raise ValueError(
-            f"number of doublings {k} out of range for {colored.num_classes} classes"
-        )
     if k == 0:
         return graphon_density_gradient(colored.graph, graphon, budget=budget)
-    m = graphon.num_parts
-    table, steps = _doubling_forward(colored, k, graphon, budget)
-    value = float(table[()])
-    tbar = np.ones(())
-    for level, a, d in reversed(steps):
-        r = level.r
-        if r:
-            tflat = tbar.transpose(level.inv).reshape(m**r, m**r)
-        else:
-            tflat = tbar.reshape(1, 1)
-        abar = d[:, None] * (a @ (tflat + tflat.T))
-        tbar = abar.reshape((m,) * (level.g + r))
-    pinned0, _ = _doubling_layout(colored.classes, k)
-    return value, _base_table_gradient(colored, pinned0, graphon, tbar, budget)
+    doubling = _Doubling(colored, k, graphon.weights, budget)
+    run = doubling.forward(graphon.values, keep_tape=True)
+    grad = doubling.gradient(run, doubling.base_adjoint(run, 1.0))
+    return float(run.table[()]), grad

@@ -15,15 +15,21 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+# the two gradient functions are no longer called here, but stay importable
+# from this module: the benchmark's tracer wraps them under these names
 from .density import (
     DEFAULT_BUDGET,
     doubling_density,
-    doubling_density_gradient,
+    doubling_density_gradient,  # noqa: F401
     graphon_density,
-    graphon_density_gradient,
+    graphon_density_gradient,  # noqa: F401
+    _density_plan,
+    _Doubling,
+    _DoublingRun,
     _symmetrize_param_grad,
 )
 from .graphon import StepGraphon, random_near_constant
@@ -58,6 +64,11 @@ def _targets(t: int, k: int, p: float) -> tuple[float, float]:
     return p**e1, p ** ((1 << k) * e1)
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and non-negative; got {tol!r}")
+
+
 def _residuals(colored: ColoredGraph, k: int, graphon: StepGraphon,
                targets, budget: int) -> tuple[float, float]:
     r1 = graphon_density(colored.graph, graphon, budget=budget) - targets[0]
@@ -65,11 +76,46 @@ def _residuals(colored: ColoredGraph, k: int, graphon: StepGraphon,
     return r1, r2
 
 
-def _residuals_and_grads(colored: ColoredGraph, k: int, graphon: StepGraphon,
-                         targets, budget: int):
-    d1, g1 = graphon_density_gradient(colored.graph, graphon, budget=budget)
-    d2, g2 = doubling_density_gradient(colored, k, graphon, budget=budget)
-    return d1 - targets[0], d2 - targets[1], g1, g2
+class _Pair(NamedTuple):
+    """Both residuals at one value matrix, with the tape of their forward
+    pass for the reverse pass of _PairEvaluator.gradient."""
+
+    r1: float
+    r2: float
+    run: _DoublingRun
+
+
+class _PairEvaluator:
+    """Residuals of the (motif, k-times-doubled motif) pair and gradients of
+    their linear combinations, for value matrices with fixed weights.
+
+    One forward pass over the doubling base plan gives both densities: the
+    base table pins classes 0..k-1 without weighting them, so summing it
+    against the pinned weight products gives t(motif, W), and gluing it
+    level by level gives the doubled density.  Binding checks every table
+    against `budget`, as graphon_density and doubling_density would.
+    """
+
+    def __init__(self, colored: ColoredGraph, k: int, weights: np.ndarray,
+                 targets, budget: int):
+        _density_plan(colored.graph, weights.size, budget)
+        self._doubling = _Doubling(colored, k, weights, budget)
+        self._targets = targets
+
+    def __call__(self, values: np.ndarray) -> _Pair:
+        run = self._doubling.forward(_project(values), keep_tape=True)
+        d1 = float(self._doubling.base_weights @ run.tape[-1].reshape(-1))
+        return _Pair(d1 - self._targets[0], float(run.table[()]) - self._targets[1],
+                     run)
+
+    def gradient(self, pair: _Pair, c1: float, c2: float) -> np.ndarray:
+        """Gradient of c1 * r1 + c2 * r2 in the symmetric value matrix, by
+        one reverse pass over the pair's tape."""
+        doubling = self._doubling
+        base = pair.run.tape[-1]
+        base_bar = (doubling.base_adjoint(pair.run, c2)
+                    + c1 * doubling.base_weights.reshape(base.shape))
+        return doubling.gradient(pair.run, base_bar)
 
 
 def _l2sq(values: np.ndarray, weights: np.ndarray, p: float) -> float:
@@ -80,24 +126,32 @@ def _l2sq_grad(values: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
     return _symmetrize_param_grad(2.0 * np.outer(weights, weights) * (values - p))
 
 
+def _project(values: np.ndarray) -> np.ndarray:
+    """The symmetric value matrix in [0, 1] that an iterate stands for."""
+    return np.clip((values + values.T) / 2.0, 0.0, 1.0)
+
+
 def _graphon(weights: np.ndarray, values: np.ndarray) -> StepGraphon:
-    sym = (values + values.T) / 2.0
-    return StepGraphon._wrap(weights, np.clip(sym, 0.0, 1.0))
+    return StepGraphon._wrap(weights, _project(values))
 
 
-def _descend(values: np.ndarray, objective, gradient, max_iter: int, stop=None):
+def _descend(values: np.ndarray, evaluate, gradient, max_iter: int, stop=None):
     """Projected gradient descent on the symmetric value matrix.
 
-    Accepts a step only when the objective drops by at least a 1e-6
-    relative margin, halving on rejection and growing after success; the
-    iterate stays clipped to [0, 1] and symmetric.  Stops at `stop` (an
-    objective threshold), at a stationary point, when no acceptable step
-    exists (typically a quartic valley floor where first-order progress
-    dies), or at the iteration cap.  Returns (values, objective value,
-    iterations used).
+    ``evaluate(v)`` returns (objective, state) and ``gradient(state)`` the
+    objective's gradient at the point that state was evaluated at, so the
+    gradient reuses the forward pass of the accepted point instead of
+    recomputing it: an iteration costs one evaluation per line-search try
+    and one gradient.  Accepts a step only when the objective drops by at
+    least a 1e-6 relative margin, halving on rejection and growing after
+    success; the iterate stays clipped to [0, 1] and symmetric.  Stops at
+    `stop` (an objective threshold), at a stationary point, when no
+    acceptable step exists (typically a quartic valley floor where
+    first-order progress dies), or at the iteration cap.  Returns (values,
+    objective value, iterations used).
     """
     v = values.copy()
-    f = objective(v)
+    f, state = evaluate(v)
     step = 0.25
     it = 0
     window = 150
@@ -111,16 +165,16 @@ def _descend(values: np.ndarray, objective, gradient, max_iter: int, stop=None):
                 if rate * (max_iter - it) < math.log(f / stop):
                     break
             window_f = f
-        g = gradient(v)
+        g = gradient(state)
         gnorm = float(np.abs(g).max())
         if gnorm < 1e-16:
             break
         improved = False
         for _ in range(60):
             cand = np.clip(v - step * g, 0.0, 1.0)
-            fc = objective(cand)
+            fc, cand_state = evaluate(cand)
             if fc < f - 1e-6 * abs(f):
-                v, f = cand, fc
+                v, f, state = cand, fc, cand_state
                 step = min(step * 2.0, 1e6 / max(gnorm, 1e-16))
                 improved = True
                 break
@@ -142,10 +196,8 @@ def _vec_to_sym(vec: np.ndarray, m: int) -> np.ndarray:
     return out + np.triu(out, 1).T
 
 
-def _gauss_newton_refine(values: np.ndarray, weights: np.ndarray,
-                         colored: ColoredGraph, k: int, targets,
-                         budget: int, target_resid: float = 1e-9,
-                         max_iter: int = 300):
+def _gauss_newton_refine(values: np.ndarray, pair_eval: _PairEvaluator,
+                         target_resid: float = 1e-9, max_iter: int = 300):
     """Drive both residuals toward zero with adaptively damped least-norm
     steps.
 
@@ -158,15 +210,17 @@ def _gauss_newton_refine(values: np.ndarray, weights: np.ndarray,
     at 0 or 1 whose descent direction points outside the box are dropped
     from the Jacobian, otherwise clipping invalidates the step model.
     """
-    m = weights.size
+    m = values.shape[0]
     v = values.copy()
-    r1, r2, g1, g2 = _residuals_and_grads(colored, k, _graphon(weights, v),
-                                          targets, budget)
+    pair = pair_eval(v)
+    r1, r2 = pair.r1, pair.r2
     best = r1 * r1 + r2 * r2
     mu = 1e-8
     for _ in range(max_iter):
         if max(abs(r1), abs(r2)) <= target_resid:
             break
+        g1 = pair_eval.gradient(pair, 1.0, 0.0)
+        g2 = pair_eval.gradient(pair, 0.0, 1.0)
         jac = np.stack([_triu_vec(g1), _triu_vec(g2)])
         vv = _triu_vec(v)
         ssg = _triu_vec(2 * r1 * g1 + 2 * r2 * g2)
@@ -181,17 +235,17 @@ def _gauss_newton_refine(values: np.ndarray, weights: np.ndarray,
             except np.linalg.LinAlgError:
                 y = -np.linalg.pinv(gram + mu * scale * np.eye(2)) @ r
             cand = np.clip(v + _vec_to_sym(jac.T @ y, m), 0.0, 1.0)
-            c1, c2 = _residuals(colored, k, _graphon(weights, cand), targets, budget)
+            cand_pair = pair_eval(cand)
+            c1, c2 = cand_pair.r1, cand_pair.r2
             if c1 * c1 + c2 * c2 < best * (1.0 - 1e-12):
-                moved = cand
+                moved, pair = cand, cand_pair
                 mu = max(mu / 4.0, 1e-12)
                 break
             mu *= 8.0
         if moved is None:
             break
         v = moved
-        r1, r2, g1, g2 = _residuals_and_grads(colored, k, _graphon(weights, v),
-                                              targets, budget)
+        r1, r2 = pair.r1, pair.r2
         best = r1 * r1 + r2 * r2
     return v, r1, r2
 
@@ -323,24 +377,27 @@ def run_forcing_trial(t: int, p: float, start: StepGraphon, seed: int = 0,
     The objective is (t(K_t, W) - p^e)^2 + (t(doubled, W) - p^e')^2 over
     the value matrix with weights held fixed; iteration stops once it
     drops to tol^2.  A start already meeting the targets uses zero
-    iterations.
+    iterations.  ``tol`` must be finite and non-negative; ``tol=0``
+    descends until the optimizer itself stops (no acceptable step, a
+    stationary point or the iteration cap) and reports the trial converged
+    only when both residuals are exactly zero.
     """
     if k is None:
         k = default_doublings(t)
+    _check_tol(tol)
     colored = complete_graph(t)
     targets = _targets(t, k, p)
     weights = start.weights
+    pair_eval = _PairEvaluator(colored, k, weights, targets, budget)
 
-    def obj(v):
-        a, b = _residuals(colored, k, _graphon(weights, v), targets, budget)
-        return a * a + b * b
+    def evaluate(v):
+        pair = pair_eval(v)
+        return pair.r1 * pair.r1 + pair.r2 * pair.r2, pair
 
-    def grad(v):
-        a, b, g1, g2 = _residuals_and_grads(colored, k, _graphon(weights, v),
-                                            targets, budget)
-        return 2 * a * g1 + 2 * b * g2
+    def gradient(pair):
+        return pair_eval.gradient(pair, 2 * pair.r1, 2 * pair.r2)
 
-    values, _, iters = _descend(start.values, obj, grad,
+    values, _, iters = _descend(start.values, evaluate, gradient,
                                 max_iter, stop=tol * tol)
     final = _graphon(weights, values)
     r1, r2 = _residuals(colored, k, final, targets, budget)
@@ -362,6 +419,7 @@ def _pareto_sweep(t: int, k: int, p: float, m: int, seed: int,
     colored = complete_graph(t)
     targets = _targets(t, k, p)
     weights = np.full(m, 1.0 / m)
+    pair_eval = _PairEvaluator(colored, k, weights, targets, budget)
     rng = np.random.Generator(np.random.PCG64(seed))
     values = random_near_constant(p, m, 0.3, rng).values
     points = []
@@ -369,23 +427,23 @@ def _pareto_sweep(t: int, k: int, p: float, m: int, seed: int,
     refined = values
     for lam in _PARETO_LAMBDAS:
 
-        def obj(v):
-            a, b = _residuals(colored, k, _graphon(weights, v), targets, budget)
-            return lam * (a * a + b * b) - _l2sq(v, weights, p)
+        def evaluate(v):
+            pair = pair_eval(v)
+            return (lam * (pair.r1 * pair.r1 + pair.r2 * pair.r2)
+                    - _l2sq(v, weights, p)), (v, pair)
 
-        def grad(v):
-            a, b, g1, g2 = _residuals_and_grads(
-                colored, k, _graphon(weights, v), targets, budget)
-            return lam * (2 * a * g1 + 2 * b * g2) - _l2sq_grad(v, weights, p)
+        def gradient(state):
+            v, pair = state
+            return (lam * pair_eval.gradient(pair, 2 * pair.r1, 2 * pair.r2)
+                    - _l2sq_grad(v, weights, p))
 
-        values, _, _ = _descend(values, obj, grad, per_round)
+        values, _, _ = _descend(values, evaluate, gradient, per_round)
         r1, r2 = _residuals(colored, k, _graphon(weights, values), targets, budget)
         points.append(ParetoPoint(
             lam, "penalty", r1, r2, float(np.sqrt(_l2sq(values, weights, p))),
             _graphon(weights, values),
         ))
-        refined, r1, r2 = _gauss_newton_refine(values, weights, colored, k,
-                                               targets, budget)
+        refined, r1, r2 = _gauss_newton_refine(values, pair_eval)
         points.append(ParetoPoint(
             lam, "polished", r1, r2,
             float(np.sqrt(_l2sq(refined, weights, p))),
@@ -401,8 +459,8 @@ def _pareto_sweep(t: int, k: int, p: float, m: int, seed: int,
         best_band = None
         for v0 in carried:
             vb, r1, r2, feasible = _banded_max(
-                v0, weights, colored, k, p, targets, (cap, cap), budget,
-                per_round, mus=(1e6, 1e8, 1e10, 1e12))
+                v0, weights, pair_eval, p, (cap, cap), per_round,
+                mus=(1e6, 1e8, 1e10, 1e12))
             if not feasible:
                 continue
             dist = float(np.sqrt(_l2sq(vb, weights, p)))
@@ -438,7 +496,8 @@ def forcing_experiment(t: int, p: float, m: int, trials: int, seed: int = 0,
     points (the banded ones cap both residuals at an absolute level and
     push distance outward under that cap).
     Trial seeds are ``seed + trial index``, so results are reproducible
-    and order-independent.
+    and order-independent.  ``tol`` is checked as in run_forcing_trial
+    before any trial runs.
     """
     if not 2 <= t <= 5:
         raise ValueError(f"t must lie in [2, 5]; got {t}")
@@ -448,6 +507,7 @@ def forcing_experiment(t: int, p: float, m: int, trials: int, seed: int = 0,
         raise ValueError("need at least one trial")
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
+    _check_tol(tol)
     if k is None:
         k = default_doublings(t)
     done = []
@@ -506,14 +566,13 @@ class DeltaEpsilonTable:
         return buf.getvalue()
 
 
-def _restore_feasibility(values, weights, colored, k, targets, bounds,
-                         budget, max_iter=120):
+def _restore_feasibility(values, pair_eval, bounds, max_iter=120):
     """Pull residuals back inside the allowed band with adaptively damped
     least-norm steps (same Levenberg scheme as _gauss_newton_refine)."""
-    m = weights.size
+    m = values.shape[0]
     v = values.copy()
-    r1, r2, g1, g2 = _residuals_and_grads(colored, k, _graphon(weights, v),
-                                          targets, budget)
+    pair = pair_eval(v)
+    r1, r2 = pair.r1, pair.r2
     mu = 1e-8
     for _ in range(max_iter):
         ex = np.array([
@@ -523,6 +582,8 @@ def _restore_feasibility(values, weights, colored, k, targets, bounds,
         worst = float(np.abs(ex).max())
         if worst <= 1e-10:
             return v, r1, r2, True
+        g1 = pair_eval.gradient(pair, 1.0, 0.0)
+        g2 = pair_eval.gradient(pair, 0.0, 1.0)
         jac = np.stack([_triu_vec(g1), _triu_vec(g2)])
         vv = _triu_vec(v)
         ssg = _triu_vec(2 * ex[0] * g1 + 2 * ex[1] * g2)
@@ -536,24 +597,24 @@ def _restore_feasibility(values, weights, colored, k, targets, bounds,
             except np.linalg.LinAlgError:
                 y = -np.linalg.pinv(gram + mu * scale * np.eye(2)) @ ex
             cand = np.clip(v + _vec_to_sym(jac.T @ y, m), 0.0, 1.0)
-            c1, c2 = _residuals(colored, k, _graphon(weights, cand), targets, budget)
+            cand_pair = pair_eval(cand)
+            c1, c2 = cand_pair.r1, cand_pair.r2
             cex = max(max(0.0, abs(c1) - bounds[0]), max(0.0, abs(c2) - bounds[1]))
             if cex < worst * (1.0 - 1e-12):
-                moved = cand
+                moved, pair = cand, cand_pair
                 mu = max(mu / 4.0, 1e-12)
                 break
             mu *= 8.0
         if moved is None:
             break
         v = moved
-        r1, r2, g1, g2 = _residuals_and_grads(colored, k, _graphon(weights, v),
-                                              targets, budget)
+        r1, r2 = pair.r1, pair.r2
     feasible = (abs(r1) <= bounds[0] + 1e-10 and abs(r2) <= bounds[1] + 1e-10)
     return v, r1, r2, feasible
 
 
-def _banded_max(values, weights, colored, k, p, targets, bounds, budget,
-                iters_per_round, mus=(1e2, 1e4, 1e6, 1e8, 1e10)):
+def _banded_max(values, weights, pair_eval, p, bounds, iters_per_round,
+                mus=(1e2, 1e4, 1e6, 1e8, 1e10)):
     """Maximize weighted l2 distance to constant p subject to absolute
     residual caps ``bounds``.
 
@@ -565,21 +626,21 @@ def _banded_max(values, weights, colored, k, p, targets, bounds, budget,
     v = values
     for mu in mus:
 
-        def obj(x):
-            a, b = _residuals(colored, k, _graphon(weights, x), targets, budget)
-            h1 = max(0.0, abs(a) - bounds[0])
-            h2 = max(0.0, abs(b) - bounds[1])
-            return mu * (h1 * h1 + h2 * h2) - _l2sq(x, weights, p)
+        def evaluate(x):
+            pair = pair_eval(x)
+            h1 = max(0.0, abs(pair.r1) - bounds[0])
+            h2 = max(0.0, abs(pair.r2) - bounds[1])
+            return mu * (h1 * h1 + h2 * h2) - _l2sq(x, weights, p), (x, pair)
 
-        def grad(x):
-            a, b, g1, g2 = _residuals_and_grads(
-                colored, k, _graphon(weights, x), targets, budget)
-            h1 = max(0.0, abs(a) - bounds[0]) * np.sign(a)
-            h2 = max(0.0, abs(b) - bounds[1]) * np.sign(b)
-            return mu * (2 * h1 * g1 + 2 * h2 * g2) - _l2sq_grad(x, weights, p)
+        def gradient(state):
+            x, pair = state
+            h1 = max(0.0, abs(pair.r1) - bounds[0]) * np.sign(pair.r1)
+            h2 = max(0.0, abs(pair.r2) - bounds[1]) * np.sign(pair.r2)
+            return (mu * pair_eval.gradient(pair, 2 * h1, 2 * h2)
+                    - _l2sq_grad(x, weights, p))
 
-        v, _, _ = _descend(v, obj, grad, iters_per_round)
-    return _restore_feasibility(v, weights, colored, k, targets, bounds, budget)
+        v, _, _ = _descend(v, evaluate, gradient, iters_per_round)
+    return _restore_feasibility(v, pair_eval, bounds)
 
 
 def delta_epsilon_probe(t: int, p: float, deltas, m: int, seed: int = 0,
@@ -611,6 +672,7 @@ def delta_epsilon_probe(t: int, p: float, deltas, m: int, seed: int = 0,
     colored = complete_graph(t)
     targets = _targets(t, k, p)
     weights = np.full(m, 1.0 / m)
+    pair_eval = _PairEvaluator(colored, k, weights, targets, budget)
     rng = np.random.Generator(np.random.PCG64(seed))
     extras = [g.values for g in extra_starts if g.num_parts == m]
 
@@ -629,8 +691,7 @@ def delta_epsilon_probe(t: int, p: float, deltas, m: int, seed: int = 0,
         best_here = best_feasible
         for v0 in starts:
             v, r1, r2, feasible = _banded_max(
-                v0, weights, colored, k, p, targets, bounds, budget,
-                max_iter // 5)
+                v0, weights, pair_eval, p, bounds, max_iter // 5)
             if not feasible:
                 continue
             dist = float(np.sqrt(_l2sq(v, weights, p)))

@@ -100,14 +100,25 @@ def _exact_max(g: Graph, p: float):
         adj_masks[u] |= 1 << v
         adj_masks[v] |= 1 << u
     # subset DP over prefixes: adding vertex v to U changes e(U) by |N(v) & U|
-    masks = np.zeros(1, dtype=np.int64)
-    e = np.zeros(1, dtype=np.int64)
+    # and |U| by one.  The tables are allocated once and filled in place;
+    # concatenating new ones at every level made the peak memory depend on
+    # how the allocator happened to reuse the freed ones
+    masks = np.zeros(1 << n, dtype=np.int64)
+    e = np.zeros(1 << n, dtype=np.int64)
+    sizes = np.zeros(1 << n, dtype=np.int64)
     for v in range(n):
-        gained = e + _popcount(masks & adj_masks[v])
-        masks = np.concatenate([masks, masks | np.int64(1 << v)])
-        e = np.concatenate([e, gained])
-    sizes = _popcount(masks)
-    dev = np.abs(e - p * sizes * (sizes - 1) / 2.0) / n**2
+        half = 1 << v
+        np.bitwise_or(masks[:half], np.int64(half), out=masks[half:2 * half])
+        np.add(e[:half], _popcount(masks[:half] & adj_masks[v]), out=e[half:2 * half])
+        np.add(sizes[:half], 1, out=sizes[half:2 * half])
+    # |e - p * |U| * (|U| - 1) / 2| / n^2, evaluated in place in that order
+    dev = p * sizes
+    np.subtract(sizes, 1, out=sizes)
+    dev *= sizes
+    dev /= 2.0
+    np.subtract(e, dev, out=dev)
+    np.abs(dev, out=dev)
+    dev /= n**2
     best = float(dev.max())
     if dev[0] == best:
         return best, ()

@@ -56,3 +56,26 @@ def brute_cut_distance(weights, values, p) -> float:
             val = abs(sum(wd[a, b] for a in rows for b in cols))
             best = max(best, val)
     return best
+
+
+def brute_graphon_density_gradient(motif, weights, values):
+    """Derivative of brute_graphon_density in each symmetric value parameter.
+
+    Every map contributes, for each edge, the product of all its other
+    factors to the parameter of the edge's (unordered) pair of parts.
+    """
+    m = len(weights)
+    grad = np.zeros((m, m))
+    for assign in product(range(m), repeat=motif.n):
+        weight = 1.0
+        for x in assign:
+            weight *= weights[x]
+        factors = [values[assign[u]][assign[v]] for u, v in motif.edges]
+        for i, (u, v) in enumerate(motif.edges):
+            term = weight
+            for j, f in enumerate(factors):
+                if j != i:
+                    term *= f
+            a, b = sorted((assign[u], assign[v]))
+            grad[a, b] += term
+    return grad + np.triu(grad, 1).T

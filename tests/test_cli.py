@@ -180,6 +180,7 @@ def test_experiment_contrast(tmp_path, capsys):
 
 
 def test_argparse_failures():
+    # --threads was a documented no-op and is gone: it is an unknown option
     for argv in ([], ["density", "--kt", "3"], ["--threads", "0",
                                                 "doubling", "--t", "2",
                                                 "--k", "1"],
@@ -189,6 +190,11 @@ def test_argparse_failures():
         assert exc.value.code == 2
 
 
-def test_threads_flag_accepted(capsys):
-    assert main(["--threads", "2", "doubling", "--t", "2", "--k", "1"]) == 0
-    capsys.readouterr()
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6"])
+def test_experiment_forcing_bad_tol_exits_2(capsys, tol):
+    code = main(["experiment", "forcing", "--t", "3", "--parts", "2",
+                 "--trials", "1", f"--tol={tol}"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "tol" in captured.err

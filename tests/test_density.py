@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_graphon_density, brute_hom_count
+from conftest import (
+    brute_graphon_density,
+    brute_graphon_density_gradient,
+    brute_hom_count,
+)
 from quasiforce import density
 from quasiforce import (
     ColoredGraph,
@@ -380,3 +384,60 @@ def test_gradient_zero_doublings_matches_flat():
     v2, g2 = graphon_density_gradient(colored.graph, g)
     assert v1 == v2
     assert np.allclose(g1, g2, atol=1e-14)
+
+
+@st.composite
+def _colored_motifs(draw):
+    """Random properly colored motifs: up to 7 vertices in 1-3 classes,
+    with any subset of the edges between different classes."""
+    n = draw(st.integers(1, 7))
+    c = draw(st.integers(1, min(3, n)))
+    colors = list(range(c)) + draw(
+        st.lists(st.integers(0, c - 1), min_size=n - c, max_size=n - c))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if colors[u] != colors[v]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    classes = tuple(tuple(v for v in range(n) if colors[v] == j) for j in range(c))
+    return ColoredGraph(Graph(n, tuple(e for e, y in zip(pairs, keep) if y)), classes)
+
+
+def _graphon_from_seed(seed, m, lo, hi):
+    rng = np.random.default_rng(seed)
+    vals = lo + (hi - lo) * rng.random((m, m))
+    w = rng.random(m) + 0.2
+    return StepGraphon(w / w.sum(), (vals + vals.T) / 2)
+
+
+@settings(deadline=None, max_examples=20)
+@given(colored=_colored_motifs(), m=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_doubling_gradient_on_random_colored_motifs(colored, m, seed):
+    # values away from 0 keep the high-degree doubled densities well scaled
+    g = _graphon_from_seed(seed, m, 0.6, 0.95)
+    budget = 1 << 16  # big classes double into big tables; keep them small
+    for k in range(colored.num_classes + 1):
+        try:
+            value, grad = doubling_density_gradient(colored, k, g, budget=budget)
+        except UnsupportedSizeError:
+            break  # further doublings only grow the tables
+        try:
+            expanded = graphon_density(iterated_double(colored, k).graph, g,
+                                       budget=budget)
+        except UnsupportedSizeError:
+            expanded = None  # the expanded motif is too wide to eliminate
+        if expanded is not None:
+            assert value == pytest.approx(expanded, rel=1e-10, abs=0.0)
+        fd = _fd_gradient(
+            lambda x, k=k: doubling_density(colored, k, x, budget=budget), g, h=1e-6)
+        assert np.abs(grad - fd).max() <= 1e-5 * np.abs(fd).max()
+
+
+@settings(deadline=None, max_examples=10)
+@given(seed=st.integers(0, 2**16), m=st.integers(1, 3))
+def test_flat_gradient_matches_brute_oracle(seed, m):
+    motif = _random_graph(np.random.default_rng(seed), 6)
+    g = _graphon_from_seed(seed, m, 0.0, 1.0)
+    value, grad = graphon_density_gradient(motif, g)
+    assert value == pytest.approx(
+        brute_graphon_density(motif, g.weights, g.values), rel=1e-12, abs=1e-15)
+    want = brute_graphon_density_gradient(motif, g.weights, g.values)
+    np.testing.assert_allclose(grad, want, rtol=1e-11, atol=1e-15)

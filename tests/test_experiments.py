@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from quasiforce import (
+    StepGraphon,
+    UnsupportedSizeError,
     complete_graph,
     constant_graphon,
     contrast_experiment,
@@ -13,9 +15,12 @@ from quasiforce import (
     doubling_density,
     forcing_experiment,
     graphon_density,
+    iterated_double,
     non_forcing_witness,
     run_forcing_trial,
 )
+from quasiforce import density, experiments
+from quasiforce.identities import default_doublings
 from quasiforce.serialize import dumps
 
 
@@ -69,6 +74,159 @@ def test_experiment_validation():
                 lambda: forcing_experiment(3, 0.0, 2, 1)):
         with pytest.raises(ValueError):
             bad()
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-6])
+def test_tol_validated(tol):
+    with pytest.raises(ValueError, match="tol"):
+        forcing_experiment(3, 0.5, 2, 1, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        run_forcing_trial(3, 0.5, constant_graphon(0.5, 2), tol=tol)
+
+
+def test_zero_tol_descends_to_the_cap():
+    # tol=0 stops only where the optimizer does and converges only at
+    # exactly zero residuals
+    res = forcing_experiment(3, 0.5, 2, 1, seed=3, tol=0.0, max_iter=5,
+                             spread=0.3)
+    (trial,) = res.trials
+    assert trial.iterations == 5
+    assert trial.converged == (trial.r1 == 0.0 and trial.r2 == 0.0)
+
+
+def test_descent_runs_one_forward_per_evaluation(monkeypatch):
+    """Each evaluation is one forward pass over the base plan and each
+    gradient one reverse pass over the accepted point's tape."""
+    events, points = [], []
+    real_forward, real_reverse = density._forward, density._reverse
+    real_descend = experiments._descend
+
+    def forward(*args, **kwargs):
+        events.append("forward")
+        return real_forward(*args, **kwargs)
+
+    def reverse(*args, **kwargs):
+        events.append("reverse")
+        return real_reverse(*args, **kwargs)
+
+    def descend(values, evaluate, gradient, max_iter, stop=None):
+        def counted_evaluate(v):
+            events.append("evaluate")
+            points.append(v.tobytes())
+            return evaluate(v)
+
+        def counted_gradient(state):
+            events.append("gradient")
+            return gradient(state)
+
+        out = real_descend(values, counted_evaluate, counted_gradient,
+                           max_iter, stop)
+        events.append("done")
+        return out
+
+    monkeypatch.setattr(density, "_forward", forward)
+    monkeypatch.setattr(density, "_reverse", reverse)
+    monkeypatch.setattr(experiments, "_descend", descend)
+    (trial,) = forcing_experiment(3, 0.5, 4, 1, seed=1).trials
+    assert trial.converged and trial.iterations > 10
+
+    done = events.index("done")
+    loop, after = events[:done], events[done + 1:]
+    calls = {name: loop.count(name) for name in set(loop)}
+    assert calls["evaluate"] == calls["forward"]
+    assert calls["gradient"] == calls["reverse"] == trial.iterations
+    # 1 + line-search tries: the start, then only new candidate points,
+    # at least one after each gradient; no point is evaluated twice
+    outer = [e for e in loop if e in ("evaluate", "gradient")]
+    assert outer[0] == "evaluate"
+    assert len(set(points)) == len(points) == calls["evaluate"]
+    assert all(b == "evaluate" for a, b in zip(outer, outer[1:]) if a == "gradient")
+    # the reported residuals come from the public density functions
+    assert after == ["forward", "forward"]
+
+
+def _pair_evaluator(t, m, seed, budget=density.DEFAULT_BUDGET):
+    rng = np.random.default_rng(seed)
+    w = rng.random(m) + 0.2
+    vals = 0.3 + 0.6 * rng.random((m, m))
+    g = StepGraphon(w / w.sum(), (vals + vals.T) / 2)
+    k = default_doublings(t)
+    targets = experiments._targets(t, k, 0.5)
+    ev = experiments._PairEvaluator(complete_graph(t), k, g.weights, targets,
+                                    budget)
+    return ev, g, k, targets
+
+
+@pytest.mark.parametrize("t", (3, 4, 5))
+@pytest.mark.parametrize("m", (1, 2, 3, 4, 5))
+def test_pair_evaluator_residuals(t, m):
+    ev, g, k, targets = _pair_evaluator(t, m, 100 * t + m)
+    pair = ev(g.values)
+    k_t = complete_graph(t)
+    assert pair.r1 + targets[0] == pytest.approx(
+        graphon_density(k_t.graph, g), rel=1e-12, abs=0.0)
+    # the expanded motif's density runs plain elimination, not the gluing
+    assert pair.r2 + targets[1] == pytest.approx(
+        graphon_density(iterated_double(k_t, k).graph, g), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("t, m", ((3, 1), (3, 3), (4, 2), (5, 2)))
+def test_pair_evaluator_gradient(t, m):
+    ev, g, k, _ = _pair_evaluator(t, m, 7 * t + m)
+    c1, c2 = 0.7, -1.3
+    h = 1e-6
+    colored = complete_graph(t)
+
+    def combo(values):
+        x = StepGraphon(g.weights, values)
+        return (c1 * graphon_density(colored.graph, x)
+                + c2 * doubling_density(colored, k, x))
+
+    fd = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i, m):
+            up, dn = g.values.copy(), g.values.copy()
+            up[i, j] = up[j, i] = up[i, j] + h
+            dn[i, j] = dn[j, i] = dn[i, j] - h
+            fd[i, j] = fd[j, i] = (combo(up) - combo(dn)) / (2 * h)
+    grad = ev.gradient(ev(g.values), c1, c2)
+    assert np.abs(grad - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+def test_pair_evaluator_budget(monkeypatch):
+    t, m = 4, 3
+
+    def binds(budget):
+        try:
+            _pair_evaluator(t, m, 0, budget)
+        except UnsupportedSizeError:
+            return False
+        return True
+
+    lo, hi = 1, density.DEFAULT_BUDGET  # binds(lo) is False, binds(hi) True
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if binds(mid) else (mid, hi)
+    largest = hi
+    assert largest == m ** round(np.log(largest) / np.log(m))  # a table size
+
+    sizes = []
+    real_einsum = np.einsum
+
+    def einsum(*args, **kwargs):
+        out = real_einsum(*args, **kwargs)
+        sizes.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(np, "einsum", einsum)
+    with pytest.raises(UnsupportedSizeError):
+        _pair_evaluator(t, m, 0, largest - 1)
+    assert sizes == []  # refused at bind time, before any contraction
+    ev, g, _, _ = _pair_evaluator(t, m, 0, largest)
+    pair = ev(g.values)
+    grad = ev.gradient(pair, 1.0, 1.0)
+    assert sizes and max(sizes) <= largest
+    assert np.isfinite(grad).all()
 
 
 def test_adversarial_sweep_points_recheck():
