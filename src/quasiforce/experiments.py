@@ -69,11 +69,17 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and non-negative; got {tol!r}")
 
 
-def _residuals(colored: ColoredGraph, k: int, graphon: StepGraphon,
-               targets, budget: int) -> tuple[float, float]:
-    r1 = graphon_density(colored.graph, graphon, budget=budget) - targets[0]
-    r2 = doubling_density(colored, k, graphon, budget=budget) - targets[1]
-    return r1, r2
+def _check_p(p: float) -> None:
+    if not 0.0 < p <= 1.0:
+        raise ValueError("p must lie in (0, 1]")
+
+
+def _check_problem(t: int, m: int, p: float) -> None:
+    if not 2 <= t <= 5:
+        raise ValueError(f"t must lie in [2, 5]; got {t}")
+    if not 1 <= m <= 8:
+        raise ValueError(f"parts must lie in [1, 8]; got {m}")
+    _check_p(p)
 
 
 class _Pair(NamedTuple):
@@ -83,6 +89,14 @@ class _Pair(NamedTuple):
     r1: float
     r2: float
     run: _DoublingRun
+
+    def excess(self, band) -> tuple[float, float]:
+        """Signed excess of each residual beyond [-band, band]; in a zero
+        band, the residuals themselves bit for bit."""
+        r1, r2, _ = self
+        h1, h2 = abs(r1) - band[0], abs(r2) - band[1]
+        return (math.copysign(h1 if h1 > 0.0 else 0.0, r1),
+                math.copysign(h2 if h2 > 0.0 else 0.0, r2))
 
 
 class _PairEvaluator:
@@ -100,7 +114,17 @@ class _PairEvaluator:
                  targets, budget: int):
         _density_plan(colored.graph, weights.size, budget)
         self._doubling = _Doubling(colored, k, weights, budget)
-        self._targets = targets
+        self._colored, self._k = colored, k
+        self._targets, self._budget = targets, budget
+
+    def residuals(self, graphon: StepGraphon) -> tuple[float, float]:
+        """Both residuals recomputed through the public density functions,
+        as reported results are."""
+        r1 = (graphon_density(self._colored.graph, graphon, budget=self._budget)
+              - self._targets[0])
+        r2 = (doubling_density(self._colored, self._k, graphon,
+                               budget=self._budget) - self._targets[1])
+        return r1, r2
 
     def __call__(self, values: np.ndarray) -> _Pair:
         run = self._doubling.forward(_project(values), keep_tape=True)
@@ -135,6 +159,51 @@ def _graphon(weights: np.ndarray, values: np.ndarray) -> StepGraphon:
     return StepGraphon._wrap(weights, _project(values))
 
 
+def _sum_sq(e1: float, e2: float) -> float:
+    return e1 * e1 + e2 * e2
+
+
+def _worst(e1: float, e2: float) -> float:
+    return max(abs(e1), abs(e2))
+
+
+def _penalty(pair_eval: _PairEvaluator, band=(0.0, 0.0), away=None):
+    """The (evaluate, gradient) pair for _descend on |e|^2, where e is the
+    signed excess of the residual pair beyond `band` (the residuals
+    themselves in a zero band).
+
+    With ``away=(scale, weights, p)`` the objective is scale * |e|^2 minus
+    the squared weighted l2 distance to constant p, so descent pushes away
+    from constant while the penalty holds the residuals.  Forcing runs the
+    zero-band path without `away` on every line-search try, so there the
+    residuals skip the hinge (which would return them unchanged) and the
+    gradient is the evaluator's own array, uncopied: a K_3 evaluation is a
+    few tens of microseconds, so one more Python call per try shows in the
+    run time.
+    """
+    hinged = band != (0.0, 0.0)
+
+    def evaluate(v):
+        pair = pair_eval(v)
+        e1, e2 = pair.excess(band) if hinged else pair[:2]
+        f = e1 * e1 + e2 * e2
+        if away is None:
+            return f, (v, pair)
+        scale, weights, p = away
+        return scale * f - _l2sq(v, weights, p), (v, pair)
+
+    def gradient(state):
+        v, pair = state
+        e1, e2 = pair.excess(band) if hinged else pair[:2]
+        g = pair_eval.gradient(pair, 2 * e1, 2 * e2)
+        if away is None:
+            return g
+        scale, weights, p = away
+        return scale * g - _l2sq_grad(v, weights, p)
+
+    return evaluate, gradient
+
+
 def _descend(values: np.ndarray, evaluate, gradient, max_iter: int, stop=None):
     """Projected gradient descent on the symmetric value matrix.
 
@@ -148,7 +217,7 @@ def _descend(values: np.ndarray, evaluate, gradient, max_iter: int, stop=None):
     `stop` (an objective threshold), at a stationary point, when no
     acceptable step exists (typically a quartic valley floor where
     first-order progress dies), or at the iteration cap.  Returns (values,
-    objective value, iterations used).
+    iterations used).
     """
     v = values.copy()
     f, state = evaluate(v)
@@ -182,7 +251,7 @@ def _descend(values: np.ndarray, evaluate, gradient, max_iter: int, stop=None):
         it += 1
         if not improved:
             break
-    return v, f, it
+    return v, it
 
 
 def _triu_vec(mat: np.ndarray) -> np.ndarray:
@@ -196,58 +265,58 @@ def _vec_to_sym(vec: np.ndarray, m: int) -> np.ndarray:
     return out + np.triu(out, 1).T
 
 
-def _gauss_newton_refine(values: np.ndarray, pair_eval: _PairEvaluator,
-                         target_resid: float = 1e-9, max_iter: int = 300):
-    """Drive both residuals toward zero with adaptively damped least-norm
-    steps.
+def _levenberg(values: np.ndarray, pair_eval: _PairEvaluator, band, merit,
+               tol: float, max_iter: int):
+    """Drive the signed excess e of both residuals beyond `band` toward
+    zero with adaptively damped least-norm steps.
 
-    Levenberg-style: solves (J J^T + mu I) y = -r over the tied upper
-    triangle parameters, shrinking mu after accepted steps and inflating
-    it on rejection.  The damping matters because the two gradient rows
-    become nearly parallel along the flat valley, where the undamped
-    least-norm direction blows up; near the solution the Jacobian loses
-    rank and progress is linear rather than quadratic.  Coordinates pinned
-    at 0 or 1 whose descent direction points outside the box are dropped
-    from the Jacobian, otherwise clipping invalidates the step model.
+    Solves (J J^T + mu I) y = -e over the tied upper triangle parameters
+    and accepts a step only when ``merit(*e)`` drops, shrinking mu after
+    accepted steps and inflating it on rejection.  The damping matters
+    because the two gradient rows become nearly parallel along the flat
+    valley, where the undamped least-norm direction blows up; near the
+    solution the Jacobian loses rank and progress is linear rather than
+    quadratic.  Coordinates pinned at 0 or 1 whose descent direction points
+    outside the box are dropped from the Jacobian, otherwise clipping
+    invalidates the step model.  A zero band polishes toward the exact
+    targets.  Returns (values, pair, done), done when the largest excess
+    fell to `tol` before the step cap ran out.
     """
     m = values.shape[0]
     v = values.copy()
     pair = pair_eval(v)
-    r1, r2 = pair.r1, pair.r2
-    best = r1 * r1 + r2 * r2
+    e = pair.excess(band)
     mu = 1e-8
     for _ in range(max_iter):
-        if max(abs(r1), abs(r2)) <= target_resid:
-            break
+        if _worst(*e) <= tol:
+            return v, pair, True
         g1 = pair_eval.gradient(pair, 1.0, 0.0)
         g2 = pair_eval.gradient(pair, 0.0, 1.0)
         jac = np.stack([_triu_vec(g1), _triu_vec(g2)])
         vv = _triu_vec(v)
-        ssg = _triu_vec(2 * r1 * g1 + 2 * r2 * g2)
+        ssg = _triu_vec(2 * e[0] * g1 + 2 * e[1] * g2)
         jac[:, ((vv <= 0.0) & (ssg > 0.0)) | ((vv >= 1.0) & (ssg < 0.0))] = 0.0
-        r = np.array([r1, r2])
+        r = np.array(e)
         gram = jac @ jac.T
         scale = max(float(np.trace(gram)) / 2.0, 1e-30)
-        moved = None
+        best = merit(*e)
         for _ in range(45):
+            damped = gram + mu * scale * np.eye(2)
             try:
-                y = np.linalg.solve(gram + mu * scale * np.eye(2), -r)
+                y = np.linalg.solve(damped, -r)
             except np.linalg.LinAlgError:
-                y = -np.linalg.pinv(gram + mu * scale * np.eye(2)) @ r
+                y = -np.linalg.pinv(damped) @ r
             cand = np.clip(v + _vec_to_sym(jac.T @ y, m), 0.0, 1.0)
             cand_pair = pair_eval(cand)
-            c1, c2 = cand_pair.r1, cand_pair.r2
-            if c1 * c1 + c2 * c2 < best * (1.0 - 1e-12):
-                moved, pair = cand, cand_pair
+            cand_e = cand_pair.excess(band)
+            if merit(*cand_e) < best * (1.0 - 1e-12):
+                v, pair, e = cand, cand_pair, cand_e
                 mu = max(mu / 4.0, 1e-12)
                 break
             mu *= 8.0
-        if moved is None:
+        else:
             break
-        v = moved
-        r1, r2 = pair.r1, pair.r2
-        best = r1 * r1 + r2 * r2
-    return v, r1, r2
+    return v, pair, False
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,27 +449,20 @@ def run_forcing_trial(t: int, p: float, start: StepGraphon, seed: int = 0,
     iterations.  ``tol`` must be finite and non-negative; ``tol=0``
     descends until the optimizer itself stops (no acceptable step, a
     stationary point or the iteration cap) and reports the trial converged
-    only when both residuals are exactly zero.
+    only when both residuals are exactly zero.  ``p`` must lie in (0, 1],
+    as in forcing_experiment.
     """
     if k is None:
         k = default_doublings(t)
+    _check_p(p)
     _check_tol(tol)
-    colored = complete_graph(t)
-    targets = _targets(t, k, p)
     weights = start.weights
-    pair_eval = _PairEvaluator(colored, k, weights, targets, budget)
-
-    def evaluate(v):
-        pair = pair_eval(v)
-        return pair.r1 * pair.r1 + pair.r2 * pair.r2, pair
-
-    def gradient(pair):
-        return pair_eval.gradient(pair, 2 * pair.r1, 2 * pair.r2)
-
-    values, _, iters = _descend(start.values, evaluate, gradient,
-                                max_iter, stop=tol * tol)
+    pair_eval = _PairEvaluator(complete_graph(t), k, weights, _targets(t, k, p),
+                               budget)
+    values, iters = _descend(start.values, *_penalty(pair_eval), max_iter,
+                             stop=tol * tol)
     final = _graphon(weights, values)
-    r1, r2 = _residuals(colored, k, final, targets, budget)
+    r1, r2 = pair_eval.residuals(final)
     converged = max(abs(r1), abs(r2)) <= tol
     return ForcingTrial(seed, converged, iters, r1, r2, final,
                         graphon_constancy(final, p))
@@ -416,36 +478,26 @@ def _pareto_sweep(t: int, k: int, p: float, m: int, seed: int,
     polished point, which already sits inside every band).  Every recorded
     distance is a lower bound on the true frontier at its residual level.
     """
-    colored = complete_graph(t)
-    targets = _targets(t, k, p)
     weights = np.full(m, 1.0 / m)
-    pair_eval = _PairEvaluator(colored, k, weights, targets, budget)
+    pair_eval = _PairEvaluator(complete_graph(t), k, weights, _targets(t, k, p),
+                               budget)
     rng = np.random.Generator(np.random.PCG64(seed))
     values = random_near_constant(p, m, 0.3, rng).values
     points = []
     per_round = max(400, max_iter // 5)
     refined = values
     for lam in _PARETO_LAMBDAS:
-
-        def evaluate(v):
-            pair = pair_eval(v)
-            return (lam * (pair.r1 * pair.r1 + pair.r2 * pair.r2)
-                    - _l2sq(v, weights, p)), (v, pair)
-
-        def gradient(state):
-            v, pair = state
-            return (lam * pair_eval.gradient(pair, 2 * pair.r1, 2 * pair.r2)
-                    - _l2sq_grad(v, weights, p))
-
-        values, _, _ = _descend(values, evaluate, gradient, per_round)
-        r1, r2 = _residuals(colored, k, _graphon(weights, values), targets, budget)
+        values, _ = _descend(values, *_penalty(pair_eval, away=(lam, weights, p)),
+                             per_round)
+        r1, r2 = pair_eval.residuals(_graphon(weights, values))
         points.append(ParetoPoint(
             lam, "penalty", r1, r2, float(np.sqrt(_l2sq(values, weights, p))),
             _graphon(weights, values),
         ))
-        refined, r1, r2 = _gauss_newton_refine(values, pair_eval)
+        refined, pair, _ = _levenberg(values, pair_eval, (0.0, 0.0), _sum_sq,
+                                      1e-9, 300)
         points.append(ParetoPoint(
-            lam, "polished", r1, r2,
+            lam, "polished", pair.r1, pair.r2,
             float(np.sqrt(_l2sq(refined, weights, p))),
             _graphon(weights, refined),
         ))
@@ -456,19 +508,11 @@ def _pareto_sweep(t: int, k: int, p: float, m: int, seed: int,
         # aim at 90% of the cap so restoration slack cannot tip the
         # recorded point past the nominal residual level
         cap = 0.9 * band
-        best_band = None
-        for v0 in carried:
-            vb, r1, r2, feasible = _banded_max(
-                v0, weights, pair_eval, p, (cap, cap), per_round,
-                mus=(1e6, 1e8, 1e10, 1e12))
-            if not feasible:
-                continue
-            dist = float(np.sqrt(_l2sq(vb, weights, p)))
-            if best_band is None or dist > best_band[0]:
-                best_band = (dist, r1, r2, vb)
-        if best_band is None:
+        found = _farthest_in_band(carried, weights, pair_eval, p, (cap, cap),
+                                  per_round, mus=(1e6, 1e8, 1e10, 1e12))
+        if found is None:
             continue
-        dist, r1, r2, vb = best_band
+        dist, r1, r2, vb = found
         points.append(ParetoPoint(band, "band", r1, r2, dist,
                                   _graphon(weights, vb)))
         carried.insert(0, vb)
@@ -499,14 +543,9 @@ def forcing_experiment(t: int, p: float, m: int, trials: int, seed: int = 0,
     and order-independent.  ``tol`` is checked as in run_forcing_trial
     before any trial runs.
     """
-    if not 2 <= t <= 5:
-        raise ValueError(f"t must lie in [2, 5]; got {t}")
-    if not 1 <= m <= 8:
-        raise ValueError(f"parts must lie in [1, 8]; got {m}")
+    _check_problem(t, m, p)
     if trials < 1:
         raise ValueError("need at least one trial")
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
     _check_tol(tol)
     if k is None:
         k = default_doublings(t)
@@ -566,81 +605,32 @@ class DeltaEpsilonTable:
         return buf.getvalue()
 
 
-def _restore_feasibility(values, pair_eval, bounds, max_iter=120):
-    """Pull residuals back inside the allowed band with adaptively damped
-    least-norm steps (same Levenberg scheme as _gauss_newton_refine)."""
-    m = values.shape[0]
-    v = values.copy()
-    pair = pair_eval(v)
-    r1, r2 = pair.r1, pair.r2
-    mu = 1e-8
-    for _ in range(max_iter):
-        ex = np.array([
-            np.sign(r1) * max(0.0, abs(r1) - bounds[0]),
-            np.sign(r2) * max(0.0, abs(r2) - bounds[1]),
-        ])
-        worst = float(np.abs(ex).max())
-        if worst <= 1e-10:
-            return v, r1, r2, True
-        g1 = pair_eval.gradient(pair, 1.0, 0.0)
-        g2 = pair_eval.gradient(pair, 0.0, 1.0)
-        jac = np.stack([_triu_vec(g1), _triu_vec(g2)])
-        vv = _triu_vec(v)
-        ssg = _triu_vec(2 * ex[0] * g1 + 2 * ex[1] * g2)
-        jac[:, ((vv <= 0.0) & (ssg > 0.0)) | ((vv >= 1.0) & (ssg < 0.0))] = 0.0
-        gram = jac @ jac.T
-        scale = max(float(np.trace(gram)) / 2.0, 1e-30)
-        moved = None
-        for _ in range(45):
-            try:
-                y = np.linalg.solve(gram + mu * scale * np.eye(2), -ex)
-            except np.linalg.LinAlgError:
-                y = -np.linalg.pinv(gram + mu * scale * np.eye(2)) @ ex
-            cand = np.clip(v + _vec_to_sym(jac.T @ y, m), 0.0, 1.0)
-            cand_pair = pair_eval(cand)
-            c1, c2 = cand_pair.r1, cand_pair.r2
-            cex = max(max(0.0, abs(c1) - bounds[0]), max(0.0, abs(c2) - bounds[1]))
-            if cex < worst * (1.0 - 1e-12):
-                moved, pair = cand, cand_pair
-                mu = max(mu / 4.0, 1e-12)
-                break
-            mu *= 8.0
-        if moved is None:
-            break
-        v = moved
-        r1, r2 = pair.r1, pair.r2
-    feasible = (abs(r1) <= bounds[0] + 1e-10 and abs(r2) <= bounds[1] + 1e-10)
-    return v, r1, r2, feasible
-
-
-def _banded_max(values, weights, pair_eval, p, bounds, iters_per_round,
-                mus=(1e2, 1e4, 1e6, 1e8, 1e10)):
+def _farthest_in_band(starts, weights, pair_eval, p, bounds, iters_per_round,
+                      mus=(1e2, 1e4, 1e6, 1e8, 1e10), best=None):
     """Maximize weighted l2 distance to constant p subject to absolute
-    residual caps ``bounds``.
+    residual caps ``bounds`` from each start, keeping the farthest feasible
+    result as (distance, r1, r2, values); returns `best` when no start
+    beats it.
 
     Escalating hinge penalties keep motion inside the band free of charge
     (the hinge vanishes there, so the flat residual valley cannot stall
-    the distance ascent), then feasibility restoration pulls any overshoot
-    back; returns (values, r1, r2, feasible).
+    the distance ascent), then a Levenberg restore pulls any overshoot
+    back inside the band.
     """
-    v = values
-    for mu in mus:
-
-        def evaluate(x):
-            pair = pair_eval(x)
-            h1 = max(0.0, abs(pair.r1) - bounds[0])
-            h2 = max(0.0, abs(pair.r2) - bounds[1])
-            return mu * (h1 * h1 + h2 * h2) - _l2sq(x, weights, p), (x, pair)
-
-        def gradient(state):
-            x, pair = state
-            h1 = max(0.0, abs(pair.r1) - bounds[0]) * np.sign(pair.r1)
-            h2 = max(0.0, abs(pair.r2) - bounds[1]) * np.sign(pair.r2)
-            return (mu * pair_eval.gradient(pair, 2 * h1, 2 * h2)
-                    - _l2sq_grad(x, weights, p))
-
-        v, _, _ = _descend(v, evaluate, gradient, iters_per_round)
-    return _restore_feasibility(v, pair_eval, bounds)
+    for v in starts:
+        for mu in mus:
+            v, _ = _descend(v, *_penalty(pair_eval, bounds, (mu, weights, p)),
+                            iters_per_round)
+        v, pair, done = _levenberg(v, pair_eval, bounds, _worst, 1e-10, 120)
+        # a restore that stalled or ran out of steps still counts when
+        # both residuals sit within 1e-10 of their caps
+        if not (done or (abs(pair.r1) <= bounds[0] + 1e-10
+                         and abs(pair.r2) <= bounds[1] + 1e-10)):
+            continue
+        dist = float(np.sqrt(_l2sq(v, weights, p)))
+        if best is None or dist > best[0]:
+            best = (dist, pair.r1, pair.r2, v)
+    return best
 
 
 def delta_epsilon_probe(t: int, p: float, deltas, m: int, seed: int = 0,
@@ -656,58 +646,37 @@ def delta_epsilon_probe(t: int, p: float, deltas, m: int, seed: int = 0,
     deltas, and the best previous solution is always kept, so the reported
     distances are non-decreasing in delta.  ``extra_starts`` may supply
     known graphons (with matching part count) as additional candidates.
-    Reported distances are lower bounds on the true optimum.
+    Reported distances are lower bounds on the true optimum.  Every delta
+    must be finite and non-negative.
     """
-    if not 2 <= t <= 5:
-        raise ValueError(f"t must lie in [2, 5]; got {t}")
-    if not 1 <= m <= 8:
-        raise ValueError(f"parts must lie in [1, 8]; got {m}")
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
+    _check_problem(t, m, p)
     if k is None:
         k = default_doublings(t)
     deltas = sorted(float(d) for d in deltas)
-    if any(d < 0 for d in deltas):
-        raise ValueError("deltas must be non-negative")
-    colored = complete_graph(t)
+    if not all(math.isfinite(d) and d >= 0 for d in deltas):
+        raise ValueError(f"deltas must be finite and non-negative; got {deltas!r}")
     targets = _targets(t, k, p)
     weights = np.full(m, 1.0 / m)
-    pair_eval = _PairEvaluator(colored, k, weights, targets, budget)
+    pair_eval = _PairEvaluator(complete_graph(t), k, weights, targets, budget)
     rng = np.random.Generator(np.random.PCG64(seed))
     extras = [g.values for g in extra_starts if g.num_parts == m]
 
     rows = []
-    best_feasible = None  # (distance, r1, r2, values) carried across deltas
-    warm = None
+    best = None  # (distance, r1, r2, values) carried across deltas
     for delta in deltas:
-        bounds = (delta * targets[0], delta * targets[1])
-        starts = []
-        if warm is not None:
-            starts.append(warm.copy())
+        starts = [] if best is None else [best[3].copy()]
         starts.extend(x.copy() for x in extras)
         starts.append(random_near_constant(p, m, 0.02, rng).values)
         starts.append(random_near_constant(p, m, 0.3, rng).values)
         starts.append(random_near_constant(p, m, 0.5, rng).values)
-        best_here = best_feasible
-        for v0 in starts:
-            v, r1, r2, feasible = _banded_max(
-                v0, weights, pair_eval, p, bounds, max_iter // 5)
-            if not feasible:
-                continue
-            dist = float(np.sqrt(_l2sq(v, weights, p)))
-            if best_here is None or dist > best_here[0]:
-                best_here = (dist, r1, r2, v.copy())
-        if best_here is None:
+        best = _farthest_in_band(starts, weights, pair_eval, p,
+                                 (delta * targets[0], delta * targets[1]),
+                                 max_iter // 5, best=best)
+        if best is None:
             # no feasible candidate found; fall back to the constant graphon
             v = np.full((m, m), p)
-            r1, r2 = _residuals(colored, k, _graphon(weights, v), targets, budget)
-            best_here = (0.0, r1, r2, v)
-        rows.append(DeltaEpsilonRow(
-            delta, best_here[0], best_here[1], best_here[2],
-            _graphon(weights, best_here[3]),
-        ))
-        best_feasible = best_here
-        warm = best_here[3].copy()
+            best = (0.0, *pair_eval.residuals(_graphon(weights, v)), v)
+        rows.append(DeltaEpsilonRow(delta, *best[:3], _graphon(weights, best[3])))
     return DeltaEpsilonTable(t, k, float(p), tuple(rows))
 
 

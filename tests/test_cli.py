@@ -169,6 +169,10 @@ def test_experiment_delta_eps(tmp_path, capsys):
 def test_experiment_bad_deltas(capsys):
     assert main(["experiment", "delta-eps", "--deltas", "a,b"]) == 2
     assert "cannot parse" in capsys.readouterr().err
+    for deltas in ("nan", "0,inf"):
+        assert main(["experiment", "delta-eps", "--deltas", deltas]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "finite" in err
 
 
 def test_experiment_contrast(tmp_path, capsys):

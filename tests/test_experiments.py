@@ -17,6 +17,7 @@ from quasiforce import (
     graphon_density,
     iterated_double,
     non_forcing_witness,
+    random_near_constant,
     run_forcing_trial,
 )
 from quasiforce import density, experiments
@@ -82,6 +83,18 @@ def test_tol_validated(tol):
         forcing_experiment(3, 0.5, 2, 1, tol=tol)
     with pytest.raises(ValueError, match="tol"):
         run_forcing_trial(3, 0.5, constant_graphon(0.5, 2), tol=tol)
+
+
+@pytest.mark.parametrize("p", [0.0, -0.5, 1.5, float("nan")])
+def test_p_validated(monkeypatch, p):
+    def no_binding(*args, **kwargs):
+        raise AssertionError("bound a pair evaluator before checking p")
+
+    monkeypatch.setattr(experiments, "_PairEvaluator", no_binding)
+    with pytest.raises(ValueError, match="p must lie"):
+        forcing_experiment(3, p, 2, 1)
+    with pytest.raises(ValueError, match="p must lie"):
+        run_forcing_trial(3, p, constant_graphon(0.5, 2))
 
 
 def test_zero_tol_descends_to_the_cap():
@@ -229,6 +242,82 @@ def test_pair_evaluator_budget(monkeypatch):
     assert np.isfinite(grad).all()
 
 
+def test_zero_band_penalty_is_the_squared_residuals():
+    # forcing's seeded output depends on these being exact, not close
+    ev, g, _, _ = _pair_evaluator(3, 4, 5)
+    evaluate, gradient = experiments._penalty(ev)
+    residuals = []
+    for values in (g.values, 1.0 - g.values):
+        pair = ev(values)
+        residuals += [pair.r1, pair.r2]
+        assert pair.excess((0.0, 0.0)) == (pair.r1, pair.r2)
+        f, state = evaluate(values)
+        assert f == pair.r1 * pair.r1 + pair.r2 * pair.r2
+        assert np.array_equal(gradient(state),
+                              ev.gradient(pair, 2 * pair.r1, 2 * pair.r2))
+    assert min(residuals) < 0.0 < max(residuals)  # both signs exercised
+
+
+def _near_solution():
+    """A K_3 pair evaluator and a 3-part start whose residuals lie outside
+    the band of 1% of the targets."""
+    start = random_near_constant(0.5, 3, 0.05, np.random.default_rng(3))
+    k = default_doublings(3)
+    targets = experiments._targets(3, k, 0.5)
+    ev = experiments._PairEvaluator(complete_graph(3), k, start.weights,
+                                    targets, density.DEFAULT_BUDGET)
+    band = (0.01 * targets[0], 0.01 * targets[1])
+    assert min(abs(e) for e in ev(start.values).excess(band)) > 0.0
+    return ev, start, k, targets, band
+
+
+def _public_residuals(weights, values, k, targets):
+    x = StepGraphon(weights, values)
+    colored = complete_graph(3)
+    return (graphon_density(colored.graph, x) - targets[0],
+            doubling_density(colored, k, x) - targets[1])
+
+
+def test_levenberg_polishes_to_the_targets():
+    ev, start, k, targets, _ = _near_solution()
+    v, pair, done = experiments._levenberg(
+        start.values, ev, (0.0, 0.0), experiments._sum_sq, 1e-9, 300)
+    assert done
+    assert max(abs(pair.r1), abs(pair.r2)) <= 1e-9
+    r1, r2 = _public_residuals(start.weights, v, k, targets)
+    assert r1 == pytest.approx(pair.r1, abs=1e-15)
+    assert r2 == pytest.approx(pair.r2, abs=1e-15)
+
+
+def test_levenberg_restores_into_the_band():
+    ev, start, k, targets, band = _near_solution()
+    v, pair, done = experiments._levenberg(
+        start.values, ev, band, experiments._worst, 1e-10, 120)
+    assert done
+    assert ((v >= 0.0) & (v <= 1.0)).all()
+    r1, r2 = _public_residuals(start.weights, v, k, targets)
+    assert abs(r1) <= band[0] + 1e-10 and abs(r2) <= band[1] + 1e-10
+
+
+@pytest.mark.parametrize("banded, merit", [(False, "_sum_sq"),
+                                           (True, "_worst")])
+def test_levenberg_unreachable_tol(banded, merit):
+    ev, start, _, _, band = _near_solution()
+    band = band if banded else (0.0, 0.0)
+    merit = getattr(experiments, merit)
+    start_merit = merit(*ev(start.values).excess(band))
+    merits = []
+    for max_iter in range(6):
+        v, pair, done = experiments._levenberg(start.values, ev, band, merit,
+                                               -1.0, max_iter)
+        assert not done
+        assert pair.excess(band) == ev(v).excess(band)
+        merits.append(merit(*pair.excess(band)))
+    assert merits[0] == start_merit
+    assert all(b <= a for a, b in zip(merits, merits[1:]))
+    assert merits[-1] < start_merit
+
+
 def test_adversarial_sweep_points_recheck():
     res = forcing_experiment(3, 0.5, 2, 1, seed=1, adversarial=True,
                              max_iter=1000)
@@ -278,6 +367,10 @@ def test_probe_validation():
         delta_epsilon_probe(9, 0.5, (0.0,), 2)
     with pytest.raises(ValueError):
         delta_epsilon_probe(3, 0.5, (0.0,), 0)
+    # a nan band admits everything: max(0, |r| - nan) is 0
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            delta_epsilon_probe(3, 0.5, (0.0, bad), 2)
 
 
 def test_witness_values():
