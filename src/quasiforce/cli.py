@@ -37,7 +37,7 @@ def _positive_int(text: str) -> int:
 
 def _load_colored(path: str) -> ColoredGraph:
     data = load(path)
-    if "classes" not in data:
+    if isinstance(data, dict) and "classes" not in data:
         raise ValueError(
             f"{path} holds a plain graph; doubling needs color classes"
         )
@@ -46,7 +46,7 @@ def _load_colored(path: str) -> ColoredGraph:
 
 def _load_motif(path: str) -> tuple[Graph, ColoredGraph | None]:
     data = load(path)
-    if "classes" in data:
+    if isinstance(data, dict) and "classes" in data:
         colored = ColoredGraph.from_dict(data)
         return colored.graph, colored
     return Graph.from_dict(data), None

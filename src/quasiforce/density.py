@@ -314,30 +314,35 @@ def hom_count(motif: Graph, target: Graph, method: str = "auto",
     ``method='brute'`` enumerates maps with backtracking and handles motifs
     of up to 12 vertices; ``'eliminate'`` contracts along a greedy
     elimination order and handles larger motifs of bounded width.  ``'auto'``
-    picks brute force for small inputs and elimination otherwise.  The count
-    is exact (arbitrary-precision once int64 could overflow).
+    eliminates whenever the checked plan fits the budget, and backtracks
+    only when elimination refuses a motif of at most 12 vertices:
+    backtracking visits every homomorphism, so it can run for minutes where
+    elimination takes milliseconds.  The count is exact
+    (arbitrary-precision once int64 could overflow).
     """
     if motif.n == 0:
         return 1
     if target.n == 0:
         return 0
-    if method == "auto":
-        method = "brute" if motif.n <= _BRUTE_MOTIF_CAP and target.n <= 32 else "eliminate"
-    if method == "brute":
-        if motif.n > _BRUTE_MOTIF_CAP:
-            raise UnsupportedSizeError(
-                f"the naive path handles motifs with at most {_BRUTE_MOTIF_CAP} "
-                "vertices; use method='eliminate'"
-            )
-        return _hom_count_brute(motif, target)
-    if method == "eliminate":
-        dtype = np.int64 if target.n ** motif.n < 2**62 else object
-        res = _sum_product(
-            target.n, motif.n, motif.edges, _adjacency(target, dtype),
-            np.ones(target.n, dtype=dtype), budget=budget,
+    if method not in ("auto", "brute", "eliminate"):
+        raise ValueError(f"unknown method {method!r}")
+    if method != "brute":
+        try:
+            plan = _checked_plan(target.n, motif.n, motif.edges, (), budget)
+        except UnsupportedSizeError:
+            if method == "eliminate" or motif.n > _BRUTE_MOTIF_CAP:
+                raise
+        else:
+            dtype = np.int64 if target.n ** motif.n < 2**62 else object
+            tape = _forward(plan, _adjacency(target, dtype),
+                            np.ones(target.n, dtype=dtype))
+            return int(tape[-1][()])
+    if motif.n > _BRUTE_MOTIF_CAP:
+        raise UnsupportedSizeError(
+            f"the naive path handles motifs with at most {_BRUTE_MOTIF_CAP} "
+            "vertices; use method='eliminate'"
         )
-        return int(res[()])
-    raise ValueError(f"unknown method {method!r}")
+    return _hom_count_brute(motif, target)
 
 
 def hom_density(motif: Graph, target: Graph, method: str = "auto",
@@ -574,6 +579,25 @@ class _Doubling:
                                                           self.levels[j].g)
         return d
 
+    def moments(self, run: _DoublingRun) -> list[tuple[float, float, float]]:
+        """(mean, second moment, variance) of the pinned density that each
+        level sums out, innermost level first.
+
+        Level j's glued factor A holds the j-times-doubled motif's density
+        pinned on classes j..k-1; summing its columns against the weight
+        products of the classes still pinned after level j leaves the
+        density pinned on class j alone.  Its mean is the j-th density in
+        the Cauchy-Schwarz chain, its second moment the (j+1)-st, and its
+        variance their gap, computed directly rather than as a difference.
+        """
+        out = []
+        for j, (level, a) in enumerate(zip(self.levels, run.factors)):
+            p = a @ _weight_products(self.weights, level.r)
+            d = self.level_weights(j)
+            mean = float(d @ p)
+            out.append((mean, float(d @ (p * p)), float(d @ (p - mean) ** 2)))
+        return out
+
     def forward(self, values: np.ndarray, keep_tape: bool = False) -> _DoublingRun:
         """Level j holds the densities of the j-times-doubled motif with
         every copy ("version") of classes j..k-1 pinned.  Doubling class j
@@ -627,8 +651,6 @@ def doubling_density(colored: ColoredGraph, k: int, graphon: StepGraphon,
     runs in time polynomial in the table sizes of the glued classes instead
     of exponential in the doubled motif's vertex count.
     """
-    if k == 0:
-        return graphon_density(colored.graph, graphon, budget=budget)
     run = _Doubling(colored, k, graphon.weights, budget).forward(graphon.values)
     return float(run.table[()])
 
@@ -639,19 +661,13 @@ def doubling_step_moments(colored: ColoredGraph, j: int, graphon: StepGraphon,
 
     Returns (mean, second_moment, variance) of the (j-1)-times-doubled
     motif's density pinned on the class being doubled, weighted by the part
-    weights of that class.  The mean is the (j-1)-st density in the
-    Cauchy-Schwarz chain, the second moment is the j-th, and the variance is
-    their gap, computed directly rather than as a difference.
+    weights of that class: the (j-1)-st and j-th densities of the
+    Cauchy-Schwarz chain and their gap (see _Doubling.moments).
     """
     if not 1 <= j <= colored.num_classes:
         raise ValueError(f"step {j} out of range for {colored.num_classes} classes")
     doubling = _Doubling(colored, j, graphon.weights, budget)
-    a = doubling.forward(graphon.values).factors[-1].reshape(-1)
-    d = doubling.level_weights(j - 1)
-    mean = float(d @ a)
-    second = float(d @ (a * a))
-    variance = float(d @ (a - mean) ** 2)
-    return mean, second, variance
+    return doubling.moments(doubling.forward(graphon.values))[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -692,8 +708,6 @@ def doubling_density_gradient(colored: ColoredGraph, k: int,
     diagonal-weighted matmul down to the base table, then takes one reverse
     pass over the base table's compiled plan.
     """
-    if k == 0:
-        return graphon_density_gradient(colored.graph, graphon, budget=budget)
     doubling = _Doubling(colored, k, graphon.weights, budget)
     run = doubling.forward(graphon.values, keep_tape=True)
     grad = doubling.gradient(run, doubling.base_adjoint(run, 1.0))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _fields
 
 __all__ = [
     "StepGraphon",
@@ -65,7 +65,14 @@ class StepGraphon:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StepGraphon":
-        return cls(np.asarray(data["weights"], float), np.asarray(data["values"], float))
+        weights, values = _fields(data, "graphon", "weights", "values")
+        try:
+            weights, values = np.asarray(weights, float), np.asarray(values, float)
+        except (TypeError, ValueError):
+            raise ValueError(
+                'graphon needs "weights" and "values" as arrays of numbers'
+            ) from None
+        return cls(weights, values)
 
     @classmethod
     def _wrap(cls, weights: np.ndarray, values: np.ndarray) -> "StepGraphon":

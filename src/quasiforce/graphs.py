@@ -26,6 +26,17 @@ __all__ = [
 ]
 
 
+def _fields(data, kind: str, *keys) -> list:
+    """The values at `keys` of a from_dict payload, or ValueError naming
+    the bad shape or the first missing key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{kind} must be a JSON object, not {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{kind} is missing the key {key!r}")
+    return [data[key] for key in keys]
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
@@ -85,7 +96,14 @@ class Graph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Graph":
-        return cls(int(data["n"]), tuple((int(u), int(v)) for u, v in data["edges"]))
+        n, edges = _fields(data, "graph", "n", "edges")
+        try:
+            n, edges = int(n), tuple((int(u), int(v)) for u, v in edges)
+        except (TypeError, ValueError):
+            raise ValueError(
+                'graph needs an integer "n" and "edges" as [u, v] pairs'
+            ) from None
+        return cls(n, edges)
 
 
 @dataclass(frozen=True)
@@ -136,10 +154,15 @@ class ColoredGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ColoredGraph":
-        return cls(
-            Graph.from_dict(data),
-            tuple(tuple(int(v) for v in c) for c in data["classes"]),
-        )
+        graph = Graph.from_dict(data)
+        (classes,) = _fields(data, "colored graph", "classes")
+        try:
+            classes = tuple(tuple(int(v) for v in c) for c in classes)
+        except (TypeError, ValueError):
+            raise ValueError(
+                'colored graph needs "classes" as lists of vertices'
+            ) from None
+        return cls(graph, classes)
 
 
 def complete_graph(t: int) -> ColoredGraph:

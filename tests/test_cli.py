@@ -116,6 +116,38 @@ def test_non_finite_graphon_exits_2(tmp_path, capsys, weights):
     assert captured.err.count("error:") == 2
 
 
+# valid JSON of the wrong shape, by the kind of file it stands in for
+_MALFORMED = {
+    "graphon": ['{"weights": [1.0]}', "[[1.0], [[0.5]]]",
+                '{"weights": [1.0], "values": [[{"a": 1}]]}'],
+    "graph": ["[1, 2]", '{"n": 3}', '{"n": [3], "edges": []}',
+              '{"n": 3, "edges": [[0, 1, 2]]}', '{"n": 3, "edges": 5}'],
+    "motif": ["3", '{"n": 2, "edges": [[0, 1]], "classes": 5}'],
+}
+_READERS = {
+    "graphon": [["density", "--kt", "3", "--graphon", "BAD"],
+                ["check-identity", "--graphon", "BAD", "--p", "0.5", "--t", "3"]],
+    "graph": [["density", "--kt", "3", "--graph", "BAD"],
+              ["quasirandom", "--graph", "BAD", "--p", "0.5"]],
+    "motif": [["density", "--motif", "BAD", "--graphon", "GOOD"],
+              ["doubling", "--motif", "BAD", "--k", "1"]],
+}
+
+
+@pytest.mark.parametrize("kind, text", [
+    (kind, text) for kind, texts in _MALFORMED.items() for text in texts])
+def test_malformed_input_file_exits_2(tmp_path, capsys, kind, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    good = _write(tmp_path, "w.json", constant_graphon(0.5, 1).to_dict())
+    for argv in _READERS[kind]:
+        argv = [{"BAD": str(bad), "GOOD": good}.get(a, a) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
 def test_check_identity_worked_example(tmp_path, capsys):
     g = StepGraphon(np.array([0.5, 0.5]), np.array([[0.3, 0.7], [0.7, 0.3]]))
     path = _write(tmp_path, "w.json", g.to_dict())

@@ -27,6 +27,7 @@ from quasiforce import (
     doubling_step_moments,
     evaluate_pinned,
     from_graph,
+    gnp,
     graphon_density,
     graphon_density_gradient,
     hom_count,
@@ -95,6 +96,29 @@ def test_brute_motif_cap():
     motif = Graph(13)
     with pytest.raises(UnsupportedSizeError):
         hom_count(motif, complete_graph(3).graph, method="brute")
+
+
+def test_auto_eliminates_when_the_plan_fits(monkeypatch):
+    def no_backtracking(*args):
+        raise AssertionError("auto backtracked although elimination fits")
+
+    monkeypatch.setattr(density, "_hom_count_brute", no_backtracking)
+    target = gnp(32, 0.5, 0)
+    adj = density._adjacency(target, np.int64)
+    # hom(C_6, G) is the trace of the sixth power of the adjacency matrix
+    want = int(np.trace(np.linalg.matrix_power(adj, 6)))
+    assert hom_count(cycle_graph(6), target) == want
+
+
+def test_auto_falls_back_to_backtracking():
+    k4, k6 = complete_graph(4).graph, complete_graph(6).graph
+    with pytest.raises(UnsupportedSizeError):
+        hom_count(k4, k6, method="eliminate", budget=10)
+    assert hom_count(k4, k6, budget=10) == 6 * 5 * 4 * 3
+    # past the backtracking cap, auto reports elimination's refusal
+    path = Graph(13, tuple((i, i + 1) for i in range(12)))
+    with pytest.raises(UnsupportedSizeError, match="budget"):
+        hom_count(path, k6, budget=10)
 
 
 def test_hom_density_normalization():
@@ -377,13 +401,17 @@ def test_doubling_gradient_matches_finite_differences():
 
 def test_gradient_zero_doublings_matches_flat():
     rng = np.random.default_rng(29)
-    colored = complete_graph(3)
-    vals = 0.3 + 0.4 * rng.random((2, 2))
-    g = StepGraphon(np.full(2, 0.5), (vals + vals.T) / 2)
-    v1, g1 = doubling_density_gradient(colored, 0, g)
-    v2, g2 = graphon_density_gradient(colored.graph, g)
-    assert v1 == v2
-    assert np.allclose(g1, g2, atol=1e-14)
+    # zero doublings glue nothing: the value and gradient are the plain
+    # density's, bit for bit
+    for t in (2, 3, 4, 5):
+        colored = complete_graph(t)
+        for m in (1, 2, 3, 4):
+            g = _random_graphon(rng, m)
+            v1, g1 = doubling_density_gradient(colored, 0, g)
+            v2, g2 = graphon_density_gradient(colored.graph, g)
+            assert v1 == v2 == doubling_density(colored, 0, g)
+            assert v1 == graphon_density(colored.graph, g)
+            assert np.array_equal(g1, g2)
 
 
 @st.composite

@@ -6,15 +6,21 @@ from hypothesis import given, settings, strategies as st
 
 from quasiforce import (
     StepGraphon,
+    UnsupportedSizeError,
     check_identity,
+    complete_graph,
     constant_graphon,
     cs_chain_check,
     cycle_graph,
     default_doublings,
+    doubling_density,
+    doubling_step_moments,
     graphon_density,
     identity_residual_at,
+    iterated_double,
     random_near_constant,
 )
+from quasiforce import density
 
 
 def test_default_doublings():
@@ -123,3 +129,70 @@ def test_chain_validation():
         cs_chain_check(3, -1, g)
     with pytest.raises(ValueError):
         cs_chain_check(3, 4, g)
+
+
+def _random_graphon(rng, m):
+    vals = rng.random((m, m))
+    w = rng.random(m) + 0.2
+    return StepGraphon(w / w.sum(), (vals + vals.T) / 2)
+
+
+def test_chain_matches_the_per_level_queries():
+    rng = np.random.default_rng(43)
+    for t in (2, 3, 4, 5):
+        colored = complete_graph(t)
+        for m in (1, 2, 3, 4):
+            g = _random_graphon(rng, m)
+            for k in range(t + 1):
+                try:
+                    rec = cs_chain_check(t, k, g)
+                except UnsupportedSizeError:
+                    # the chain refuses exactly what the deepest query does
+                    with pytest.raises(UnsupportedSizeError):
+                        doubling_density(colored, k, g)
+                    continue
+                for j, d in enumerate(rec.densities):
+                    assert d == pytest.approx(
+                        doubling_density(colored, j, g), rel=1e-13, abs=0)
+                    expanded = iterated_double(colored, j).graph
+                    if expanded.n <= 9:
+                        assert d == pytest.approx(
+                            graphon_density(expanded, g), rel=1e-12, abs=0)
+                for j in range(1, k + 1):
+                    _, _, var = doubling_step_moments(colored, j, g)
+                    assert rec.variances[j - 1] == pytest.approx(
+                        var, rel=0, abs=1e-13 * rec.densities[j])
+
+
+def test_chain_runs_one_forward(monkeypatch):
+    forwards = []
+    real_forward = density._Doubling.forward
+
+    def forward(self, *args, **kwargs):
+        forwards.append(len(self.levels))
+        return real_forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(density._Doubling, "forward", forward)
+    g = _random_graphon(np.random.default_rng(47), 3)
+    for k in range(5):
+        forwards.clear()
+        cs_chain_check(4, k, g)
+        assert forwards == [k]
+
+
+def test_chain_refuses_over_budget_before_contracting(monkeypatch):
+    ran = []
+    real_einsum = np.einsum
+
+    def einsum(*args, **kwargs):
+        ran.append(args[0])
+        return real_einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", einsum)
+    g = _random_graphon(np.random.default_rng(53), 3)
+    # levels 0..3 fit the default budget; the last level's tables do not
+    with pytest.raises(UnsupportedSizeError):
+        cs_chain_check(5, 5, g)
+    assert ran == []
+    cs_chain_check(5, 4, g)
+    assert ran
