@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 _MAX_ITER = 10_000
+# a trial can take half a second, so this many is already hours of work
+_MAX_TRIALS = 10_000
 # the residual term flattens quartically near constant, so the penalty
 # weight must climb many decades before it pins the distance down
 _PARETO_LAMBDAS = tuple(10.0**e for e in range(2, 11, 2))
@@ -544,8 +546,8 @@ def forcing_experiment(t: int, p: float, m: int, trials: int, seed: int = 0,
     before any trial runs.
     """
     _check_problem(t, m, p)
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if not 1 <= trials <= _MAX_TRIALS:
+        raise ValueError(f"trials must lie in [1, {_MAX_TRIALS}]; got {trials}")
     _check_tol(tol)
     if k is None:
         k = default_doublings(t)

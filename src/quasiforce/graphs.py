@@ -37,6 +37,16 @@ def _fields(data, kind: str, *keys) -> list:
     return [data[key] for key in keys]
 
 
+def _integer(value, kind: str, key: str) -> int:
+    """A from_dict vertex number or count; bools, strings and fractional
+    numbers are refused instead of being truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f'{kind} needs integers in "{key}"; got {value!r}')
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
@@ -98,12 +108,12 @@ class Graph:
     def from_dict(cls, data: dict) -> "Graph":
         n, edges = _fields(data, "graph", "n", "edges")
         try:
-            n, edges = int(n), tuple((int(u), int(v)) for u, v in edges)
+            edges = tuple((u, v) for u, v in edges)
         except (TypeError, ValueError):
-            raise ValueError(
-                'graph needs an integer "n" and "edges" as [u, v] pairs'
-            ) from None
-        return cls(n, edges)
+            raise ValueError('graph needs "edges" as [u, v] pairs') from None
+        return cls(_integer(n, "graph", "n"),
+                   tuple((_integer(u, "graph", "edges"),
+                          _integer(v, "graph", "edges")) for u, v in edges))
 
 
 @dataclass(frozen=True)
@@ -157,12 +167,14 @@ class ColoredGraph:
         graph = Graph.from_dict(data)
         (classes,) = _fields(data, "colored graph", "classes")
         try:
-            classes = tuple(tuple(int(v) for v in c) for c in classes)
-        except (TypeError, ValueError):
+            classes = tuple(tuple(c) for c in classes)
+        except TypeError:
             raise ValueError(
                 'colored graph needs "classes" as lists of vertices'
             ) from None
-        return cls(graph, classes)
+        return cls(graph, tuple(
+            tuple(_integer(v, "colored graph", "classes") for v in c)
+            for c in classes))
 
 
 def complete_graph(t: int) -> ColoredGraph:

@@ -2,8 +2,12 @@
 
 A graph is (eps, p)-quasirandom when every vertex subset U satisfies
 |e(U) - p * binom(|U|, 2)| <= eps * n^2.  The exact checker maximizes the
-left side over all 2^n subsets; beyond the exact cap a seeded local-search
-heuristic reports the best subset it finds, which lower-bounds the truth.
+left side over all 2^n subsets by a blocked meet-in-the-middle: the
+vertices split into halves, and for a block of subsets of one half a
+single matrix product gives e(U) against every subset of the other half.
+That is O(2^n * n/2) time in O(2^(n/2)) memory plus one fixed-size block.
+Beyond the exact cap a seeded local-search heuristic reports the best
+subset it finds, which lower-bounds the truth.
 """
 
 from __future__ import annotations
@@ -26,20 +30,8 @@ __all__ = [
 
 _EXACT_HARD_CAP = 26
 _CUT_MAX_PARTS = 15
-
-_POP16 = None
-
-
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    """Bit counts of non-negative int64 entries below 2**32, via a 16-bit table."""
-    global _POP16
-    if _POP16 is None:
-        _POP16 = (
-            ((np.arange(1 << 16, dtype=np.uint32)[:, None] >> np.arange(16)) & 1)
-            .sum(axis=1)
-            .astype(np.int64)
-        )
-    return _POP16[arr & 0xFFFF] + _POP16[(arr >> 16) & 0xFFFF]
+# entries in one block of the exact search's cross-term product
+_BLOCK_ENTRIES = 1 << 18
 
 
 def _mask_to_tuple(mask: int) -> tuple[int, ...]:
@@ -93,45 +85,97 @@ def _subset_deviation(g: Graph, p: float, subset) -> float:
     return abs(e - p * u * (u - 1) / 2) / g.n**2
 
 
-def _exact_max(g: Graph, p: float):
-    n = g.n
-    adj_masks = np.zeros(n, dtype=np.int64)
+def _adjacency(g: Graph) -> np.ndarray:
+    a = np.zeros((g.n, g.n))
     for u, v in g.edges:
-        adj_masks[u] |= 1 << v
-        adj_masks[v] |= 1 << u
-    # subset DP over prefixes: adding vertex v to U changes e(U) by |N(v) & U|
-    # and |U| by one.  The tables are allocated once and filled in place;
-    # concatenating new ones at every level made the peak memory depend on
-    # how the allocator happened to reuse the freed ones
-    masks = np.zeros(1 << n, dtype=np.int64)
-    e = np.zeros(1 << n, dtype=np.int64)
-    sizes = np.zeros(1 << n, dtype=np.int64)
-    for v in range(n):
-        half = 1 << v
-        np.bitwise_or(masks[:half], np.int64(half), out=masks[half:2 * half])
-        np.add(e[:half], _popcount(masks[:half] & adj_masks[v]), out=e[half:2 * half])
-        np.add(sizes[:half], 1, out=sizes[half:2 * half])
-    # |e - p * |U| * (|U| - 1) / 2| / n^2, evaluated in place in that order
-    dev = p * sizes
-    np.subtract(sizes, 1, out=sizes)
-    dev *= sizes
-    dev /= 2.0
-    np.subtract(e, dev, out=dev)
+        a[u, v] = a[v, u] = 1.0
+    return a
+
+
+def _subset_bits(k: int) -> np.ndarray:
+    """0/1 matrix whose row i holds the bits of i, lowest first."""
+    return ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(float)
+
+
+def _deviation(e, q, n: int):
+    """|e - q| / n^2, rounded step by step as _subset_deviation rounds."""
+    dev = np.subtract(e, q)
     np.abs(dev, out=dev)
     dev /= n**2
-    best = float(dev.max())
-    if dev[0] == best:
-        return best, ()
-    cands = np.flatnonzero(dev == best)
-    witness = min(_mask_to_tuple(int(masks[i])) for i in cands)
+    return dev
+
+
+def _lex_smallest(masks: np.ndarray) -> int:
+    """The mask whose sorted vertex tuple is lexicographically smallest.
+
+    Candidates sharing the tuple prefix chosen so far are narrowed to those
+    whose next vertex is smallest; one that has no next vertex wins."""
+    prefix = 0
+    while not (masks == prefix).any():
+        rest = masks ^ prefix
+        lowest = rest & -rest
+        step = int(lowest.min())
+        masks = masks[lowest == step]
+        prefix |= step
+    return prefix
+
+
+def _exact_max(g: Graph, p: float):
+    n = g.n
+    low = (n + 1) // 2
+    adj = _adjacency(g)
+    # U splits into its low part (vertices below `low`) and its high part:
+    # e(U) = e(U_L) + e(U_H) + x_H' A_HL x_L.  Every term is an integer far
+    # below 2^53, so the float64 products and sums here are exact.
+    xl, xh = _subset_bits(low), _subset_bits(n - low)
+    e_low = ((xl @ adj[:low, :low]) * xl).sum(axis=1) / 2
+    e_high = ((xh @ adj[low:, low:]) * xh).sum(axis=1) / 2
+    size_high = xh.sum(axis=1).astype(np.int64)
+    # low subsets ordered by size, so each size is one contiguous run of
+    # columns; e(U_L) rides along as a last row against a column of ones
+    order = np.argsort(xl.sum(axis=1), kind="stable")
+    size_low = xl[order].sum(axis=1).astype(np.int64)
+    starts = np.searchsorted(size_low, np.arange(low + 1))
+    right = np.vstack([adj[low:, :low] @ xl.T, e_low])[:, order]
+    left = np.hstack([xh, np.ones((len(xh), 1))])
+    # p * s * (s - 1) / 2 per size s, evaluated in that order
+    s = np.arange(n + 1.0)
+    q = p * s
+    q *= s - 1
+    q /= 2.0
+    # each rounding step is monotone, so for a fixed size the rounded
+    # deviation never falls as e moves away from q: per (high subset, low
+    # size) the largest or the smallest edge count attains the maximum,
+    # bit for bit
+    rows = max(1, _BLOCK_ENTRIES >> low)
+    best, witness = -1.0, None
+    for h0 in range(0, len(left), rows):
+        cross = left[h0:h0 + rows] @ right
+        eh = e_high[h0:h0 + rows, None]
+        qs = q[size_high[h0:h0 + rows, None] + np.arange(low + 1)]
+        row_best = np.maximum(
+            _deviation(np.maximum.reduceat(cross, starts, axis=1) + eh, qs, n),
+            _deviation(np.minimum.reduceat(cross, starts, axis=1) + eh, qs, n),
+        ).max(axis=1)
+        block_best = float(row_best.max())
+        if block_best < best:
+            continue
+        if block_best > best:
+            best, witness = block_best, None
+        # the full deviation, only on the rows that reach the best value
+        hit = np.flatnonzero(row_best == best)
+        dev = _deviation(cross[hit] + eh[hit],
+                         q[size_high[h0 + hit, None] + size_low], n)
+        r, c = np.nonzero(dev == best)
+        cand = _mask_to_tuple(_lex_smallest(order[c] | (h0 + hit[r]) << low))
+        if witness is None or cand < witness:
+            witness = cand
     return best, witness
 
 
 def _heuristic_max(g: Graph, p: float, seed: int, restarts: int):
     n = g.n
-    a = np.zeros((n, n))
-    for u, v in g.edges:
-        a[u, v] = a[v, u] = 1.0
+    a = _adjacency(g)
     m0 = a - p * (1.0 - np.eye(n))  # x' m0 x = 2 (e(U) - p binom(|U|,2))
     vals, vecs = np.linalg.eigh(a - p)
     top = vecs[:, int(np.argmax(np.abs(vals)))]
@@ -166,8 +210,9 @@ def graph_quasirandomness(g: Graph, p: float, mode: str = "auto",
                           restarts: int = 32) -> QuasirandomReport:
     """Largest subset deviation from p-random edge counts, with a witness.
 
-    ``mode='exact'`` enumerates all subsets (vectorized prefix DP, capped at
-    ``exact_max_n`` vertices); ``'heuristic'`` runs greedy single-vertex
+    ``mode='exact'`` enumerates all subsets (blocked meet-in-the-middle over
+    the two vertex halves, O(2^n * n/2) time and O(2^(n/2)) memory, capped
+    at ``exact_max_n`` vertices); ``'heuristic'`` runs greedy single-vertex
     flips from the top-eigenvector sign pattern of A - pJ plus ``restarts``
     random starts.  ``'auto'`` picks exact when the graph fits under the
     cap.  Ties between witnesses break toward the lexicographically
@@ -244,8 +289,7 @@ def graphon_constancy(graphon: StepGraphon, p: float) -> ConstancyReport:
     if m <= _CUT_MAX_PARTS:
         # for each row subset S the optimal column subset is the positive
         # (or negative) part of the combined row, so 2^m rows suffice
-        bits = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(float)
-        combined = bits @ wd
+        combined = _subset_bits(m) @ wd
         pos = np.maximum(combined, 0.0).sum(axis=1)
         neg = np.maximum(-combined, 0.0).sum(axis=1)
         cut = float(max(pos.max(), neg.max()))

@@ -30,7 +30,11 @@ def brute_graphon_density(motif, weights, values) -> float:
 
 
 def brute_subset_deviation(g, p):
-    """Max over all vertex subsets of |e(U) - p*binom(|U|,2)| / n^2."""
+    """Max over all vertex subsets of |e(U) - p*binom(|U|,2)| / n^2, with
+    the lexicographically smallest maximizing vertex tuple.
+
+    The deviation is evaluated in the library's operation order, so the
+    two agree bit for bit and ties are ties in both."""
     best = -1.0
     best_subset = ()
     for mask in range(1 << g.n):
@@ -39,7 +43,7 @@ def brute_subset_deviation(g, p):
         e = sum(1 for u, v in g.edges if u in inside and v in inside)
         u = len(subset)
         dev = abs(e - p * u * (u - 1) / 2) / g.n**2
-        if dev > best:
+        if dev > best or (dev == best and subset < best_subset):
             best, best_subset = dev, subset
     return best, best_subset
 

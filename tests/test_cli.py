@@ -15,6 +15,7 @@ from quasiforce import (
     hom_density,
     iterated_double,
 )
+from quasiforce import experiments
 from quasiforce.cli import main
 from quasiforce.sampling import gnp
 from quasiforce.serialize import dump, load
@@ -121,8 +122,12 @@ _MALFORMED = {
     "graphon": ['{"weights": [1.0]}', "[[1.0], [[0.5]]]",
                 '{"weights": [1.0], "values": [[{"a": 1}]]}'],
     "graph": ["[1, 2]", '{"n": 3}', '{"n": [3], "edges": []}',
-              '{"n": 3, "edges": [[0, 1, 2]]}', '{"n": 3, "edges": 5}'],
-    "motif": ["3", '{"n": 2, "edges": [[0, 1]], "classes": 5}'],
+              '{"n": 3, "edges": [[0, 1, 2]]}', '{"n": 3, "edges": 5}',
+              '{"n": 3.9, "edges": [[0, 1]]}', '{"n": 3, "edges": [[0, 1.7]]}',
+              '{"n": true, "edges": []}', '{"n": "3", "edges": []}'],
+    "motif": ["3", '{"n": 2, "edges": [[0, 1]], "classes": 5}',
+              '{"n": 2, "edges": [[0, 1]], "classes": [[0.5], [1.2]]}',
+              '{"n": 2, "edges": [[true, 1]], "classes": [[0], [1]]}'],
 }
 _READERS = {
     "graphon": [["density", "--kt", "3", "--graphon", "BAD"],
@@ -224,6 +229,19 @@ def test_argparse_failures():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def test_experiment_forcing_trials_cap_exits_2(monkeypatch, capsys):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("ran a trial before checking --trials")
+
+    monkeypatch.setattr(experiments, "run_forcing_trial", no_trial)
+    code = main(["experiment", "forcing", "--t", "3", "--parts", "2",
+                 "--trials", str(experiments._MAX_TRIALS + 1)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "trials" in captured.err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6"])

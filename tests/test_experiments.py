@@ -77,6 +77,15 @@ def test_experiment_validation():
             bad()
 
 
+def test_trials_capped_before_any_trial(monkeypatch):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("ran a trial before checking the count")
+
+    monkeypatch.setattr(experiments, "run_forcing_trial", no_trial)
+    with pytest.raises(ValueError, match="trials"):
+        forcing_experiment(3, 0.5, 2, experiments._MAX_TRIALS + 1)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-6])
 def test_tol_validated(tol):
     with pytest.raises(ValueError, match="tol"):

@@ -140,3 +140,29 @@ def test_graph_round_trip():
     cg = complete_graph(3)
     back = ColoredGraph.from_dict(cg.to_dict())
     assert back.graph == cg.graph and back.classes == cg.classes
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"n": 3.9, "edges": [[0, 1]]}, '"n"'),
+    ({"n": True, "edges": []}, '"n"'),
+    ({"n": "3", "edges": []}, '"n"'),
+    ({"n": 3, "edges": [[0, 1.7]]}, '"edges"'),
+    ({"n": 3, "edges": [[False, 1]]}, '"edges"'),
+])
+def test_graph_from_dict_refuses_non_integers(data, field):
+    with pytest.raises(ValueError, match=field):
+        Graph.from_dict(data)
+
+
+def test_colored_graph_from_dict_refuses_non_integers():
+    data = {"n": 2, "edges": [[0, 1]], "classes": [[0.5], [1.2]]}
+    with pytest.raises(ValueError, match='"classes"'):
+        ColoredGraph.from_dict(data)
+
+
+def test_from_dict_accepts_integral_floats():
+    g = Graph.from_dict({"n": 3.0, "edges": [[0.0, 2.0]]})
+    assert g == Graph(3, ((0, 2),))
+    back = ColoredGraph.from_dict({"n": 2, "edges": [[0, 1]],
+                                   "classes": [[0.0], [1.0]]})
+    assert back.classes == ((0,), (1,))

@@ -1,5 +1,8 @@
 """Subset-deviation checks and graphon constancy metrics."""
 
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +19,7 @@ from quasiforce import (
     graphon_constancy,
     row_oscillation,
 )
+from quasiforce import quasirandom
 from quasiforce.sampling import gnp
 
 
@@ -27,19 +31,59 @@ def _count_inside(g, subset):
 @settings(deadline=None, max_examples=30)
 @given(seed=st.integers(0, 10_000), p=st.floats(0.0, 1.0))
 def test_exact_matches_brute_enumeration(seed, p):
+    # n from 1 to 12 covers both odd and even splits into low and high halves
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 10))
+    n = int(rng.integers(1, 13))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     g = Graph(n, tuple(e for e in pairs if rng.random() < 0.5))
-    want, _ = brute_subset_deviation(g, p)
+    want, witness = brute_subset_deviation(g, p)
     rep = graph_quasirandomness(g, p, mode="exact")
     assert rep.exact
-    assert rep.deviation == pytest.approx(want, abs=1e-12)
+    assert rep.deviation == want
+    assert rep.witness == witness
     assert rep.epsilon_star == rep.deviation
-    # the witness really attains the reported deviation
-    u = len(rep.witness)
-    attained = abs(_count_inside(g, rep.witness) - p * u * (u - 1) / 2) / n**2
-    assert attained == pytest.approx(rep.deviation, abs=1e-12)
+
+
+def _matching(n):
+    return Graph(n, tuple((2 * i, 2 * i + 1) for i in range(n // 2)))
+
+
+def _star(n):
+    return Graph(n, tuple((0, v) for v in range(1, n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 12])
+@pytest.mark.parametrize("make", [Graph, lambda n: complete_graph(n).graph,
+                                  _matching, _star],
+                         ids=["empty", "complete", "matching", "star"])
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+def test_exact_breaks_ties_like_brute(monkeypatch, n, make, p, one_row_blocks):
+    # these graphs tie many subsets at the maximum, so the tie-break decides;
+    # one high subset per block also makes it decide between blocks
+    if one_row_blocks:
+        monkeypatch.setattr(quasirandom, "_BLOCK_ENTRIES", 1)
+    g = make(n)
+    want, witness = brute_subset_deviation(g, p)
+    rep = graph_quasirandomness(g, p, mode="exact")
+    assert (rep.deviation, rep.witness) == (want, witness)
+
+
+@pytest.mark.parametrize("complete", [False, True])
+def test_exact_at_the_hard_cap_stays_small(complete):
+    # 2^26 subsets; an 8-byte table over all of them alone would be 512 MiB
+    n, p = 26, 0.5
+    g = Graph(n, tuple(combinations(range(n), 2)) if complete else ())
+    tracemalloc.start()
+    try:
+        rep = graph_quasirandomness(g, p, mode="exact", exact_max_n=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pairs = n * (n - 1) // 2
+    assert rep.deviation == ((1 - p) if complete else p) * pairs / n**2
+    assert rep.witness == tuple(range(n))
+    assert peak < 64 * 2**20
 
 
 def test_perfect_graph_has_empty_witness():
@@ -47,6 +91,8 @@ def test_perfect_graph_has_empty_witness():
     rep = graph_quasirandomness(complete_graph(5).graph, 1.0, mode="exact")
     assert rep.deviation == 0.0
     assert rep.witness == ()
+    # an integer p reads as the same float
+    assert graph_quasirandomness(complete_graph(5).graph, 1, mode="exact") == rep
 
 
 def test_exact_cap_enforced():
