@@ -7,8 +7,10 @@ Three evaluation strategies share one sum-product core:
   of bounded width, compiled once per motif shape into a fixed sequence
   of einsum steps and replayed on every call, and
 * a copy-gluing recursion for iterated doublings that collapses the
-  blown-up motif onto tables indexed by assignments of the glued classes,
-  one diagonal-weighted matmul per doubling level.
+  blown-up motif onto tables indexed by assignments of the glued classes.
+  Each table axis carries the square root of its part's weight, so every
+  doubling level is one symmetric Gram product A^T A (BLAS syrk, half the
+  flops of a general product) and the last level is a dot product.
 
 Gradients in the value matrix come from reverse accumulation over the same
 compiled plan: the forward replay keeps every step's table (the tape), and
@@ -483,6 +485,7 @@ def evaluate_pinned(motif: Graph, pinned, assignment, graphon: StepGraphon,
 
 
 def _weight_products(w: np.ndarray, g: int) -> np.ndarray:
+    """prod_i w[x_i] over g axes, flattened in C order."""
     d = np.ones(1)
     for _ in range(g):
         d = np.multiply.outer(d, w).reshape(-1)
@@ -504,7 +507,10 @@ def _doubling_layout(classes, k: int) -> tuple[tuple[int, ...], tuple[_Level, ..
 
     Axis labels (class, vertex, version) keep the copies straight across
     levels: doubling class j leaves two versions of every later axis, and
-    perm sorts the glued product's axes back into label order.
+    perm sorts the glued product's axes back into label order.  The level
+    before the last keeps its product's axes in place: the last level
+    glues every axis that is left, and it reads them only through a
+    product of part weights over all of them, which no order changes.
     """
     pinned0 = tuple(v for c in range(k) for v in classes[c])
     labels = [(c, i, 0) for c in range(k) for i in range(len(classes[c]))]
@@ -514,7 +520,7 @@ def _doubling_layout(classes, k: int) -> tuple[tuple[int, ...], tuple[_Level, ..
         half = 1 << j
         rest = labels[g_axes:]
         raw = list(rest) + [(c, i, ver + half) for (c, i, ver) in rest]
-        target = sorted(raw)
+        target = raw if j == k - 2 else sorted(raw)
         perm = tuple(raw.index(lab) for lab in target)
         inv = tuple(int(x) for x in np.argsort(perm))
         levels.append(_Level(g_axes, len(rest), perm, inv))
@@ -527,7 +533,7 @@ class _DoublingRun(NamedTuple):
 
     values: np.ndarray  # the value matrix evaluated at
     tape: list  # the base plan's step results, the base table last
-    factors: list  # each level's glued factor A, innermost level first
+    factors: list  # each level's root-weighted factor, innermost level first
     table: np.ndarray  # the final table: a scalar once every class is glued
 
 
@@ -535,9 +541,12 @@ class _Doubling:
     """The gluing recursion of one colored motif and k doublings, bound to
     fixed part weights and a table budget.
 
-    Binding checks the base plan and every level's tables against the
-    budget, so an oversized request fails before any contraction runs.
-    Weight products are made on first use and kept for later evaluations.
+    The recursion runs on root-weighted tables: every axis of a level's
+    table carries the square root of its part's weight, so gluing a class
+    is the plain Gram A^T A of the table split into (glued class) x (the
+    rest), and the last level, which glues everything left, is a dot
+    product.  Binding checks the base plan and every level's tables against
+    the budget, so an oversized request fails before any contraction runs.
     """
 
     def __init__(self, colored: ColoredGraph, k: int, weights: np.ndarray,
@@ -559,7 +568,10 @@ class _Doubling:
                 )
         self.m = m
         self.weights = weights
-        self._level_weights: list = [None] * len(self.levels)
+        self.roots = np.sqrt(weights)
+        # the root products over the pinned vertices, shaped as the base table
+        self.base_roots = _weight_products(self.roots, len(self.pinned)).reshape(
+            (m,) * len(self.pinned))
 
     @functools.cached_property
     def base_weights(self) -> np.ndarray:
@@ -568,73 +580,73 @@ class _Doubling:
         density of the undoubled motif."""
         return _weight_products(self.weights, len(self.pinned))
 
-    def level_weights(self, j: int) -> np.ndarray:
-        """The weight products that level j sums the glued class with."""
-        d = self._level_weights[j]
-        if d is None:
-            # made when level j first runs: making every level's products
-            # at binding allocates the large ones ahead of the tables, and
-            # cs_chain_check at m=5 then takes a third more page faults
-            d = self._level_weights[j] = _weight_products(self.weights,
-                                                          self.levels[j].g)
-        return d
-
     def moments(self, run: _DoublingRun) -> list[tuple[float, float, float]]:
         """(mean, second moment, variance) of the pinned density that each
         level sums out, innermost level first.
 
-        Level j's glued factor A holds the j-times-doubled motif's density
-        pinned on classes j..k-1; summing its columns against the weight
-        products of the classes still pinned after level j leaves the
-        density pinned on class j alone.  Its mean is the j-th density in
-        the Cauchy-Schwarz chain, its second moment the (j+1)-st, and its
-        variance their gap, computed directly rather than as a difference.
+        Level j's factor holds the j-times-doubled motif's density pinned on
+        classes j..k-1, times the root weights of those classes; summing
+        its columns against the root products of the classes still pinned
+        after level j leaves q = sqrt(w_g) p, for p the density pinned on
+        class j alone.  So the mean is sqrt(w_g) . q, the j-th density in
+        the Cauchy-Schwarz chain; the second moment is q . q, the (j+1)-st;
+        and the variance, their gap, is |q - mean sqrt(w_g)|^2, computed
+        directly rather than as a difference.  The root products over the
+        g glued axes do not depend on their order, so q is read as a matrix
+        over the first g//2 axes and the rest, and sqrt(w_g) as the outer
+        product of two short vectors; the last level's never exists whole.
         """
-        out = []
-        for j, (level, a) in enumerate(zip(self.levels, run.factors)):
-            p = a @ _weight_products(self.weights, level.r)
-            d = self.level_weights(j)
-            mean = float(d @ p)
-            out.append((mean, float(d @ (p * p)), float(d @ (p - mean) ** 2)))
+        m, out = self.m, []
+        for level, a in zip(self.levels, run.factors):
+            q = a @ _weight_products(self.roots, level.r) if level.r else a
+            h = level.g // 2
+            q = q.reshape(m**h, m ** (level.g - h))
+            s1 = _weight_products(self.roots, h)
+            s2 = _weight_products(self.roots, level.g - h)
+            mean = float(s1 @ q @ s2)
+            diff = np.multiply.outer(s1, -mean * s2)
+            diff += q
+            out.append((mean, float(np.vdot(q, q)), float(np.vdot(diff, diff))))
         return out
 
     def forward(self, values: np.ndarray, keep_tape: bool = False) -> _DoublingRun:
         """Level j holds the densities of the j-times-doubled motif with
-        every copy ("version") of classes j..k-1 pinned.  Doubling class j
-        identifies the shared copies, so the level-(j+1) table is
-        A^T diag(weights) A where A is the level-j table split into
-        (class-j assignments) x (the rest); the two factors of A are the
-        two glued copies."""
+        every copy ("version") of classes j..k-1 pinned, times the root
+        weight of every pinned axis.  Doubling class j identifies the
+        shared copies, so the level-(j+1) table is the Gram A^T A where A is
+        the level-j table split into (class-j assignments) x (the rest):
+        the two factors of A are the two glued copies, and their roots
+        multiply to the weights the glued class is summed with."""
         m = self.m
         tape = _forward(self.plan, values, self.weights, keep_tape)
-        table = tape[-1]
+        table = tape[-1] * self.base_roots
         factors = []
-        for j, level in enumerate(self.levels):
-            d = self.level_weights(j)
+        for level in self.levels:
             a = table.reshape(m**level.g, m**level.r)
-            t = a.T @ (d[:, None] * a)
-            table = (
-                t.reshape((m,) * (2 * level.r)).transpose(level.perm)
-                if level.r else t.reshape(())
-            )
             factors.append(a)
+            # the reshape copies a permuted table: free that before the Gram
+            del table
+            if level.r:
+                table = (a.T @ a).reshape((m,) * (2 * level.r)).transpose(level.perm)
+            else:
+                table = np.asarray(np.dot(a[:, 0], a[:, 0]))
         return _DoublingRun(values, tape, factors, table)
 
     def base_adjoint(self, run: _DoublingRun, scale: float) -> np.ndarray:
         """Adjoint on the base table of `scale` times the final density:
-        the adjoint pushed back through each diagonal-weighted matmul."""
+        a @ (T + T^T) back through each Gram, 2 T a through the last
+        level's dot product, then one multiply by the root products."""
         m = self.m
         tbar = np.full((), float(scale))
-        for j in reversed(range(len(self.levels))):
-            level, d, a = self.levels[j], self.level_weights(j), run.factors[j]
+        for level, a in zip(reversed(self.levels), reversed(run.factors)):
             r = level.r
             if r:
-                tflat = tbar.transpose(level.inv).reshape(m**r, m**r)
+                tbar = tbar.transpose(level.inv).reshape(m**r, m**r)
+                tbar = a @ (tbar + tbar.T)
             else:
-                tflat = tbar.reshape(1, 1)
-            abar = d[:, None] * (a @ (tflat + tflat.T))
-            tbar = abar.reshape((m,) * (level.g + r))
-        return tbar
+                tbar = (2.0 * float(tbar)) * a
+            tbar = tbar.reshape((m,) * (level.g + r))
+        return tbar * self.base_roots
 
     def gradient(self, run: _DoublingRun, base_bar: np.ndarray) -> np.ndarray:
         """Gradient in the symmetric value matrix of sum(base_bar * base
@@ -705,8 +717,8 @@ def doubling_density_gradient(colored: ColoredGraph, k: int,
     """Doubling density and its gradient, by reverse accumulation.
 
     Runs the gluing recursion forward, pushes the adjoint back through each
-    diagonal-weighted matmul down to the base table, then takes one reverse
-    pass over the base table's compiled plan.
+    level's Gram product and the root weights down to the base table, then
+    takes one reverse pass over the base table's compiled plan.
     """
     doubling = _Doubling(colored, k, graphon.weights, budget)
     run = doubling.forward(graphon.values, keep_tape=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -62,8 +63,18 @@ _PARETO_BANDS = (1e-8, 1e-6)
 
 
 def _targets(t: int, k: int, p: float) -> tuple[float, float]:
+    """t(K_t) and t(k-times-doubled K_t) at constant p.  A doubled target
+    below the smallest normal float is refused: it is 0.0 or subnormal, so
+    every start would read as converged or the residuals lose all digits."""
     e1 = t * (t - 1) // 2
-    return p**e1, p ** ((1 << k) * e1)
+    e2 = (1 << k) * e1
+    doubled = p**e2
+    if doubled < sys.float_info.min:
+        raise ValueError(
+            f"the doubled target p^(2^k*C(t,2)) underflows below the smallest "
+            f"normal float at p={p!r}, t={t}, k={k}"
+        )
+    return p**e1, doubled
 
 
 def _check_tol(tol: float) -> None:
@@ -107,9 +118,10 @@ class _PairEvaluator:
 
     One forward pass over the doubling base plan gives both densities: the
     base table pins classes 0..k-1 without weighting them, so summing it
-    against the pinned weight products gives t(motif, W), and gluing it
-    level by level gives the doubled density.  Binding checks every table
-    against `budget`, as graphon_density and doubling_density would.
+    against the pinned weight products gives t(motif, W), and gluing its
+    root-weighted copy level by level gives the doubled density.  Binding
+    checks every table against `budget`, as graphon_density and
+    doubling_density would.
     """
 
     def __init__(self, colored: ColoredGraph, k: int, weights: np.ndarray,

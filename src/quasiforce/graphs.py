@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from numbers import Integral
 
 from .errors import UnsupportedSizeError
 
@@ -38,10 +39,13 @@ def _fields(data, kind: str, *keys) -> list:
 
 
 def _integer(value, kind: str, key: str) -> int:
-    """A from_dict vertex number or count; bools, strings and fractional
-    numbers are refused instead of being truncated."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    """A vertex number or count as a Python int.  Integers, numpy integers
+    and integral floats are accepted; bools, strings and fractional numbers
+    are refused instead of being truncated."""
+    if type(value) is int:
         return value
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f'{kind} needs integers in "{key}"; got {value!r}')
@@ -59,11 +63,13 @@ class Graph:
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        n = _integer(self.n, "graph", "n")
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
+        object.__setattr__(self, "n", n)
         seen: set[tuple[int, int]] = set()
         for e in self.edges:
-            u, v = int(e[0]), int(e[1])
+            u, v = _integer(e[0], "graph", "edges"), _integer(e[1], "graph", "edges")
             if u == v:
                 raise ValueError(f"loop at vertex {u} is not allowed")
             if u > v:
@@ -111,9 +117,7 @@ class Graph:
             edges = tuple((u, v) for u, v in edges)
         except (TypeError, ValueError):
             raise ValueError('graph needs "edges" as [u, v] pairs') from None
-        return cls(_integer(n, "graph", "n"),
-                   tuple((_integer(u, "graph", "edges"),
-                          _integer(v, "graph", "edges")) for u, v in edges))
+        return cls(n, edges)
 
 
 @dataclass(frozen=True)
@@ -128,7 +132,9 @@ class ColoredGraph:
     classes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        norm = tuple(tuple(sorted(int(v) for v in c)) for c in self.classes)
+        norm = tuple(
+            tuple(sorted(_integer(v, "colored graph", "classes") for v in c))
+            for c in self.classes)
         object.__setattr__(self, "classes", norm)
         if not norm:
             raise ValueError("at least one color class is required")
@@ -172,9 +178,7 @@ class ColoredGraph:
             raise ValueError(
                 'colored graph needs "classes" as lists of vertices'
             ) from None
-        return cls(graph, tuple(
-            tuple(_integer(v, "colored graph", "classes") for v in c)
-            for c in classes))
+        return cls(graph, classes)
 
 
 def complete_graph(t: int) -> ColoredGraph:

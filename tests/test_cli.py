@@ -252,3 +252,13 @@ def test_experiment_forcing_bad_tol_exits_2(capsys, tol):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and "tol" in captured.err
+
+
+@pytest.mark.parametrize("experiment", ["forcing", "delta-eps"])
+def test_experiment_underflowing_target_exits_2(capsys, experiment):
+    code = main(["experiment", experiment, "--t", "5", "--p", "1e-5", "--k", "3",
+                 "--parts", "3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "p=1e-05, t=5, k=3" in captured.err

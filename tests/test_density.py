@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tracemalloc
+
 from conftest import (
     brute_graphon_density,
     brute_graphon_density_gradient,
@@ -21,6 +23,7 @@ from quasiforce import (
     UnsupportedSizeError,
     complete_graph,
     constant_graphon,
+    cs_chain_check,
     cycle_graph,
     doubling_density,
     doubling_density_gradient,
@@ -346,6 +349,128 @@ def test_step_moments_tie_to_chain():
         assert var == pytest.approx(second - mean**2, abs=1e-12)
     with pytest.raises(ValueError):
         doubling_step_moments(colored, 0, g)
+
+
+# ---------------------------------------------------------------------------
+# the root-weighted recursion on skewed weights
+
+
+def _skewed_graphons():
+    """Dirichlet(0.2) weight draws, which put parts at weights from 5e-12 to
+    1 - 5e-12, and a three-part graphon with one part at weight 1e-9: the
+    root weights the gluing recursion multiplies in span many orders of
+    magnitude."""
+    out = []
+    for seed in range(900, 906):
+        rng = np.random.default_rng(seed)
+        m = 2 + seed % 3
+        w = rng.dirichlet(np.full(m, 0.2))
+        vals = rng.random((m, m))
+        out.append(StepGraphon(w / w.sum(), (vals + vals.T) / 2))
+    vals = np.array([[0.9, 0.2, 0.7], [0.2, 0.4, 0.6], [0.7, 0.6, 0.1]])
+    out.append(StepGraphon(np.array([1e-9, 0.4, 0.6 - 1e-9]), vals))
+    return out
+
+
+_SKEWED_MOTIFS = {"K2": complete_graph(2), "K3": complete_graph(3),
+                  "K4": complete_graph(4), **_MULTI_CLASS_MOTIFS}
+
+
+def _pinned_moments(colored, j, g):
+    """Mean, second moment and variance of the density of the
+    (j-1)-times-doubled motif pinned on class j-1, straight from the
+    definition: its pinned table, weighted by the pinned parts' weights."""
+    doubled = iterated_double(colored, j - 1)
+    pinned = doubled.classes[j - 1]
+    table = pinned_table(doubled.graph, pinned, g)
+    d = np.ones(())
+    for _ in pinned:
+        d = np.multiply.outer(d, g.weights)
+    mean = float((d * table).sum())
+    return mean, float((d * table**2).sum()), float((d * (table - mean) ** 2).sum())
+
+
+@pytest.mark.parametrize("name", sorted(_SKEWED_MOTIFS))
+def test_skewed_weights_against_expanded_and_brute(name):
+    colored = _SKEWED_MOTIFS[name]
+    for g in _skewed_graphons():
+        m = g.num_parts
+        for k in range(colored.num_classes + 1):
+            expanded = iterated_double(colored, k).graph
+            if expanded.n > 9:
+                break
+            value = doubling_density(colored, k, g)
+            assert value == pytest.approx(graphon_density(expanded, g),
+                                          rel=1e-12, abs=0)
+            if m ** expanded.n <= 3**8:
+                assert value == pytest.approx(
+                    brute_graphon_density(expanded, g.weights, g.values),
+                    rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("t", (2, 3, 4))
+def test_skewed_chain_against_expanded_and_definition(t):
+    colored = complete_graph(t)
+    for g in _skewed_graphons():
+        rec = cs_chain_check(t, t, g)
+        for j, d in enumerate(rec.densities):
+            expanded = iterated_double(colored, j).graph
+            if expanded.n <= 9:
+                assert d == pytest.approx(graphon_density(expanded, g),
+                                          rel=1e-12, abs=0)
+            if g.num_parts ** expanded.n <= 3**8:
+                assert d == pytest.approx(
+                    brute_graphon_density(expanded, g.weights, g.values),
+                    rel=1e-12, abs=0)
+        for j in range(1, t + 1):
+            mean, second, var = _pinned_moments(colored, j, g)
+            got = doubling_step_moments(colored, j, g)
+            assert got[0] == pytest.approx(mean, rel=1e-12, abs=0)
+            assert got[1] == pytest.approx(second, rel=1e-12, abs=0)
+            for v in (got[2], rec.variances[j - 1]):
+                assert v == pytest.approx(var, rel=1e-9, abs=1e-15 * second)
+
+
+@pytest.mark.parametrize("name", sorted(_SKEWED_MOTIFS))
+def test_skewed_gradient_against_differences_and_brute(name):
+    colored = _SKEWED_MOTIFS[name]
+    for g in _skewed_graphons():
+        m = g.num_parts
+        for k in range(colored.num_classes + 1):
+            expanded = iterated_double(colored, k).graph
+            if expanded.n > 9:
+                break
+            value, grad = doubling_density_gradient(colored, k, g)
+            assert value == pytest.approx(doubling_density(colored, k, g),
+                                          rel=1e-13, abs=0)
+            fd = _fd_gradient(lambda x, k=k: doubling_density(colored, k, x), g,
+                              h=1e-6)
+            assert np.abs(grad - fd).max() <= 1e-6 * np.abs(fd).max()
+            if m ** expanded.n <= 3**8:
+                # exact, so the entries of a part at weight 1e-9 are checked
+                # to full relative precision too
+                want = brute_graphon_density_gradient(expanded, g.weights,
+                                                      g.values)
+                np.testing.assert_allclose(grad, want, rtol=1e-10, atol=0)
+
+
+def test_doubling_peak_memory_at_m5():
+    rng = np.random.default_rng(61)
+    g = _random_graphon(rng, 5)
+    colored = complete_graph(5)
+    doubling_density_gradient(colored, 4, g)  # compile the plan untraced
+    peaks = {}
+    for name, call in (("gradient", lambda: doubling_density_gradient(colored, 4, g)),
+                       ("chain", lambda: cs_chain_check(5, 4, g))):
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    # the diagonal-weighted recursion peaked at 18.1 and 15.0 MiB here
+    assert peaks["gradient"] < 18.1
+    assert peaks["chain"] < 15.0
 
 
 # ---------------------------------------------------------------------------

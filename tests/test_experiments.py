@@ -1,6 +1,7 @@
 """Forcing trials, the adversarial frontier, the probe, and the witness."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -104,6 +105,25 @@ def test_p_validated(monkeypatch, p):
         forcing_experiment(3, p, 2, 1)
     with pytest.raises(ValueError, match="p must lie"):
         run_forcing_trial(3, p, constant_graphon(0.5, 2))
+
+
+def test_underflowing_target_refused(monkeypatch):
+    # 1e-5 ** (2^3 * C(5,2)) is 1e-400, which is 0.0 in floats: every trial
+    # would read as converged at zero iterations
+    def no_binding(*args, **kwargs):
+        raise AssertionError("bound a pair evaluator before checking the target")
+
+    monkeypatch.setattr(experiments, "_PairEvaluator", no_binding)
+    for call in (lambda: forcing_experiment(5, 1e-5, 3, 2, k=3),
+                 lambda: run_forcing_trial(5, 1e-5, constant_graphon(0.5, 3), k=3),
+                 lambda: delta_epsilon_probe(5, 1e-5, [0.0], 3, k=3)):
+        with pytest.raises(ValueError, match="p=1e-05, t=5, k=3"):
+            call()
+    # normal targets pass, subnormal ones do not
+    tiny = sys.float_info.min
+    assert experiments._targets(2, 0, tiny) == (tiny, tiny)
+    with pytest.raises(ValueError, match="smallest normal float"):
+        experiments._targets(2, 0, tiny / 2)
 
 
 def test_zero_tol_descends_to_the_cap():

@@ -1,7 +1,9 @@
 """Graph and colored-graph construction, doubling, and isomorphism."""
 
+import json
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -158,6 +160,37 @@ def test_colored_graph_from_dict_refuses_non_integers():
     data = {"n": 2, "edges": [[0, 1]], "classes": [[0.5], [1.2]]}
     with pytest.raises(ValueError, match='"classes"'):
         ColoredGraph.from_dict(data)
+
+
+_K2 = Graph(2, ((0, 1),))
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: Graph(3, ((0, 1.7),)), '"edges"'),
+    (lambda: Graph(3, ((np.float64(0.5), 1),)), '"edges"'),
+    (lambda: Graph(3, ((True, 2),)), '"edges"'),
+    (lambda: Graph(3, ((np.True_, 2),)), '"edges"'),
+    (lambda: Graph(3, (("0", 2),)), '"edges"'),
+    (lambda: Graph(3.5), '"n"'),
+    (lambda: Graph(True), '"n"'),
+    (lambda: ColoredGraph(_K2, ((0.5,), (1,))), '"classes"'),
+    (lambda: ColoredGraph(_K2, ((False,), (1,))), '"classes"'),
+])
+def test_constructors_refuse_non_integers(make, field):
+    # int() would truncate: Graph(3, ((0, 1.7),)) used to build the edge (0, 1)
+    with pytest.raises(ValueError, match=field):
+        make()
+
+
+def test_constructors_accept_numpy_integers():
+    g = Graph(np.int64(3), ((np.int32(2), np.uint8(0)), (np.int64(1), 2.0)))
+    assert g == Graph(3, ((0, 2), (1, 2)))
+    assert type(g.n) is int
+    assert all(type(x) is int for e in g.edges for x in e)
+    json.dumps(g.to_dict())
+    cg = ColoredGraph(_K2, ((np.int64(0),), (np.int16(1),)))
+    assert cg.classes == ((0,), (1,))
+    assert all(type(v) is int for c in cg.classes for v in c)
 
 
 def test_from_dict_accepts_integral_floats():
