@@ -42,7 +42,7 @@ def _integer(value, kind: str, key: str) -> int:
     """A vertex number or count as a Python int.  Integers, numpy integers
     and integral floats are accepted; bools, strings and fractional numbers
     are refused instead of being truncated."""
-    if type(value) is int:
+    if type(value) is int:  # first: the Integral ABC check alone doubles Graph()
         return value
     if isinstance(value, Integral) and not isinstance(value, bool):
         return int(value)
