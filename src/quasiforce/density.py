@@ -182,8 +182,20 @@ def _checked_plan(size, num_vertices, edges, keep, budget) -> tuple[_Step, ...]:
     return plan
 
 
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _float_ones(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The float operands of slots _ONE and _UNIT, built once per size and
+    read-only, since every replay of a plan shares them."""
+    ones = (np.ones(size), np.ones(()))
+    for a in ones:
+        a.flags.writeable = False
+    return ones
+
+
 def _plan_inputs(edge_matrix, free_weight, dtype) -> tuple:
     """The operands of slots _EDGE.._UNIT."""
+    if dtype is float:
+        return (edge_matrix, free_weight, *_float_ones(free_weight.shape[0]))
     return (edge_matrix, free_weight, np.ones(free_weight.shape[0], dtype=dtype),
             np.ones((), dtype=dtype))
 
@@ -692,7 +704,9 @@ def _symmetrize_param_grad(m_ordered: np.ndarray) -> np.ndarray:
     Off-diagonal parameters appear at two positions of the value matrix, so
     their derivatives add; diagonal ones appear once.
     """
-    return m_ordered + m_ordered.T - np.diag(np.diag(m_ordered))
+    out = m_ordered + m_ordered.T
+    np.fill_diagonal(out, np.diagonal(m_ordered))
+    return out
 
 
 def graphon_density_gradient(motif: Graph, graphon: StepGraphon,

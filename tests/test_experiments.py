@@ -137,11 +137,10 @@ def test_zero_tol_descends_to_the_cap():
 
 
 def test_descent_runs_one_forward_per_evaluation(monkeypatch):
-    """Each evaluation is one forward pass over the base plan and each
-    gradient one reverse pass over the accepted point's tape."""
+    """Each evaluation of a Pareto descent is one forward pass over the base
+    plan and each gradient one reverse pass over the accepted point's tape."""
     events, points = [], []
     real_forward, real_reverse = density._forward, density._reverse
-    real_descend = experiments._descend
 
     def forward(*args, **kwargs):
         events.append("forward")
@@ -151,40 +150,149 @@ def test_descent_runs_one_forward_per_evaluation(monkeypatch):
         events.append("reverse")
         return real_reverse(*args, **kwargs)
 
-    def descend(values, evaluate, gradient, max_iter, stop=None):
-        def counted_evaluate(v):
-            events.append("evaluate")
-            points.append(v.tobytes())
-            return evaluate(v)
-
-        def counted_gradient(state):
-            events.append("gradient")
-            return gradient(state)
-
-        out = real_descend(values, counted_evaluate, counted_gradient,
-                           max_iter, stop)
-        events.append("done")
-        return out
-
     monkeypatch.setattr(density, "_forward", forward)
     monkeypatch.setattr(density, "_reverse", reverse)
-    monkeypatch.setattr(experiments, "_descend", descend)
-    (trial,) = forcing_experiment(3, 0.5, 4, 1, seed=1).trials
-    assert trial.converged and trial.iterations > 10
+    # the first rung of the Pareto sweep's lambda ladder, from its start
+    m, p = 4, 0.5
+    weights = np.full(m, 1.0 / m)
+    ev = experiments._PairEvaluator(complete_graph(3), 2, weights,
+                                    experiments._targets(3, 2, p),
+                                    density.DEFAULT_BUDGET)
+    start = random_near_constant(p, m, 0.3, np.random.default_rng(1)).values
+    evaluate, gradient = experiments._penalty(
+        ev, (0.0, 0.0), (experiments._PARETO_LAMBDAS[0], weights, p))
 
-    done = events.index("done")
-    loop, after = events[:done], events[done + 1:]
-    calls = {name: loop.count(name) for name in set(loop)}
+    def counted_evaluate(v):
+        events.append("evaluate")
+        points.append(v.tobytes())
+        return evaluate(v)
+
+    def counted_gradient(state):
+        events.append("gradient")
+        return gradient(state)
+
+    _, iterations = experiments._descend(start, counted_evaluate,
+                                         counted_gradient, 40)
+    assert iterations > 10
+
+    calls = {name: events.count(name) for name in set(events)}
     assert calls["evaluate"] == calls["forward"]
-    assert calls["gradient"] == calls["reverse"] == trial.iterations
+    assert calls["gradient"] == calls["reverse"] == iterations
     # 1 + line-search tries: the start, then only new candidate points,
     # at least one after each gradient; no point is evaluated twice
-    outer = [e for e in loop if e in ("evaluate", "gradient")]
+    outer = [e for e in events if e in ("evaluate", "gradient")]
     assert outer[0] == "evaluate"
     assert len(set(points)) == len(points) == calls["evaluate"]
     assert all(b == "evaluate" for a, b in zip(outer, outer[1:]) if a == "gradient")
+
+
+def test_forcing_trial_runs_one_forward_per_evaluation(monkeypatch):
+    """Each evaluation of a forcing trial is one forward pass over the base
+    plan, each Levenberg step two reverse passes over the tape of the point
+    it steps from, and the reported residuals two public forwards."""
+    events, points, pairs = [], [], []
+    real_forward, real_reverse = density._forward, density._reverse
+    evaluator = experiments._PairEvaluator
+    real_call, real_gradient = evaluator.__call__, evaluator.gradient
+    real_residuals = evaluator.residuals
+
+    def forward(*args, **kwargs):
+        events.append("forward")
+        return real_forward(*args, **kwargs)
+
+    def reverse(*args, **kwargs):
+        events.append("reverse")
+        return real_reverse(*args, **kwargs)
+
+    def call(self, values):
+        events.append("evaluate")
+        points.append(values.tobytes())
+        pairs.append(real_call(self, values))
+        return pairs[-1]
+
+    def gradient(self, pair, c1, c2):
+        events.append("gradient")
+        # a step starts from the start or from the candidate it just
+        # accepted, which is always the latest point evaluated
+        assert pair is pairs[-1]
+        return real_gradient(self, pair, c1, c2)
+
+    def residuals(self, graphon):
+        events.append("residuals")
+        return real_residuals(self, graphon)
+
+    monkeypatch.setattr(density, "_forward", forward)
+    monkeypatch.setattr(density, "_reverse", reverse)
+    monkeypatch.setattr(evaluator, "__call__", call)
+    monkeypatch.setattr(evaluator, "gradient", gradient)
+    monkeypatch.setattr(evaluator, "residuals", residuals)
+    (trial,) = forcing_experiment(3, 0.5, 4, 1, seed=1).trials
+    assert trial.converged and trial.stop_reason == "tol"
+    assert trial.iterations > 2
+
+    done = events.index("residuals")
+    loop, after = events[:done], events[done + 1:]
+    calls = {name: loop.count(name) for name in set(loop)}
+    assert calls["evaluate"] == calls["forward"]
+    assert calls["gradient"] == calls["reverse"] == 2 * trial.iterations
+    assert all(b == "forward" for a, b in zip(loop, loop[1:]) if a == "evaluate")
+    assert all(b == "reverse" for a, b in zip(loop, loop[1:]) if a == "gradient")
+    # the start, then only new candidate points, at least one after each
+    # step's two gradients; no point is evaluated twice
+    outer = [e for e in loop if e in ("evaluate", "gradient")]
+    assert outer[0] == "evaluate"
+    assert len(set(points)) == len(points) == calls["evaluate"]
+    assert "".join("e" if e == "evaluate" else "g" for e in outer).replace(
+        "e", " ").split() == ["gg"] * trial.iterations
     # the reported residuals come from the public density functions
     assert after == ["forward", "forward"]
+
+
+def test_stop_reasons_are_reachable():
+    cases = {
+        # a start on the targets needs no step
+        "tol": lambda: run_forcing_trial(3, 0.5, constant_graphon(0.5, 3)),
+        # on the zero graphon both gradients vanish, so no damping helps
+        "no_step": lambda: run_forcing_trial(3, 0.5, constant_graphon(0.0, 3)),
+        # no finite decay rate reaches tol = 0
+        "slow": lambda: forcing_experiment(3, 0.5, 4, 1, seed=2,
+                                           tol=0.0).trials[0],
+        "cap": lambda: forcing_experiment(3, 0.5, 2, 1, seed=0, tol=1e-13,
+                                          max_iter=5, spread=0.3).trials[0],
+    }
+    for reason, trial in cases.items():
+        tr = trial()
+        assert tr.stop_reason == reason
+        assert tr.to_dict()["stop_reason"] == reason
+        assert tr.converged == (reason == "tol")
+    assert cases["cap"]().iterations == 5
+
+
+def test_zero_tol_stops_when_progress_stalls():
+    # tol = 0 is out of reach, so the stall stop ends each trial long
+    # before the step cap, without changing the convergence rule
+    res = forcing_experiment(3, 0.5, 4, 3, tol=0.0)
+    for tr in res.trials:
+        assert tr.stop_reason != "cap"
+        assert tr.iterations < experiments._MAX_ITER // 100
+        assert tr.converged == (tr.r1 == 0.0 and tr.r2 == 0.0)
+
+
+def test_every_forcing_trial_converges_and_rechecks():
+    res = forcing_experiment(3, 0.5, 4, 20, seed=0)
+    assert res.all_converged
+    k_3 = complete_graph(3)
+    doubled = iterated_double(k_3, res.k).graph
+    t1, t2 = experiments._targets(3, res.k, 0.5)
+    for tr in res.trials:
+        assert tr.stop_reason == "tol"
+        # the doubled density through plain elimination on the expanded
+        # motif, not through the gluing recursion the trial ran on
+        r1 = graphon_density(k_3.graph, tr.graphon) - t1
+        r2 = graphon_density(doubled, tr.graphon) - t2
+        assert max(abs(r1), abs(r2)) <= res.tol
+        assert r1 == pytest.approx(tr.r1, abs=1e-15)
+        assert r2 == pytest.approx(tr.r2, abs=1e-15)
 
 
 def _pair_evaluator(t, m, seed, budget=density.DEFAULT_BUDGET):
@@ -272,18 +380,24 @@ def test_pair_evaluator_budget(monkeypatch):
 
 
 def test_zero_band_penalty_is_the_squared_residuals():
-    # forcing's seeded output depends on these being exact, not close
+    # the seeded output of forcing and of the Pareto sweep depends on these
+    # being exact, not close
     ev, g, _, _ = _pair_evaluator(3, 4, 5)
-    evaluate, gradient = experiments._penalty(ev)
+    scale, p = 100.0, 0.5
+    evaluate, gradient = experiments._penalty(ev, (0.0, 0.0),
+                                              (scale, g.weights, p))
     residuals = []
     for values in (g.values, 1.0 - g.values):
         pair = ev(values)
         residuals += [pair.r1, pair.r2]
         assert pair.excess((0.0, 0.0)) == (pair.r1, pair.r2)
         f, state = evaluate(values)
-        assert f == pair.r1 * pair.r1 + pair.r2 * pair.r2
-        assert np.array_equal(gradient(state),
-                              ev.gradient(pair, 2 * pair.r1, 2 * pair.r2))
+        assert f == (scale * (pair.r1 * pair.r1 + pair.r2 * pair.r2)
+                     - experiments._l2sq(values, g.weights, p))
+        assert np.array_equal(
+            gradient(state),
+            scale * ev.gradient(pair, 2 * pair.r1, 2 * pair.r2)
+            - experiments._l2sq_grad(values, g.weights, p))
     assert min(residuals) < 0.0 < max(residuals)  # both signs exercised
 
 
