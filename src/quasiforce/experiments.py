@@ -335,8 +335,8 @@ def _solve_trial(values: np.ndarray, pair_eval: _PairEvaluator, tol: float,
     """
     goal = tol * tol
     window_f = None
-    steps = _levenberg_steps(values, pair_eval, (0.0, 0.0), _sum_sq)
-    for it, (v, _, e) in enumerate(steps):
+    path = _levenberg_steps(values, pair_eval, (0.0, 0.0), _sum_sq)
+    for it, (v, _, e) in enumerate(path):
         if _worst(*e) <= tol:
             return v, it, "tol"
         if it == max_iter:
