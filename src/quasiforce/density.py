@@ -10,7 +10,10 @@ Three evaluation strategies share one sum-product core:
   blown-up motif onto tables indexed by assignments of the glued classes.
   Each table axis carries the square root of its part's weight, so every
   doubling level is one symmetric Gram product A^T A (BLAS syrk, half the
-  flops of a general product) and the last level is a dot product.
+  flops of a general product) and the last level is a dot product.  A
+  Gram whose axes the next level reads in permuted order is written
+  straight into that order, one block of rows at a time, so the
+  recursion keeps one table per level and every split is a view.
 
 Gradients in the value matrix come from reverse accumulation over the same
 compiled plan: the forward replay keeps every step's table (the tape), and
@@ -18,7 +21,9 @@ each step also carries, for every edge-matrix or intermediate operand, the
 einsum of its adjoint (the output adjoint contracted with the step's other
 operands).  Replaying those backwards from an output adjoint gives the
 whole gradient at the cost of about two more forward passes, whatever the
-number of edges.
+number of edges.  Through the gluing recursion the adjoint of every Gram
+output is symmetric, because swapping the two glued copies changes
+nothing, so each level's adjoint is one product 2 A T, not A (T + T^T).
 
 The density of a motif F in a step graphon W is the sum over all maps
 phi: V(F) -> parts of prod_v weights[phi(v)] * prod_{uv in E} values[phi(u)][phi(v)];
@@ -504,6 +509,14 @@ def _weight_products(w: np.ndarray, g: int) -> np.ndarray:
     return d
 
 
+# entries of q - mean sqrt(w_g) built at a time when summing a variance
+_VARIANCE_BLOCK = 1 << 14
+
+
+def _is_identity(perm: tuple[int, ...]) -> bool:
+    return all(i == x for i, x in enumerate(perm))
+
+
 class _Level(NamedTuple):
     """Axis layout of one doubling level of the gluing recursion."""
 
@@ -557,8 +570,11 @@ class _Doubling:
     table carries the square root of its part's weight, so gluing a class
     is the plain Gram A^T A of the table split into (glued class) x (the
     rest), and the last level, which glues everything left, is a dot
-    product.  Binding checks the base plan and every level's tables against
-    the budget, so an oversized request fails before any contraction runs.
+    product.  Each level keeps only its own table, stored in the axis
+    order the next level reads; the reverse pass relies on the symmetry
+    of every Gram's adjoint (see base_adjoint).  Binding checks the base
+    plan and every level's tables against the budget, so an oversized
+    request fails before any contraction runs.
     """
 
     def __init__(self, colored: ColoredGraph, k: int, weights: np.ndarray,
@@ -607,6 +623,8 @@ class _Doubling:
         g glued axes do not depend on their order, so q is read as a matrix
         over the first g//2 axes and the rest, and sqrt(w_g) as the outer
         product of two short vectors; the last level's never exists whole.
+        The variance is summed over blocks of rows of q, so no table of q's
+        size is built beside it.
         """
         m, out = self.m, []
         for level, a in zip(self.levels, run.factors):
@@ -616,9 +634,14 @@ class _Doubling:
             s1 = _weight_products(self.roots, h)
             s2 = _weight_products(self.roots, level.g - h)
             mean = float(s1 @ q @ s2)
-            diff = np.multiply.outer(s1, -mean * s2)
-            diff += q
-            out.append((mean, float(np.vdot(q, q)), float(np.vdot(diff, diff))))
+            ms2 = -mean * s2
+            step = max(1, _VARIANCE_BLOCK // q.shape[1])
+            var = 0.0
+            for i in range(0, q.shape[0], step):
+                diff = np.multiply.outer(s1[i:i + step], ms2)
+                diff += q[i:i + step]
+                var += float(np.vdot(diff, diff))
+            out.append((mean, float(np.vdot(q, q)), var))
         return out
 
     def forward(self, values: np.ndarray, keep_tape: bool = False) -> _DoublingRun:
@@ -628,7 +651,12 @@ class _Doubling:
         shared copies, so the level-(j+1) table is the Gram A^T A where A is
         the level-j table split into (class-j assignments) x (the rest):
         the two factors of A are the two glued copies, and their roots
-        multiply to the weights the glued class is summed with."""
+        multiply to the weights the glued class is summed with.
+
+        Every table is stored in the axis order its level reads, so each
+        split is a view.  Where a level's perm is not the identity, its
+        Gram is written straight into that order, one block of rows at a
+        time, instead of being computed whole and then copied permuted."""
         m = self.m
         tape = _forward(self.plan, values, self.weights, keep_tape)
         table = tape[-1] * self.base_roots
@@ -636,29 +664,57 @@ class _Doubling:
         for level in self.levels:
             a = table.reshape(m**level.g, m**level.r)
             factors.append(a)
-            # the reshape copies a permuted table: free that before the Gram
-            del table
-            if level.r:
-                table = (a.T @ a).reshape((m,) * (2 * level.r)).transpose(level.perm)
-            else:
+            if not level.r:
                 table = np.asarray(np.dot(a[:, 0], a[:, 0]))
+            elif _is_identity(level.perm):
+                table = (a.T @ a).reshape((m,) * (2 * level.r))
+            else:
+                table = np.empty((m,) * (2 * level.r))
+                # the Gram in raw axis order: its first axis picks a block
+                # of m^(r-1) rows, the Gram of that block of A's columns
+                # with all of A
+                raw = table.transpose(level.inv)
+                rows = m ** (level.r - 1)
+                for x in range(m):
+                    gram = a[:, x * rows:(x + 1) * rows].T @ a
+                    raw[x] = gram.reshape(raw.shape[1:])
         return _DoublingRun(values, tape, factors, table)
 
     def base_adjoint(self, run: _DoublingRun, scale: float) -> np.ndarray:
-        """Adjoint on the base table of `scale` times the final density:
-        a @ (T + T^T) back through each Gram, 2 T a through the last
-        level's dot product, then one multiply by the root products."""
+        """Adjoint on the base table of `scale` times the final density.
+
+        Swapping the two glued copies of a level leaves the recursion
+        unchanged, and every forward table is itself a Gram, so the adjoint
+        T of every Gram output is symmetric: the adjoint of a level's
+        factor a is 2 a T rather than a (T + T^T), and that of the last
+        level's dot product 2 a.  The factors of 2 are exact wherever they
+        enter, so they are carried as one scalar and applied once, with
+        the root products.  `scale` multiplies the last factor, where its
+        rounding always entered; at scale 1 no factor is scaled into a
+        copy.  Where a level's perm is not the identity, T is read in raw
+        axis order: by its symmetry, column block x of T is row block x
+        transposed, so each block of columns of a T is one product,
+        written in place."""
         m = self.m
-        tbar = np.full((), float(scale))
+        if not self.levels:
+            return float(scale) * self.base_roots
         for level, a in zip(reversed(self.levels), reversed(run.factors)):
             r = level.r
-            if r:
-                tbar = tbar.transpose(level.inv).reshape(m**r, m**r)
-                tbar = a @ (tbar + tbar.T)
+            if not r:
+                tbar = a if scale == 1.0 else float(scale) * a
+            elif _is_identity(level.perm):
+                tbar = a @ tbar.reshape(m**r, m**r)
             else:
-                tbar = (2.0 * float(tbar)) * a
+                raw = tbar.transpose(level.inv)
+                rows = m ** (r - 1)
+                tbar = np.empty((m**level.g, m**r))
+                for x in range(m):
+                    np.matmul(a, raw[x].reshape(rows, m**r).T,
+                              out=tbar[:, x * rows:(x + 1) * rows])
             tbar = tbar.reshape((m,) * (level.g + r))
-        return tbar * self.base_roots
+        out = tbar * self.base_roots
+        out *= 2.0 ** len(self.levels)
+        return out
 
     def gradient(self, run: _DoublingRun, base_bar: np.ndarray) -> np.ndarray:
         """Gradient in the symmetric value matrix of sum(base_bar * base

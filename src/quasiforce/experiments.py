@@ -247,7 +247,8 @@ def _descend(values: np.ndarray, evaluate, gradient, max_iter: int):
     return v, it
 
 
-def _levenberg_steps(values: np.ndarray, pair_eval: _PairEvaluator, band, merit):
+def _levenberg_steps(values: np.ndarray, pair_eval: _PairEvaluator, band, merit,
+                     corner_goal: float | None = None):
     """Adaptively damped least-norm steps driving the signed excess e of
     both residuals beyond `band` toward zero.
 
@@ -261,9 +262,13 @@ def _levenberg_steps(values: np.ndarray, pair_eval: _PairEvaluator, band, merit)
     Jacobian loses rank and progress is linear rather than quadratic.
     Coordinates pinned at 0 or 1 whose descent direction points outside
     the box are dropped from the Jacobian, otherwise clipping invalidates
-    the step model.  A zero band drives toward the exact targets.  A step
-    is computed only when the consumer asks for the next point, so
-    stopping early wastes no evaluation.
+    the step model.  With a `corner_goal`, a candidate that clipping lands
+    on a corner of the box (every coordinate at 0 or 1) is accepted only
+    when its merit is at most that goal: at a 0/1 graphon the gradients
+    of both densities can vanish in every coordinate free to move, a
+    saddle no later step leaves.  A zero band drives toward the exact
+    targets.  A step is computed only when the consumer asks for the next
+    point, so stopping early wastes no evaluation.
     """
     m = values.shape[0]
     iu = np.triu_indices(m)
@@ -294,7 +299,10 @@ def _levenberg_steps(values: np.ndarray, pair_eval: _PairEvaluator, band, merit)
             cand = np.clip(v + (step + np.triu(step, 1).T), 0.0, 1.0)
             cand_pair = pair_eval(cand)
             cand_e = cand_pair.excess(band)
-            if merit(*cand_e) < best * (1.0 - 1e-12):
+            f = merit(*cand_e)
+            if f < best * (1.0 - 1e-12) and (
+                    corner_goal is None or f <= corner_goal
+                    or not np.all((cand == 0.0) | (cand == 1.0))):
                 v, pair, e = cand, cand_pair, cand_e
                 mu = max(mu / 4.0, 1e-12)
                 break
@@ -332,10 +340,13 @@ def _solve_trial(values: np.ndarray, pair_eval: _PairEvaluator, tol: float,
     the constant solution is linear and only slows along the flat valley,
     so if the window's decay rate cannot bring the merit to tol^2 in the
     steps left, no later rate will; no finite rate reaches tol = 0.
+    A step onto a corner of the value box is taken only when it meets
+    tol^2 (see _levenberg_steps): the first, nearly undamped steps from a
+    start far above p otherwise clip onto a 0/1 saddle and stop there.
     """
     goal = tol * tol
     window_f = None
-    path = _levenberg_steps(values, pair_eval, (0.0, 0.0), _sum_sq)
+    path = _levenberg_steps(values, pair_eval, (0.0, 0.0), _sum_sq, goal)
     for it, (v, _, e) in enumerate(path):
         if _worst(*e) <= tol:
             return v, it, "tol"
@@ -550,8 +561,8 @@ def _pareto_sweep(t: int, k: int, p: float, m: int, seed: int,
         # aim at 90% of the cap so restoration slack cannot tip the
         # recorded point past the nominal residual level
         cap = 0.9 * band
-        found = _farthest_in_band(carried, weights, pair_eval, p, (cap, cap),
-                                  per_round, mus=(1e6, 1e8, 1e10, 1e12))
+        found, _ = _farthest_in_band(carried, weights, pair_eval, p, (cap, cap),
+                                     per_round, mus=(1e6, 1e8, 1e10, 1e12))
         if found is None:
             continue
         dist, r1, r2, vb = found
@@ -607,13 +618,20 @@ def forcing_experiment(t: int, p: float, m: int, trials: int, seed: int = 0,
 @dataclass(frozen=True, eq=False)
 class DeltaEpsilonRow:
     """Largest distance to constant found with both densities within
-    a (1 +/- delta) factor of their targets."""
+    a (1 +/- delta) factor of their targets.
+
+    ``feasible_starts`` counts the starts tried at this delta that ended
+    inside the band.  When it is 0 and no smaller delta found a feasible
+    point either, the row holds the constant graphon at distance 0, a
+    fallback rather than a forcing result.
+    """
 
     delta: float
     distance: float
     r1: float
     r2: float
     graphon: StepGraphon
+    feasible_starts: int
 
     def to_dict(self) -> dict:
         return {
@@ -621,6 +639,7 @@ class DeltaEpsilonRow:
             "distance": self.distance,
             "r1": self.r1,
             "r2": self.r2,
+            "feasible_starts": self.feasible_starts,
             "graphon": self.graphon.to_dict(),
         }
 
@@ -651,14 +670,15 @@ def _farthest_in_band(starts, weights, pair_eval, p, bounds, iters_per_round,
                       mus=(1e2, 1e4, 1e6, 1e8, 1e10), best=None):
     """Maximize weighted l2 distance to constant p subject to absolute
     residual caps ``bounds`` from each start, keeping the farthest feasible
-    result as (distance, r1, r2, values); returns `best` when no start
-    beats it.
+    result as (distance, r1, r2, values).  Returns that result, or `best`
+    when no start beats it, and the number of starts that ended feasible.
 
     Escalating hinge penalties keep motion inside the band free of charge
     (the hinge vanishes there, so the flat residual valley cannot stall
     the distance ascent), then a Levenberg restore pulls any overshoot
     back inside the band.
     """
+    feasible = 0
     for v in starts:
         for mu in mus:
             v, _ = _descend(v, *_penalty(pair_eval, bounds, (mu, weights, p)),
@@ -669,10 +689,11 @@ def _farthest_in_band(starts, weights, pair_eval, p, bounds, iters_per_round,
         if not (done or (abs(pair.r1) <= bounds[0] + 1e-10
                          and abs(pair.r2) <= bounds[1] + 1e-10)):
             continue
+        feasible += 1
         dist = float(np.sqrt(_l2sq(v, weights, p)))
         if best is None or dist > best[0]:
             best = (dist, pair.r1, pair.r2, v)
-    return best
+    return best, feasible
 
 
 def delta_epsilon_probe(t: int, p: float, deltas, m: int, seed: int = 0,
@@ -711,14 +732,15 @@ def delta_epsilon_probe(t: int, p: float, deltas, m: int, seed: int = 0,
         starts.append(random_near_constant(p, m, 0.02, rng).values)
         starts.append(random_near_constant(p, m, 0.3, rng).values)
         starts.append(random_near_constant(p, m, 0.5, rng).values)
-        best = _farthest_in_band(starts, weights, pair_eval, p,
-                                 (delta * targets[0], delta * targets[1]),
-                                 max_iter // 5, best=best)
+        best, feasible = _farthest_in_band(
+            starts, weights, pair_eval, p,
+            (delta * targets[0], delta * targets[1]), max_iter // 5, best=best)
         if best is None:
             # no feasible candidate found; fall back to the constant graphon
             v = np.full((m, m), p)
             best = (0.0, *pair_eval.residuals(_graphon(weights, v)), v)
-        rows.append(DeltaEpsilonRow(delta, *best[:3], _graphon(weights, best[3])))
+        rows.append(DeltaEpsilonRow(delta, *best[:3], _graphon(weights, best[3]),
+                                    feasible))
     return DeltaEpsilonTable(t, k, float(p), tuple(rows))
 
 

@@ -267,6 +267,32 @@ def test_stop_reasons_are_reachable():
     assert cases["cap"]().iterations == 5
 
 
+def test_constant_starts_above_p_escape_the_box_corner():
+    # the first nearly undamped steps from these starts clip onto the
+    # block-identity graphon, a 0/1 saddle where both gradients vanish in
+    # the off-diagonal entries; a step onto a corner that does not meet
+    # tol is refused, so each trial converges instead of stopping there
+    t1, t2 = experiments._targets(3, 2, 0.5)
+    for c in (0.8, 0.9, 1.0):
+        tr = run_forcing_trial(3, 0.5, constant_graphon(c, 3))
+        assert tr.converged and tr.stop_reason == "tol"
+        v = tr.graphon.values
+        assert not np.all((v == 0.0) | (v == 1.0))
+        r1 = graphon_density(complete_graph(3).graph, tr.graphon) - t1
+        r2 = graphon_density(iterated_double(complete_graph(3), 2).graph,
+                             tr.graphon) - t2
+        assert max(abs(r1), abs(r2)) <= 1e-6
+
+
+def test_corner_step_taken_when_it_meets_tol():
+    # at p = 1 the solution is the all-ones corner, so the rule must not
+    # refuse the step onto it
+    for c in (0.5, 0.9):
+        tr = run_forcing_trial(3, 1.0, constant_graphon(c, 3))
+        assert tr.converged and tr.iterations <= 2
+        assert np.all(tr.graphon.values == 1.0)
+
+
 def test_zero_tol_stops_when_progress_stalls():
     # tol = 0 is out of reach, so the stall stop ends each trial long
     # before the step cap, without changing the convergence rule
@@ -491,6 +517,14 @@ def test_probe_monotone_and_sorted():
     assert d0 <= d1 + 1e-12
     header = table.csv_text().split("\n", 1)[0]
     assert header == "delta,distance,r1,r2"
+    # at delta = 0 every start is pushed far out and none restores into
+    # the band, so the row is the constant-graphon fallback, and says so
+    exact, loose = table.rows
+    assert exact.feasible_starts == 0 and d0 == 0.0
+    assert np.all(exact.graphon.values == 0.5)
+    assert loose.feasible_starts >= 1 and d1 > 0.0
+    rows = table.to_dict()["rows"]
+    assert [row["feasible_starts"] for row in rows] == [0, loose.feasible_starts]
 
 
 def test_probe_extra_start_honored():
