@@ -248,7 +248,7 @@ def _descend(values: np.ndarray, evaluate, gradient, max_iter: int):
 
 
 def _levenberg_steps(values: np.ndarray, pair_eval: _PairEvaluator, band, merit,
-                     corner_goal: float | None = None):
+                     tol: float):
     """Adaptively damped least-norm steps driving the signed excess e of
     both residuals beyond `band` toward zero.
 
@@ -262,12 +262,12 @@ def _levenberg_steps(values: np.ndarray, pair_eval: _PairEvaluator, band, merit,
     Jacobian loses rank and progress is linear rather than quadratic.
     Coordinates pinned at 0 or 1 whose descent direction points outside
     the box are dropped from the Jacobian, otherwise clipping invalidates
-    the step model.  With a `corner_goal`, a candidate that clipping lands
-    on a corner of the box (every coordinate at 0 or 1) is accepted only
-    when its merit is at most that goal: at a 0/1 graphon the gradients
-    of both densities can vanish in every coordinate free to move, a
-    saddle no later step leaves.  A zero band drives toward the exact
-    targets.  A step is computed only when the consumer asks for the next
+    the step model.  A candidate that clipping lands on a corner of the
+    box (every coordinate at 0 or 1) is accepted only when its largest
+    excess is at most `tol`, the test the callers stop on: at a 0/1
+    graphon the gradients of both densities can vanish in every
+    coordinate free to move, a saddle no later step leaves.  A zero band
+    drives toward the exact targets.  A step is computed only when the consumer asks for the next
     point, so stopping early wastes no evaluation.
     """
     m = values.shape[0]
@@ -299,9 +299,8 @@ def _levenberg_steps(values: np.ndarray, pair_eval: _PairEvaluator, band, merit,
             cand = np.clip(v + (step + np.triu(step, 1).T), 0.0, 1.0)
             cand_pair = pair_eval(cand)
             cand_e = cand_pair.excess(band)
-            f = merit(*cand_e)
-            if f < best * (1.0 - 1e-12) and (
-                    corner_goal is None or f <= corner_goal
+            if merit(*cand_e) < best * (1.0 - 1e-12) and (
+                    _worst(*cand_e) <= tol
                     or not np.all((cand == 0.0) | (cand == 1.0))):
                 v, pair, e = cand, cand_pair, cand_e
                 mu = max(mu / 4.0, 1e-12)
@@ -316,7 +315,7 @@ def _levenberg(values: np.ndarray, pair_eval: _PairEvaluator, band, merit,
     """Run _levenberg_steps for at most `max_iter` steps.  Returns (values,
     pair, done), done when the largest excess fell to `tol`."""
     for it, (v, pair, e) in enumerate(
-            _levenberg_steps(values, pair_eval, band, merit)):
+            _levenberg_steps(values, pair_eval, band, merit, tol)):
         if _worst(*e) <= tol:
             return v, pair, True
         if it == max_iter:
@@ -341,12 +340,12 @@ def _solve_trial(values: np.ndarray, pair_eval: _PairEvaluator, tol: float,
     so if the window's decay rate cannot bring the merit to tol^2 in the
     steps left, no later rate will; no finite rate reaches tol = 0.
     A step onto a corner of the value box is taken only when it meets
-    tol^2 (see _levenberg_steps): the first, nearly undamped steps from a
+    tol (see _levenberg_steps): the first, nearly undamped steps from a
     start far above p otherwise clip onto a 0/1 saddle and stop there.
     """
     goal = tol * tol
     window_f = None
-    path = _levenberg_steps(values, pair_eval, (0.0, 0.0), _sum_sq, goal)
+    path = _levenberg_steps(values, pair_eval, (0.0, 0.0), _sum_sq, tol)
     for it, (v, _, e) in enumerate(path):
         if _worst(*e) <= tol:
             return v, it, "tol"

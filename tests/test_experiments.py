@@ -517,12 +517,27 @@ def test_probe_monotone_and_sorted():
     assert d0 <= d1 + 1e-12
     header = table.csv_text().split("\n", 1)[0]
     assert header == "delta,distance,r1,r2"
-    # at delta = 0 every start is pushed far out and none restores into
-    # the band, so the row is the constant-graphon fallback, and says so
+    rows = table.to_dict()["rows"]
+    assert [row["feasible_starts"] for row in rows] == [
+        row.feasible_starts for row in table.rows]
+
+
+def test_probe_fallback_row_reports_no_feasible_start(monkeypatch):
+    # no start ends inside the zero band, so that row falls back to the
+    # constant graphon at distance 0, and its feasible_starts says so
+    search = experiments._farthest_in_band
+
+    def none_in_zero_band(starts, weights, pair_eval, p, bounds, *args, **kw):
+        if bounds == (0.0, 0.0):
+            return kw.get("best"), 0
+        return search(starts, weights, pair_eval, p, bounds, *args, **kw)
+
+    monkeypatch.setattr(experiments, "_farthest_in_band", none_in_zero_band)
+    table = delta_epsilon_probe(3, 0.5, (1.0, 0.0), 2, seed=2, max_iter=400)
     exact, loose = table.rows
-    assert exact.feasible_starts == 0 and d0 == 0.0
+    assert exact.feasible_starts == 0 and exact.distance == 0.0
     assert np.all(exact.graphon.values == 0.5)
-    assert loose.feasible_starts >= 1 and d1 > 0.0
+    assert loose.feasible_starts >= 1 and loose.distance > 0.0
     rows = table.to_dict()["rows"]
     assert [row["feasible_starts"] for row in rows] == [0, loose.feasible_starts]
 
