@@ -3,11 +3,13 @@
 The forcing stress test samples step graphons near the constant p, then
 drives the pair of densities (clique, iterated doubling) to their
 p-random targets by damped least-norm (Levenberg) steps and measures how
-far the solutions land from constant.  The adversarial mode instead
-maximizes the distance to constant under an escalating residual penalty
-and polishes with the same damped steps, tracing a distance-versus-
-residual frontier.  A two-part witness shows the contrast: matching edge and
-triangle densities alone leaves plenty of room away from constant.
+far the solutions land from constant.  The adversarial mode and the
+delta-epsilon probe instead climb away from constant while both residuals
+stay inside a band: each step follows the distance gradient projected off
+the two residual gradients, and the same damped steps restore the band
+after it, tracing a distance-versus-residual frontier.  A two-part witness
+shows the contrast: matching edge and triangle densities alone leaves
+plenty of room away from constant.
 """
 
 from __future__ import annotations
@@ -55,9 +57,6 @@ __all__ = [
 _MAX_ITER = 10_000
 # a trial can take half a second, so this many is already hours of work
 _MAX_TRIALS = 10_000
-# the residual term flattens quartically near constant, so the penalty
-# weight must climb many decades before it pins the distance down
-_PARETO_LAMBDAS = tuple(10.0**e for e in range(2, 11, 2))
 # residual caps for the banded frontier points, tightest first
 _PARETO_BANDS = (1e-8, 1e-6)
 
@@ -97,7 +96,7 @@ def _check_problem(t: int, m: int, p: float) -> None:
 
 class _Pair(NamedTuple):
     """Both residuals at one value matrix, with the tape of their forward
-    pass for the reverse pass of _PairEvaluator.gradient."""
+    pass for the reverse passes of _PairEvaluator.jacobian."""
 
     r1: float
     r2: float
@@ -113,8 +112,8 @@ class _Pair(NamedTuple):
 
 
 class _PairEvaluator:
-    """Residuals of the (motif, k-times-doubled motif) pair and gradients of
-    their linear combinations, for value matrices with fixed weights.
+    """Residuals of the (motif, k-times-doubled motif) pair and their
+    gradients, for value matrices with fixed weights.
 
     One forward pass over the doubling base plan gives both densities: the
     base table pins classes 0..k-1 without weighting them, so summing it
@@ -150,14 +149,14 @@ class _PairEvaluator:
         return _Pair(d1 - self._targets[0], float(run.table[()]) - self._targets[1],
                      run)
 
-    def gradient(self, pair: _Pair, c1: float, c2: float) -> np.ndarray:
-        """Gradient of c1 * r1 + c2 * r2 in the symmetric value matrix, by
-        one reverse pass over the pair's tape."""
-        doubling = self._doubling
-        base = pair.run.tape[-1]
-        base_bar = (doubling.base_adjoint(pair.run, c2)
-                    + c1 * doubling.base_weights.reshape(base.shape))
-        return doubling.gradient(pair.run, base_bar)
+    def jacobian(self, pair: _Pair) -> tuple[np.ndarray, np.ndarray]:
+        """Gradients of r1 and of r2 in the symmetric value matrix, by two
+        reverse passes over the pair's tape.  r1 is the base table summed
+        against fixed weights, so its adjoint needs no gluing pass."""
+        doubling, run = self._doubling, pair.run
+        return (doubling.gradient(run, doubling.base_weights.reshape(
+                    run.tape[-1].shape)),
+                doubling.gradient(run, doubling.base_adjoint(run, 1.0)))
 
 
 def _l2sq(values: np.ndarray, weights: np.ndarray, p: float) -> float:
@@ -177,74 +176,20 @@ def _graphon(weights: np.ndarray, values: np.ndarray) -> StepGraphon:
     return StepGraphon._wrap(weights, _project(values))
 
 
+def _moved(values: np.ndarray, iu, step) -> np.ndarray:
+    """`values` plus the symmetric step whose upper triangle, indexed by
+    `iu`, is `step`, clipped to the box [0, 1]."""
+    full = np.zeros(values.shape)
+    full[iu] = step
+    return np.clip(values + (full + np.triu(full, 1).T), 0.0, 1.0)
+
+
 def _sum_sq(e1: float, e2: float) -> float:
     return e1 * e1 + e2 * e2
 
 
 def _worst(e1: float, e2: float) -> float:
     return max(abs(e1), abs(e2))
-
-
-def _penalty(pair_eval: _PairEvaluator, band, away):
-    """The (evaluate, gradient) pair for _descend on scale * |e|^2 minus the
-    squared weighted l2 distance to constant p, where ``away=(scale,
-    weights, p)`` and e is the signed excess of the residual pair beyond
-    `band`: descent pushes away from constant while the penalty holds the
-    residuals.  A zero band skips the hinge, which would return the
-    residuals unchanged."""
-    hinged = band != (0.0, 0.0)
-    scale, weights, p = away
-
-    def evaluate(v):
-        pair = pair_eval(v)
-        e1, e2 = pair.excess(band) if hinged else pair[:2]
-        return scale * (e1 * e1 + e2 * e2) - _l2sq(v, weights, p), (v, pair)
-
-    def gradient(state):
-        v, pair = state
-        e1, e2 = pair.excess(band) if hinged else pair[:2]
-        return (scale * pair_eval.gradient(pair, 2 * e1, 2 * e2)
-                - _l2sq_grad(v, weights, p))
-
-    return evaluate, gradient
-
-
-def _descend(values: np.ndarray, evaluate, gradient, max_iter: int):
-    """Projected gradient descent on the symmetric value matrix.
-
-    ``evaluate(v)`` returns (objective, state) and ``gradient(state)`` the
-    objective's gradient at the point that state was evaluated at, so the
-    gradient reuses the forward pass of the accepted point instead of
-    recomputing it: an iteration costs one evaluation per line-search try
-    and one gradient.  Accepts a step only when the objective drops by at
-    least a 1e-6 relative margin, halving on rejection and growing after
-    success; the iterate stays clipped to [0, 1] and symmetric.  Stops at a
-    stationary point, when no acceptable step exists, or at the iteration
-    cap.  Returns (values, iterations used).
-    """
-    v = values.copy()
-    f, state = evaluate(v)
-    step = 0.25
-    it = 0
-    while it < max_iter:
-        g = gradient(state)
-        gnorm = float(np.abs(g).max())
-        if gnorm < 1e-16:
-            break
-        improved = False
-        for _ in range(60):
-            cand = np.clip(v - step * g, 0.0, 1.0)
-            fc, cand_state = evaluate(cand)
-            if fc < f - 1e-6 * abs(f):
-                v, f, state = cand, fc, cand_state
-                step = min(step * 2.0, 1e6 / max(gnorm, 1e-16))
-                improved = True
-                break
-            step *= 0.5
-        it += 1
-        if not improved:
-            break
-    return v, it
 
 
 def _levenberg_steps(values: np.ndarray, pair_eval: _PairEvaluator, band, merit,
@@ -278,8 +223,7 @@ def _levenberg_steps(values: np.ndarray, pair_eval: _PairEvaluator, band, merit,
     mu = 1e-8
     while True:
         yield v, pair, e
-        g1 = pair_eval.gradient(pair, 1.0, 0.0)
-        g2 = pair_eval.gradient(pair, 0.0, 1.0)
+        g1, g2 = pair_eval.jacobian(pair)
         jac = np.stack([g1[iu], g2[iu]])
         vv = v[iu]
         ssg = (2 * e[0] * g1 + 2 * e[1] * g2)[iu]
@@ -294,9 +238,7 @@ def _levenberg_steps(values: np.ndarray, pair_eval: _PairEvaluator, band, merit,
                 y = np.linalg.solve(damped, -r)
             except np.linalg.LinAlgError:
                 y = -np.linalg.pinv(damped) @ r
-            step = np.zeros((m, m))
-            step[iu] = jac.T @ y
-            cand = np.clip(v + (step + np.triu(step, 1).T), 0.0, 1.0)
+            cand = _moved(v, iu, jac.T @ y)
             cand_pair = pair_eval(cand)
             cand_e = cand_pair.excess(band)
             if merit(*cand_e) < best * (1.0 - 1e-12) and (
@@ -396,11 +338,9 @@ class ForcingTrial:
 class ParetoPoint:
     """Distance versus residual at one point of the adversarial frontier.
 
-    ``stage`` is "penalty" for the raw maximizer under lam * residual
-    penalty, "polished" after Gauss-Newton refinement toward exact
-    targets, or "band" for a maximizer of distance subject to an absolute
-    residual cap; for band points ``lam`` holds the cap instead of a
-    penalty weight.
+    Each point is the farthest from constant that _frontier found with both
+    residuals within an absolute cap, which ``lam`` holds; ``stage`` is
+    always "band".
     """
 
     lam: float
@@ -521,53 +461,31 @@ def run_forcing_trial(t: int, p: float, start: StepGraphon, seed: int = 0,
 
 
 def _pareto_sweep(t: int, k: int, p: float, m: int, seed: int,
-                  budget: int, max_iter: int) -> tuple[ParetoPoint, ...]:
-    """Trace the distance-versus-residual frontier three ways.
-
-    A lambda ladder of penalty maximizers gives raw far points, each is
-    then polished toward zero residual, and finally banded maximizers push
-    distance outward under explicit residual caps (warm-started from the
-    polished point, which already sits inside every band).  Every recorded
-    distance is a lower bound on the true frontier at its residual level.
+                  budget: int) -> tuple[ParetoPoint, ...]:
+    """Trace the distance-versus-residual frontier: for each residual cap
+    of _PARETO_BANDS, tightest first, the farthest point _frontier finds
+    from three seeded starts and from the previous cap's point, which
+    already sits inside every looser band.  Every recorded distance is a
+    lower bound on the true frontier at its residual level.
     """
     weights = np.full(m, 1.0 / m)
     pair_eval = _PairEvaluator(complete_graph(t), k, weights, _targets(t, k, p),
                                budget)
     rng = np.random.Generator(np.random.PCG64(seed))
-    values = random_near_constant(p, m, 0.3, rng).values
+    starts = [random_near_constant(p, m, spread, rng).values
+              for spread in (0.02, 0.3, 0.5)]
     points = []
-    per_round = max(400, max_iter // 5)
-    refined = values
-    for lam in _PARETO_LAMBDAS:
-        values, _ = _descend(values, *_penalty(pair_eval, (0.0, 0.0),
-                                               (lam, weights, p)), per_round)
-        r1, r2 = pair_eval.residuals(_graphon(weights, values))
-        points.append(ParetoPoint(
-            lam, "penalty", r1, r2, float(np.sqrt(_l2sq(values, weights, p))),
-            _graphon(weights, values),
-        ))
-        refined, pair, _ = _levenberg(values, pair_eval, (0.0, 0.0), _sum_sq,
-                                      1e-9, 300)
-        points.append(ParetoPoint(
-            lam, "polished", pair.r1, pair.r2,
-            float(np.sqrt(_l2sq(refined, weights, p))),
-            _graphon(weights, refined),
-        ))
-    # the interior start matters: far penalty points sit on the value box
-    # and clipping strangles the banded ascent there
-    carried = [refined, random_near_constant(p, m, 0.02, rng).values]
     for band in _PARETO_BANDS:
         # aim at 90% of the cap so restoration slack cannot tip the
         # recorded point past the nominal residual level
         cap = 0.9 * band
-        found, _ = _farthest_in_band(carried, weights, pair_eval, p, (cap, cap),
-                                     per_round, mus=(1e6, 1e8, 1e10, 1e12))
+        found, _ = _frontier(starts, weights, pair_eval, p, (cap, cap), 400)
         if found is None:
             continue
         dist, r1, r2, vb = found
         points.append(ParetoPoint(band, "band", r1, r2, dist,
                                   _graphon(weights, vb)))
-        carried.insert(0, vb)
+        starts = [vb, *starts]
     return tuple(points)
 
 
@@ -587,10 +505,9 @@ def forcing_experiment(t: int, p: float, m: int, trials: int, seed: int = 0,
     cross that valley, so wide starts converge too (at t=3 with 2 or 4
     parts, spread 0.3 converges 20 of 20 trials), landing farther from
     constant than the default spread's.  With
-    ``adversarial=True`` a penalty-weight sweep additionally maximizes the
-    distance to constant, reporting penalty, polished and banded Pareto
-    points (the banded ones cap both residuals at an absolute level and
-    push distance outward under that cap).
+    ``adversarial=True`` a frontier sweep additionally maximizes the
+    distance to constant with both residuals capped at each absolute level
+    of _PARETO_BANDS, reporting one Pareto point per cap.
     Trial seeds are ``seed + trial index``, so results are reproducible
     and order-independent.  ``tol`` is checked as in run_forcing_trial
     before any trial runs.
@@ -610,7 +527,7 @@ def forcing_experiment(t: int, p: float, m: int, trials: int, seed: int = 0,
                                       tol=tol, max_iter=max_iter, budget=budget))
     pareto = None
     if adversarial:
-        pareto = _pareto_sweep(t, k, p, m, seed, budget, max_iter)
+        pareto = _pareto_sweep(t, k, p, m, seed, budget)
     return ForcingExperimentResult(t, k, float(p), tol, tuple(done), pareto)
 
 
@@ -665,31 +582,64 @@ class DeltaEpsilonTable:
         return buf.getvalue()
 
 
-def _farthest_in_band(starts, weights, pair_eval, p, bounds, iters_per_round,
-                      mus=(1e2, 1e4, 1e6, 1e8, 1e10), best=None):
-    """Maximize weighted l2 distance to constant p subject to absolute
-    residual caps ``bounds`` from each start, keeping the farthest feasible
-    result as (distance, r1, r2, values).  Returns that result, or `best`
-    when no start beats it, and the number of starts that ended feasible.
+def _restore(values, pair_eval, bounds):
+    """Damped steps from `values` into the band of absolute residual caps
+    `bounds`; returns (values, pair) there, or None when the restore stalls
+    or runs out of steps with a residual more than 1e-10 beyond its cap."""
+    v, pair, done = _levenberg(values, pair_eval, bounds, _worst, 1e-10, 120)
+    if done or (abs(pair.r1) <= bounds[0] + 1e-10
+                and abs(pair.r2) <= bounds[1] + 1e-10):
+        return v, pair
+    return None
 
-    Escalating hinge penalties keep motion inside the band free of charge
-    (the hinge vanishes there, so the flat residual valley cannot stall
-    the distance ascent), then a Levenberg restore pulls any overshoot
-    back inside the band.
+
+def _frontier(starts, weights, pair_eval, p, bounds, steps, best=None):
+    """Maximize the weighted l2 distance to constant p with both residuals
+    within the absolute caps `bounds`, from each start, keeping the
+    farthest feasible result as (distance, r1, r2, values).  Returns that
+    result, or `best` when no start beats it, and the number of starts
+    that restored into the band.
+
+    Rosen's gradient projection: each start is restored into the band,
+    then takes at most `steps` ascent steps.  A step follows the gradient
+    of the squared distance with its projection onto the two residual
+    gradients removed, over the tied upper triangle parameters, and is
+    restored into the band after clipping; it is accepted only when the
+    restore succeeds and the squared distance grows by a 1e-6 relative
+    margin.  The step length starts at 0.05, doubles up to 0.5 after
+    success and is halved on rejection; the start stops after 30 rejected
+    lengths in a row.  The residual gradients come from the tape of the
+    restored point, so a step costs no forward pass beyond its candidates.
     """
+    iu = np.triu_indices(weights.size)
     feasible = 0
     for v in starts:
-        for mu in mus:
-            v, _ = _descend(v, *_penalty(pair_eval, bounds, (mu, weights, p)),
-                            iters_per_round)
-        v, pair, done = _levenberg(v, pair_eval, bounds, _worst, 1e-10, 120)
-        # a restore that stalled or ran out of steps still counts when
-        # both residuals sit within 1e-10 of their caps
-        if not (done or (abs(pair.r1) <= bounds[0] + 1e-10
-                         and abs(pair.r2) <= bounds[1] + 1e-10)):
+        restored = _restore(v, pair_eval, bounds)
+        if restored is None:
             continue
         feasible += 1
-        dist = float(np.sqrt(_l2sq(v, weights, p)))
+        v, pair = restored
+        f, alpha = _l2sq(v, weights, p), 0.05
+        for _ in range(steps):
+            jac = np.stack([g[iu] for g in pair_eval.jacobian(pair)])
+            grad = _l2sq_grad(v, weights, p)[iu]
+            y = np.linalg.lstsq(jac @ jac.T, jac @ grad, rcond=None)[0]
+            d = grad - jac.T @ y
+            norm = float(np.linalg.norm(d))
+            if norm == 0.0:
+                break
+            for _ in range(30):
+                moved = _restore(_moved(v, iu, alpha / norm * d), pair_eval,
+                                 bounds)
+                if moved is not None and (
+                        fc := _l2sq(moved[0], weights, p)) > f * (1.0 + 1e-6):
+                    (v, pair), f = moved, fc
+                    alpha = min(2.0 * alpha, 0.5)
+                    break
+                alpha *= 0.5
+            else:
+                break
+        dist = float(np.sqrt(f))
         if best is None or dist > best[0]:
             best = (dist, pair.r1, pair.r2, v)
     return best, feasible
@@ -703,8 +653,10 @@ def delta_epsilon_probe(t: int, p: float, deltas, m: int, seed: int = 0,
 
     For each delta (processed in increasing order) the probe maximizes the
     weighted l2 distance to constant subject to both densities lying
-    within (1 +/- delta) of their targets, via escalating hinge penalties
-    followed by feasibility restoration.  Warm starts chain from smaller
+    within (1 +/- delta) of their targets, by gradient projection with a
+    damped restore into that band after every step (see _frontier); the
+    zero band admits residuals up to 1e-10.  Each start takes at most
+    ``max_iter // 5`` ascent steps.  Warm starts chain from smaller
     deltas, and the best previous solution is always kept, so the reported
     distances are non-decreasing in delta.  ``extra_starts`` may supply
     known graphons (with matching part count) as additional candidates.
@@ -731,7 +683,7 @@ def delta_epsilon_probe(t: int, p: float, deltas, m: int, seed: int = 0,
         starts.append(random_near_constant(p, m, 0.02, rng).values)
         starts.append(random_near_constant(p, m, 0.3, rng).values)
         starts.append(random_near_constant(p, m, 0.5, rng).values)
-        best, feasible = _farthest_in_band(
+        best, feasible = _frontier(
             starts, weights, pair_eval, p,
             (delta * targets[0], delta * targets[1]), max_iter // 5, best=best)
         if best is None:

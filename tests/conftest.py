@@ -16,11 +16,14 @@ def brute_hom_count(motif, target) -> int:
 
 
 def brute_graphon_density(motif, weights, values) -> float:
-    """Sum over all maps of weight products times edge value products."""
+    """Sum over all maps of weight products times edge value products.
+
+    The sums start from the integers 0 and 1, so Fraction inputs give an
+    exact Fraction and float inputs the same floats as from 0.0 and 1.0."""
     m = len(weights)
-    total = 0.0
+    total = 0
     for assign in product(range(m), repeat=motif.n):
-        term = 1.0
+        term = 1
         for x in assign:
             term *= weights[x]
         for u, v in motif.edges:

@@ -127,7 +127,7 @@ def test_underflowing_target_refused(monkeypatch):
         experiments._targets(2, 0, tiny / 2)
 
 
-def test_zero_tol_descends_to_the_cap():
+def test_zero_tol_runs_to_the_cap():
     # tol=0 stops only where the optimizer does and converges only at
     # exactly zero residuals
     res = forcing_experiment(3, 0.5, 2, 1, seed=3, tol=0.0, max_iter=5,
@@ -137,64 +137,15 @@ def test_zero_tol_descends_to_the_cap():
     assert trial.converged == (trial.r1 == 0.0 and trial.r2 == 0.0)
 
 
-def test_descent_runs_one_forward_per_evaluation(monkeypatch):
-    """Each evaluation of a Pareto descent is one forward pass over the base
-    plan and each gradient one reverse pass over the accepted point's tape."""
-    events, points = [], []
-    real_forward, real_reverse = density._forward, density._reverse
-
-    def forward(*args, **kwargs):
-        events.append("forward")
-        return real_forward(*args, **kwargs)
-
-    def reverse(*args, **kwargs):
-        events.append("reverse")
-        return real_reverse(*args, **kwargs)
-
-    monkeypatch.setattr(density, "_forward", forward)
-    monkeypatch.setattr(density, "_reverse", reverse)
-    # the first rung of the Pareto sweep's lambda ladder, from its start
-    m, p = 4, 0.5
-    weights = np.full(m, 1.0 / m)
-    ev = experiments._PairEvaluator(complete_graph(3), 2, weights,
-                                    experiments._targets(3, 2, p),
-                                    density.DEFAULT_BUDGET)
-    start = random_near_constant(p, m, 0.3, np.random.default_rng(1)).values
-    evaluate, gradient = experiments._penalty(
-        ev, (0.0, 0.0), (experiments._PARETO_LAMBDAS[0], weights, p))
-
-    def counted_evaluate(v):
-        events.append("evaluate")
-        points.append(v.tobytes())
-        return evaluate(v)
-
-    def counted_gradient(state):
-        events.append("gradient")
-        return gradient(state)
-
-    _, iterations = experiments._descend(start, counted_evaluate,
-                                         counted_gradient, 40)
-    assert iterations > 10
-
-    calls = {name: events.count(name) for name in set(events)}
-    assert calls["evaluate"] == calls["forward"]
-    assert calls["gradient"] == calls["reverse"] == iterations
-    # 1 + line-search tries: the start, then only new candidate points,
-    # at least one after each gradient; no point is evaluated twice
-    outer = [e for e in events if e in ("evaluate", "gradient")]
-    assert outer[0] == "evaluate"
-    assert len(set(points)) == len(points) == calls["evaluate"]
-    assert all(b == "evaluate" for a, b in zip(outer, outer[1:]) if a == "gradient")
-
-
 def test_forcing_trial_runs_one_forward_per_evaluation(monkeypatch):
     """Each evaluation of a forcing trial is one forward pass over the base
-    plan, each Levenberg step two reverse passes over the tape of the point
-    it steps from, and the reported residuals two public forwards."""
+    plan, each Levenberg step one Jacobian, two reverse passes over the tape
+    of the point it steps from, and the reported residuals two public
+    forwards."""
     events, points, pairs = [], [], []
     real_forward, real_reverse = density._forward, density._reverse
     evaluator = experiments._PairEvaluator
-    real_call, real_gradient = evaluator.__call__, evaluator.gradient
+    real_call, real_jacobian = evaluator.__call__, evaluator.jacobian
     real_residuals = evaluator.residuals
 
     def forward(*args, **kwargs):
@@ -211,12 +162,12 @@ def test_forcing_trial_runs_one_forward_per_evaluation(monkeypatch):
         pairs.append(real_call(self, values))
         return pairs[-1]
 
-    def gradient(self, pair, c1, c2):
-        events.append("gradient")
+    def jacobian(self, pair):
+        events.append("jacobian")
         # a step starts from the start or from the candidate it just
         # accepted, which is always the latest point evaluated
         assert pair is pairs[-1]
-        return real_gradient(self, pair, c1, c2)
+        return real_jacobian(self, pair)
 
     def residuals(self, graphon):
         events.append("residuals")
@@ -225,7 +176,7 @@ def test_forcing_trial_runs_one_forward_per_evaluation(monkeypatch):
     monkeypatch.setattr(density, "_forward", forward)
     monkeypatch.setattr(density, "_reverse", reverse)
     monkeypatch.setattr(evaluator, "__call__", call)
-    monkeypatch.setattr(evaluator, "gradient", gradient)
+    monkeypatch.setattr(evaluator, "jacobian", jacobian)
     monkeypatch.setattr(evaluator, "residuals", residuals)
     (trial,) = forcing_experiment(3, 0.5, 4, 1, seed=1).trials
     assert trial.converged and trial.stop_reason == "tol"
@@ -235,13 +186,15 @@ def test_forcing_trial_runs_one_forward_per_evaluation(monkeypatch):
     loop, after = events[:done], events[done + 1:]
     calls = {name: loop.count(name) for name in set(loop)}
     assert calls["evaluate"] == calls["forward"]
-    assert calls["gradient"] == calls["reverse"] == 2 * trial.iterations
+    assert calls["jacobian"] == trial.iterations
+    assert calls["reverse"] == 2 * trial.iterations
     assert all(b == "forward" for a, b in zip(loop, loop[1:]) if a == "evaluate")
-    assert all(b == "reverse" for a, b in zip(loop, loop[1:]) if a == "gradient")
-    # the start, then each step's two gradients followed by only new
-    # candidate points, at least one; no point is evaluated twice
-    outer = "".join(e[0] for e in loop if e in ("evaluate", "gradient"))
-    assert re.fullmatch(r"e(gge+)*", outer)
+    assert all(loop[i + 1:i + 3] == ["reverse", "reverse"]
+               for i, e in enumerate(loop) if e == "jacobian")
+    # the start, then each step's Jacobian followed by only new candidate
+    # points, at least one; no point is evaluated twice
+    outer = "".join(e[0] for e in loop if e in ("evaluate", "jacobian"))
+    assert re.fullmatch(r"e(je+)*", outer)
     assert len(set(points)) == len(points) == calls["evaluate"]
     # the reported residuals come from the public density functions
     assert after == ["forward", "forward"]
@@ -343,6 +296,10 @@ def test_pair_evaluator_residuals(t, m):
     # the expanded motif's density runs plain elimination, not the gluing
     assert pair.r2 + targets[1] == pytest.approx(
         graphon_density(iterated_double(k_t, k).graph, g), rel=1e-10, abs=0.0)
+    # forcing trials step on the zero band's excess, which must be the
+    # residual pair itself, bit for bit, on either side of the targets
+    for x in (pair, ev(1.0 - g.values)):
+        assert x.excess((0.0, 0.0)) == (x.r1, x.r2)
 
 
 @pytest.mark.parametrize("t, m", ((3, 1), (3, 3), (4, 2), (5, 2)))
@@ -364,7 +321,8 @@ def test_pair_evaluator_gradient(t, m):
             up[i, j] = up[j, i] = up[i, j] + h
             dn[i, j] = dn[j, i] = dn[i, j] - h
             fd[i, j] = fd[j, i] = (combo(up) - combo(dn)) / (2 * h)
-    grad = ev.gradient(ev(g.values), c1, c2)
+    g1, g2 = ev.jacobian(ev(g.values))
+    grad = c1 * g1 + c2 * g2
     assert np.abs(grad - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
@@ -399,31 +357,9 @@ def test_pair_evaluator_budget(monkeypatch):
     assert sizes == []  # refused at bind time, before any contraction
     ev, g, _, _ = _pair_evaluator(t, m, 0, largest)
     pair = ev(g.values)
-    grad = ev.gradient(pair, 1.0, 1.0)
+    jac = ev.jacobian(pair)
     assert sizes and max(sizes) <= largest
-    assert np.isfinite(grad).all()
-
-
-def test_zero_band_penalty_is_the_squared_residuals():
-    # the seeded output of forcing and of the Pareto sweep depends on these
-    # being exact, not close
-    ev, g, _, _ = _pair_evaluator(3, 4, 5)
-    scale, p = 100.0, 0.5
-    evaluate, gradient = experiments._penalty(ev, (0.0, 0.0),
-                                              (scale, g.weights, p))
-    residuals = []
-    for values in (g.values, 1.0 - g.values):
-        pair = ev(values)
-        residuals += [pair.r1, pair.r2]
-        assert pair.excess((0.0, 0.0)) == (pair.r1, pair.r2)
-        f, state = evaluate(values)
-        assert f == (scale * (pair.r1 * pair.r1 + pair.r2 * pair.r2)
-                     - experiments._l2sq(values, g.weights, p))
-        assert np.array_equal(
-            gradient(state),
-            scale * ev.gradient(pair, 2 * pair.r1, 2 * pair.r2)
-            - experiments._l2sq_grad(values, g.weights, p))
-    assert min(residuals) < 0.0 < max(residuals)  # both signs exercised
+    assert np.isfinite(jac).all()
 
 
 def _near_solution():
@@ -490,7 +426,7 @@ def test_adversarial_sweep_points_recheck():
     res = forcing_experiment(3, 0.5, 2, 1, seed=1, adversarial=True,
                              max_iter=1000)
     assert res.pareto
-    assert {pt.stage for pt in res.pareto} <= {"penalty", "polished", "band"}
+    assert {pt.stage for pt in res.pareto} == {"band"}
     colored = complete_graph(3)
     t1 = 0.5**3
     t2 = 0.5 ** (2**res.k * 3)
@@ -510,6 +446,87 @@ def test_adversarial_sweep_points_recheck():
     assert "adversarial_distance_at_1e-8" in res.to_dict()["summary"]
 
 
+def test_frontier_step_reuses_the_restored_tape(monkeypatch):
+    """Each ascent step of _frontier takes one Jacobian, two reverse passes
+    over the tape of the restored point it steps from, and no forward pass
+    beyond its candidates'; no candidate is evaluated twice."""
+    points, pairs, restored, jacobians = [], [], [], []
+    forwards, reversed_tapes = [0], []
+    real_forward, real_reverse = density._forward, density._reverse
+    evaluator = experiments._PairEvaluator
+    real_call, real_jacobian = evaluator.__call__, evaluator.jacobian
+    real_restore = experiments._restore
+
+    def forward(*args, **kwargs):
+        forwards[0] += 1
+        return real_forward(*args, **kwargs)
+
+    def reverse(plan, tape, *args):
+        reversed_tapes.append(id(tape))
+        return real_reverse(plan, tape, *args)
+
+    def call(self, values):
+        points.append(values.tobytes())
+        pairs.append(real_call(self, values))
+        return pairs[-1]
+
+    def jacobian(self, pair):
+        jacobians.append(pair)
+        return real_jacobian(self, pair)
+
+    def restore(*args):
+        out = real_restore(*args)
+        if out is not None:
+            restored.append(out[1])
+        return out
+
+    monkeypatch.setattr(density, "_forward", forward)
+    monkeypatch.setattr(density, "_reverse", reverse)
+    monkeypatch.setattr(evaluator, "__call__", call)
+    monkeypatch.setattr(evaluator, "jacobian", jacobian)
+    monkeypatch.setattr(experiments, "_restore", restore)
+    m, p = 4, 0.5
+    weights = np.full(m, 1.0 / m)
+    ev = experiments._PairEvaluator(complete_graph(3), 2, weights,
+                                    experiments._targets(3, 2, p),
+                                    density.DEFAULT_BUDGET)
+    rng = np.random.default_rng(1)
+    starts = [random_near_constant(p, m, s, rng).values for s in (0.02, 0.3)]
+    best, feasible = experiments._frontier(starts, weights, ev, p,
+                                           (1e-6, 1e-6), 20)
+    assert feasible == 2 and best[0] > 0.1
+
+    assert forwards[0] == len(points)  # one forward per evaluation
+    assert len(set(points)) == len(points)
+    # every Jacobian reads the tape of a point already evaluated, and is
+    # exactly two reverse passes over it; no tape is reversed twice over
+    assert all(any(pair is q for q in pairs) for pair in jacobians)
+    assert len(reversed_tapes) == 2 * len(jacobians)
+    assert sorted(reversed_tapes) == sorted(
+        2 * [id(pair.run.tape) for pair in jacobians])
+    assert len({id(pair) for pair in jacobians}) == len(jacobians)
+    steps = [pair for pair in jacobians if any(pair is q for q in restored)]
+    assert len(steps) > 10
+
+
+@pytest.mark.parametrize("m", (2, 3, 4))
+def test_probe_restores_into_the_zero_band(m):
+    # every row has a restored start, even at delta=0, and its point
+    # rechecks through the public densities inside its band
+    table = delta_epsilon_probe(3, 0.5, [0.0, 0.01], m, seed=0)
+    colored = complete_graph(3)
+    t1, t2 = 0.5**3, 0.5 ** (2**table.k * 3)
+    for row in table.rows:
+        assert row.feasible_starts >= 1 and row.distance > 0.0
+        r1 = graphon_density(colored.graph, row.graphon) - t1
+        r2 = doubling_density(colored, table.k, row.graphon) - t2
+        assert abs(r1) <= row.delta * t1 + 1e-10
+        assert abs(r2) <= row.delta * t2 + 1e-10
+        w, v = row.graphon.weights, row.graphon.values
+        dist = math.sqrt(float(np.einsum("a,b,ab->", w, w, (v - 0.5) ** 2)))
+        assert dist == pytest.approx(row.distance, abs=1e-12)
+
+
 def test_probe_monotone_and_sorted():
     table = delta_epsilon_probe(3, 0.5, (1.0, 0.0), 2, seed=2, max_iter=400)
     assert [row.delta for row in table.rows] == [0.0, 1.0]
@@ -525,14 +542,14 @@ def test_probe_monotone_and_sorted():
 def test_probe_fallback_row_reports_no_feasible_start(monkeypatch):
     # no start ends inside the zero band, so that row falls back to the
     # constant graphon at distance 0, and its feasible_starts says so
-    search = experiments._farthest_in_band
+    search = experiments._frontier
 
     def none_in_zero_band(starts, weights, pair_eval, p, bounds, *args, **kw):
         if bounds == (0.0, 0.0):
             return kw.get("best"), 0
         return search(starts, weights, pair_eval, p, bounds, *args, **kw)
 
-    monkeypatch.setattr(experiments, "_farthest_in_band", none_in_zero_band)
+    monkeypatch.setattr(experiments, "_frontier", none_in_zero_band)
     table = delta_epsilon_probe(3, 0.5, (1.0, 0.0), 2, seed=2, max_iter=400)
     exact, loose = table.rows
     assert exact.feasible_starts == 0 and exact.distance == 0.0
