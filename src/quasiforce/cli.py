@@ -18,6 +18,7 @@ from .experiments import (
     contrast_experiment,
     delta_epsilon_probe,
     forcing_experiment,
+    non_forcing_witness,
 )
 from .graphon import StepGraphon
 from .graphs import ColoredGraph, Graph, complete_graph, iterated_double
@@ -159,7 +160,7 @@ def _cmd_experiment(args) -> int:
             # the two-part edge-and-triangle witness is a known far point;
             # feeding it in anchors the loose-constraint rows
             try:
-                extras = (contrast_experiment(args.p).graphon,)
+                extras = (non_forcing_witness(args.p)[0],)
             except ValueError:
                 pass  # no witness at this p; the probe runs without it
         table = delta_epsilon_probe(

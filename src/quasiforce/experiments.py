@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -35,7 +36,7 @@ from .density import (
     _DoublingRun,
     _symmetrize_param_grad,
 )
-from .graphon import StepGraphon, random_near_constant
+from .graphon import StepGraphon, constant_graphon, random_near_constant
 from .graphs import Graph, ColoredGraph, complete_graph
 from .identities import default_doublings
 from .quasirandom import ConstancyReport, graphon_constancy
@@ -79,6 +80,13 @@ def _targets(t: int, k: int, p: float) -> tuple[float, float]:
 def _check_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and non-negative; got {tol!r}")
+
+
+def _check_max_iter(max_iter: int) -> None:
+    if isinstance(max_iter, bool) or not (
+            isinstance(max_iter, numbers.Integral) and max_iter >= 0):
+        raise ValueError(
+            f"max_iter must be a non-negative integer; got {max_iter!r}")
 
 
 def _check_p(p: float) -> None:
@@ -167,15 +175,6 @@ def _l2sq_grad(values: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
     return _symmetrize_param_grad(2.0 * np.outer(weights, weights) * (values - p))
 
 
-def _project(values: np.ndarray) -> np.ndarray:
-    """The symmetric value matrix in [0, 1] that an iterate stands for."""
-    return np.clip((values + values.T) / 2.0, 0.0, 1.0)
-
-
-def _graphon(weights: np.ndarray, values: np.ndarray) -> StepGraphon:
-    return StepGraphon._wrap(weights, _project(values))
-
-
 def _moved(values: np.ndarray, iu, step) -> np.ndarray:
     """`values` plus the symmetric step whose upper triangle, indexed by
     `iu`, is `step`, clipped to the box [0, 1]."""
@@ -252,56 +251,44 @@ def _levenberg_steps(values: np.ndarray, pair_eval: _PairEvaluator, band, merit,
             return
 
 
-def _levenberg(values: np.ndarray, pair_eval: _PairEvaluator, band, merit,
-               tol: float, max_iter: int):
-    """Run _levenberg_steps for at most `max_iter` steps.  Returns (values,
-    pair, done), done when the largest excess fell to `tol`."""
-    for it, (v, pair, e) in enumerate(
-            _levenberg_steps(values, pair_eval, band, merit, tol)):
-        if _worst(*e) <= tol:
-            return v, pair, True
-        if it == max_iter:
-            break
-    return v, pair, False
-
-
-# Levenberg steps between the stall checks of a forcing trial
+# damped steps between the stall checks of _solve
 _WINDOW = 25
 
 
-def _solve_trial(values: np.ndarray, pair_eval: _PairEvaluator, tol: float,
-                 max_iter: int):
-    """Drive both residuals to zero with _levenberg_steps, stopping once
-    the larger is at most `tol` ("tol"), when no damped step is accepted
-    ("no_step"), when progress stalls ("slow"), or after `max_iter` steps
-    ("cap").  Returns (values, steps, stop_reason).
+def _solve(values: np.ndarray, pair_eval: _PairEvaluator, band, merit,
+           tol: float, max_iter: int):
+    """Drive the excess of both residuals beyond `band` toward zero with
+    _levenberg_steps, stopping once the larger excess is at most `tol`
+    ("tol"), when no damped step is accepted ("no_step"), when progress
+    stalls ("slow"), or after `max_iter` steps ("cap").  Returns (values,
+    pair, steps, stop_reason).
 
-    Every `_WINDOW` steps the merit |r|^2, which every accepted step
-    lowers, is compared with its value a window earlier.  Progress near
-    the constant solution is linear and only slows along the flat valley,
-    so if the window's decay rate cannot bring the merit to tol^2 in the
+    Every `_WINDOW` steps the merit, which every accepted step lowers, is
+    compared with its value a window earlier.  Progress near a solution
+    is linear and only slows along the flat valley, so if the window's
+    decay rate cannot bring the merit down to ``merit(tol, 0)`` in the
     steps left, no later rate will; no finite rate reaches tol = 0.
     A step onto a corner of the value box is taken only when it meets
     tol (see _levenberg_steps): the first, nearly undamped steps from a
     start far above p otherwise clip onto a 0/1 saddle and stop there.
     """
-    goal = tol * tol
+    goal = merit(tol, 0.0)
     window_f = None
-    path = _levenberg_steps(values, pair_eval, (0.0, 0.0), _sum_sq, tol)
-    for it, (v, _, e) in enumerate(path):
+    path = _levenberg_steps(values, pair_eval, band, merit, tol)
+    for it, (v, pair, e) in enumerate(path):
         if _worst(*e) <= tol:
-            return v, it, "tol"
+            return v, pair, it, "tol"
         if it == max_iter:
-            return v, it, "cap"
+            return v, pair, it, "cap"
         if it % _WINDOW == 0:
-            f = _sum_sq(*e)
+            f = merit(*e)
             if window_f is not None and (
                     goal == 0.0
                     or math.log(window_f / f) / _WINDOW * (max_iter - it)
                     < math.log(f / goal)):
-                return v, it, "slow"
+                return v, pair, it, "slow"
             window_f = f
-    return v, it, "no_step"
+    return v, pair, it, "no_step"
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,7 +296,7 @@ class ForcingTrial:
     """One seeded run: a random near-constant start driven to the targets.
 
     ``iterations`` counts accepted Levenberg steps and ``stop_reason`` says
-    why they ended: "tol", "no_step", "slow" or "cap" (see _solve_trial).
+    why they ended: "tol", "no_step", "slow" or "cap" (see _solve).
     """
 
     seed: int
@@ -448,12 +435,13 @@ def run_forcing_trial(t: int, p: float, start: StepGraphon, seed: int = 0,
         k = default_doublings(t)
     _check_p(p)
     _check_tol(tol)
+    _check_max_iter(max_iter)
     weights = start.weights
     pair_eval = _PairEvaluator(complete_graph(t), k, weights, _targets(t, k, p),
                                budget)
-    values, steps, stop_reason = _solve_trial(start.values, pair_eval, tol,
-                                              max_iter)
-    final = _graphon(weights, values)
+    values, _, steps, stop_reason = _solve(start.values, pair_eval, (0.0, 0.0),
+                                           _sum_sq, tol, max_iter)
+    final = StepGraphon._wrap(weights, values)
     r1, r2 = pair_eval.residuals(final)
     converged = max(abs(r1), abs(r2)) <= tol
     return ForcingTrial(seed, converged, steps, r1, r2, final,
@@ -462,30 +450,17 @@ def run_forcing_trial(t: int, p: float, start: StepGraphon, seed: int = 0,
 
 def _pareto_sweep(t: int, k: int, p: float, m: int, seed: int,
                   budget: int) -> tuple[ParetoPoint, ...]:
-    """Trace the distance-versus-residual frontier: for each residual cap
-    of _PARETO_BANDS, tightest first, the farthest point _frontier finds
-    from three seeded starts and from the previous cap's point, which
-    already sits inside every looser band.  Every recorded distance is a
-    lower bound on the true frontier at its residual level.
-    """
-    weights = np.full(m, 1.0 / m)
-    pair_eval = _PairEvaluator(complete_graph(t), k, weights, _targets(t, k, p),
-                               budget)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    starts = [random_near_constant(p, m, spread, rng).values
-              for spread in (0.02, 0.3, 0.5)]
+    """Trace the distance-versus-residual frontier with _sweep: one point
+    per residual cap of _PARETO_BANDS that some start reached.  Each
+    search aims at 90% of its cap, so restoration slack cannot tip the
+    recorded point past the nominal residual level."""
+    caps = [(0.9 * band, 0.9 * band) for band in _PARETO_BANDS]
     points = []
-    for band in _PARETO_BANDS:
-        # aim at 90% of the cap so restoration slack cannot tip the
-        # recorded point past the nominal residual level
-        cap = 0.9 * band
-        found, _ = _frontier(starts, weights, pair_eval, p, (cap, cap), 400)
-        if found is None:
-            continue
-        dist, r1, r2, vb = found
-        points.append(ParetoPoint(band, "band", r1, r2, dist,
-                                  _graphon(weights, vb)))
-        starts = [vb, *starts]
+    for band, (best, _) in zip(_PARETO_BANDS,
+                               _sweep(t, k, p, m, seed, caps, 400, budget)):
+        if best is not None:
+            dist, r1, r2, graphon = best
+            points.append(ParetoPoint(band, "band", r1, r2, dist, graphon))
     return tuple(points)
 
 
@@ -507,15 +482,19 @@ def forcing_experiment(t: int, p: float, m: int, trials: int, seed: int = 0,
     constant than the default spread's.  With
     ``adversarial=True`` a frontier sweep additionally maximizes the
     distance to constant with both residuals capped at each absolute level
-    of _PARETO_BANDS, reporting one Pareto point per cap.
+    of _PARETO_BANDS, tightest first, by the same search and starts as
+    delta_epsilon_probe, reporting one Pareto point per cap; each cap's
+    search keeps the tighter cap's point unless it finds a farther one, so
+    the distances never fall as the cap loosens.
     Trial seeds are ``seed + trial index``, so results are reproducible
-    and order-independent.  ``tol`` is checked as in run_forcing_trial
-    before any trial runs.
+    and order-independent.  ``tol`` and ``max_iter`` (a non-negative
+    integer) are checked before any trial runs.
     """
     _check_problem(t, m, p)
     if not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must lie in [1, {_MAX_TRIALS}]; got {trials}")
     _check_tol(tol)
+    _check_max_iter(max_iter)
     if k is None:
         k = default_doublings(t)
     done = []
@@ -539,7 +518,8 @@ class DeltaEpsilonRow:
     ``feasible_starts`` counts the starts tried at this delta that ended
     inside the band.  When it is 0 and no smaller delta found a feasible
     point either, the row holds the constant graphon at distance 0, a
-    fallback rather than a forcing result.
+    fallback rather than a forcing result; that graphon is not carried
+    into the next delta as a start.
     """
 
     delta: float
@@ -584,13 +564,12 @@ class DeltaEpsilonTable:
 
 def _restore(values, pair_eval, bounds):
     """Damped steps from `values` into the band of absolute residual caps
-    `bounds`; returns (values, pair) there, or None when the restore stalls
-    or runs out of steps with a residual more than 1e-10 beyond its cap."""
-    v, pair, done = _levenberg(values, pair_eval, bounds, _worst, 1e-10, 120)
-    if done or (abs(pair.r1) <= bounds[0] + 1e-10
-                and abs(pair.r2) <= bounds[1] + 1e-10):
-        return v, pair
-    return None
+    `bounds`, lowering the larger excess beyond them; returns (values,
+    pair) once both residuals are within 1e-10 of their caps, or None when
+    _solve stops short of that (no step, a stall, or 120 steps)."""
+    v, pair, _, stop_reason = _solve(values, pair_eval, bounds, _worst, 1e-10,
+                                     120)
+    return (v, pair) if stop_reason == "tol" else None
 
 
 def _frontier(starts, weights, pair_eval, p, bounds, steps, best=None):
@@ -645,6 +624,34 @@ def _frontier(starts, weights, pair_eval, p, bounds, steps, best=None):
     return best, feasible
 
 
+def _sweep(t: int, k: int, p: float, m: int, seed: int, caps, steps: int,
+           budget: int, extras=()):
+    """_frontier over m equal parts at each (r1, r2) cap pair of `caps` in
+    turn, with at most `steps` ascent steps per start.  Each search starts
+    from the farthest point found so far, the value matrices `extras` and
+    three fresh seeded starts (spreads 0.02, 0.3, 0.5), and keeps that
+    point unless a start beats it.  Returns one (best, feasible) per cap:
+    best is (distance, r1, r2, graphon), None until a start restores into
+    a band, and feasible counts the starts that restored into this one.
+    """
+    weights = np.full(m, 1.0 / m)
+    pair_eval = _PairEvaluator(complete_graph(t), k, weights, _targets(t, k, p),
+                               budget)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    best, found = None, []
+    for cap in caps:
+        starts = [] if best is None else [best[3]]
+        starts.extend(extras)
+        starts.extend(random_near_constant(p, m, spread, rng).values
+                      for spread in (0.02, 0.3, 0.5))
+        best, feasible = _frontier(starts, weights, pair_eval, p, cap, steps,
+                                   best=best)
+        # copied: a point no later start beats is reported at each cap
+        found.append((None if best is None else (
+            *best[:3], StepGraphon._wrap(weights, best[3].copy())), feasible))
+    return found
+
+
 def delta_epsilon_probe(t: int, p: float, deltas, m: int, seed: int = 0,
                         k: int | None = None, extra_starts=(),
                         max_iter: int = 2000,
@@ -655,43 +662,34 @@ def delta_epsilon_probe(t: int, p: float, deltas, m: int, seed: int = 0,
     weighted l2 distance to constant subject to both densities lying
     within (1 +/- delta) of their targets, by gradient projection with a
     damped restore into that band after every step (see _frontier); the
-    zero band admits residuals up to 1e-10.  Each start takes at most
-    ``max_iter // 5`` ascent steps.  Warm starts chain from smaller
-    deltas, and the best previous solution is always kept, so the reported
-    distances are non-decreasing in delta.  ``extra_starts`` may supply
-    known graphons (with matching part count) as additional candidates.
-    Reported distances are lower bounds on the true optimum.  Every delta
-    must be finite and non-negative.
+    zero band admits residuals up to 1e-10.  Each delta's search starts
+    from the farthest point found at a smaller delta, the ``extra_starts``
+    (known graphons with matching part count) and three fresh seeded
+    starts, and keeps that point unless it finds a farther one, so the
+    reported distances are non-decreasing in delta.  Each start takes at
+    most ``max_iter // 5`` ascent steps; ``max_iter`` must be a
+    non-negative integer.  Reported distances are lower bounds on the true
+    optimum.  Every delta must be finite and non-negative.
     """
     _check_problem(t, m, p)
+    _check_max_iter(max_iter)
     if k is None:
         k = default_doublings(t)
     deltas = sorted(float(d) for d in deltas)
     if not all(math.isfinite(d) and d >= 0 for d in deltas):
         raise ValueError(f"deltas must be finite and non-negative; got {deltas!r}")
     targets = _targets(t, k, p)
-    weights = np.full(m, 1.0 / m)
-    pair_eval = _PairEvaluator(complete_graph(t), k, weights, targets, budget)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    caps = [(delta * targets[0], delta * targets[1]) for delta in deltas]
     extras = [g.values for g in extra_starts if g.num_parts == m]
-
     rows = []
-    best = None  # (distance, r1, r2, values) carried across deltas
-    for delta in deltas:
-        starts = [] if best is None else [best[3].copy()]
-        starts.extend(x.copy() for x in extras)
-        starts.append(random_near_constant(p, m, 0.02, rng).values)
-        starts.append(random_near_constant(p, m, 0.3, rng).values)
-        starts.append(random_near_constant(p, m, 0.5, rng).values)
-        best, feasible = _frontier(
-            starts, weights, pair_eval, p,
-            (delta * targets[0], delta * targets[1]), max_iter // 5, best=best)
-        if best is None:
-            # no feasible candidate found; fall back to the constant graphon
-            v = np.full((m, m), p)
-            best = (0.0, *pair_eval.residuals(_graphon(weights, v)), v)
-        rows.append(DeltaEpsilonRow(delta, *best[:3], _graphon(weights, best[3]),
-                                    feasible))
+    for delta, (best, feasible) in zip(deltas, _sweep(
+            t, k, p, m, seed, caps, max_iter // 5, budget, extras)):
+        if best is None:  # no start restored into this band or a tighter one
+            flat, motif = constant_graphon(p, m), complete_graph(t)
+            r1 = graphon_density(motif.graph, flat, budget=budget) - targets[0]
+            r2 = doubling_density(motif, k, flat, budget=budget) - targets[1]
+            best = (0.0, r1, r2, flat)
+        rows.append(DeltaEpsilonRow(delta, *best, feasible))
     return DeltaEpsilonTable(t, k, float(p), tuple(rows))
 
 

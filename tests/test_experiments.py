@@ -88,6 +88,27 @@ def test_trials_capped_before_any_trial(monkeypatch):
         forcing_experiment(3, 0.5, 2, experiments._MAX_TRIALS + 1)
 
 
+@pytest.mark.parametrize("max_iter", [-1, 2.5, True, False, 3.0, "5", None])
+def test_max_iter_validated(monkeypatch, max_iter):
+    def no_binding(*args, **kwargs):
+        raise AssertionError("bound a pair evaluator before checking max_iter")
+
+    monkeypatch.setattr(experiments, "_PairEvaluator", no_binding)
+    for call in (lambda: forcing_experiment(3, 0.5, 4, 2, max_iter=max_iter),
+                 lambda: run_forcing_trial(3, 0.5, constant_graphon(0.5, 2),
+                                           max_iter=max_iter),
+                 lambda: delta_epsilon_probe(3, 0.5, (0.0,), 2,
+                                             max_iter=max_iter)):
+        with pytest.raises(ValueError, match="max_iter"):
+            call()
+
+
+def test_max_iter_accepts_numpy_integers():
+    tr = run_forcing_trial(3, 0.5, constant_graphon(0.5, 2),
+                           max_iter=np.int64(0))
+    assert tr.converged and tr.iterations == 0
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-6])
 def test_tol_validated(tol):
     with pytest.raises(ValueError, match="tol"):
@@ -384,9 +405,9 @@ def _public_residuals(weights, values, k, targets):
 
 def test_levenberg_polishes_to_the_targets():
     ev, start, k, targets, _ = _near_solution()
-    v, pair, done = experiments._levenberg(
+    v, pair, _, stop_reason = experiments._solve(
         start.values, ev, (0.0, 0.0), experiments._sum_sq, 1e-9, 300)
-    assert done
+    assert stop_reason == "tol"
     assert max(abs(pair.r1), abs(pair.r2)) <= 1e-9
     r1, r2 = _public_residuals(start.weights, v, k, targets)
     assert r1 == pytest.approx(pair.r1, abs=1e-15)
@@ -395,9 +416,9 @@ def test_levenberg_polishes_to_the_targets():
 
 def test_levenberg_restores_into_the_band():
     ev, start, k, targets, band = _near_solution()
-    v, pair, done = experiments._levenberg(
+    v, pair, _, stop_reason = experiments._solve(
         start.values, ev, band, experiments._worst, 1e-10, 120)
-    assert done
+    assert stop_reason == "tol"
     assert ((v >= 0.0) & (v <= 1.0)).all()
     r1, r2 = _public_residuals(start.weights, v, k, targets)
     assert abs(r1) <= band[0] + 1e-10 and abs(r2) <= band[1] + 1e-10
@@ -412,9 +433,9 @@ def test_levenberg_unreachable_tol(banded, merit):
     start_merit = merit(*ev(start.values).excess(band))
     merits = []
     for max_iter in range(6):
-        v, pair, done = experiments._levenberg(start.values, ev, band, merit,
-                                               -1.0, max_iter)
-        assert not done
+        v, pair, steps, stop_reason = experiments._solve(
+            start.values, ev, band, merit, -1.0, max_iter)
+        assert stop_reason != "tol" and steps <= max_iter
         assert pair.excess(band) == ev(v).excess(band)
         merits.append(merit(*pair.excess(band)))
     assert merits[0] == start_merit
@@ -440,6 +461,9 @@ def test_adversarial_sweep_points_recheck():
         w, v = pt.graphon.weights, pt.graphon.values
         dist = math.sqrt(float(np.einsum("a,b,ab->", w, w, (v - 0.5) ** 2)))
         assert dist == pytest.approx(pt.distance_l2, abs=1e-12)
+    # each cap's search keeps the tighter cap's point unless it beats it
+    assert [pt.lam for pt in res.pareto] == list(experiments._PARETO_BANDS)
+    assert res.pareto_distance_at(1e-6) >= res.pareto_distance_at(1e-8)
     assert res.pareto_distance_at(-1.0) is None
     best = res.pareto_distance_at(float("inf"))
     assert best == max(pt.distance_l2 for pt in res.pareto)
@@ -543,10 +567,13 @@ def test_probe_fallback_row_reports_no_feasible_start(monkeypatch):
     # no start ends inside the zero band, so that row falls back to the
     # constant graphon at distance 0, and its feasible_starts says so
     search = experiments._frontier
+    loose_starts = []
 
     def none_in_zero_band(starts, weights, pair_eval, p, bounds, *args, **kw):
         if bounds == (0.0, 0.0):
             return kw.get("best"), 0
+        loose_starts.extend(starts)
+        assert kw.get("best") is None
         return search(starts, weights, pair_eval, p, bounds, *args, **kw)
 
     monkeypatch.setattr(experiments, "_frontier", none_in_zero_band)
@@ -557,6 +584,11 @@ def test_probe_fallback_row_reports_no_feasible_start(monkeypatch):
     assert loose.feasible_starts >= 1 and loose.distance > 0.0
     rows = table.to_dict()["rows"]
     assert [row["feasible_starts"] for row in rows] == [0, loose.feasible_starts]
+    # the fallback is not carried: the next delta starts from the three
+    # fresh seeded starts alone, none of them the constant graphon
+    assert len(loose_starts) == 3
+    assert not any(np.all(v == 0.5) for v in loose_starts)
+    assert loose.feasible_starts <= 3
 
 
 def test_probe_extra_start_honored():
