@@ -9,6 +9,7 @@ digits so written files round-trip bit-faithfully.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -132,27 +133,34 @@ def _parse_deltas(text: str) -> list[float]:
     return deltas
 
 
-def _emit(obj_dict: dict, csv_text: str | None, fmt: str) -> None:
-    if fmt == "csv" and csv_text is not None:
+def _emit(result, args, json_name: str, csv_name: str | None = None) -> None:
+    """Write `result` to the --out files, then its payload to stdout: the
+    CSV table under --format csv when the result has one, else the JSON.
+    Each form is built once, and the CSV only when something reads it."""
+    payload = result.to_dict()
+    csv_text = None
+    if csv_name is not None and (args.out or args.format == "csv"):
+        csv_text = result.csv_text()
+    if args.out:
+        dump(payload, os.path.join(args.out, json_name))
+        if csv_text is not None:
+            with open(os.path.join(args.out, csv_name), "w") as fh:
+                fh.write(csv_text)
+    if args.format == "csv" and csv_text is not None:
         sys.stdout.write(csv_text)
     else:
-        print(dumps(obj_dict))
+        print(dumps(payload))
 
 
 def _cmd_experiment(args) -> int:
-    out = args.out
-    if out:
-        os.makedirs(out, exist_ok=True)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
     if args.kind == "forcing":
         result = forcing_experiment(
             args.t, args.p, args.parts, args.trials, seed=args.seed,
             tol=args.tol, adversarial=args.adversarial, k=args.k,
         )
-        if out:
-            dump(result.to_dict(), os.path.join(out, "forcing_result.json"))
-            with open(os.path.join(out, "forcing_trials.csv"), "w") as fh:
-                fh.write(result.csv_text())
-        _emit(result.to_dict(), result.csv_text(), args.format)
+        _emit(result, args, "forcing_result.json", "forcing_trials.csv")
         return 0 if result.all_converged else 4
     if args.kind == "delta-eps":
         extras = ()
@@ -167,16 +175,9 @@ def _cmd_experiment(args) -> int:
             args.t, args.p, _parse_deltas(args.deltas), args.parts,
             seed=args.seed, k=args.k, extra_starts=extras,
         )
-        if out:
-            dump(table.to_dict(), os.path.join(out, "delta_eps.json"))
-            with open(os.path.join(out, "delta_eps.csv"), "w") as fh:
-                fh.write(table.csv_text())
-        _emit(table.to_dict(), table.csv_text(), args.format)
+        _emit(table, args, "delta_eps.json", "delta_eps.csv")
         return 0
-    result = contrast_experiment(args.p)
-    if out:
-        dump(result.to_dict(), os.path.join(out, "contrast.json"))
-    _emit(result.to_dict(), None, args.format)
+    _emit(contrast_experiment(args.p), args, "contrast.json")
     return 0
 
 
@@ -255,9 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on first use: argparse keeps no state between
+# parse_args calls and no default is mutable, so every call can share it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UnsupportedSizeError as exc:

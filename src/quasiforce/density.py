@@ -21,7 +21,8 @@ each step also carries, for every edge-matrix or intermediate operand, the
 einsum of its adjoint (the output adjoint contracted with the step's other
 operands).  Replaying those backwards from an output adjoint gives the
 whole gradient at the cost of about two more forward passes, whatever the
-number of edges.  Through the gluing recursion the adjoint of every Gram
+number of edges; an adjoint with leading batch axes gives the gradient of
+each of its adjoints in that one replay.  Through the gluing recursion the adjoint of every Gram
 output is symmetric, because swapping the two glued copies changes
 nothing, so each level's adjoint is one product 2 A T, not A (T + T^T).
 
@@ -111,7 +112,8 @@ class _Step(NamedTuple):
     entries: int  # size ** axes
     # (operand position, einsum of that operand's adjoint) for every
     # edge-matrix or step-result operand; the adjoint einsum reads the
-    # output adjoint first, then the other operands in order
+    # output adjoint first, then the other operands in order, and keeps
+    # the output adjoint's leading batch axes
     adjoints: tuple[tuple[int, str], ...]
 
 
@@ -143,9 +145,11 @@ def _compile_plan(size: int, num_vertices: int, edges, keep) -> tuple[_Step, ...
         slots = tuple(slot for _, slot in group)
         # every letter of an operand is either kept in the output or is the
         # eliminated vertex, whose weight or ones factor is another operand,
-        # so each adjoint einsum sees all the letters it must produce
+        # so each adjoint einsum sees all the letters it must produce; the
+        # leading ... carries any batch axes of the output adjoint through
         adjoints = tuple(
-            (i, ",".join([out, *subs[:i], *subs[i + 1:]]) + "->" + subs[i])
+            (i, ",".join(["..." + out, *subs[:i], *subs[i + 1:]])
+             + "->..." + subs[i])
             for i, slot in enumerate(slots) if slot == _EDGE or slot >= _FIRST_TEMP
         )
         entries = size ** len(union)
@@ -235,13 +239,17 @@ def _reverse(plan, tape, edge_matrix, free_weight, out_bar) -> np.ndarray:
     Walks the plan backwards: each step's adjoint einsums turn the adjoint
     of its result into the adjoints of its edge-matrix operands, which
     accumulate into the gradient, and of its step-result operands, which
-    the step that produced them consumes in turn.  No adjoint is larger
-    than an operand of the forward step, so the forward budget check
-    covers the reverse pass too.
+    the step that produced them consumes in turn.  Axes of `out_bar`
+    before the output's are batch axes: one pass gives the gradient of
+    every adjoint in the batch, stacked along them.  No adjoint is larger
+    than an operand of the forward step times the batch, so the forward
+    budget check covers an unbatched reverse pass too.
     """
     inputs = _plan_inputs(edge_matrix, free_weight, float)
-    grad = np.zeros(edge_matrix.shape)
-    bars = {_FIRST_TEMP + len(plan) - 1: np.asarray(out_bar, dtype=float)}
+    out_bar = np.asarray(out_bar, dtype=float)
+    batch = out_bar.shape[:out_bar.ndim - np.ndim(tape[-1])]
+    grad = np.zeros(batch + edge_matrix.shape)
+    bars = {_FIRST_TEMP + len(plan) - 1: out_bar}
     for slot, step in reversed(list(enumerate(plan, _FIRST_TEMP))):
         ybar = bars.pop(slot)
         ops = [tape[i - _FIRST_TEMP] if i >= _FIRST_TEMP else inputs[i]
@@ -721,10 +729,11 @@ class _Doubling:
         return out
 
     def gradient(self, run: _DoublingRun, base_bar: np.ndarray) -> np.ndarray:
-        """Gradient in the symmetric value matrix of sum(base_bar * base
-        table), from one reverse pass over a tape kept by forward."""
-        return _symmetrize_param_grad(
-            _reverse(self.plan, run.tape, run.values, self.weights, base_bar))
+        """Gradient in the ordered value-matrix entries of sum(base_bar *
+        base table), from one reverse pass over a tape kept by forward.
+        Leading axes of `base_bar` beyond the base table's are a batch:
+        one pass gives a gradient per adjoint, stacked along them."""
+        return _reverse(self.plan, run.tape, run.values, self.weights, base_bar)
 
 
 def doubling_density(colored: ColoredGraph, k: int, graphon: StepGraphon,
@@ -759,13 +768,15 @@ def doubling_step_moments(colored: ColoredGraph, j: int, graphon: StepGraphon,
 
 
 def _symmetrize_param_grad(m_ordered: np.ndarray) -> np.ndarray:
-    """Fold an ordered-entry gradient onto the symmetric parameters.
+    """Fold an ordered-entry gradient onto the symmetric parameters, over
+    its last two axes.
 
     Off-diagonal parameters appear at two positions of the value matrix, so
     their derivatives add; diagonal ones appear once.
     """
-    out = m_ordered + m_ordered.T
-    np.fill_diagonal(out, np.diagonal(m_ordered))
+    out = m_ordered + np.swapaxes(m_ordered, -1, -2)
+    i = np.arange(out.shape[-1])
+    out[..., i, i] = m_ordered[..., i, i]
     return out
 
 
@@ -797,4 +808,4 @@ def doubling_density_gradient(colored: ColoredGraph, k: int,
     doubling = _Doubling(colored, k, graphon.weights, budget)
     run = doubling.forward(graphon.values, keep_tape=True)
     grad = doubling.gradient(run, doubling.base_adjoint(run, 1.0))
-    return float(run.table[()]), grad
+    return float(run.table[()]), _symmetrize_param_grad(grad)

@@ -104,7 +104,7 @@ def _check_problem(t: int, m: int, p: float) -> None:
 
 class _Pair(NamedTuple):
     """Both residuals at one value matrix, with the tape of their forward
-    pass for the reverse passes of _PairEvaluator.jacobian."""
+    pass for the reverse pass of _PairEvaluator.jacobian."""
 
     r1: float
     r2: float
@@ -129,14 +129,27 @@ class _PairEvaluator:
     root-weighted copy level by level gives the doubled density.  Binding
     checks every table against `budget`, as graphon_density and
     doubling_density would.
+
+    The optimizers step over the P = m(m+1)/2 tied parameters of the
+    symmetric value matrix: ``iu`` indexes them in its upper triangle,
+    ``sym`` maps every entry to its parameter, so ``step[sym]`` is the
+    symmetric matrix of a parameter step, and the (m*m, P) 0/1 matrix
+    ``fold`` sums an ordered-entry gradient onto them.
     """
 
     def __init__(self, colored: ColoredGraph, k: int, weights: np.ndarray,
                  targets, budget: int):
-        _density_plan(colored.graph, weights.size, budget)
+        m = weights.size
+        _density_plan(colored.graph, m, budget)
         self._doubling = _Doubling(colored, k, weights, budget)
         self._colored, self._k = colored, k
         self._targets, self._budget = targets, budget
+        self.iu = np.triu_indices(m)
+        params = np.arange(self.iu[0].size)
+        self.sym = np.empty((m, m), dtype=np.intp)
+        self.sym[self.iu] = params
+        self.sym.T[self.iu] = params
+        self.fold = (self.sym.reshape(-1, 1) == params).astype(float)
 
     def residuals(self, graphon: StepGraphon) -> tuple[float, float]:
         """Both residuals recomputed through the public density functions,
@@ -157,14 +170,16 @@ class _PairEvaluator:
         return _Pair(d1 - self._targets[0], float(run.table[()]) - self._targets[1],
                      run)
 
-    def jacobian(self, pair: _Pair) -> tuple[np.ndarray, np.ndarray]:
-        """Gradients of r1 and of r2 in the symmetric value matrix, by two
-        reverse passes over the pair's tape.  r1 is the base table summed
-        against fixed weights, so its adjoint needs no gluing pass."""
+    def jacobian(self, pair: _Pair) -> np.ndarray:
+        """The (2, P) gradients of r1 and r2 in the tied parameters, by one
+        reverse pass over the pair's tape from both base-table adjoints.
+        r1 is the base table summed against fixed weights, so its adjoint
+        needs no gluing pass.  Each entry of ``fold`` picks one or two
+        ordered entries, so the fold is exact."""
         doubling, run = self._doubling, pair.run
-        return (doubling.gradient(run, doubling.base_weights.reshape(
-                    run.tape[-1].shape)),
-                doubling.gradient(run, doubling.base_adjoint(run, 1.0)))
+        bars = np.stack([doubling.base_weights.reshape(run.tape[-1].shape),
+                         doubling.base_adjoint(run, 1.0)])
+        return doubling.gradient(run, bars).reshape(2, -1) @ self.fold
 
 
 def _l2sq(values: np.ndarray, weights: np.ndarray, p: float) -> float:
@@ -173,14 +188,6 @@ def _l2sq(values: np.ndarray, weights: np.ndarray, p: float) -> float:
 
 def _l2sq_grad(values: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
     return _symmetrize_param_grad(2.0 * np.outer(weights, weights) * (values - p))
-
-
-def _moved(values: np.ndarray, iu, step) -> np.ndarray:
-    """`values` plus the symmetric step whose upper triangle, indexed by
-    `iu`, is `step`, clipped to the box [0, 1]."""
-    full = np.zeros(values.shape)
-    full[iu] = step
-    return np.clip(values + (full + np.triu(full, 1).T), 0.0, 1.0)
 
 
 def _sum_sq(e1: float, e2: float) -> float:
@@ -214,30 +221,28 @@ def _levenberg_steps(values: np.ndarray, pair_eval: _PairEvaluator, band, merit,
     drives toward the exact targets.  A step is computed only when the consumer asks for the next
     point, so stopping early wastes no evaluation.
     """
-    m = values.shape[0]
-    iu = np.triu_indices(m)
+    iu, sym, eye = pair_eval.iu, pair_eval.sym, np.eye(2)
     v = values.copy()
     pair = pair_eval(v)
     e = pair.excess(band)
     mu = 1e-8
     while True:
         yield v, pair, e
-        g1, g2 = pair_eval.jacobian(pair)
-        jac = np.stack([g1[iu], g2[iu]])
+        jac = pair_eval.jacobian(pair)
         vv = v[iu]
-        ssg = (2 * e[0] * g1 + 2 * e[1] * g2)[iu]
+        ssg = 2 * e[0] * jac[0] + 2 * e[1] * jac[1]
         jac[:, ((vv <= 0.0) & (ssg > 0.0)) | ((vv >= 1.0) & (ssg < 0.0))] = 0.0
         r = np.array(e)
         gram = jac @ jac.T
         scale = max(float(np.trace(gram)) / 2.0, 1e-30)
         best = merit(*e)
         for _ in range(45):
-            damped = gram + mu * scale * np.eye(2)
+            damped = gram + mu * scale * eye
             try:
                 y = np.linalg.solve(damped, -r)
             except np.linalg.LinAlgError:
                 y = -np.linalg.pinv(damped) @ r
-            cand = _moved(v, iu, jac.T @ y)
+            cand = np.clip(v + (jac.T @ y)[sym], 0.0, 1.0)
             cand_pair = pair_eval(cand)
             cand_e = cand_pair.excess(band)
             if merit(*cand_e) < best * (1.0 - 1e-12) and (
@@ -590,7 +595,7 @@ def _frontier(starts, weights, pair_eval, p, bounds, steps, best=None):
     lengths in a row.  The residual gradients come from the tape of the
     restored point, so a step costs no forward pass beyond its candidates.
     """
-    iu = np.triu_indices(weights.size)
+    iu, sym = pair_eval.iu, pair_eval.sym
     feasible = 0
     for v in starts:
         restored = _restore(v, pair_eval, bounds)
@@ -600,7 +605,7 @@ def _frontier(starts, weights, pair_eval, p, bounds, steps, best=None):
         v, pair = restored
         f, alpha = _l2sq(v, weights, p), 0.05
         for _ in range(steps):
-            jac = np.stack([g[iu] for g in pair_eval.jacobian(pair)])
+            jac = pair_eval.jacobian(pair)
             grad = _l2sq_grad(v, weights, p)[iu]
             y = np.linalg.lstsq(jac @ jac.T, jac @ grad, rcond=None)[0]
             d = grad - jac.T @ y
@@ -608,8 +613,8 @@ def _frontier(starts, weights, pair_eval, p, bounds, steps, best=None):
             if norm == 0.0:
                 break
             for _ in range(30):
-                moved = _restore(_moved(v, iu, alpha / norm * d), pair_eval,
-                                 bounds)
+                moved = _restore(np.clip(v + (alpha / norm * d)[sym], 0.0, 1.0),
+                                 pair_eval, bounds)
                 if moved is not None and (
                         fc := _l2sq(moved[0], weights, p)) > f * (1.0 + 1e-6):
                     (v, pair), f = moved, fc

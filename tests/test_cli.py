@@ -1,6 +1,9 @@
 """End-to-end runs of the command line against library ground truth."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +18,8 @@ from quasiforce import (
     hom_density,
     iterated_double,
 )
-from quasiforce import experiments
+import quasiforce
+from quasiforce import cli, experiments
 from quasiforce.cli import main
 from quasiforce.sampling import gnp
 from quasiforce.serialize import dump, load
@@ -262,3 +266,43 @@ def test_experiment_underflowing_target_exits_2(capsys, experiment):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and "p=1e-05, t=5, k=3" in captured.err
+
+
+def test_reused_parser_matches_fresh_parsers(monkeypatch, capsys):
+    """main parses with one parser per process; a run of calls mixing
+    subcommands, flags, defaults and a failure gives the exit codes and
+    stdout that a fresh build_parser() gives each call."""
+    forcing = ["experiment", "forcing", "--t", "3", "--parts", "2"]
+    calls = [
+        [*forcing, "--trials", "1", "--adversarial"],
+        [*forcing, "--trials", "2", "--format", "csv"],
+        [*forcing, "--trials", "1", "--tol", "nan"],
+        ["doubling", "--t", "3", "--k", "2"],
+        [*forcing, "--trials", "1"],
+    ]
+
+    def run_all():
+        results = []
+        for argv in calls:
+            code = main(argv)
+            results.append((code, capsys.readouterr().out))
+        return results
+
+    reused = run_all()
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert reused == run_all()
+    assert [code for code, _ in reused] == [0, 0, 2, 0, 0]
+    assert reused[1][1].startswith("trial,")  # the csv call printed csv
+    assert json.loads(reused[4][1])["pareto"] is None  # --adversarial reset
+
+
+def test_one_shot_cli_matches_in_process(capsys):
+    argv = ["experiment", "forcing", "--trials", "1"]
+    assert main(argv) == 0
+    root = os.path.dirname(os.path.dirname(os.path.abspath(quasiforce.__file__)))
+    env = dict(os.environ, PYTHONPATH=root)
+    proc = subprocess.run([sys.executable, "-m", "quasiforce", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout == capsys.readouterr().out

@@ -160,7 +160,7 @@ def test_zero_tol_runs_to_the_cap():
 
 def test_forcing_trial_runs_one_forward_per_evaluation(monkeypatch):
     """Each evaluation of a forcing trial is one forward pass over the base
-    plan, each Levenberg step one Jacobian, two reverse passes over the tape
+    plan, each Levenberg step one Jacobian, one reverse pass over the tape
     of the point it steps from, and the reported residuals two public
     forwards."""
     events, points, pairs = [], [], []
@@ -208,10 +208,9 @@ def test_forcing_trial_runs_one_forward_per_evaluation(monkeypatch):
     calls = {name: loop.count(name) for name in set(loop)}
     assert calls["evaluate"] == calls["forward"]
     assert calls["jacobian"] == trial.iterations
-    assert calls["reverse"] == 2 * trial.iterations
+    assert calls["reverse"] == trial.iterations
     assert all(b == "forward" for a, b in zip(loop, loop[1:]) if a == "evaluate")
-    assert all(loop[i + 1:i + 3] == ["reverse", "reverse"]
-               for i, e in enumerate(loop) if e == "jacobian")
+    assert all(b == "reverse" for a, b in zip(loop, loop[1:]) if a == "jacobian")
     # the start, then each step's Jacobian followed by only new candidate
     # points, at least one; no point is evaluated twice
     outer = "".join(e[0] for e in loop if e in ("evaluate", "jacobian"))
@@ -342,9 +341,47 @@ def test_pair_evaluator_gradient(t, m):
             up[i, j] = up[j, i] = up[i, j] + h
             dn[i, j] = dn[j, i] = dn[i, j] - h
             fd[i, j] = fd[j, i] = (combo(up) - combo(dn)) / (2 * h)
-    g1, g2 = ev.jacobian(ev(g.values))
-    grad = c1 * g1 + c2 * g2
-    assert np.abs(grad - fd).max() <= 1e-6 * np.abs(fd).max()
+    jac = ev.jacobian(ev(g.values))
+    assert jac.shape == (2, m * (m + 1) // 2)
+    grad = c1 * jac[0] + c2 * jac[1]
+    assert np.abs(grad - fd[np.triu_indices(m)]).max() <= 1e-6 * np.abs(fd).max()
+
+
+@pytest.mark.parametrize("t, m", [*((t, m) for t in (3, 4, 5) for m in (2, 3, 4)),
+                                  (5, 6), (5, 8)])
+def test_batched_jacobian_matches_single_passes(t, m):
+    """The Jacobian's one reverse pass over both adjoints gives the folded
+    gradients of one unbatched pass per adjoint, bit for bit while every
+    step contracts without a path search; a step with one (tables above
+    4096 entries, t=5 from 6 parts) may round the batch differently.  A
+    batch of one gives doubling_density_gradient bit for bit."""
+    rng = np.random.default_rng(11 * t + m)
+    w = rng.random(m) ** 4 + 1e-3  # skewed: the heaviest part dominates
+    w /= w.sum()
+    vals = rng.random((m, m))
+    g = StepGraphon(w, (vals + vals.T) / 2)
+    k = default_doublings(t)
+    ev = experiments._PairEvaluator(complete_graph(t), k, w,
+                                    experiments._targets(t, k, 0.5),
+                                    density.DEFAULT_BUDGET)
+    pair = ev(g.values)
+    doubling, run = ev._doubling, pair.run
+    bars = (doubling.base_weights.reshape(run.tape[-1].shape),
+            doubling.base_adjoint(run, 1.0))
+    single = np.stack([
+        density._symmetrize_param_grad(density._reverse(
+            doubling.plan, run.tape, run.values, w, bar))[np.triu_indices(m)]
+        for bar in bars])
+    jac = ev.jacobian(pair)
+    if any(step.optimize for step in doubling.plan):
+        assert np.abs(jac - single).max() <= 1e-15 * np.abs(single).max()
+    else:
+        assert jac.tobytes() == single.tobytes()
+
+    _, grad = density.doubling_density_gradient(complete_graph(t), k, g)
+    batch_of_one = doubling.gradient(run, bars[1][np.newaxis])
+    assert batch_of_one.shape == (1, m, m)
+    assert density._symmetrize_param_grad(batch_of_one)[0].tobytes() == grad.tobytes()
 
 
 def test_pair_evaluator_budget(monkeypatch):
@@ -471,7 +508,7 @@ def test_adversarial_sweep_points_recheck():
 
 
 def test_frontier_step_reuses_the_restored_tape(monkeypatch):
-    """Each ascent step of _frontier takes one Jacobian, two reverse passes
+    """Each ascent step of _frontier takes one Jacobian, one reverse pass
     over the tape of the restored point it steps from, and no forward pass
     beyond its candidates'; no candidate is evaluated twice."""
     points, pairs, restored, jacobians = [], [], [], []
@@ -523,11 +560,11 @@ def test_frontier_step_reuses_the_restored_tape(monkeypatch):
     assert forwards[0] == len(points)  # one forward per evaluation
     assert len(set(points)) == len(points)
     # every Jacobian reads the tape of a point already evaluated, and is
-    # exactly two reverse passes over it; no tape is reversed twice over
+    # exactly one reverse pass over it; no tape is reversed twice
     assert all(any(pair is q for q in pairs) for pair in jacobians)
-    assert len(reversed_tapes) == 2 * len(jacobians)
+    assert len(reversed_tapes) == len(jacobians)
     assert sorted(reversed_tapes) == sorted(
-        2 * [id(pair.run.tape) for pair in jacobians])
+        id(pair.run.tape) for pair in jacobians)
     assert len({id(pair) for pair in jacobians}) == len(jacobians)
     steps = [pair for pair in jacobians if any(pair is q for q in restored)]
     assert len(steps) > 10
