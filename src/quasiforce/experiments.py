@@ -15,6 +15,7 @@ plenty of room away from constant.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import numbers
 import sys
@@ -40,6 +41,7 @@ from .graphon import StepGraphon, constant_graphon, random_near_constant
 from .graphs import Graph, ColoredGraph, complete_graph
 from .identities import default_doublings
 from .quasirandom import ConstancyReport, graphon_constancy
+from .serialize import record_dict
 
 __all__ = [
     "ForcingTrial",
@@ -198,36 +200,60 @@ def _worst(e1: float, e2: float) -> float:
     return max(abs(e1), abs(e2))
 
 
-def _levenberg_steps(values: np.ndarray, pair_eval: _PairEvaluator, band, merit,
-                     tol: float):
-    """Adaptively damped least-norm steps driving the signed excess e of
-    both residuals beyond `band` toward zero.
+# damped steps between the stall checks of _solve
+_WINDOW = 25
 
-    Yields (values, pair, e) at the start and after every accepted step,
-    and returns once no damping gives an acceptable step.  Each step solves
-    (J J^T + mu I) y = -e over the tied upper triangle parameters and is
-    accepted only when ``merit(*e)`` drops, shrinking mu after accepted
-    steps and inflating it on rejection.  The damping matters because the
-    two gradient rows become nearly parallel along the flat valley, where
-    the undamped least-norm direction blows up; near the solution the
-    Jacobian loses rank and progress is linear rather than quadratic.
-    Coordinates pinned at 0 or 1 whose descent direction points outside
-    the box are dropped from the Jacobian, otherwise clipping invalidates
-    the step model.  A candidate that clipping lands on a corner of the
-    box (every coordinate at 0 or 1) is accepted only when its largest
-    excess is at most `tol`, the test the callers stop on: at a 0/1
+
+def _solve(values: np.ndarray, pair_eval: _PairEvaluator, band, merit,
+           tol: float, max_iter: int):
+    """Drive the signed excess e of both residuals beyond `band` toward
+    zero by adaptively damped least-norm (Levenberg) steps.  Returns
+    (values, pair, steps, stop_reason) once the larger excess is at most
+    `tol` ("tol"), after `max_iter` steps ("cap"), when progress stalls
+    ("slow"), or when no damping gives an acceptable step ("no_step").
+
+    Each step solves (J J^T + mu I) y = -e over the tied upper triangle
+    parameters and is accepted only when ``merit(*e)`` drops, shrinking mu
+    after accepted steps and inflating it on rejection.  The damping
+    matters because the two gradient rows become nearly parallel along
+    the flat valley, where the undamped least-norm direction blows up;
+    near the solution the Jacobian loses rank and progress is linear
+    rather than quadratic.  Coordinates pinned at 0 or 1 whose descent
+    direction points outside the box are dropped from the Jacobian,
+    otherwise clipping invalidates the step model.  A candidate that
+    clipping lands on a corner of the box (every coordinate at 0 or 1) is
+    accepted only when its largest excess is at most `tol`: at a 0/1
     graphon the gradients of both densities can vanish in every
-    coordinate free to move, a saddle no later step leaves.  A zero band
-    drives toward the exact targets.  A step is computed only when the consumer asks for the next
-    point, so stopping early wastes no evaluation.
+    coordinate free to move, a saddle no later step leaves, and the first,
+    nearly undamped steps from a start far above p otherwise clip onto
+    one and stop there.  A zero band drives toward the exact targets.
+
+    Every `_WINDOW` steps the merit, which every accepted step lowers, is
+    compared with its value a window earlier.  Progress near a solution
+    is linear and only slows along the flat valley, so if the window's
+    decay rate cannot bring the merit down to ``merit(tol, 0)`` in the
+    steps left, no later rate will; no finite rate reaches tol = 0.
     """
     iu, sym, eye = pair_eval.iu, pair_eval.sym, np.eye(2)
+    goal = merit(tol, 0.0)
+    window_f = None
     v = values.copy()
     pair = pair_eval(v)
     e = pair.excess(band)
     mu = 1e-8
-    while True:
-        yield v, pair, e
+    for it in itertools.count():
+        if _worst(*e) <= tol:
+            return v, pair, it, "tol"
+        if it == max_iter:
+            return v, pair, it, "cap"
+        if it % _WINDOW == 0:
+            f = merit(*e)
+            if window_f is not None and (
+                    goal == 0.0
+                    or math.log(window_f / f) / _WINDOW * (max_iter - it)
+                    < math.log(f / goal)):
+                return v, pair, it, "slow"
+            window_f = f
         jac = pair_eval.jacobian(pair)
         vv = v[iu]
         ssg = 2 * e[0] * jac[0] + 2 * e[1] * jac[1]
@@ -253,47 +279,7 @@ def _levenberg_steps(values: np.ndarray, pair_eval: _PairEvaluator, band, merit,
                 break
             mu *= 8.0
         else:
-            return
-
-
-# damped steps between the stall checks of _solve
-_WINDOW = 25
-
-
-def _solve(values: np.ndarray, pair_eval: _PairEvaluator, band, merit,
-           tol: float, max_iter: int):
-    """Drive the excess of both residuals beyond `band` toward zero with
-    _levenberg_steps, stopping once the larger excess is at most `tol`
-    ("tol"), when no damped step is accepted ("no_step"), when progress
-    stalls ("slow"), or after `max_iter` steps ("cap").  Returns (values,
-    pair, steps, stop_reason).
-
-    Every `_WINDOW` steps the merit, which every accepted step lowers, is
-    compared with its value a window earlier.  Progress near a solution
-    is linear and only slows along the flat valley, so if the window's
-    decay rate cannot bring the merit down to ``merit(tol, 0)`` in the
-    steps left, no later rate will; no finite rate reaches tol = 0.
-    A step onto a corner of the value box is taken only when it meets
-    tol (see _levenberg_steps): the first, nearly undamped steps from a
-    start far above p otherwise clip onto a 0/1 saddle and stop there.
-    """
-    goal = merit(tol, 0.0)
-    window_f = None
-    path = _levenberg_steps(values, pair_eval, band, merit, tol)
-    for it, (v, pair, e) in enumerate(path):
-        if _worst(*e) <= tol:
-            return v, pair, it, "tol"
-        if it == max_iter:
-            return v, pair, it, "cap"
-        if it % _WINDOW == 0:
-            f = merit(*e)
-            if window_f is not None and (
-                    goal == 0.0
-                    or math.log(window_f / f) / _WINDOW * (max_iter - it)
-                    < math.log(f / goal)):
-                return v, pair, it, "slow"
-            window_f = f
-    return v, pair, it, "no_step"
+            return v, pair, it, "no_step"
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,23 +293,13 @@ class ForcingTrial:
     seed: int
     converged: bool
     iterations: int
+    stop_reason: str
     r1: float
     r2: float
     graphon: StepGraphon
     constancy: ConstancyReport
-    stop_reason: str
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "stop_reason": self.stop_reason,
-            "r1": self.r1,
-            "r2": self.r2,
-            "graphon": self.graphon.to_dict(),
-            "constancy": self.constancy.to_dict(),
-        }
+    to_dict = record_dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,26 +307,16 @@ class ParetoPoint:
     """Distance versus residual at one point of the adversarial frontier.
 
     Each point is the farthest from constant that _frontier found with both
-    residuals within an absolute cap, which ``lam`` holds; ``stage`` is
-    always "band".
+    residuals within an absolute cap, which ``lam`` holds.
     """
 
     lam: float
-    stage: str
     r1: float
     r2: float
     distance_l2: float
     graphon: StepGraphon
 
-    def to_dict(self) -> dict:
-        return {
-            "lam": self.lam,
-            "stage": self.stage,
-            "r1": self.r1,
-            "r2": self.r2,
-            "distance_l2": self.distance_l2,
-            "graphon": self.graphon.to_dict(),
-        }
+    to_dict = record_dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,8 +415,8 @@ def run_forcing_trial(t: int, p: float, start: StepGraphon, seed: int = 0,
     final = StepGraphon._wrap(weights, values)
     r1, r2 = pair_eval.residuals(final)
     converged = max(abs(r1), abs(r2)) <= tol
-    return ForcingTrial(seed, converged, steps, r1, r2, final,
-                        graphon_constancy(final, p), stop_reason)
+    return ForcingTrial(seed, converged, steps, stop_reason, r1, r2, final,
+                        graphon_constancy(final, p))
 
 
 def _pareto_sweep(t: int, k: int, p: float, m: int, seed: int,
@@ -465,7 +431,7 @@ def _pareto_sweep(t: int, k: int, p: float, m: int, seed: int,
                                _sweep(t, k, p, m, seed, caps, 400, budget)):
         if best is not None:
             dist, r1, r2, graphon = best
-            points.append(ParetoPoint(band, "band", r1, r2, dist, graphon))
+            points.append(ParetoPoint(band, r1, r2, dist, graphon))
     return tuple(points)
 
 
@@ -531,18 +497,10 @@ class DeltaEpsilonRow:
     distance: float
     r1: float
     r2: float
-    graphon: StepGraphon
     feasible_starts: int
+    graphon: StepGraphon
 
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "distance": self.distance,
-            "r1": self.r1,
-            "r2": self.r2,
-            "feasible_starts": self.feasible_starts,
-            "graphon": self.graphon.to_dict(),
-        }
+    to_dict = record_dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -694,7 +652,8 @@ def delta_epsilon_probe(t: int, p: float, deltas, m: int, seed: int = 0,
             r1 = graphon_density(motif.graph, flat, budget=budget) - targets[0]
             r2 = doubling_density(motif, k, flat, budget=budget) - targets[1]
             best = (0.0, r1, r2, flat)
-        rows.append(DeltaEpsilonRow(delta, *best, feasible))
+        dist, r1, r2, graphon = best
+        rows.append(DeltaEpsilonRow(delta, dist, r1, r2, feasible, graphon))
     return DeltaEpsilonTable(t, k, float(p), tuple(rows))
 
 
@@ -709,15 +668,7 @@ class ContrastResult:
     triangle_density: float
     constancy: ConstancyReport
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "b": self.b,
-            "graphon": self.graphon.to_dict(),
-            "edge_density": self.edge_density,
-            "triangle_density": self.triangle_density,
-            "constancy": self.constancy.to_dict(),
-        }
+    to_dict = record_dict
 
 
 def non_forcing_witness(p: float = 0.5) -> tuple[StepGraphon, float]:

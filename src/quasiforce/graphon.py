@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, _fields
+from .serialize import record_dict
 
 __all__ = [
     "StepGraphon",
@@ -57,11 +58,7 @@ class StepGraphon:
     def num_parts(self) -> int:
         return int(self.weights.size)
 
-    def to_dict(self) -> dict:
-        return {
-            "weights": [float(x) for x in self.weights],
-            "values": [[float(x) for x in row] for row in self.values],
-        }
+    to_dict = record_dict
 
     @classmethod
     def from_dict(cls, data: dict) -> "StepGraphon":

@@ -15,6 +15,7 @@ from itertools import combinations
 from numbers import Integral
 
 from .errors import UnsupportedSizeError
+from .serialize import record_dict
 
 __all__ = [
     "Graph",
@@ -107,8 +108,7 @@ class Graph:
             raise ValueError(f"edge {e} not present")
         return Graph(self.n, tuple(f for f in self.edges if f != e))
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self.edges]}
+    to_dict = record_dict
 
     @classmethod
     def from_dict(cls, data: dict) -> "Graph":

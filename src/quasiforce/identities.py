@@ -32,6 +32,7 @@ from .density import (
 from .errors import UnsupportedSizeError
 from .graphon import StepGraphon
 from .graphs import Graph, complete_graph
+from .serialize import record_dict
 
 __all__ = [
     "IdentityResidualReport",
@@ -86,15 +87,7 @@ class IdentityResidualReport:
         if len(self.argmax_tuple) != self.k:
             raise ValueError("argmax_tuple must have one part index per pinned vertex")
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "k": self.k,
-            "p": self.p,
-            "max_residual": self.max_residual,
-            "argmax_tuple": list(self.argmax_tuple),
-            "per_tuple": None if self.per_tuple is None else self.per_tuple.tolist(),
-        }
+    to_dict = record_dict
 
 
 def _check_tk(t: int, k: int) -> None:
@@ -184,14 +177,7 @@ class ChainRecord:
         if len(self.slacks) != self.k or len(self.variances) != self.k:
             raise ValueError("need one slack and one variance per doubling step")
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "k": self.k,
-            "densities": list(self.densities),
-            "slacks": list(self.slacks),
-            "variances": list(self.variances),
-        }
+    to_dict = record_dict
 
 
 def cs_chain_check(t: int, k: int, graphon: StepGraphon,

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import UnsupportedSizeError
 from .graphon import StepGraphon
 from .graphs import Graph
+from .serialize import record_dict
 
 __all__ = [
     "QuasirandomReport",
@@ -67,15 +68,7 @@ class QuasirandomReport:
         if self.epsilon_star < self.deviation - 1e-12:
             raise ValueError("epsilon_star must dominate the witnessed deviation")
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "epsilon_star": self.epsilon_star,
-            "deviation": self.deviation,
-            "witness": list(self.witness),
-            "exact": self.exact,
-        }
+    to_dict = record_dict
 
 
 def _subset_deviation(g: Graph, p: float, subset) -> float:
@@ -257,15 +250,7 @@ class ConstancyReport:
     oscillation: float
     oscillation_part: int
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "linf": self.linf,
-            "l2": self.l2,
-            "cut": self.cut,
-            "oscillation": self.oscillation,
-            "oscillation_part": self.oscillation_part,
-        }
+    to_dict = record_dict
 
 
 def row_oscillation(graphon: StepGraphon) -> tuple[float, int]:

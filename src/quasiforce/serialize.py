@@ -3,16 +3,36 @@
 17 significant decimal digits are enough to round-trip any IEEE 754 double
 exactly, so files written here reload bit for bit.  Reading uses the stdlib
 parser but rejects its NaN and Infinity extensions, which are not JSON.
+Result records render through ``record_dict``, so a record's JSON keys are
+its dataclass fields in declaration order.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["dumps", "dump", "load"]
+__all__ = ["dumps", "dump", "load", "record_dict"]
+
+
+def _plain(value):
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
+def record_dict(record) -> dict:
+    """A dataclass record's fields in declaration order, keyed by name: a
+    nested record goes through its own to_dict, a tuple becomes a list and
+    an array a nested list.  Records set ``to_dict = record_dict``."""
+    return {f.name: _plain(getattr(record, f.name)) for f in fields(record)}
 
 
 def _render(obj, indent: int, level: int) -> str:

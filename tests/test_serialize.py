@@ -7,6 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from quasiforce import (
+    Graph,
+    check_identity,
+    constant_graphon,
+    contrast_experiment,
+    cs_chain_check,
+    delta_epsilon_probe,
+    gnp,
+    graph_quasirandomness,
+    graphon_constancy,
+    random_near_constant,
+    run_forcing_trial,
+)
+from quasiforce.experiments import ParetoPoint
 from quasiforce.serialize import dump, dumps, load
 
 
@@ -55,3 +69,78 @@ def test_load_rejects_non_finite_literals(tmp_path, literal):
     path.write_text('{"x": [0.5, %s]}' % literal)
     with pytest.raises(ValueError, match=literal):
         load(path)
+
+
+def _graphon():
+    rng = np.random.Generator(np.random.PCG64(3))
+    return random_near_constant(0.5, 2, 0.05, rng)
+
+
+_GRAPHON_KEYS = {"weights": list, "values": list}
+_CONSTANCY_KEYS = {"p": float, "linf": float, "l2": float, "cut": float,
+                   "oscillation": float, "oscillation_part": int}
+
+# each record's to_dict keys in order, with the type of each value; the
+# key order is the order of the dataclass fields
+_RECORDS = {
+    "StepGraphon": (_graphon, _GRAPHON_KEYS),
+    "Graph": (lambda: Graph(3, ((1, 2), (0, 1))), {"n": int, "edges": list}),
+    "QuasirandomReport": (
+        lambda: graph_quasirandomness(gnp(8, 0.5, 1), 0.5),
+        {"n": int, "p": float, "epsilon_star": float, "deviation": float,
+         "witness": list, "exact": bool}),
+    "ConstancyReport": (lambda: graphon_constancy(_graphon(), 0.5),
+                        _CONSTANCY_KEYS),
+    "IdentityResidualReport": (
+        lambda: check_identity(_graphon(), 0.5, 3),
+        {"t": int, "k": int, "p": float, "max_residual": float,
+         "argmax_tuple": list, "per_tuple": list}),
+    "IdentityResidualReport-no-table": (
+        lambda: check_identity(_graphon(), 0.5, 3, include_table=False),
+        {"t": int, "k": int, "p": float, "max_residual": float,
+         "argmax_tuple": list, "per_tuple": type(None)}),
+    "ChainRecord": (
+        lambda: cs_chain_check(3, 2, _graphon()),
+        {"t": int, "k": int, "densities": list, "slacks": list,
+         "variances": list}),
+    "ForcingTrial": (
+        lambda: run_forcing_trial(3, 0.5, _graphon(), seed=4),
+        {"seed": int, "converged": bool, "iterations": int,
+         "stop_reason": str, "r1": float, "r2": float, "graphon": dict,
+         "constancy": dict}),
+    "ParetoPoint": (
+        lambda: ParetoPoint(1e-8, 1e-9, -1e-9, 0.25, _graphon()),
+        {"lam": float, "r1": float, "r2": float, "distance_l2": float,
+         "graphon": dict}),
+    "DeltaEpsilonRow": (
+        lambda: delta_epsilon_probe(3, 0.5, [0.1], 2, max_iter=50).rows[0],
+        {"delta": float, "distance": float, "r1": float, "r2": float,
+         "feasible_starts": int, "graphon": dict}),
+    "ContrastResult": (
+        contrast_experiment,
+        {"p": float, "b": float, "graphon": dict, "edge_density": float,
+         "triangle_density": float, "constancy": dict}),
+}
+
+
+def _no_tuples_or_arrays(obj):
+    if isinstance(obj, dict):
+        return all(_no_tuples_or_arrays(v) for v in obj.values())
+    if isinstance(obj, list):
+        return all(_no_tuples_or_arrays(v) for v in obj)
+    return not isinstance(obj, (tuple, np.ndarray))
+
+
+@pytest.mark.parametrize("name", list(_RECORDS))
+def test_record_dict_key_order_and_types(name):
+    build, keys = _RECORDS[name]
+    d = build().to_dict()
+    assert list(d) == list(keys)
+    for key, kind in keys.items():
+        assert isinstance(d[key], kind), key
+    assert _no_tuples_or_arrays(d)
+    for nested, nested_keys in (("graphon", _GRAPHON_KEYS),
+                                ("constancy", _CONSTANCY_KEYS)):
+        if nested in keys:
+            assert list(d[nested]) == list(nested_keys)
+    assert json.loads(dumps(d)) == d
