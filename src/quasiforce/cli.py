@@ -219,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     q.add_argument("--seed", type=int, default=0,
                    help="seed for heuristic restarts")
-    q.add_argument("--restarts", type=_positive_int, default=32)
+    q.add_argument("--restarts", type=_positive_int, default=32,
+                   help="random heuristic starts, at most 10000")
     q.add_argument("--out", help="write the report JSON here")
     q.set_defaults(func=_cmd_quasirandom)
 

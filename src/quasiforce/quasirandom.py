@@ -5,13 +5,22 @@ A graph is (eps, p)-quasirandom when every vertex subset U satisfies
 left side over all 2^n subsets by a blocked meet-in-the-middle: the
 vertices split into halves, and for a block of subsets of one half a
 single matrix product gives e(U) against every subset of the other half.
-That is O(2^n * n/2) time in O(2^(n/2)) memory plus one fixed-size block.
+Each high-half subset first gets a cheap upper bound on its deviation
+(its cross term per low size lies between the sums of its smallest and
+largest edge counts to single low vertices), the high subsets are visited
+in descending order of that bound, and the search stops at the first
+block whose bounds all fall below the best deviation found.  Rows that
+can only tie the best are still scored, so the tie-break sees every
+maximizer.  The worst case, where every row ties at the best, is still
+O(2^n * n/2) time; memory is O(2^(n/2)) plus one fixed-size block.
 Beyond the exact cap a seeded local-search heuristic reports the best
 subset it finds, which lower-bounds the truth.
 """
 
 from __future__ import annotations
 
+import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +39,8 @@ __all__ = [
 ]
 
 _EXACT_HARD_CAP = 26
+# random starts of the heuristic; each is a full greedy descent
+_MAX_RESTARTS = 10_000
 _CUT_MAX_PARTS = 15
 # entries in one block of the exact search's cross-term product
 _BLOCK_ENTRIES = 1 << 18
@@ -90,9 +101,9 @@ def _subset_bits(k: int) -> np.ndarray:
     return ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(float)
 
 
-def _deviation(e, q, n: int):
+def _deviation(e, q, n: int, out=None):
     """|e - q| / n^2, rounded step by step as _subset_deviation rounds."""
-    dev = np.subtract(e, q)
+    dev = np.subtract(e, q, out=out)
     np.abs(dev, out=dev)
     dev /= n**2
     return dev
@@ -111,6 +122,29 @@ def _lex_smallest(masks: np.ndarray) -> int:
         masks = masks[lowest == step]
         prefix |= step
     return prefix
+
+
+def _row_bounds(xh, adj_hl, e_high, e_low, starts, qs, n: int):
+    """Per high subset, an upper bound on its largest rounded deviation.
+
+    With c = x_H' A_HL the high subset's edge counts to each low vertex,
+    the cross term of a low subset of size s lies between the sums of the
+    s smallest and the s largest entries of c, and e(U_L) between its
+    extremes over size s (``e_low`` is ordered by size, one run per
+    ``starts`` entry).  All terms are integers, so the ends are exact, and
+    the rounded deviation is monotone in |e - q|: the bound holds bit for
+    bit.  ``qs`` holds q per (high subset, low size) and is overwritten."""
+    counts = xh @ adj_hl
+    counts.sort(axis=1)
+    smallest = np.zeros(qs.shape)
+    np.cumsum(counts, axis=1, out=smallest[:, 1:])
+    del counts
+    largest = smallest[:, -1:] - smallest[:, ::-1]
+    smallest += np.minimum.reduceat(e_low, starts) + e_high[:, None]
+    largest += np.maximum.reduceat(e_low, starts) + e_high[:, None]
+    _deviation(smallest, qs, n, out=smallest)
+    _deviation(largest, qs, n, out=qs)
+    return np.maximum(qs, smallest, out=qs).max(axis=1)
 
 
 def _exact_max(g: Graph, p: float):
@@ -136,16 +170,27 @@ def _exact_max(g: Graph, p: float):
     q = p * s
     q *= s - 1
     q /= 2.0
+    bound = _row_bounds(xh, adj[low:, :low], e_high, e_low[order], starts,
+                        q[size_high[:, None] + np.arange(low + 1)], n)
+    # high subsets in descending order of their bound: once the best found
+    # so far exceeds a row's bound, that row and every later one can only
+    # lose.  A row whose bound equals the best may still tie it, so it
+    # stays for the tie-break.
+    visit = np.argsort(-bound, kind="stable")
     # each rounding step is monotone, so for a fixed size the rounded
     # deviation never falls as e moves away from q: per (high subset, low
     # size) the largest or the smallest edge count attains the maximum,
     # bit for bit
     rows = max(1, _BLOCK_ENTRIES >> low)
     best, witness = -1.0, None
-    for h0 in range(0, len(left), rows):
-        cross = left[h0:h0 + rows] @ right
-        eh = e_high[h0:h0 + rows, None]
-        qs = q[size_high[h0:h0 + rows, None] + np.arange(low + 1)]
+    for b0 in range(0, len(visit), rows):
+        block = visit[b0:b0 + rows]
+        block = block[bound[block] >= best]
+        if not len(block):
+            break
+        cross = left[block] @ right
+        eh = e_high[block, None]
+        qs = q[size_high[block, None] + np.arange(low + 1)]
         row_best = np.maximum(
             _deviation(np.maximum.reduceat(cross, starts, axis=1) + eh, qs, n),
             _deviation(np.minimum.reduceat(cross, starts, axis=1) + eh, qs, n),
@@ -157,10 +202,11 @@ def _exact_max(g: Graph, p: float):
             best, witness = block_best, None
         # the full deviation, only on the rows that reach the best value
         hit = np.flatnonzero(row_best == best)
+        high = block[hit]
         dev = _deviation(cross[hit] + eh[hit],
-                         q[size_high[h0 + hit, None] + size_low], n)
+                         q[size_high[high, None] + size_low], n)
         r, c = np.nonzero(dev == best)
-        cand = _mask_to_tuple(_lex_smallest(order[c] | (h0 + hit[r]) << low))
+        cand = _mask_to_tuple(_lex_smallest(order[c] | high[r] << low))
         if witness is None or cand < witness:
             witness = cand
     return best, witness
@@ -172,9 +218,9 @@ def _heuristic_max(g: Graph, p: float, seed: int, restarts: int):
     m0 = a - p * (1.0 - np.eye(n))  # x' m0 x = 2 (e(U) - p binom(|U|,2))
     vals, vecs = np.linalg.eigh(a - p)
     top = vecs[:, int(np.argmax(np.abs(vals)))]
-    starts = [top > 0, top < 0]
     rng = np.random.Generator(np.random.PCG64(seed))
-    starts += [rng.random(n) < 0.5 for _ in range(restarts)]
+    starts = itertools.chain(
+        (top > 0, top < 0), (rng.random(n) < 0.5 for _ in range(restarts)))
 
     best_dev = -1.0
     best_key: tuple[int, ...] = ()
@@ -198,25 +244,47 @@ def _heuristic_max(g: Graph, p: float, seed: int, restarts: int):
     return best_dev, best_key
 
 
+def _check_int(name: str, value) -> int:
+    """An integer argument as a Python int; bools, floats and other
+    non-integers are refused instead of being truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer; got {value!r}")
+    return int(value)
+
+
 def graph_quasirandomness(g: Graph, p: float, mode: str = "auto",
                           exact_max_n: int = 22, seed: int = 0,
                           restarts: int = 32) -> QuasirandomReport:
     """Largest subset deviation from p-random edge counts, with a witness.
 
-    ``mode='exact'`` enumerates all subsets (blocked meet-in-the-middle over
-    the two vertex halves, O(2^n * n/2) time and O(2^(n/2)) memory, capped
-    at ``exact_max_n`` vertices); ``'heuristic'`` runs greedy single-vertex
-    flips from the top-eigenvector sign pattern of A - pJ plus ``restarts``
-    random starts.  ``'auto'`` picks exact when the graph fits under the
-    cap.  Ties between witnesses break toward the lexicographically
-    smallest vertex tuple.
+    ``mode='exact'`` maximizes over all subsets (blocked meet-in-the-middle
+    over the two vertex halves, capped at ``exact_max_n`` vertices).  It
+    scores high-half subsets in descending order of an upper bound on
+    their deviation and stops once no bound can reach the best found, so
+    typically only a few percent of them are scored; when every one ties
+    at the best it is still O(2^n * n/2) time, in O(2^(n/2)) memory.
+    ``'heuristic'`` runs greedy single-vertex flips from the
+    top-eigenvector sign pattern of A - pJ plus ``restarts`` random starts
+    (at most 10,000; more raise UnsupportedSizeError).  ``'auto'`` picks
+    exact when the graph fits under the cap.  Ties between witnesses break
+    toward the lexicographically smallest vertex tuple.  ``exact_max_n``,
+    ``seed`` and ``restarts`` must be integers (numpy integers too; bools
+    and floats are refused), and ``restarts`` non-negative.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    exact_max_n = _check_int("exact_max_n", exact_max_n)
+    seed = _check_int("seed", seed)
+    restarts = _check_int("restarts", restarts)
     if not 1 <= exact_max_n <= _EXACT_HARD_CAP:
         raise ValueError(f"exact_max_n must lie in [1, {_EXACT_HARD_CAP}]")
+    if restarts < 0:
+        raise ValueError(f"restarts must be non-negative; got {restarts}")
+    if restarts > _MAX_RESTARTS:
+        raise UnsupportedSizeError(
+            f"restarts are capped at {_MAX_RESTARTS}; got {restarts}")
     if mode == "auto":
         mode = "exact" if g.n <= exact_max_n else "heuristic"
     if mode == "exact":

@@ -107,6 +107,9 @@ def test_quasirandom_size_exit(tmp_path, capsys):
     assert main(["quasirandom", "--graph", path, "--p", "0.5",
                  "--mode", "exact"]) == 3
     assert "error:" in capsys.readouterr().err
+    assert main(["quasirandom", "--graph", path, "--p", "0.5",
+                 "--restarts", "10001"]) == 3
+    assert "restarts are capped" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("weights", ["[NaN, NaN]", "[Infinity, 0.5]", "[1e400, 0.5]"])

@@ -69,6 +69,54 @@ def test_exact_breaks_ties_like_brute(monkeypatch, n, make, p, one_row_blocks):
     assert (rep.deviation, rep.witness) == (want, witness)
 
 
+@pytest.mark.parametrize("n", [13, 14])
+@pytest.mark.parametrize("make", [Graph, lambda n: complete_graph(n).graph,
+                                  _matching, _star, lambda n: gnp(n, 0.5, n)],
+                         ids=["empty", "complete", "matching", "star", "gnp"])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+def test_pruned_search_matches_brute(monkeypatch, n, make, p):
+    # with 8 or one high subsets per block the search spans 8 to 128
+    # blocks, so rows are pruned between blocks, and the tie graphs make
+    # rows whose bound equals the best decide the witness
+    g = make(n)
+    want = brute_subset_deviation(g, p)
+    for entries in (quasirandom._BLOCK_ENTRIES, 8 << (n + 1) // 2, 1):
+        monkeypatch.setattr(quasirandom, "_BLOCK_ENTRIES", entries)
+        rep = graph_quasirandomness(g, p, mode="exact")
+        assert (rep.deviation, rep.witness) == want
+
+
+# (seed, deviation as float.hex, witness) of the benchmark's inputs
+# gnp(22, 0.5, seed), as the unpruned meet-in-the-middle reported them
+_PINNED_22 = [
+    (0, "0x1.419637021d9ebp-5", (0, 1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16,
+                                 18, 20, 21)),
+    (1, "0x1.b810ecf56be6ap-6", (0, 4, 5, 6, 7, 8, 10, 11, 12, 18, 19, 20, 21)),
+    (2, "0x1.d9ead7cd391fcp-6", (0, 1, 2, 3, 6, 8, 11, 12, 15, 16, 17, 18, 19)),
+    (3, "0x1.0658dc08767abp-5", (0, 1, 3, 4, 5, 6, 12, 13, 14, 15, 16, 17, 18,
+                                 19, 21)),
+    (4, "0x1.8dc08767ab5f3p-5", (0, 1, 3, 5, 6, 7, 8, 9, 10, 11, 13, 14, 16, 17,
+                                 18, 19, 20, 21)),
+    (5, "0x1.0658dc08767abp-5", (0, 1, 2, 4, 6, 7, 9, 11, 12, 13, 14, 15, 16, 17,
+                                 19)),
+    (6, "0x1.0ecf56be69c90p-5", (0, 1, 3, 4, 5, 6, 7, 8, 9, 11, 12, 14, 16, 19,
+                                 20, 21)),
+    (7, "0x1.52832c6e043b4p-5", (0, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 17, 18,
+                                 19, 20, 21)),
+    (8, "0x1.1745d1745d174p-5", (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15,
+                                 18)),
+    (9, "0x1.52832c6e043b4p-5", (0, 1, 2, 3, 4, 5, 6, 7, 9, 11, 12, 14, 15, 16,
+                                 18, 19, 20)),
+]
+
+
+@pytest.mark.parametrize("seed, deviation, witness", _PINNED_22)
+def test_exact_pins_the_benchmark_inputs(seed, deviation, witness):
+    rep = graph_quasirandomness(gnp(22, 0.5, seed), 0.5, mode="exact")
+    assert rep.deviation == float.fromhex(deviation)
+    assert rep.witness == witness
+
+
 @pytest.mark.parametrize("complete", [False, True])
 def test_exact_at_the_hard_cap_stays_small(complete):
     # 2^26 subsets; an 8-byte table over all of them alone would be 512 MiB
@@ -120,6 +168,72 @@ def test_heuristic_witness_attains_its_deviation():
     u = len(rep.witness)
     attained = abs(_count_inside(g, rep.witness) - 0.5 * u * (u - 1) / 2) / g.n**2
     assert attained == pytest.approx(rep.deviation, abs=1e-12)
+
+
+# ((n, seed, restarts), deviation as float.hex, witness) of seeded heuristic
+# reports on gnp(n, 0.5, seed), as eagerly drawn starts gave them; in the
+# last four a random start wins, and another seed's starts report otherwise
+_PINNED_HEURISTIC = [
+    ((40, 0, 32), "0x1.c7ae147ae147bp-6", (0, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12,
+      13, 15, 16, 17, 20, 22, 23, 25, 27, 28, 29, 30, 31, 32, 33, 34, 35, 37,
+      38, 39)),
+    ((12, 5, 8), "0x1.38e38e38e38e4p-5", (0, 2, 3, 5, 8, 9, 11)),
+    ((12, 7, 8), "0x1.5555555555555p-5", (0, 1, 2, 4, 5, 8, 9, 10)),
+    ((16, 2, 8), "0x1.7000000000000p-5", (0, 1, 2, 3, 5, 6, 10, 11, 12, 14,
+      15)),
+    ((16, 12, 8), "0x1.2000000000000p-5", (1, 3, 4, 5, 7, 8, 9, 10, 11, 12, 13,
+      14, 15)),
+]
+
+
+@pytest.mark.parametrize("case, deviation, witness", _PINNED_HEURISTIC)
+def test_heuristic_seeded_reports_are_pinned(case, deviation, witness):
+    n, seed, restarts = case
+    rep = graph_quasirandomness(gnp(n, 0.5, seed), 0.5, mode="heuristic",
+                                seed=seed, restarts=restarts)
+    assert rep.deviation == float.fromhex(deviation)
+    assert rep.witness == witness
+
+
+@pytest.mark.parametrize("name", ["exact_max_n", "seed", "restarts"])
+@pytest.mark.parametrize("value", [True, False, 12.5, 3.0, "5", None])
+def test_integer_arguments_are_strict(monkeypatch, name, value):
+    def fail(*args):
+        raise AssertionError("validation must come before any work")
+
+    monkeypatch.setattr(quasirandom, "_adjacency", fail)
+    for mode in ("auto", "exact", "heuristic"):
+        with pytest.raises(ValueError, match=name):
+            graph_quasirandomness(Graph(4), 0.5, mode=mode, **{name: value})
+
+
+def test_integer_arguments_accept_numpy_integers():
+    g = gnp(12, 0.5, 1)
+    want = graph_quasirandomness(g, 0.5, mode="heuristic", seed=2, restarts=3)
+    got = graph_quasirandomness(g, 0.5, mode="heuristic", seed=np.int64(2),
+                                restarts=np.int32(3), exact_max_n=np.uint8(11))
+    assert got == want
+    assert graph_quasirandomness(g, 0.5, exact_max_n=np.int64(12)).exact
+
+
+def test_negative_restarts_refused():
+    with pytest.raises(ValueError, match="restarts"):
+        graph_quasirandomness(gnp(8, 0.5, 0), 0.5, mode="heuristic", restarts=-3)
+
+
+def test_restarts_capped_before_any_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(quasirandom, "_heuristic_max",
+                        lambda g, p, seed, restarts: calls.append(restarts)
+                        or (0.0, ()))
+    cap = quasirandom._MAX_RESTARTS
+    g = Graph(30)
+    graph_quasirandomness(g, 0.5, restarts=cap)
+    assert calls == [cap]
+    for mode in ("auto", "exact", "heuristic"):
+        with pytest.raises(UnsupportedSizeError, match="restarts"):
+            graph_quasirandomness(g, 0.5, mode=mode, restarts=cap + 1)
+    assert calls == [cap]
 
 
 def test_quasirandomness_validation():
