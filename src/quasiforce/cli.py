@@ -37,6 +37,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return value
+
+
 def _load_colored(path: str) -> ColoredGraph:
     data = load(path)
     if isinstance(data, dict) and "classes" not in data:
@@ -217,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest n checked by full enumeration")
     q.add_argument("--mode", choices=["auto", "exact", "heuristic"],
                    default="auto")
-    q.add_argument("--seed", type=int, default=0,
+    q.add_argument("--seed", type=_nonnegative_int, default=0,
                    help="seed for heuristic restarts")
     q.add_argument("--restarts", type=_positive_int, default=32,
                    help="random heuristic starts, at most 10000")
@@ -242,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--p", type=float, default=0.5)
     e.add_argument("--parts", type=_positive_int, default=4)
     e.add_argument("--trials", type=_positive_int, default=10)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=_nonnegative_int, default=0)
     e.add_argument("--tol", type=float, default=1e-6)
     e.add_argument("--k", type=_positive_int, default=None,
                    help="doublings; defaults to ceil((t+1)/2)")

@@ -13,7 +13,12 @@ Three evaluation strategies share one sum-product core:
   flops of a general product) and the last level is a dot product.  A
   Gram whose axes the next level reads in permuted order is written
   straight into that order, one block of rows at a time, so the
-  recursion keeps one table per level and every split is a view.
+  recursion keeps one table per level and every split is a view.  From
+  three doublings on, the last Gram is never built: swapping the two
+  copies glued at any earlier level changes nothing, so level k-2's table
+  commutes with the version group (Z2)^(k-2), and the last two levels run
+  on one block per character of that group, which costs a few small
+  Grams and products instead of one m^r x m^r syrk and gemm.
 
 Gradients in the value matrix come from reverse accumulation over the same
 compiled plan: the forward replay keeps every step's table (the tape), and
@@ -517,8 +522,91 @@ def _weight_products(w: np.ndarray, g: int) -> np.ndarray:
     return d
 
 
-# entries of q - mean sqrt(w_g) built at a time when summing a variance
-_VARIANCE_BLOCK = 1 << 14
+# entries built at a time by a pass over blocks of rows: q - mean u v^T
+# when summing a variance, and rows of A G gathered from version blocks
+_ROW_BLOCK = 1 << 14
+
+
+def _centered_sq(q: np.ndarray, u: np.ndarray, v: np.ndarray, mean: float) -> float:
+    """|q - mean u v^T|^2, summed over blocks of rows of q, so no table of
+    q's size is built beside it."""
+    mv = -mean * v
+    step = max(1, _ROW_BLOCK // q.shape[1])
+    out = 0.0
+    for i in range(0, q.shape[0], step):
+        diff = np.multiply.outer(u[i:i + step], mv)
+        diff += q[i:i + step]
+        out += float(np.vdot(diff, diff))
+    return out
+
+
+# entries of level k-2's table from which its Gram runs on version blocks.
+# The blocks cost about a dozen more numpy calls per forward and adjoint,
+# which outweigh the flops they save on small tables: on one thread of a
+# 2-core Xeon, forward plus adjoint ran 20-50% slower on blocks at 81 x 81,
+# and at 256 x 256 from 1.2 (two characters) to 2 times (four) faster.
+_VERSION_BLOCK_MIN = 1 << 13
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _characters(bits: int) -> np.ndarray:
+    """signs[c, h] = (-1)^popcount(c & h): character c of (Z2)^bits at h,
+    the Sylvester-Hadamard matrix."""
+    signs = np.ones((1, 1))
+    for _ in range(bits):
+        signs = np.block([[signs, signs], [signs, -signs]])
+    return signs
+
+
+class _VersionOrbits(NamedTuple):
+    """Index maps of the version group on the assignments of one class,
+    for its n orbits and N assignments, H = 2^bits group elements."""
+
+    reps: np.ndarray  # (n,) smallest flat index of each orbit
+    rep_images: np.ndarray  # (n, H): h . reps[o]
+    # (H, n): 1/sqrt|S_o| where character c is trivial on S_o, else 0
+    weight: np.ndarray
+    root_stab: np.ndarray  # (n,): sqrt|S_o|, S_o the stabilizer
+    orbit: np.ndarray  # (N,): the orbit of every assignment x
+    # writing x = h_x . reps[orbit(x)]: the x with h_x = a, for each a
+    shifted: tuple[np.ndarray, ...]
+    expand: np.ndarray  # (H, N): orbit(x) H + (a XOR h_x)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _version_orbits(m: int, n: int, bits: int) -> _VersionOrbits:
+    """The group (Z2)^bits acting on [m]^(n 2^bits), whose axes are
+    vertex-major, version-minor: h sends the axis of (vertex i, version v)
+    to that of (i, v XOR h).
+
+    For a character c and an orbit O, the entries of O signed by c (the
+    sign of x = h . rep is c(h)), over sqrt|O|, make a unit vector, and a
+    nonzero one exactly when c is trivial on O's stabilizer.  Over every c
+    and O they form an orthonormal basis in which a table that commutes
+    with the group, acting on its rows and columns at once, is block
+    diagonal, one block per character.  By that invariance, the entry of
+    block c at row orbit O and column orbit O' reads only O's
+    representative row: sum_h c(h) a[rep_O, h . rep_O'] / sqrt|S_O||S_O'|.
+    Every block keeps a row and a column per orbit, zero where c is not
+    trivial on the stabilizer.  The maps hold a few entries per assignment
+    of one class, not per entry of the table.
+    """
+    versions = 1 << bits
+    flat = np.arange(m ** (n * versions)).reshape((m,) * (n * versions))
+    images = np.stack([
+        flat.transpose([i * versions + (v ^ h) for i in range(n)
+                        for v in range(versions)]).reshape(-1)
+        for h in range(versions)])
+    reps, orbit = np.unique(images.min(axis=0), return_inverse=True)
+    shift = np.argmax(images == reps[orbit], axis=0)
+    fixes = images[:, reps] == reps  # fixes[h, o]: h stabilizes orbit o
+    keep = ~((_characters(bits) < 0)[:, :, None] & fixes[None]).any(axis=1)
+    root_stab = np.sqrt(fixes.sum(axis=0))
+    expand = orbit * versions + (np.arange(versions)[:, None] ^ shift)
+    return _VersionOrbits(reps, images[:, reps].T.copy(), keep / root_stab,
+                          root_stab, orbit,
+                          tuple(np.flatnonzero(shift == a) for a in range(versions)),
+                          expand)
 
 
 def _is_identity(perm: tuple[int, ...]) -> bool:
@@ -566,7 +654,12 @@ class _DoublingRun(NamedTuple):
 
     values: np.ndarray  # the value matrix evaluated at
     tape: list  # the base plan's step results, the base table last
-    factors: list  # each level's root-weighted factor, innermost level first
+    # each level's root-weighted factor, innermost level first; with version
+    # blocks the last level's factor, the Gram of the level before, is
+    # never formed, and only its character blocks are kept
+    factors: list
+    blocks: np.ndarray | None  # (H, nX, nY) character blocks of factors[-1]
+    grams: np.ndarray | None  # (H, nY, nY) the Gram of each block
     table: np.ndarray  # the final table: a scalar once every class is glued
 
 
@@ -583,6 +676,16 @@ class _Doubling:
     of every Gram's adjoint (see base_adjoint).  Binding checks the base
     plan and every level's tables against the budget, so an oversized
     request fails before any contraction runs.
+
+    From k = 3 on, the last two levels run on version blocks.  Swapping
+    the two copies glued at any level changes nothing, and on level k-2's
+    table A that swap flips one bit of the version of every axis, rows and
+    columns at once.  So A commutes with the version group (Z2)^(k-2) and
+    is block diagonal in the basis of its characters (_version_orbits),
+    one block A_c per character c.  The last level is the squared norm of
+    the Gram A^T A, so d_k = sum_c |A_c^T A_c|^2, and the m^(2r) Gram is
+    never built.  At K_5, k = 4, m = 5 the 625 x 625 syrk becomes Grams of
+    four blocks of 175 or 150 rows and columns.
     """
 
     def __init__(self, colored: ColoredGraph, k: int, weights: np.ndarray,
@@ -608,6 +711,20 @@ class _Doubling:
         # the root products over the pinned vertices, shaped as the base table
         self.base_roots = _weight_products(self.roots, len(self.pinned)).reshape(
             (m,) * len(self.pinned))
+        # the version group's index maps on level k-2's rows and columns
+        self.versions = None
+        last = self.levels[k - 2] if k >= 3 else None
+        if last is not None and m ** (last.g + last.r) >= _VERSION_BLOCK_MIN:
+            self.signs = _characters(k - 2)
+            rows, cols = (_version_orbits(m, len(colored.classes[c]), k - 2)
+                          for c in (k - 2, k - 1))
+            self.versions = rows, cols
+            # the root products of level k-2's columns, which the version
+            # group fixes, in the basis of the trivial block: sqrt|O| times
+            # their value at the orbit's representative
+            roots = _weight_products(self.roots, last.r)
+            self.block_roots = (roots[cols.reps] * np.sqrt(len(self.signs))
+                                / cols.root_stab)
 
     @functools.cached_property
     def base_weights(self) -> np.ndarray:
@@ -630,9 +747,14 @@ class _Doubling:
         directly rather than as a difference.  The root products over the
         g glued axes do not depend on their order, so q is read as a matrix
         over the first g//2 axes and the rest, and sqrt(w_g) as the outer
-        product of two short vectors; the last level's never exists whole.
-        The variance is summed over blocks of rows of q, so no table of q's
-        size is built beside it.
+        product of two short vectors.
+
+        With version blocks the last level's q is the Gram G of level k-2
+        and sqrt(w_g) the outer product s s^T of that Gram's root products.
+        The version group fixes s, so s lies in the trivial block: the
+        mean is s_1^T G_1 s_1 and the variance sum_{c != 1} |G_c|^2 +
+        |G_1 - mean s_1 s_1^T|^2, still a sum of squares, for G_1 and s_1
+        the trivial block and s in its basis.
         """
         m, out = self.m, []
         for level, a in zip(self.levels, run.factors):
@@ -642,14 +764,12 @@ class _Doubling:
             s1 = _weight_products(self.roots, h)
             s2 = _weight_products(self.roots, level.g - h)
             mean = float(s1 @ q @ s2)
-            ms2 = -mean * s2
-            step = max(1, _VARIANCE_BLOCK // q.shape[1])
-            var = 0.0
-            for i in range(0, q.shape[0], step):
-                diff = np.multiply.outer(s1[i:i + step], ms2)
-                diff += q[i:i + step]
-                var += float(np.vdot(diff, diff))
-            out.append((mean, float(np.vdot(q, q)), var))
+            out.append((mean, float(np.vdot(q, q)), _centered_sq(q, s1, s2, mean)))
+        if run.grams is not None:
+            trivial, rest, s = run.grams[0], run.grams[1:], self.block_roots
+            mean = float(s @ trivial @ s)
+            var = float(np.vdot(rest, rest)) + _centered_sq(trivial, s, s, mean)
+            out.append((mean, float(run.table), var))
         return out
 
     def forward(self, values: np.ndarray, keep_tape: bool = False) -> _DoublingRun:
@@ -664,14 +784,29 @@ class _Doubling:
         Every table is stored in the axis order its level reads, so each
         split is a view.  Where a level's perm is not the identity, its
         Gram is written straight into that order, one block of rows at a
-        time, instead of being computed whole and then copied permuted."""
+        time, instead of being computed whole and then copied permuted.
+        With version blocks, level k-2's factor is split into its blocks
+        and the last level is the squared norm of their Grams."""
         m = self.m
         tape = _forward(self.plan, values, self.weights, keep_tape)
         table = tape[-1] * self.base_roots
-        factors = []
-        for level in self.levels:
+        factors, blocks, grams = [], None, None
+        for j, level in enumerate(self.levels):
             a = table.reshape(m**level.g, m**level.r)
             factors.append(a)
+            if self.versions is not None and j == len(self.levels) - 2:
+                rows, cols = self.versions
+                h = len(self.signs)
+                # a[rep_o, h . rep_o'] in (o, o', h) order, then summed
+                # against each character over h
+                blocks = self.signs @ a.take(rows.reps, axis=0).take(
+                    cols.rep_images.reshape(-1), axis=1).reshape(-1, h).T
+                blocks = blocks.reshape(h, rows.reps.size, cols.reps.size)
+                blocks *= rows.weight[:, :, None]
+                blocks *= cols.weight[:, None, :]
+                grams = np.stack([b.T @ b for b in blocks])
+                table = np.asarray(np.vdot(grams, grams))
+                break
             if not level.r:
                 table = np.asarray(np.dot(a[:, 0], a[:, 0]))
             elif _is_identity(level.perm):
@@ -686,7 +821,7 @@ class _Doubling:
                 for x in range(m):
                     gram = a[:, x * rows:(x + 1) * rows].T @ a
                     raw[x] = gram.reshape(raw.shape[1:])
-        return _DoublingRun(values, tape, factors, table)
+        return _DoublingRun(values, tape, factors, blocks, grams, table)
 
     def base_adjoint(self, run: _DoublingRun, scale: float) -> np.ndarray:
         """Adjoint on the base table of `scale` times the final density.
@@ -702,15 +837,45 @@ class _Doubling:
         copy.  Where a level's perm is not the identity, T is read in raw
         axis order: by its symmetry, column block x of T is row block x
         transposed, so each block of columns of a T is one product,
-        written in place."""
+        written in place.
+
+        With version blocks, the last level's adjoint is the Gram G itself,
+        so level k-2's is A G = sum_c A_c G_c in the character basis: one
+        product per block, then a Walsh-Hadamard transform over the
+        characters and one gather back to the standard basis (A G commutes
+        with the version group too, so it is read off the orbit
+        representatives).  At K_5, k = 4, m = 5 that replaces a 625 x 625
+        product by four of at most 175 rows and columns."""
         m = self.m
         if not self.levels:
             return float(scale) * self.base_roots
-        for level, a in zip(reversed(self.levels), reversed(run.factors)):
+        pairs = list(zip(self.levels, run.factors))
+        level, a = pairs.pop()
+        if run.grams is None:
+            tbar = a if scale == 1.0 else float(scale) * a
+        else:
+            rows, cols = self.versions
+            h = len(self.signs)
+            b = run.blocks @ run.grams
+            b *= rows.root_stab[:, None] * (float(scale) / h)
+            b *= cols.root_stab
+            # summed over the characters: entry (o, o', h) is A G at
+            # (rep_o, h . rep_o'), so A G at (x, y) is its entry
+            # (orbit(x), orbit(y), h_x XOR h_y), gathered for a block of
+            # rows with one h_x at a time, so no other table is as large
+            r = (b.reshape(h, -1).T @ self.signs).reshape(rows.reps.size, -1)
+            del b
+            tbar = np.empty((m**level.g, m**level.r))
+            step = max(1, _ROW_BLOCK // m**level.r)
+            for shift, xs in enumerate(rows.shifted):
+                for i in range(0, xs.size, step):
+                    part = xs[i:i + step]
+                    tbar[part] = r.take(rows.orbit[part], axis=0).take(
+                        cols.expand[shift], axis=1)
+        tbar = tbar.reshape((m,) * (level.g + level.r))
+        for level, a in reversed(pairs):
             r = level.r
-            if not r:
-                tbar = a if scale == 1.0 else float(scale) * a
-            elif _is_identity(level.perm):
+            if _is_identity(level.perm):
                 # the blocked loop below gives the same result here, but
                 # its m products of transposed blocks made the whole
                 # adjoint a third slower at m=5, k=4 (12.7 -> 16.9 ms on

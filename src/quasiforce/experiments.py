@@ -84,11 +84,11 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and non-negative; got {tol!r}")
 
 
-def _check_max_iter(max_iter: int) -> None:
-    if isinstance(max_iter, bool) or not (
-            isinstance(max_iter, numbers.Integral) and max_iter >= 0):
-        raise ValueError(
-            f"max_iter must be a non-negative integer; got {max_iter!r}")
+def _check_count(name: str, value: int) -> None:
+    """Refuse anything but a non-negative integer (bools too), naming it."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral) and value >= 0):
+        raise ValueError(f"{name} must be a non-negative integer; got {value!r}")
 
 
 def _check_p(p: float) -> None:
@@ -406,7 +406,7 @@ def run_forcing_trial(t: int, p: float, start: StepGraphon, seed: int = 0,
         k = default_doublings(t)
     _check_p(p)
     _check_tol(tol)
-    _check_max_iter(max_iter)
+    _check_count("max_iter", max_iter)
     weights = start.weights
     pair_eval = _PairEvaluator(complete_graph(t), k, weights, _targets(t, k, p),
                                budget)
@@ -458,14 +458,15 @@ def forcing_experiment(t: int, p: float, m: int, trials: int, seed: int = 0,
     search keeps the tighter cap's point unless it finds a farther one, so
     the distances never fall as the cap loosens.
     Trial seeds are ``seed + trial index``, so results are reproducible
-    and order-independent.  ``tol`` and ``max_iter`` (a non-negative
-    integer) are checked before any trial runs.
+    and order-independent.  ``tol``, ``max_iter`` and ``seed`` (both
+    non-negative integers) are checked before any trial runs.
     """
     _check_problem(t, m, p)
     if not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must lie in [1, {_MAX_TRIALS}]; got {trials}")
     _check_tol(tol)
-    _check_max_iter(max_iter)
+    _check_count("max_iter", max_iter)
+    _check_count("seed", seed)
     if k is None:
         k = default_doublings(t)
     done = []
@@ -597,6 +598,7 @@ def _sweep(t: int, k: int, p: float, m: int, seed: int, caps, steps: int,
     best is (distance, r1, r2, graphon), None until a start restores into
     a band, and feasible counts the starts that restored into this one.
     """
+    _check_count("seed", seed)
     weights = np.full(m, 1.0 / m)
     pair_eval = _PairEvaluator(complete_graph(t), k, weights, _targets(t, k, p),
                                budget)
@@ -630,12 +632,12 @@ def delta_epsilon_probe(t: int, p: float, deltas, m: int, seed: int = 0,
     (known graphons with matching part count) and three fresh seeded
     starts, and keeps that point unless it finds a farther one, so the
     reported distances are non-decreasing in delta.  Each start takes at
-    most ``max_iter // 5`` ascent steps; ``max_iter`` must be a
-    non-negative integer.  Reported distances are lower bounds on the true
+    most ``max_iter // 5`` ascent steps; ``max_iter`` and ``seed`` must be
+    non-negative integers.  Reported distances are lower bounds on the true
     optimum.  Every delta must be finite and non-negative.
     """
     _check_problem(t, m, p)
-    _check_max_iter(max_iter)
+    _check_count("max_iter", max_iter)
     if k is None:
         k = default_doublings(t)
     deltas = sorted(float(d) for d in deltas)

@@ -19,9 +19,11 @@ subset it finds, which lower-bounds the truth.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +46,9 @@ _MAX_RESTARTS = 10_000
 _CUT_MAX_PARTS = 15
 # entries in one block of the exact search's cross-term product
 _BLOCK_ENTRIES = 1 << 18
+# (n, p) pairs whose input-independent exact-search tables stay cached;
+# at the hard cap of 26 vertices one entry holds about 4 MiB
+_EXACT_TABLES_CACHE_SIZE = 16
 
 
 def _mask_to_tuple(mask: int) -> tuple[int, ...]:
@@ -147,31 +152,58 @@ def _row_bounds(xh, adj_hl, e_high, e_low, starts, qs, n: int):
     return np.maximum(qs, smallest, out=qs).max(axis=1)
 
 
-def _exact_max(g: Graph, p: float):
-    n = g.n
+class _ExactTables(NamedTuple):
+    """The tables of _exact_max that depend only on n and p."""
+
+    low: int  # vertices in the low half
+    xl: np.ndarray  # bits of every low subset, ordered by size
+    order: np.ndarray  # the low subset mask of each row of xl
+    size_low: np.ndarray  # size of each row of xl
+    starts: np.ndarray  # first row of xl of each size
+    xh: np.ndarray  # bits of every high subset, by mask
+    size_high: np.ndarray
+    left: np.ndarray  # xh with a column of ones for e(U_L)
+    q: np.ndarray  # p * s * (s - 1) / 2 per size s, evaluated in that order
+    row_q: np.ndarray  # q per (high subset, low size)
+
+
+@functools.lru_cache(maxsize=_EXACT_TABLES_CACHE_SIZE)
+def _exact_tables(n: int, p: float) -> _ExactTables:
     low = (n + 1) // 2
-    adj = _adjacency(g)
-    # U splits into its low part (vertices below `low`) and its high part:
-    # e(U) = e(U_L) + e(U_H) + x_H' A_HL x_L.  Every term is an integer far
-    # below 2^53, so the float64 products and sums here are exact.
     xl, xh = _subset_bits(low), _subset_bits(n - low)
-    e_low = ((xl @ adj[:low, :low]) * xl).sum(axis=1) / 2
-    e_high = ((xh @ adj[low:, low:]) * xh).sum(axis=1) / 2
-    size_high = xh.sum(axis=1).astype(np.int64)
     # low subsets ordered by size, so each size is one contiguous run of
-    # columns; e(U_L) rides along as a last row against a column of ones
+    # columns of the cross-term product
     order = np.argsort(xl.sum(axis=1), kind="stable")
-    size_low = xl[order].sum(axis=1).astype(np.int64)
-    starts = np.searchsorted(size_low, np.arange(low + 1))
-    right = np.vstack([adj[low:, :low] @ xl.T, e_low])[:, order]
-    left = np.hstack([xh, np.ones((len(xh), 1))])
-    # p * s * (s - 1) / 2 per size s, evaluated in that order
+    xl = xl[order]
+    size_low = xl.sum(axis=1).astype(np.int64)
+    size_high = xh.sum(axis=1).astype(np.int64)
     s = np.arange(n + 1.0)
     q = p * s
     q *= s - 1
     q /= 2.0
-    bound = _row_bounds(xh, adj[low:, :low], e_high, e_low[order], starts,
-                        q[size_high[:, None] + np.arange(low + 1)], n)
+    tables = _ExactTables(
+        low, xl, order, size_low, np.searchsorted(size_low, np.arange(low + 1)),
+        xh, size_high, np.hstack([xh, np.ones((len(xh), 1))]), q,
+        q[size_high[:, None] + np.arange(low + 1)])
+    for a in tables[1:]:
+        a.flags.writeable = False
+    return tables
+
+
+def _exact_max(g: Graph, p: float):
+    n = g.n
+    t = _exact_tables(n, float(p))
+    low, xl, xh = t.low, t.xl, t.xh
+    adj = _adjacency(g)
+    # U splits into its low part (vertices below `low`) and its high part:
+    # e(U) = e(U_L) + e(U_H) + x_H' A_HL x_L.  Every term is an integer far
+    # below 2^53, so the float64 products and sums here are exact.
+    e_low = ((xl @ adj[:low, :low]) * xl).sum(axis=1) / 2
+    e_high = ((xh @ adj[low:, low:]) * xh).sum(axis=1) / 2
+    # e(U_L) rides along as a last row against the column of ones of left
+    right = np.vstack([adj[low:, :low] @ xl.T, e_low])
+    bound = _row_bounds(xh, adj[low:, :low], e_high, e_low, t.starts,
+                        t.row_q.copy(), n)
     # high subsets in descending order of their bound: once the best found
     # so far exceeds a row's bound, that row and every later one can only
     # lose.  A row whose bound equals the best may still tie it, so it
@@ -188,12 +220,12 @@ def _exact_max(g: Graph, p: float):
         block = block[bound[block] >= best]
         if not len(block):
             break
-        cross = left[block] @ right
+        cross = t.left[block] @ right
         eh = e_high[block, None]
-        qs = q[size_high[block, None] + np.arange(low + 1)]
+        qs = t.row_q[block]
         row_best = np.maximum(
-            _deviation(np.maximum.reduceat(cross, starts, axis=1) + eh, qs, n),
-            _deviation(np.minimum.reduceat(cross, starts, axis=1) + eh, qs, n),
+            _deviation(np.maximum.reduceat(cross, t.starts, axis=1) + eh, qs, n),
+            _deviation(np.minimum.reduceat(cross, t.starts, axis=1) + eh, qs, n),
         ).max(axis=1)
         block_best = float(row_best.max())
         if block_best < best:
@@ -204,9 +236,9 @@ def _exact_max(g: Graph, p: float):
         hit = np.flatnonzero(row_best == best)
         high = block[hit]
         dev = _deviation(cross[hit] + eh[hit],
-                         q[size_high[high, None] + size_low], n)
+                         t.q[t.size_high[high, None] + t.size_low], n)
         r, c = np.nonzero(dev == best)
-        cand = _mask_to_tuple(_lex_smallest(order[c] | high[r] << low))
+        cand = _mask_to_tuple(_lex_smallest(t.order[c] | high[r] << low))
         if witness is None or cand < witness:
             witness = cand
     return best, witness
@@ -269,7 +301,7 @@ def graph_quasirandomness(g: Graph, p: float, mode: str = "auto",
     exact when the graph fits under the cap.  Ties between witnesses break
     toward the lexicographically smallest vertex tuple.  ``exact_max_n``,
     ``seed`` and ``restarts`` must be integers (numpy integers too; bools
-    and floats are refused), and ``restarts`` non-negative.
+    and floats are refused), and ``seed`` and ``restarts`` non-negative.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
@@ -280,6 +312,8 @@ def graph_quasirandomness(g: Graph, p: float, mode: str = "auto",
     restarts = _check_int("restarts", restarts)
     if not 1 <= exact_max_n <= _EXACT_HARD_CAP:
         raise ValueError(f"exact_max_n must lie in [1, {_EXACT_HARD_CAP}]")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative; got {seed}")
     if restarts < 0:
         raise ValueError(f"restarts must be non-negative; got {restarts}")
     if restarts > _MAX_RESTARTS:

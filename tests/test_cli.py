@@ -160,6 +160,21 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, kind, text):
         assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["quasirandom", "--graph", "GRAPH", "--p", "0.5", "--seed", "-1"],
+    ["experiment", "forcing", "--trials", "1", "--seed", "-1"],
+    ["experiment", "delta-eps", "--parts", "2", "--seed", "-2"],
+])
+def test_negative_seed_exits_2_naming_the_option(tmp_path, capsys, argv):
+    graph = _write(tmp_path, "g.json", gnp(40, 0.5, 0).to_dict())
+    with pytest.raises(SystemExit) as exc:
+        main([graph if a == "GRAPH" else a for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--seed" in captured.err
+    assert "non-negative integer" in captured.err
+
+
 def test_check_identity_worked_example(tmp_path, capsys):
     g = StepGraphon(np.array([0.5, 0.5]), np.array([[0.3, 0.7], [0.7, 0.3]]))
     path = _write(tmp_path, "w.json", g.to_dict())

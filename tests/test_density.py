@@ -4,6 +4,8 @@ Every nontrivial value is checked against an independent brute-force
 evaluation (conftest) or a closed form on constant graphons.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -585,31 +587,70 @@ def test_doubling_gradient_on_random_colored_motifs(colored, m, seed):
         assert np.abs(grad - fd).max() <= 1e-5 * np.abs(fd).max()
 
 
+@contextlib.contextmanager
+def _always_blocked():
+    """Version blocks from the smallest table up, so that small cases run
+    the block path too (by default tables below _VERSION_BLOCK_MIN entries
+    keep the dense Gram)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density, "_VERSION_BLOCK_MIN", 0)
+        yield
+
+
+def _root_products(w, n):
+    """prod_i sqrt(w[x_i]) over n axes, flattened in C order."""
+    d = np.ones(())
+    for _ in range(n):
+        d = np.multiply.outer(d, np.sqrt(w))
+    return d.reshape(-1)
+
+
 @settings(deadline=None, max_examples=30)
 @given(colored=_colored_motifs(), m=st.integers(1, 4), seed=st.integers(0, 2**16))
 def test_gluing_levels_blocked_and_symmetric(colored, m, seed):
-    # the fast recursion writes permuted Grams block by block and treats
-    # every Gram output's adjoint as symmetric; check both against the
-    # plain forms: the whole Gram then permuted, and the adjoint
+    # the fast recursion writes permuted Grams block by block, treats
+    # every Gram output's adjoint as symmetric, and from k = 3 on reads the
+    # last Gram only through its version blocks; check it against the
+    # plain forms: the whole Gram A^T A then permuted, its dot product,
+    # the last level's moments from the whole table, and the adjoint
     # a (T + T^T) of the general product
     g = _graphon_from_seed(seed, m, 0.0, 1.0)
     for k in range(1, colored.num_classes + 1):
         try:
-            doubling = density._Doubling(colored, k, g.weights, 1 << 16)
+            with _always_blocked():
+                doubling = density._Doubling(colored, k, g.weights, 1 << 16)
         except UnsupportedSizeError:
             break
         run = doubling.forward(g.values)
-        tables = [*run.factors[1:], run.table]
-        for level, a, nxt in zip(doubling.levels, run.factors, tables):
+        assert (run.grams is None) == (k < 3)
+        factors = list(run.factors)
+        if run.grams is not None:
+            # the last level's factor, which the block path never forms
+            a = factors[-1]
+            factors.append((a.T @ a).reshape(-1, 1))
+        for level, a, nxt in zip(doubling.levels, factors,
+                                 [*factors[1:], run.table]):
             if level.r:
                 want = (a.T @ a).reshape((m,) * (2 * level.r)).transpose(level.perm)
             else:
                 want = np.dot(a[:, 0], a[:, 0])
             np.testing.assert_allclose(nxt.reshape(np.shape(want)), want, rtol=0,
                                        atol=1e-14 * np.abs(want).max())
+        level = doubling.levels[-1]
+        h = level.g // 2
+        q = factors[-1].reshape(m**h, m ** (level.g - h))
+        s1, s2 = _root_products(g.weights, h), _root_products(g.weights, level.g - h)
+        mean = s1 @ q @ s2
+        second = np.vdot(q, q)
+        got = doubling.moments(run)[-1]
+        assert got[0] == pytest.approx(mean, rel=1e-12, abs=0)
+        assert got[1] == pytest.approx(second, rel=1e-12, abs=0)
+        diff = q - mean * np.outer(s1, s2)
+        assert got[2] == pytest.approx(np.vdot(diff, diff), rel=1e-9,
+                                       abs=1e-15 * second)
         scale = 0.7
         tbar = np.full((), scale)
-        for level, a in zip(reversed(doubling.levels), reversed(run.factors)):
+        for level, a in zip(reversed(doubling.levels), reversed(factors)):
             r = level.r
             if r:
                 t = tbar.transpose(level.inv).reshape(m**r, m**r)
@@ -621,6 +662,109 @@ def test_gluing_levels_blocked_and_symmetric(colored, m, seed):
         want = tbar * doubling.base_roots
         np.testing.assert_allclose(doubling.base_adjoint(run, scale), want, rtol=0,
                                    atol=1e-13 * np.abs(want).max())
+
+
+# ---------------------------------------------------------------------------
+# version blocks of the last Gram level
+
+# motifs of three and four classes, some of two vertices
+_BLOCK_MOTIFS = {
+    "C6": (_MULTI_CLASS_MOTIFS["C6"], 3),
+    "K211": (ColoredGraph(Graph(4, ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
+                          ((0, 1), (2,), (3,))), 3),
+    "K121": (ColoredGraph(Graph(4, ((0, 1), (0, 2), (0, 3), (1, 3), (2, 3))),
+                          ((0,), (1, 2), (3,))), 3),
+    "K4": (complete_graph(4), 4),
+    "W5": (ColoredGraph(Graph(5, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+                                  (2, 4), (3, 4), (0, 4))),
+                        ((0,), (1,), (2, 3), (4,))), 4),
+}
+
+
+def _blocked_cases():
+    for name, (colored, k) in sorted(_BLOCK_MOTIFS.items()):
+        _, levels = density._doubling_layout(colored.classes, k)
+        for m in range(1, 6):
+            if m ** (levels[k - 2].g + levels[k - 2].r) <= 5**8:
+                yield name, k, m
+
+
+def _skewed_graphons_at(m):
+    """Two graphons on m parts with Dirichlet(0.2) weights, as in
+    _skewed_graphons; values in [0.5, 1) keep the doubled densities, of
+    degree up to 96 in them, well scaled for finite differences."""
+    out = []
+    for seed in (910 + m, 920 + m):
+        rng = np.random.default_rng(seed)
+        w = rng.dirichlet(np.full(m, 0.2))
+        vals = 0.5 + 0.5 * rng.random((m, m))
+        out.append(StepGraphon(w / w.sum(), (vals + vals.T) / 2))
+    return out
+
+
+@pytest.mark.parametrize("name,k,m", list(_blocked_cases()))
+def test_version_blocks_against_oracles(name, k, m):
+    colored = _BLOCK_MOTIFS[name][0]
+    for g in _skewed_graphons_at(m):
+        with _always_blocked():
+            doubling = density._Doubling(colored, k, g.weights, density.DEFAULT_BUDGET)
+            value, grad = doubling_density_gradient(colored, k, g)
+        # the character blocks split the rows and the columns of level k-2
+        level = doubling.levels[k - 2]
+        rows, cols = doubling.versions
+        assert np.count_nonzero(rows.weight) == m**level.g
+        assert np.count_nonzero(cols.weight) == m**level.r
+        expanded = iterated_double(colored, k).graph
+        if m ** expanded.n <= 3**9:
+            want = brute_graphon_density(expanded, g.weights, g.values)
+        else:
+            try:
+                want = graphon_density(expanded, g)
+            except UnsupportedSizeError:
+                # too wide to eliminate: the dense Gram recursion instead
+                doubling.versions = None
+                want = float(doubling.forward(g.values).table)
+        assert value == pytest.approx(want, rel=1e-12, abs=0)
+        with _always_blocked():
+            fd = _fd_gradient(lambda x: doubling_density(colored, k, x), g, h=1e-6)
+        assert np.abs(grad - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+def test_version_blocks_by_default_on_large_tables():
+    g = _random_graphon(np.random.default_rng(61), 5)
+    for t, k, blocked in ((3, 2, False), (4, 3, False), (5, 4, True)):
+        doubling = density._Doubling(complete_graph(t), k, g.weights,
+                                     density.DEFAULT_BUDGET)
+        assert (doubling.versions is not None) == blocked
+
+
+def test_version_block_variance_without_cancellation():
+    # on a graphon within 1e-7 of constant the last step's variance is
+    # about 1e-14 of its second moment, so the slack d_k - d_(k-1)^2
+    # cancels almost every digit; the blocks give the variance as a sum of
+    # squares, which matches the definition's pinned-density variance
+    rng = np.random.default_rng(67)
+    m, k = 4, 4
+    noise = 1e-7 * rng.standard_normal((m, m))
+    w = rng.random(m) + 0.5
+    g = StepGraphon(w / w.sum(), 0.5 + (noise + noise.T) / 2)
+    colored = complete_graph(4)
+    mean, second, var = _pinned_moments(colored, k, g)
+    assert var < 1e-12 * second
+    got = doubling_step_moments(colored, k, g)
+    assert got[0] == pytest.approx(mean, rel=1e-12, abs=0)
+    assert got[1] == pytest.approx(second, rel=1e-12, abs=0)
+    assert got[2] == pytest.approx(var, rel=1e-6, abs=0)
+    assert cs_chain_check(4, k, g).variances[-1] == pytest.approx(var, rel=1e-6, abs=0)
+
+
+@pytest.mark.parametrize("t", (5, 6))
+def test_version_block_slack_equals_variance(t):
+    for seed in range(3):
+        g = _random_graphon(np.random.default_rng(71 + seed), 5)
+        rec = cs_chain_check(t, 4, g)
+        for j, (slack, var) in enumerate(zip(rec.slacks, rec.variances), 1):
+            assert slack == pytest.approx(var, rel=1e-9, abs=1e-12 * rec.densities[j])
 
 
 @settings(deadline=None, max_examples=10)

@@ -103,6 +103,21 @@ def test_max_iter_validated(monkeypatch, max_iter):
             call()
 
 
+@pytest.mark.parametrize("seed", [-1, np.int64(-3), 2.5, True, "5", None])
+def test_seed_validated_before_any_work(monkeypatch, seed):
+    def no_binding(*args, **kwargs):
+        raise AssertionError("bound a pair evaluator before checking seed")
+
+    monkeypatch.setattr(experiments, "_PairEvaluator", no_binding)
+    monkeypatch.setattr(experiments, "run_forcing_trial", no_binding)
+    for call in (lambda: forcing_experiment(3, 0.5, 2, 2, seed=seed),
+                 lambda: forcing_experiment(3, 0.5, 2, 2, seed=seed,
+                                            adversarial=True),
+                 lambda: delta_epsilon_probe(3, 0.5, (0.0,), 2, seed=seed)):
+        with pytest.raises(ValueError, match="seed"):
+            call()
+
+
 def test_max_iter_accepts_numpy_integers():
     tr = run_forcing_trial(3, 0.5, constant_graphon(0.5, 2),
                            max_iter=np.int64(0))

@@ -221,6 +221,17 @@ def test_negative_restarts_refused():
         graph_quasirandomness(gnp(8, 0.5, 0), 0.5, mode="heuristic", restarts=-3)
 
 
+def test_negative_seed_refused_before_any_work(monkeypatch):
+    def fail(*args):
+        raise AssertionError("validation must come before any work")
+
+    monkeypatch.setattr(quasirandom, "_adjacency", fail)
+    for mode in ("auto", "exact", "heuristic"):
+        for seed in (-1, np.int64(-5)):
+            with pytest.raises(ValueError, match="seed"):
+                graph_quasirandomness(Graph(4), 0.5, mode=mode, seed=seed)
+
+
 def test_restarts_capped_before_any_work(monkeypatch):
     calls = []
     monkeypatch.setattr(quasirandom, "_heuristic_max",
