@@ -796,12 +796,12 @@ class _Doubling:
             factors.append(a)
             if self.versions is not None and j == len(self.levels) - 2:
                 rows, cols = self.versions
-                h = len(self.signs)
+                order = len(self.signs)
                 # a[rep_o, h . rep_o'] in (o, o', h) order, then summed
                 # against each character over h
                 blocks = self.signs @ a.take(rows.reps, axis=0).take(
-                    cols.rep_images.reshape(-1), axis=1).reshape(-1, h).T
-                blocks = blocks.reshape(h, rows.reps.size, cols.reps.size)
+                    cols.rep_images.reshape(-1), axis=1).reshape(-1, order).T
+                blocks = blocks.reshape(order, rows.reps.size, cols.reps.size)
                 blocks *= rows.weight[:, :, None]
                 blocks *= cols.weight[:, None, :]
                 grams = np.stack([b.T @ b for b in blocks])
@@ -855,22 +855,22 @@ class _Doubling:
             tbar = a if scale == 1.0 else float(scale) * a
         else:
             rows, cols = self.versions
-            h = len(self.signs)
+            order = len(self.signs)
             b = run.blocks @ run.grams
-            b *= rows.root_stab[:, None] * (float(scale) / h)
+            b *= rows.root_stab[:, None] * (float(scale) / order)
             b *= cols.root_stab
             # summed over the characters: entry (o, o', h) is A G at
             # (rep_o, h . rep_o'), so A G at (x, y) is its entry
             # (orbit(x), orbit(y), h_x XOR h_y), gathered for a block of
             # rows with one h_x at a time, so no other table is as large
-            r = (b.reshape(h, -1).T @ self.signs).reshape(rows.reps.size, -1)
+            ag = (b.reshape(order, -1).T @ self.signs).reshape(rows.reps.size, -1)
             del b
             tbar = np.empty((m**level.g, m**level.r))
             step = max(1, _ROW_BLOCK // m**level.r)
             for shift, xs in enumerate(rows.shifted):
                 for i in range(0, xs.size, step):
                     part = xs[i:i + step]
-                    tbar[part] = r.take(rows.orbit[part], axis=0).take(
+                    tbar[part] = ag.take(rows.orbit[part], axis=0).take(
                         cols.expand[shift], axis=1)
         tbar = tbar.reshape((m,) * (level.g + level.r))
         for level, a in reversed(pairs):
