@@ -823,8 +823,8 @@ class _Doubling:
                     raw[x] = gram.reshape(raw.shape[1:])
         return _DoublingRun(values, tape, factors, blocks, grams, table)
 
-    def base_adjoint(self, run: _DoublingRun, scale: float) -> np.ndarray:
-        """Adjoint on the base table of `scale` times the final density.
+    def base_adjoint(self, run: _DoublingRun) -> np.ndarray:
+        """Adjoint on the base table of the final density.
 
         Swapping the two glued copies of a level leaves the recursion
         unchanged, and every forward table is itself a Gram, so the adjoint
@@ -832,11 +832,9 @@ class _Doubling:
         factor a is 2 a T rather than a (T + T^T), and that of the last
         level's dot product 2 a.  The factors of 2 are exact wherever they
         enter, so they are carried as one scalar and applied once, with
-        the root products.  `scale` multiplies the last factor, where its
-        rounding always entered; at scale 1 no factor is scaled into a
-        copy.  Where a level's perm is not the identity, T is read in raw
-        axis order: by its symmetry, column block x of T is row block x
-        transposed, so each block of columns of a T is one product,
+        the root products.  Where a level's perm is not the identity, T is
+        read in raw axis order: by its symmetry, column block x of T is row
+        block x transposed, so each block of columns of a T is one product,
         written in place.
 
         With version blocks, the last level's adjoint is the Gram G itself,
@@ -848,16 +846,16 @@ class _Doubling:
         product by four of at most 175 rows and columns."""
         m = self.m
         if not self.levels:
-            return float(scale) * self.base_roots
+            return self.base_roots.copy()
         pairs = list(zip(self.levels, run.factors))
         level, a = pairs.pop()
         if run.grams is None:
-            tbar = a if scale == 1.0 else float(scale) * a
+            tbar = a
         else:
             rows, cols = self.versions
             order = len(self.signs)
             b = run.blocks @ run.grams
-            b *= rows.root_stab[:, None] * (float(scale) / order)
+            b *= rows.root_stab[:, None] / order
             b *= cols.root_stab
             # summed over the characters: entry (o, o', h) is A G at
             # (rep_o, h . rep_o'), so A G at (x, y) is its entry
@@ -972,5 +970,5 @@ def doubling_density_gradient(colored: ColoredGraph, k: int,
     """
     doubling = _Doubling(colored, k, graphon.weights, budget)
     run = doubling.forward(graphon.values, keep_tape=True)
-    grad = doubling.gradient(run, doubling.base_adjoint(run, 1.0))
+    grad = doubling.gradient(run, doubling.base_adjoint(run))
     return float(run.table[()]), _symmetrize_param_grad(grad)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and argument checks shared across the package."""
+
+import numbers
 
 
 class UnsupportedSizeError(Exception):
@@ -8,3 +10,12 @@ class UnsupportedSizeError(Exception):
     input is well formed, but the requested instance is too large for the
     algorithm behind the operation.
     """
+
+
+def _check_count(name: str, value) -> int:
+    """A non-negative integer argument (numpy integers too) as a Python
+    int; bools, floats and negative values are refused, naming it."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral) and value >= 0):
+        raise ValueError(f"{name} must be a non-negative integer; got {value!r}")
+    return int(value)

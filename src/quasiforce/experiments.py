@@ -17,7 +17,6 @@ from __future__ import annotations
 import io
 import itertools
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -37,6 +36,7 @@ from .density import (
     _DoublingRun,
     _symmetrize_param_grad,
 )
+from .errors import _check_count
 from .graphon import StepGraphon, constant_graphon, random_near_constant
 from .graphs import Graph, ColoredGraph, complete_graph
 from .identities import default_doublings
@@ -82,13 +82,6 @@ def _targets(t: int, k: int, p: float) -> tuple[float, float]:
 def _check_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and non-negative; got {tol!r}")
-
-
-def _check_count(name: str, value: int) -> None:
-    """Refuse anything but a non-negative integer (bools too), naming it."""
-    if isinstance(value, bool) or not (
-            isinstance(value, numbers.Integral) and value >= 0):
-        raise ValueError(f"{name} must be a non-negative integer; got {value!r}")
 
 
 def _check_p(p: float) -> None:
@@ -180,7 +173,7 @@ class _PairEvaluator:
         ordered entries, so the fold is exact."""
         doubling, run = self._doubling, pair.run
         bars = np.stack([doubling.base_weights.reshape(run.tape[-1].shape),
-                         doubling.base_adjoint(run, 1.0)])
+                         doubling.base_adjoint(run)])
         return doubling.gradient(run, bars).reshape(2, -1) @ self.fold
 
 

@@ -1,11 +1,11 @@
-"""Pointwise clique-factorization identities and the Cauchy-Schwarz chain.
+"""Pinned clique-density identities and the Cauchy-Schwarz chain.
 
-For a constant-p graphon the density of K_t factors pointwise: pinning k
-vertices at parts x_1..x_k, the product of the pinned pairs' values times
-the conditional density of the remaining t-k vertices equals p^binom(t,2)
-at every tuple.  check_identity measures the worst-case failure of that
-factorization, which is zero iff the graphon behaves p-randomly at the
-pinned tuples.
+For a constant-p graphon the density of K_t with k vertices pinned at
+parts x_1..x_k equals p^binom(t,2) at every tuple: the pinned pairs
+multiply in their values and the other t-k vertices are integrated out.
+check_identity reads that density for every tuple off one pinned K_t
+table and measures its worst-case deviation from p^binom(t,2), which is
+zero iff the graphon behaves p-randomly at the pinned tuples.
 
 cs_chain_check verifies the inequality chain d_j >= d_{j-1}^2 along
 iterated doublings, where each step is an integral of a square, and probes
@@ -14,7 +14,6 @@ the equality case through the variance of the pinned density.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +28,8 @@ from .density import (
     pinned_table,
     _Doubling,
 )
-from .errors import UnsupportedSizeError
 from .graphon import StepGraphon
-from .graphs import Graph, complete_graph
+from .graphs import complete_graph
 from .serialize import record_dict
 
 __all__ = [
@@ -49,29 +47,13 @@ def default_doublings(t: int) -> int:
     return (t + 2) // 2
 
 
-def _rest_motif(t: int, k: int) -> Graph:
-    """K_t with the edges among the first k vertices removed."""
-    return Graph(t, [(i, j) for i in range(t) for j in range(i + 1, t) if j >= k])
-
-
-def _clique_factor_table(values: np.ndarray, k: int) -> np.ndarray:
-    m = values.shape[0]
-    out = np.ones((m,) * k)
-    for i in range(k):
-        for j in range(i + 1, k):
-            shape = [1] * k
-            shape[i] = shape[j] = m
-            out = out * values.reshape(shape)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class IdentityResidualReport:
-    """Worst deviation of the pinned clique factorization from p^binom(t,2).
+    """Worst deviation of the pinned K_t density from p^binom(t,2).
 
-    ``argmax_tuple`` is the lexicographically smallest part tuple attaining
-    ``max_residual``; ``per_tuple`` optionally carries the full residual
-    array, axis i indexed by the part of pinned vertex i.
+    ``argmax_tuple`` is the lexicographically smallest non-decreasing part
+    tuple attaining ``max_residual``; ``per_tuple`` optionally carries the
+    full residual array, axis i indexed by the part of pinned vertex i.
     """
 
     t: int
@@ -100,56 +82,51 @@ def _check_tk(t: int, k: int) -> None:
 def check_identity(graphon: StepGraphon, p: float, t: int, k: int | None = None,
                    include_table: bool = True,
                    budget: int = DEFAULT_BUDGET) -> IdentityResidualReport:
-    """Max over part tuples of |clique factor x conditional rest - p^binom(t,2)|.
+    """Max over part tuples of |pinned K_t density - p^binom(t,2)|.
 
-    Pins the first k vertices of K_t at every k-tuple of parts; the clique
-    factor multiplies the values of the pinned pairs and the conditional
-    rest integrates the remaining t-k vertices.  k defaults to
-    ceil((t+1)/2).  Residuals are absolute deviations; ties in the argmax
-    break toward the lexicographically smallest tuple.
+    Pins the first k vertices of K_t at every k-tuple of parts and reads
+    all the pinned densities off one pinned_table, whose budget check
+    refuses m^k tuples over ``budget`` before any table is built.  k
+    defaults to ceil((t+1)/2).  Residuals are absolute deviations.  The
+    table is symmetric in its k axes, but its rounding is not, so the
+    maximum is taken over non-decreasing tuples only and ties break toward
+    the lexicographically smallest of them: which permutation of a tuple
+    happens to round highest never decides the report.
     """
     if k is None:
         k = default_doublings(t)
     _check_tk(t, k)
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
-    m = graphon.num_parts
-    if m**k > budget:
-        raise UnsupportedSizeError(
-            f"{m}^{k} pinned tuples exceed the budget of {budget}"
-        )
-    rest = pinned_table(_rest_motif(t, k), tuple(range(k)), graphon, budget=budget)
-    clique = _clique_factor_table(graphon.values, k)
-    residual = np.abs(clique * rest - p ** (t * (t - 1) // 2))
-    flat_arg = int(np.argmax(residual))  # first max in C order = lex smallest
+    table = pinned_table(complete_graph(t).graph, tuple(range(k)), graphon,
+                         budget=budget)
+    residual = np.abs(table - p ** (t * (t - 1) // 2))
+    # x_i <= x_{i+1} on every pair of neighbouring axes: m^k bytes
+    upper = np.triu(np.ones_like(graphon.values, dtype=bool))
+    non_decreasing = np.ones(residual.shape, dtype=bool)
+    for i in range(k - 1):
+        non_decreasing &= upper.reshape((1,) * i + upper.shape + (1,) * (k - i - 2))
+    # first max in C order = lex smallest
+    flat_arg = int(np.argmax(np.where(non_decreasing, residual, -np.inf)))
     argmax = tuple(int(i) for i in np.unravel_index(flat_arg, residual.shape))
-    return IdentityResidualReport(
-        t, k, float(p), float(residual[argmax]), argmax,
-        residual if include_table else None,
-    )
+    return IdentityResidualReport(t, k, float(p), float(residual[argmax]), argmax,
+                                  residual if include_table else None)
 
 
 def identity_residual_at(graphon: StepGraphon, p: float, t: int, k: int,
                          parts, budget: int = DEFAULT_BUDGET) -> float:
     """Residual at one pinned tuple, recomputed by direct enumeration.
 
-    Independent of the table route in check_identity: the conditional rest
-    comes from pinned_density's per-assignment sum.
+    Independent of the table route in check_identity: the pinned K_t
+    density comes from pinned_density's exactly rounded per-assignment sum.
     """
     _check_tk(t, k)
     parts = tuple(int(x) for x in parts)
     if len(parts) != k:
         raise ValueError(f"expected {k} part indices, got {len(parts)}")
-    values = graphon.values
-    clique = 1.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            clique *= values[parts[i], parts[j]]
-    rest = pinned_density(
-        _rest_motif(t, k), tuple(range(k)), dict(enumerate(parts)), graphon,
-        budget=budget,
-    )
-    return abs(clique * rest - p ** (t * (t - 1) // 2))
+    density = pinned_density(complete_graph(t).graph, tuple(range(k)),
+                             dict(enumerate(parts)), graphon, budget=budget)
+    return abs(density - p ** (t * (t - 1) // 2))
 
 
 @dataclass(frozen=True)

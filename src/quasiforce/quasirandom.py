@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UnsupportedSizeError
+from .errors import UnsupportedSizeError, _check_count
 from .graphon import StepGraphon
 from .graphs import Graph
 from .serialize import record_dict
@@ -276,14 +275,6 @@ def _heuristic_max(g: Graph, p: float, seed: int, restarts: int):
     return best_dev, best_key
 
 
-def _check_int(name: str, value) -> int:
-    """An integer argument as a Python int; bools, floats and other
-    non-integers are refused instead of being truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer; got {value!r}")
-    return int(value)
-
-
 def graph_quasirandomness(g: Graph, p: float, mode: str = "auto",
                           exact_max_n: int = 22, seed: int = 0,
                           restarts: int = 32) -> QuasirandomReport:
@@ -307,15 +298,11 @@ def graph_quasirandomness(g: Graph, p: float, mode: str = "auto",
         raise ValueError("graph must have at least one vertex")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    exact_max_n = _check_int("exact_max_n", exact_max_n)
-    seed = _check_int("seed", seed)
-    restarts = _check_int("restarts", restarts)
+    exact_max_n = _check_count("exact_max_n", exact_max_n)
+    seed = _check_count("seed", seed)
+    restarts = _check_count("restarts", restarts)
     if not 1 <= exact_max_n <= _EXACT_HARD_CAP:
         raise ValueError(f"exact_max_n must lie in [1, {_EXACT_HARD_CAP}]")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative; got {seed}")
-    if restarts < 0:
-        raise ValueError(f"restarts must be non-negative; got {restarts}")
     if restarts > _MAX_RESTARTS:
         raise UnsupportedSizeError(
             f"restarts are capped at {_MAX_RESTARTS}; got {restarts}")

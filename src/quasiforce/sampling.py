@@ -5,7 +5,9 @@ a (source, n, seed) triple reproduces the same graph on every platform:
 first one uniform per vertex (part assignment, graphon sampling only),
 then one uniform per unordered pair in lexicographic order (0,1), (0,2),
 ..., (n-2, n-1); a pair is an edge when its uniform falls below the pair's
-probability.
+probability.  Seeds must be non-negative integers (numpy integers too);
+bools, floats and negative values are refused with a ValueError naming
+``seed``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _check_count
 from .graphon import StepGraphon
 from .graphs import Graph
 
@@ -42,6 +45,7 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     _check_n(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    _check_count("seed", seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     iu, iv = np.triu_indices(n, 1)
     pair_u = rng.random(iu.size)
@@ -58,6 +62,7 @@ def w_random(graphon: StepGraphon, n: int, seed: int) -> Graph:
     seed gives a different but equally distributed graph).
     """
     _check_n(n)
+    _check_count("seed", seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     vertex_u = rng.random(n)
     cum = np.cumsum(graphon.weights)
@@ -84,6 +89,7 @@ class SampleSpec:
 
     def __post_init__(self) -> None:
         _check_n(self.n)
+        _check_count("seed", self.seed)
         if not isinstance(self.source, StepGraphon):
             p = float(self.source)
             if not 0.0 <= p <= 1.0:

@@ -648,8 +648,7 @@ def test_gluing_levels_blocked_and_symmetric(colored, m, seed):
         diff = q - mean * np.outer(s1, s2)
         assert got[2] == pytest.approx(np.vdot(diff, diff), rel=1e-9,
                                        abs=1e-15 * second)
-        scale = 0.7
-        tbar = np.full((), scale)
+        tbar = np.ones(())
         for level, a in zip(reversed(doubling.levels), reversed(factors)):
             r = level.r
             if r:
@@ -660,7 +659,7 @@ def test_gluing_levels_blocked_and_symmetric(colored, m, seed):
                 tbar = (2.0 * float(tbar)) * a
             tbar = tbar.reshape((m,) * (level.g + r))
         want = tbar * doubling.base_roots
-        np.testing.assert_allclose(doubling.base_adjoint(run, scale), want, rtol=0,
+        np.testing.assert_allclose(doubling.base_adjoint(run), want, rtol=0,
                                    atol=1e-13 * np.abs(want).max())
 
 

@@ -382,7 +382,7 @@ def test_batched_jacobian_matches_single_passes(t, m):
     pair = ev(g.values)
     doubling, run = ev._doubling, pair.run
     bars = (doubling.base_weights.reshape(run.tape[-1].shape),
-            doubling.base_adjoint(run, 1.0))
+            doubling.base_adjoint(run))
     single = np.stack([
         density._symmetrize_param_grad(density._reverse(
             doubling.plan, run.tape, run.values, w, bar))[np.triu_indices(m)]

@@ -1,10 +1,15 @@
 """Residual identities for doubled cliques and the inequality chain."""
 
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasiforce import (
+    Graph,
     StepGraphon,
     UnsupportedSizeError,
     check_identity,
@@ -82,6 +87,88 @@ def test_no_table_mode():
     rep = check_identity(g, 0.5, 3, include_table=False)
     assert rep.per_tuple is None
     assert rep.max_residual <= 1e-12
+
+
+def _clique_times_rest(g, t, k):
+    """The pinned K_t table as two factors: the values of the pinned pairs
+    times the pinned table of the rest motif, K_t without those pairs."""
+    m = g.num_parts
+    rest = Graph(t, [(i, j) for i in range(t) for j in range(i + 1, t) if j >= k])
+    clique = np.ones((m,) * k)
+    for i in range(k):
+        for j in range(i + 1, k):
+            shape = [1] * k
+            shape[i] = shape[j] = m
+            clique = clique * g.values.reshape(shape)
+    return clique * density.pinned_table(rest, tuple(range(k)), g)
+
+
+def test_table_matches_clique_times_rest():
+    rng = np.random.default_rng(61)
+    for t in range(3, 7):
+        target = 0.5 ** (t * (t - 1) // 2)
+        for k in range(1, t + 1):
+            for m in range(1, 5):
+                w = rng.dirichlet(np.full(m, 0.2))
+                vals = rng.random((m, m))
+                g = StepGraphon(w / w.sum(), (vals + vals.T) / 2)
+                table = _clique_times_rest(g, t, k)
+                got = check_identity(g, 0.5, t, k=k).per_tuple
+                # relative to the larger side of each residual's subtraction
+                err = np.abs(got - np.abs(table - target))
+                assert np.all(err <= 1e-12 * np.maximum(table, target))
+
+
+def test_identity_refuses_over_budget_before_contracting(monkeypatch):
+    ran = []
+    real_einsum = np.einsum
+
+    def einsum(*args, **kwargs):
+        ran.append(args[0])
+        return real_einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", einsum)
+    g = _random_graphon(np.random.default_rng(59), 3)
+    # 3^4 = 81 pinned tuples
+    with pytest.raises(UnsupportedSizeError):
+        check_identity(g, 0.5, 5, k=4, budget=80)
+    assert ran == []
+    check_identity(g, 0.5, 5, k=4)
+    assert ran
+
+
+def _exact_pinned_clique(g, t, parts):
+    """The pinned K_t density in exact rational arithmetic."""
+    vals = [[Fraction(x) for x in row] for row in g.values.tolist()]
+    w = [Fraction(x) for x in g.weights.tolist()]
+    total = Fraction(0)
+    for free in itertools.product(range(g.num_parts), repeat=t - len(parts)):
+        xs = tuple(parts) + free
+        total += math.prod(w[x] for x in free) * math.prod(
+            vals[xs[i]][xs[j]] for i, j in itertools.combinations(range(t), 2))
+    return total
+
+
+def test_argmax_is_the_smallest_non_decreasing_tuple():
+    # (1, 0, 1) and (0, 1, 1) tie in exact arithmetic, but the table rounds
+    # the first one ulp higher; the tie resolves by symmetry, not rounding
+    g = StepGraphon(np.array([0.5, 0.5]), np.array([[0.3, 0.9], [0.9, 0.6]]))
+    target = Fraction(1, 2**10)
+    exact = {xs: abs(_exact_pinned_clique(g, 5, xs) - target)
+             for xs in itertools.product(range(2), repeat=3)}
+    assert exact[(1, 0, 1)] == exact[(0, 1, 1)] == max(exact.values())
+    rep = check_identity(g, 0.5, 5, k=3)
+    assert rep.argmax_tuple == (0, 1, 1)
+    assert rep.max_residual == rep.per_tuple[rep.argmax_tuple]
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**16), m=st.integers(2, 6), t=st.integers(3, 5))
+def test_argmax_tuple_non_decreasing(seed, m, t):
+    rep = check_identity(_random_graphon(np.random.default_rng(seed), m), 0.5, t)
+    assert list(rep.argmax_tuple) == sorted(rep.argmax_tuple)
+    assert rep.max_residual == rep.per_tuple[rep.argmax_tuple]
+    assert rep.max_residual == pytest.approx(rep.per_tuple.max(), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -119,3 +119,20 @@ def test_sample_spec_validation_and_dict():
     d = SampleSpec(5, constant_graphon(0.5, 1), 2).to_dict()
     assert d["n"] == 5 and d["seed"] == 2 and "weights" in d["source"]
     assert SampleSpec(5, 0.25, 2).to_dict()["source"] == 0.25
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-3), 1.5, True, "5", None])
+def test_bad_seed_refused_by_name(seed):
+    g = constant_graphon(0.5, 2)
+    for call in (lambda: gnp(5, 0.5, seed),
+                 lambda: w_random(g, 5, seed),
+                 lambda: sample(SampleSpec(5, 0.5, seed)),
+                 lambda: sample(SampleSpec(5, g, seed))):
+        with pytest.raises(ValueError, match="seed"):
+            call()
+
+
+def test_numpy_integer_seed_accepted():
+    assert gnp(12, 0.5, np.int64(3)).edges == gnp(12, 0.5, 3).edges
+    g = constant_graphon(0.5, 2)
+    assert w_random(g, 12, np.uint8(3)).edges == w_random(g, 12, 3).edges
