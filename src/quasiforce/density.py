@@ -14,11 +14,13 @@ Three evaluation strategies share one sum-product core:
   Gram whose axes the next level reads in permuted order is written
   straight into that order, one block of rows at a time, so the
   recursion keeps one table per level and every split is a view.  From
-  three doublings on, the last Gram is never built: swapping the two
-  copies glued at any earlier level changes nothing, so level k-2's table
-  commutes with the version group (Z2)^(k-2), and the last two levels run
-  on one block per character of that group, which costs a few small
-  Grams and products instead of one m^r x m^r syrk and gemm.
+  three doublings on, neither of the last two Grams is built in full:
+  swapping the two copies glued at any earlier level changes nothing, so
+  level k-2's table commutes with the version group (Z2)^(k-2).  Level
+  k-3's Gram, which is that table, is formed only at the rows of the
+  group's orbit representatives, and the last two levels run on one block
+  per character of the group, which costs a few small Grams and products
+  instead of two m^r x m^r syrks and gemms.
 
 Gradients in the value matrix come from reverse accumulation over the same
 compiled plan: the forward replay keeps every step's table (the tape), and
@@ -112,14 +114,16 @@ class _Step(NamedTuple):
 
     expr: str
     operands: tuple[int, ...]  # slot ids, see _EDGE below
-    optimize: bool
+    # the einsum's greedy contraction path, found once when the plan is
+    # compiled, or False where the step contracts its operands directly
+    optimize: tuple | bool
     axes: int  # vertices spanned by the step's table
     entries: int  # size ** axes
-    # (operand position, einsum of that operand's adjoint) for every
-    # edge-matrix or step-result operand; the adjoint einsum reads the
-    # output adjoint first, then the other operands in order, and keeps
-    # the output adjoint's leading batch axes
-    adjoints: tuple[tuple[int, str], ...]
+    # (operand position, einsum of that operand's adjoint, its path) for
+    # every edge-matrix or step-result operand; the adjoint einsum reads
+    # the output adjoint first, then the other operands in order, and
+    # keeps the output adjoint's leading batch axes
+    adjoints: tuple[tuple[int, str, tuple | bool], ...]
 
 
 # operand slots of a plan: the edge matrix, the free-vertex weight, the
@@ -127,6 +131,16 @@ class _Step(NamedTuple):
 # the result of each step in step order
 _EDGE, _WEIGHT, _ONE, _UNIT = range(4)
 _FIRST_TEMP = 4
+
+
+def _greedy_path(expr: str, size: int) -> tuple:
+    """The path np.einsum(expr, ..., optimize=True) searches for on every
+    call, found once from shape-only operands: every axis has `size`
+    entries, and the search reads only the shapes."""
+    inputs = expr.split("->")[0].split(",")
+    operands = [np.broadcast_to(0.0, (size,) * len(sub.replace("...", "")))
+                for sub in inputs]
+    return tuple(np.einsum_path(expr, *operands, optimize="greedy")[0])
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -152,15 +166,18 @@ def _compile_plan(size: int, num_vertices: int, edges, keep) -> tuple[_Step, ...
         # eliminated vertex, whose weight or ones factor is another operand,
         # so each adjoint einsum sees all the letters it must produce; the
         # leading ... carries any batch axes of the output adjoint through
-        adjoints = tuple(
-            (i, ",".join(["..." + out, *subs[:i], *subs[i + 1:]])
-             + "->..." + subs[i])
+        exprs = [
+            (i, ",".join(["..." + out, *subs[:i], *subs[i + 1:]]) + "->..." + subs[i])
             for i, slot in enumerate(slots) if slot == _EDGE or slot >= _FIRST_TEMP
-        )
+        ]
+        expr = ",".join(subs) + "->" + out
         entries = size ** len(union)
-        # path search costs more than the contraction on small tables
-        steps.append(_Step(",".join(subs) + "->" + out, slots, entries > 4096,
-                           len(union), entries, adjoints))
+        # a contraction path pays off only on large tables
+        big = entries > 4096
+        steps.append(_Step(expr, slots, big and _greedy_path(expr, size),
+                           len(union), entries,
+                           tuple((i, e, big and _greedy_path(e, size))
+                                 for i, e in exprs)))
         return _FIRST_TEMP + len(steps) - 1
 
     free = [v for v in range(num_vertices) if v not in keep_set]
@@ -259,9 +276,8 @@ def _reverse(plan, tape, edge_matrix, free_weight, out_bar) -> np.ndarray:
         ybar = bars.pop(slot)
         ops = [tape[i - _FIRST_TEMP] if i >= _FIRST_TEMP else inputs[i]
                for i in step.operands]
-        for pos, expr in step.adjoints:
-            bar = np.einsum(expr, ybar, *ops[:pos], *ops[pos + 1:],
-                            optimize=step.optimize)
+        for pos, expr, path in step.adjoints:
+            bar = np.einsum(expr, ybar, *ops[:pos], *ops[pos + 1:], optimize=path)
             if step.operands[pos] == _EDGE:
                 grad += bar
             else:
@@ -522,8 +538,7 @@ def _weight_products(w: np.ndarray, g: int) -> np.ndarray:
     return d
 
 
-# entries built at a time by a pass over blocks of rows: q - mean u v^T
-# when summing a variance, and rows of A G gathered from version blocks
+# entries of q - mean u v^T built at a time when summing a variance
 _ROW_BLOCK = 1 << 14
 
 
@@ -540,12 +555,29 @@ def _centered_sq(q: np.ndarray, u: np.ndarray, v: np.ndarray, mean: float) -> fl
     return out
 
 
-# entries of level k-2's table from which its Gram runs on version blocks.
-# The blocks cost about a dozen more numpy calls per forward and adjoint,
-# which outweigh the flops they save on small tables: on one thread of a
-# 2-core Xeon, forward plus adjoint ran 20-50% slower on blocks at 81 x 81,
-# and at 256 x 256 from 1.2 (two characters) to 2 times (four) faster.
+# entries of level k-2's table from which its Gram runs on version blocks
+# (and level k-3's Gram at the row orbit representatives only).  The
+# blocks cost about a dozen more numpy calls per forward and adjoint, and
+# a few more per class k-2 part on level k-3, which outweigh the flops
+# they save on small tables: on one thread of a 2-core Xeon, forward plus
+# adjoint ran 20-60% slower on blocks at 81 x 81 (K_4, C_6 at k = 3, K_5
+# at k = 4), and at 256 x 256 from 1.2 (two characters) to 2.5 times
+# (four) faster.
 _VERSION_BLOCK_MIN = 1 << 13
+
+
+def _walsh_hadamard(b: np.ndarray) -> None:
+    """b[h] = sum_c (-1)^popcount(c & h) b[c] over the first axis, in
+    place: the product with _characters, one butterfly per bit."""
+    tmp = np.empty_like(b[0])
+    half = 1
+    while half < len(b):
+        for c in range(len(b)):
+            if c & half:
+                np.subtract(b[c - half], b[c], out=tmp)
+                b[c - half] += b[c]
+                b[c] = tmp
+        half *= 2
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -568,9 +600,7 @@ class _VersionOrbits(NamedTuple):
     weight: np.ndarray
     root_stab: np.ndarray  # (n,): sqrt|S_o|, S_o the stabilizer
     orbit: np.ndarray  # (N,): the orbit of every assignment x
-    # writing x = h_x . reps[orbit(x)]: the x with h_x = a, for each a
-    shifted: tuple[np.ndarray, ...]
-    expand: np.ndarray  # (H, N): orbit(x) H + (a XOR h_x)
+    shift: np.ndarray  # (N,): the h_x with x = h_x . reps[orbit(x)]
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -602,11 +632,8 @@ def _version_orbits(m: int, n: int, bits: int) -> _VersionOrbits:
     fixes = images[:, reps] == reps  # fixes[h, o]: h stabilizes orbit o
     keep = ~((_characters(bits) < 0)[:, :, None] & fixes[None]).any(axis=1)
     root_stab = np.sqrt(fixes.sum(axis=0))
-    expand = orbit * versions + (np.arange(versions)[:, None] ^ shift)
     return _VersionOrbits(reps, images[:, reps].T.copy(), keep / root_stab,
-                          root_stab, orbit,
-                          tuple(np.flatnonzero(shift == a) for a in range(versions)),
-                          expand)
+                          root_stab, orbit, shift)
 
 
 def _is_identity(perm: tuple[int, ...]) -> bool:
@@ -649,16 +676,80 @@ def _doubling_layout(classes, k: int) -> tuple[tuple[int, ...], tuple[_Level, ..
     return pinned0, tuple(levels)
 
 
+class _OrbitRows(NamedTuple):
+    """Index maps between level k-3's Gram and level k-2's rows at the
+    version orbit representatives, for G assignments of class k-2 and R
+    of class k-1 in one copy of level k-3's columns, whose two copies
+    (u, v) the Gram pairs."""
+
+    # (u, vs, dest): the representative rows x = (u, v) for v in vs, and
+    # where they go among the representatives (a slice when contiguous)
+    groups: tuple[tuple[int, np.ndarray, slice | np.ndarray], ...]
+    cols: np.ndarray | None  # (R^2,): u_r R + v_r at column y; None where that is y
+    # A G at (x, y) sits in the character-summed blocks (h, o, o') at
+    # (h_x XOR h_y, orbit(x), orbit(y)), flattened: at offset[x] +
+    # expand[h_x, y], for x = (u_g, v_g) and y = (u_r, v_r) read in
+    # (v_r, u_r) order
+    offset: np.ndarray  # (G, G): orbit(x) times the column orbits
+    shift: np.ndarray  # (G, G): h_x
+    expand: np.ndarray  # (H, R^2)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _orbit_rows(classes, k: int, m: int) -> _OrbitRows:
+    """Level k-2's table is level k-3's Gram with its raw axes (u_g, u_r,
+    v_g, v_r), the class k-2 and class k-1 parts of the two copies, sorted
+    into (class, vertex, version) order.  So row x of it is a pair (u_g,
+    v_g) of class k-2 parts, column y a pair (u_r, v_r), and the entry is
+    the (u_r, v_r) entry of C[:, u_g, :]^T C[:, v_g, :], for C level k-3's
+    factor split as (glued) x (class k-2) x (class k-1).  These maps hold
+    a few entries per row and column of level k-2, not per entry."""
+    _, levels = _doubling_layout(classes, k)
+    prev, level = levels[k - 3], levels[k - 2]
+    rows, cols = (_version_orbits(m, len(classes[c]), k - 2) for c in (k - 2, k - 1))
+    half = level.g // 2
+
+    def pairs(start, stop, lo, n):
+        # flat (u part, v part) index of each table index over axes
+        # start..stop, whose raw axes are lo..lo+n of either copy
+        pos = [p - lo if p < prev.r else n + p - prev.r - lo
+               for p in prev.perm[start:stop]]
+        return np.arange(m ** (2 * n)).reshape((m,) * (2 * n)).transpose(pos).reshape(-1)
+
+    pair = pairs(0, level.g, 0, half)
+    col = pairs(level.g, 2 * prev.r, half, level.r // 2)
+    size_g, size_r = m**half, m ** (level.r // 2)
+    rep_pairs = pair[rows.reps]
+    order = np.argsort(rep_pairs)  # the representatives by (u_g, v_g)
+    us = rep_pairs[order] // size_g
+    starts = np.flatnonzero(np.diff(us, prepend=-1))
+    groups = []
+    for start, stop in zip(starts, [*starts[1:], us.size]):
+        dest = order[start:stop]
+        if np.array_equal(dest, np.arange(dest[0], dest[0] + dest.size)):
+            dest = slice(int(dest[0]), int(dest[0]) + dest.size)
+        groups.append((int(us[start]), rep_pairs[dest] % size_g, dest))
+    grid = np.argsort(pair).reshape(size_g, size_g)  # x of each (u_g, v_g)
+    ys = np.argsort(col).reshape(size_r, size_r).T.reshape(-1)  # y of (v_r, u_r)
+    n_cols = cols.reps.size
+    expand = ((np.arange(1 << (k - 2))[:, None] ^ cols.shift[ys])
+              * (rows.reps.size * n_cols) + cols.orbit[ys])
+    identity = np.array_equal(col, np.arange(col.size))
+    return _OrbitRows(tuple(groups), None if identity else col,
+                      rows.orbit[grid] * n_cols, rows.shift[grid], expand)
+
+
 class _DoublingRun(NamedTuple):
     """The forward tables of one evaluation of the gluing recursion."""
 
     values: np.ndarray  # the value matrix evaluated at
     tape: list  # the base plan's step results, the base table last
     # each level's root-weighted factor, innermost level first; with version
-    # blocks the last level's factor, the Gram of the level before, is
+    # blocks level k-2's factor holds only its rows at the row orbit
+    # representatives, the last level's factor, the Gram of level k-2, is
     # never formed, and only its character blocks are kept
     factors: list
-    blocks: np.ndarray | None  # (H, nX, nY) character blocks of factors[-1]
+    blocks: np.ndarray | None  # (H, nX, nY) character blocks of level k-2
     grams: np.ndarray | None  # (H, nY, nY) the Gram of each block
     table: np.ndarray  # the final table: a scalar once every class is glued
 
@@ -685,7 +776,11 @@ class _Doubling:
     one block A_c per character c.  The last level is the squared norm of
     the Gram A^T A, so d_k = sum_c |A_c^T A_c|^2, and the m^(2r) Gram is
     never built.  At K_5, k = 4, m = 5 the 625 x 625 syrk becomes Grams of
-    four blocks of 175 or 150 rows and columns.
+    four blocks of 175 or 150 rows and columns.  The blocks read A only at
+    the rows of its orbit representatives, and A is itself level k-3's
+    Gram, so that Gram is formed at those rows only (_orbit_rows): 175 of
+    625 there, and the adjoint goes back through level k-3 without
+    building either m^(2r) table.
     """
 
     def __init__(self, colored: ColoredGraph, k: int, weights: np.ndarray,
@@ -715,7 +810,7 @@ class _Doubling:
         self.versions = None
         last = self.levels[k - 2] if k >= 3 else None
         if last is not None and m ** (last.g + last.r) >= _VERSION_BLOCK_MIN:
-            self.signs = _characters(k - 2)
+            self.order = 1 << (k - 2)  # elements and characters of the group
             rows, cols = (_version_orbits(m, len(colored.classes[c]), k - 2)
                           for c in (k - 2, k - 1))
             self.versions = rows, cols
@@ -723,8 +818,8 @@ class _Doubling:
             # group fixes, in the basis of the trivial block: sqrt|O| times
             # their value at the orbit's representative
             roots = _weight_products(self.roots, last.r)
-            self.block_roots = (roots[cols.reps] * np.sqrt(len(self.signs))
-                                / cols.root_stab)
+            self.block_roots = roots[cols.reps] * np.sqrt(self.order) / cols.root_stab
+            self.orbit_rows = _orbit_rows(colored.classes, k, m)
 
     @functools.cached_property
     def base_weights(self) -> np.ndarray:
@@ -749,9 +844,12 @@ class _Doubling:
         over the first g//2 axes and the rest, and sqrt(w_g) as the outer
         product of two short vectors.
 
-        With version blocks the last level's q is the Gram G of level k-2
-        and sqrt(w_g) the outer product s s^T of that Gram's root products.
-        The version group fixes s, so s lies in the trivial block: the
+        With version blocks level k-2's factor holds only the rows of the
+        row orbit representatives; its q is fixed by the version group, so
+        it is read at every row from its orbit's representative.  The last
+        level's q is the Gram G of level k-2 and sqrt(w_g) the outer
+        product s s^T of that Gram's root products.  The version group
+        fixes s, so s lies in the trivial block: the
         mean is s_1^T G_1 s_1 and the variance sum_{c != 1} |G_c|^2 +
         |G_1 - mean s_1 s_1^T|^2, still a sum of squares, for G_1 and s_1
         the trivial block and s in its basis.
@@ -759,6 +857,8 @@ class _Doubling:
         m, out = self.m, []
         for level, a in zip(self.levels, run.factors):
             q = a @ _weight_products(self.roots, level.r) if level.r else a
+            if q.size < m**level.g:  # rows at the orbit representatives
+                q = q[self.versions[0].orbit]
             h = level.g // 2
             q = q.reshape(m**h, m ** (level.g - h))
             s1 = _weight_products(self.roots, h)
@@ -785,29 +885,39 @@ class _Doubling:
         split is a view.  Where a level's perm is not the identity, its
         Gram is written straight into that order, one block of rows at a
         time, instead of being computed whole and then copied permuted.
-        With version blocks, level k-2's factor is split into its blocks
-        and the last level is the squared norm of their Grams."""
+        With version blocks, level k-3's Gram is formed at the row orbit
+        representatives only, level k-2's factor, so formed, is split
+        into its blocks, and the last level is the squared norm of their
+        Grams."""
         m = self.m
         tape = _forward(self.plan, values, self.weights, keep_tape)
         table = tape[-1] * self.base_roots
         factors, blocks, grams = [], None, None
+        # the level whose table runs on version blocks, if any
+        blocked = len(self.levels) - 2 if self.versions is not None else -1
         for j, level in enumerate(self.levels):
-            a = table.reshape(m**level.g, m**level.r)
-            factors.append(a)
-            if self.versions is not None and j == len(self.levels) - 2:
+            if j == blocked:
+                # table holds level k-2's rows at the row orbit
+                # representatives; a[rep_o, h . rep_o'] for each h, then
+                # summed against each character over h
                 rows, cols = self.versions
-                order = len(self.signs)
-                # a[rep_o, h . rep_o'] in (o, o', h) order, then summed
-                # against each character over h
-                blocks = self.signs @ a.take(rows.reps, axis=0).take(
-                    cols.rep_images.reshape(-1), axis=1).reshape(-1, order).T
-                blocks = blocks.reshape(order, rows.reps.size, cols.reps.size)
+                factors.append(table)
+                blocks = np.empty((self.order, rows.reps.size, cols.reps.size))
+                for h, images in enumerate(cols.rep_images.T):
+                    np.take(table, images, axis=1, out=blocks[h])
+                _walsh_hadamard(blocks)
                 blocks *= rows.weight[:, :, None]
                 blocks *= cols.weight[:, None, :]
-                grams = np.stack([b.T @ b for b in blocks])
+                grams = np.empty((self.order, cols.reps.size, cols.reps.size))
+                for b, gram in zip(blocks, grams):
+                    np.matmul(b.T, b, out=gram)
                 table = np.asarray(np.vdot(grams, grams))
                 break
-            if not level.r:
+            a = table.reshape(m**level.g, m**level.r)
+            factors.append(a)
+            if j == blocked - 1:
+                table = self._rep_rows(a)
+            elif not level.r:
                 table = np.asarray(np.dot(a[:, 0], a[:, 0]))
             elif _is_identity(level.perm):
                 table = (a.T @ a).reshape((m,) * (2 * level.r))
@@ -840,10 +950,12 @@ class _Doubling:
         With version blocks, the last level's adjoint is the Gram G itself,
         so level k-2's is A G = sum_c A_c G_c in the character basis: one
         product per block, then a Walsh-Hadamard transform over the
-        characters and one gather back to the standard basis (A G commutes
-        with the version group too, so it is read off the orbit
-        representatives).  At K_5, k = 4, m = 5 that replaces a 625 x 625
-        product by four of at most 175 rows and columns."""
+        characters, in place.  A G commutes with the version group too, so
+        its entries are read off the orbit representatives, gathered for
+        level k-3's product a T one class k-2 part at a time: no table of
+        A G's size is built in the standard basis.  At K_5, k = 4, m = 5
+        that replaces two 625 x 625 products by four of at most 175 rows
+        and columns and 25 of 25 x 625 x 25."""
         m = self.m
         if not self.levels:
             return self.base_roots.copy()
@@ -853,23 +965,15 @@ class _Doubling:
             tbar = a
         else:
             rows, cols = self.versions
-            order = len(self.signs)
             b = run.blocks @ run.grams
-            b *= rows.root_stab[:, None] / order
+            b *= rows.root_stab[:, None] / self.order
             b *= cols.root_stab
-            # summed over the characters: entry (o, o', h) is A G at
+            # summed over the characters: entry (h, o, o') is A G at
             # (rep_o, h . rep_o'), so A G at (x, y) is its entry
-            # (orbit(x), orbit(y), h_x XOR h_y), gathered for a block of
-            # rows with one h_x at a time, so no other table is as large
-            ag = (b.reshape(order, -1).T @ self.signs).reshape(rows.reps.size, -1)
-            del b
-            tbar = np.empty((m**level.g, m**level.r))
-            step = max(1, _ROW_BLOCK // m**level.r)
-            for shift, xs in enumerate(rows.shifted):
-                for i in range(0, xs.size, step):
-                    part = xs[i:i + step]
-                    tbar[part] = ag.take(rows.orbit[part], axis=0).take(
-                        cols.expand[shift], axis=1)
+            # (h_x XOR h_y, orbit(x), orbit(y))
+            _walsh_hadamard(b)
+            level, a = pairs.pop()
+            tbar = self._rep_rows_adjoint(a, b.reshape(-1))
         tbar = tbar.reshape((m,) * (level.g + level.r))
         for level, a in reversed(pairs):
             r = level.r
@@ -890,6 +994,39 @@ class _Doubling:
         out = tbar * self.base_roots
         out *= 2.0 ** len(self.levels)
         return out
+
+    def _rep_rows(self, a: np.ndarray) -> np.ndarray:
+        """Level k-2's table at the row orbit representatives only, from
+        level k-3's factor a (see _orbit_rows): one product per class k-2
+        part u_g of the first copy, against the parts v_g that pair with
+        it in a representative."""
+        maps = self.orbit_rows
+        size_r = self.m ** (self.levels[-2].r // 2)
+        c = a.reshape(a.shape[0], -1, size_r)
+        out = np.empty((self.versions[0].reps.size, size_r * size_r))
+        for u, vs, dest in maps.groups:
+            # (u_r, v_g, v_r), then one row per v_g
+            prod = c[:, u].T @ c.take(vs, axis=1).reshape(a.shape[0], -1)
+            prod = prod.reshape(size_r, vs.size, size_r).transpose(1, 0, 2)
+            prod = prod.reshape(vs.size, -1)
+            out[dest] = prod if maps.cols is None else prod[:, maps.cols]
+        return out
+
+    def _rep_rows_adjoint(self, a: np.ndarray, ag: np.ndarray) -> np.ndarray:
+        """a T for level k-3's factor a and T the adjoint of its Gram in raw
+        axis order, which is level k-2's A G; ag holds that as its
+        character-summed blocks, flattened (see _orbit_rows).  The columns
+        (u_g, .) of a T read the rows x = (u_g, v_g) of A G for every v_g,
+        gathered as a (v_g, v_r) x u_r matrix, so each class k-2 part u_g
+        costs one gather and one product, and no table of T's size is
+        built."""
+        maps = self.orbit_rows
+        size_r = self.m ** (self.levels[-2].r // 2)
+        out = np.empty((maps.offset.shape[0], a.shape[0], size_r))
+        for u, (offset, shift) in enumerate(zip(maps.offset, maps.shift)):
+            t = ag.take(offset[:, None] + maps.expand[shift])
+            np.matmul(a, t.reshape(-1, size_r), out=out[u])
+        return out.transpose(1, 0, 2).reshape(a.shape[0], -1)
 
     def gradient(self, run: _DoublingRun, base_bar: np.ndarray) -> np.ndarray:
         """Gradient in the ordered value-matrix entries of sum(base_bar *

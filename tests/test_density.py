@@ -252,6 +252,37 @@ def test_plan_cache_hit_is_bitwise_identical():
     assert again is not first
 
 
+def test_stored_paths_match_a_greedy_search_on_real_operands():
+    # steps over 4096 entries keep the greedy path of their einsum and of
+    # each adjoint einsum, found once from shapes alone; a search on the
+    # operands of a real replay finds the same path, and replaying with
+    # the stored one gives the searched contraction bit for bit
+    g = _random_graphon(np.random.default_rng(37), 6)
+    colored = complete_graph(6)
+    doubling = density._Doubling(colored, 4, g.weights, density.DEFAULT_BUDGET)
+    tape = density._forward(doubling.plan, g.values, g.weights, keep_tape=True)
+    inputs = density._plan_inputs(g.values, g.weights, float)
+    stored = 0
+    for slot, step in enumerate(doubling.plan, density._FIRST_TEMP):
+        assert bool(step.optimize) == (step.entries > 4096)
+        if not step.optimize:
+            assert not any(path for _, _, path in step.adjoints)
+            continue
+        ops = [tape[i - density._FIRST_TEMP] if i >= density._FIRST_TEMP
+               else inputs[i] for i in step.operands]
+        searched = np.einsum_path(step.expr, *ops, optimize="greedy")[0]
+        assert list(step.optimize) == searched
+        want = np.einsum(step.expr, *ops, optimize=True)
+        assert tape[slot - density._FIRST_TEMP].tobytes() == want.tobytes()
+        ybar = np.ones_like(tape[slot - density._FIRST_TEMP])
+        for pos, expr, path in step.adjoints:
+            others = [*ops[:pos], *ops[pos + 1:]]
+            assert list(path) == np.einsum_path(expr, ybar, *others,
+                                                optimize="greedy")[0]
+            stored += 1
+    assert stored  # K_6 from 6 parts has steps over 4096 entries
+
+
 def test_evaluate_pinned_record():
     g = constant_graphon(0.5, 2)
     rec = evaluate_pinned(complete_graph(3).graph, (0,), {0: 1}, g)
@@ -470,10 +501,11 @@ def test_doubling_peak_memory_at_m5():
             peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
-    # measured 9.8 and 6.5 MiB; a whole Gram copied into permuted order or
-    # a T + T^T temporary (15.0 and 9.2 MiB) breaks these bounds
-    assert peaks["gradient"] < 11.0
-    assert peaks["chain"] < 7.5
+    # measured 4.3 and 3.2 MiB; level k-3's whole 625 x 625 Gram, or its
+    # whole adjoint gathered from the version blocks (9.6 and 6.5 MiB with
+    # both), breaks these bounds
+    assert peaks["gradient"] < 5.0
+    assert peaks["chain"] < 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -605,15 +637,68 @@ def _root_products(w, n):
     return d.reshape(-1)
 
 
+def _assert_gluing_matches_dense(doubling, g, tol=1e-14):
+    """The fast recursion writes permuted Grams block by block, treats
+    every Gram output's adjoint as symmetric, and from k = 3 on builds
+    level k-2's table only at its row orbit representatives and reads the
+    last Gram only through its version blocks; check it against the plain
+    forms: the whole Gram A^T A then permuted, its rows at the
+    representatives, its dot product, each level's moments from the whole
+    table, and the adjoint a (T + T^T) of the general product.  `tol`
+    bounds each level's table error relative to its largest entry."""
+    m = g.num_parts
+    run = doubling.forward(g.values)
+    factors = list(run.factors)
+    if run.grams is not None:
+        # level k-2's whole table and the last level's factor, which the
+        # block path never forms
+        prev, level = doubling.levels[-3:-1]
+        a = factors[-2]
+        full = (a.T @ a).reshape((m,) * (2 * prev.r)).transpose(prev.perm)
+        full = full.reshape(m**level.g, m**level.r)
+        reps = doubling.versions[0].reps
+        assert factors[-1].shape == (reps.size, m**level.r)
+        np.testing.assert_allclose(factors[-1], full[reps], rtol=0,
+                                   atol=tol * np.abs(full).max())
+        factors[-1] = full
+        factors.append((full.T @ full).reshape(-1, 1))
+    for level, a, nxt in zip(doubling.levels, factors, [*factors[1:], run.table]):
+        if level.r:
+            want = (a.T @ a).reshape((m,) * (2 * level.r)).transpose(level.perm)
+        else:
+            want = np.dot(a[:, 0], a[:, 0])
+        np.testing.assert_allclose(nxt.reshape(np.shape(want)), want, rtol=0,
+                                   atol=tol * np.abs(want).max())
+    for level, a, got in zip(doubling.levels, factors, doubling.moments(run)):
+        h = level.g // 2
+        q = a @ _root_products(g.weights, level.r) if level.r else a
+        q = q.reshape(m**h, m ** (level.g - h))
+        s1, s2 = _root_products(g.weights, h), _root_products(g.weights, level.g - h)
+        mean = s1 @ q @ s2
+        second = np.vdot(q, q)
+        assert got[0] == pytest.approx(mean, rel=1e-12, abs=0)
+        assert got[1] == pytest.approx(second, rel=1e-12, abs=0)
+        diff = q - mean * np.outer(s1, s2)
+        assert got[2] == pytest.approx(np.vdot(diff, diff), rel=1e-9,
+                                       abs=1e-15 * second)
+    tbar = np.ones(())
+    for level, a in zip(reversed(doubling.levels), reversed(factors)):
+        r = level.r
+        if r:
+            t = tbar.transpose(level.inv).reshape(m**r, m**r)
+            assert np.abs(t - t.T).max() <= 1e-13 * np.abs(t).max()
+            tbar = a @ (t + t.T)
+        else:
+            tbar = (2.0 * float(tbar)) * a
+        tbar = tbar.reshape((m,) * (level.g + r))
+    want = tbar * doubling.base_roots
+    np.testing.assert_allclose(doubling.base_adjoint(run), want, rtol=0,
+                               atol=1e-13 * np.abs(want).max())
+
+
 @settings(deadline=None, max_examples=30)
 @given(colored=_colored_motifs(), m=st.integers(1, 4), seed=st.integers(0, 2**16))
 def test_gluing_levels_blocked_and_symmetric(colored, m, seed):
-    # the fast recursion writes permuted Grams block by block, treats
-    # every Gram output's adjoint as symmetric, and from k = 3 on reads the
-    # last Gram only through its version blocks; check it against the
-    # plain forms: the whole Gram A^T A then permuted, its dot product,
-    # the last level's moments from the whole table, and the adjoint
-    # a (T + T^T) of the general product
     g = _graphon_from_seed(seed, m, 0.0, 1.0)
     for k in range(1, colored.num_classes + 1):
         try:
@@ -621,46 +706,8 @@ def test_gluing_levels_blocked_and_symmetric(colored, m, seed):
                 doubling = density._Doubling(colored, k, g.weights, 1 << 16)
         except UnsupportedSizeError:
             break
-        run = doubling.forward(g.values)
-        assert (run.grams is None) == (k < 3)
-        factors = list(run.factors)
-        if run.grams is not None:
-            # the last level's factor, which the block path never forms
-            a = factors[-1]
-            factors.append((a.T @ a).reshape(-1, 1))
-        for level, a, nxt in zip(doubling.levels, factors,
-                                 [*factors[1:], run.table]):
-            if level.r:
-                want = (a.T @ a).reshape((m,) * (2 * level.r)).transpose(level.perm)
-            else:
-                want = np.dot(a[:, 0], a[:, 0])
-            np.testing.assert_allclose(nxt.reshape(np.shape(want)), want, rtol=0,
-                                       atol=1e-14 * np.abs(want).max())
-        level = doubling.levels[-1]
-        h = level.g // 2
-        q = factors[-1].reshape(m**h, m ** (level.g - h))
-        s1, s2 = _root_products(g.weights, h), _root_products(g.weights, level.g - h)
-        mean = s1 @ q @ s2
-        second = np.vdot(q, q)
-        got = doubling.moments(run)[-1]
-        assert got[0] == pytest.approx(mean, rel=1e-12, abs=0)
-        assert got[1] == pytest.approx(second, rel=1e-12, abs=0)
-        diff = q - mean * np.outer(s1, s2)
-        assert got[2] == pytest.approx(np.vdot(diff, diff), rel=1e-9,
-                                       abs=1e-15 * second)
-        tbar = np.ones(())
-        for level, a in zip(reversed(doubling.levels), reversed(factors)):
-            r = level.r
-            if r:
-                t = tbar.transpose(level.inv).reshape(m**r, m**r)
-                assert np.abs(t - t.T).max() <= 1e-13 * np.abs(t).max()
-                tbar = a @ (t + t.T)
-            else:
-                tbar = (2.0 * float(tbar)) * a
-            tbar = tbar.reshape((m,) * (level.g + r))
-        want = tbar * doubling.base_roots
-        np.testing.assert_allclose(doubling.base_adjoint(run), want, rtol=0,
-                                   atol=1e-13 * np.abs(want).max())
+        assert (doubling.versions is None) == (k < 3)
+        _assert_gluing_matches_dense(doubling, g)
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +774,21 @@ def test_version_blocks_against_oracles(name, k, m):
         with _always_blocked():
             fd = _fd_gradient(lambda x: doubling_density(colored, k, x), g, h=1e-6)
         assert np.abs(grad - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+@pytest.mark.parametrize("name,k,m", list(_blocked_cases()))
+def test_orbit_rows_against_dense_gram(name, k, m):
+    # level k-2's rows at the row orbit representatives, one product per
+    # class k-2 part, and the adjoint through level k-3 gathered one part
+    # at a time, on classes of one and of two vertices
+    colored = _BLOCK_MOTIFS[name][0]
+    for g in _skewed_graphons_at(m):
+        with _always_blocked():
+            doubling = density._Doubling(colored, k, g.weights, density.DEFAULT_BUDGET)
+        assert doubling.versions is not None
+        # the last level sums up to 5^8 squares, which round to about
+        # 1e-14 of the sum in either order
+        _assert_gluing_matches_dense(doubling, g, tol=1e-13)
 
 
 def test_version_blocks_by_default_on_large_tables():
