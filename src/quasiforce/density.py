@@ -20,7 +20,11 @@ Three evaluation strategies share one sum-product core:
   k-3's Gram, which is that table, is formed only at the rows of the
   group's orbit representatives, and the last two levels run on one block
   per character of the group, which costs a few small Grams and products
-  instead of two m^r x m^r syrks and gemms.
+  instead of two m^r x m^r syrks and gemms.  Level k-2's representative
+  rows, the blocks and their Grams share one buffer per run: as one
+  freed allocation it is what sets glibc's trim threshold, which then
+  covers a whole call, so the next call reuses mapped pages rather than
+  faulting its working set back in.
 
 Gradients in the value matrix come from reverse accumulation over the same
 compiled plan: the forward replay keeps every step's table (the tape), and
@@ -781,6 +785,14 @@ class _Doubling:
     Gram, so that Gram is formed at those rows only (_orbit_rows): 175 of
     625 there, and the adjoint goes back through level k-3 without
     building either m^(2r) table.
+
+    Those representative rows, the blocks and their Grams live and die
+    with one run, so each run takes them as views of one buffer, at the
+    starts fixed here at binding (block_tables).  glibc hands freed heap
+    back to the system above twice the largest mapped block freed so
+    far.  Three tables of about 1 MB each (K_5, k = 4, m = 5) keep that
+    threshold under a call's working set, and every call faults about
+    1,800 pages in anew; one buffer of their joint size lifts it above.
     """
 
     def __init__(self, colored: ColoredGraph, k: int, weights: np.ndarray,
@@ -820,6 +832,18 @@ class _Doubling:
             roots = _weight_products(self.roots, last.r)
             self.block_roots = roots[cols.reps] * np.sqrt(self.order) / cols.root_stab
             self.orbit_rows = _orbit_rows(colored.classes, k, m)
+            # level k-2's rows at the row orbit representatives, the blocks
+            # and their Grams: (slice, shape) of each in one buffer per run.
+            # Every slice starts on a 64-byte boundary, so each table keeps
+            # the buffer's alignment for the vectorized kernels
+            self.block_tables, size = [], 0
+            for shape in ((rows.reps.size, m**last.r),
+                          (self.order, rows.reps.size, cols.reps.size),
+                          (self.order, cols.reps.size, cols.reps.size)):
+                n = math.prod(shape)
+                self.block_tables.append((slice(size, size + n), shape))
+                size += -(-n // 8) * 8
+            self.block_size = size
 
     @functools.cached_property
     def base_weights(self) -> np.ndarray:
@@ -888,13 +912,18 @@ class _Doubling:
         With version blocks, level k-3's Gram is formed at the row orbit
         representatives only, level k-2's factor, so formed, is split
         into its blocks, and the last level is the squared norm of their
-        Grams."""
+        Grams; those three tables are views of one buffer per run (see
+        the class docstring)."""
         m = self.m
         tape = _forward(self.plan, values, self.weights, keep_tape)
         table = tape[-1] * self.base_roots
         factors, blocks, grams = [], None, None
         # the level whose table runs on version blocks, if any
         blocked = len(self.levels) - 2 if self.versions is not None else -1
+        if blocked >= 0:
+            buffer = np.empty(self.block_size)
+            rep_rows, blocks, grams = (buffer[part].reshape(shape)
+                                       for part, shape in self.block_tables)
         for j, level in enumerate(self.levels):
             if j == blocked:
                 # table holds level k-2's rows at the row orbit
@@ -902,13 +931,11 @@ class _Doubling:
                 # summed against each character over h
                 rows, cols = self.versions
                 factors.append(table)
-                blocks = np.empty((self.order, rows.reps.size, cols.reps.size))
                 for h, images in enumerate(cols.rep_images.T):
                     np.take(table, images, axis=1, out=blocks[h])
                 _walsh_hadamard(blocks)
                 blocks *= rows.weight[:, :, None]
                 blocks *= cols.weight[:, None, :]
-                grams = np.empty((self.order, cols.reps.size, cols.reps.size))
                 for b, gram in zip(blocks, grams):
                     np.matmul(b.T, b, out=gram)
                 table = np.asarray(np.vdot(grams, grams))
@@ -916,7 +943,7 @@ class _Doubling:
             a = table.reshape(m**level.g, m**level.r)
             factors.append(a)
             if j == blocked - 1:
-                table = self._rep_rows(a)
+                table = self._rep_rows(a, out=rep_rows)
             elif not level.r:
                 table = np.asarray(np.dot(a[:, 0], a[:, 0]))
             elif _is_identity(level.perm):
@@ -995,15 +1022,14 @@ class _Doubling:
         out *= 2.0 ** len(self.levels)
         return out
 
-    def _rep_rows(self, a: np.ndarray) -> np.ndarray:
+    def _rep_rows(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Level k-2's table at the row orbit representatives only, from
-        level k-3's factor a (see _orbit_rows): one product per class k-2
-        part u_g of the first copy, against the parts v_g that pair with
-        it in a representative."""
+        level k-3's factor a (see _orbit_rows), written into out and
+        returned: one product per class k-2 part u_g of the first copy,
+        against the parts v_g that pair with it in a representative."""
         maps = self.orbit_rows
         size_r = self.m ** (self.levels[-2].r // 2)
         c = a.reshape(a.shape[0], -1, size_r)
-        out = np.empty((self.versions[0].reps.size, size_r * size_r))
         for u, vs, dest in maps.groups:
             # (u_r, v_g, v_r), then one row per v_g
             prod = c[:, u].T @ c.take(vs, axis=1).reshape(a.shape[0], -1)

@@ -72,11 +72,13 @@ class IdentityResidualReport:
     to_dict = record_dict
 
 
-def _check_tk(t: int, k: int) -> None:
+def _check_tkp(t: int, k: int, p: float) -> None:
     if not 3 <= t <= 6:
         raise ValueError(f"t must lie in [3, 6]; got {t}")
     if not 1 <= k <= t:
         raise ValueError(f"k must lie in [1, {t}]; got {k}")
+    if not 0.0 < p <= 1.0:  # NaN fails here too
+        raise ValueError("p must lie in (0, 1]")
 
 
 def check_identity(graphon: StepGraphon, p: float, t: int, k: int | None = None,
@@ -95,9 +97,7 @@ def check_identity(graphon: StepGraphon, p: float, t: int, k: int | None = None,
     """
     if k is None:
         k = default_doublings(t)
-    _check_tk(t, k)
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
+    _check_tkp(t, k, p)
     table = pinned_table(complete_graph(t).graph, tuple(range(k)), graphon,
                          budget=budget)
     residual = np.abs(table - p ** (t * (t - 1) // 2))
@@ -120,7 +120,7 @@ def identity_residual_at(graphon: StepGraphon, p: float, t: int, k: int,
     Independent of the table route in check_identity: the pinned K_t
     density comes from pinned_density's exactly rounded per-assignment sum.
     """
-    _check_tk(t, k)
+    _check_tkp(t, k, p)
     parts = tuple(int(x) for x in parts)
     if len(parts) != k:
         raise ValueError(f"expected {k} part indices, got {len(parts)}")

@@ -250,6 +250,48 @@ def test_criterion_07_non_forcing_contrast():
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("t, lo, hi", [(3, 16516, 16517), (4, 18298, 18299),
+                                       (5, 19785, 19786)])
+def test_one_doubling_is_not_forcing_at_half(t, lo, hi):
+    # W = [[a, 1], [1, a]] with equal weights: swapping its parts is an
+    # automorphism, so K_t's density pinned on one vertex is the same at
+    # both parts and t(F_1) = t(K_t)^2 for every a.  A root a of
+    # t(K_t) = 2^-e therefore matches both densities of (K_t, F_1) at
+    # p = 1/2 with a graphon far from constant.
+    e = t * (t - 1) // 2
+    half = Fraction(1, 2)
+    clique = complete_graph(t).graph
+    once = iterated_double(complete_graph(t), 1).graph
+
+    def exact(motif, a):
+        return brute_graphon_density(motif, [half, half], [[a, 1], [1, a]])
+
+    # an exact sign change over all 2^t maps brackets a root in (lo, hi)
+    assert exact(clique, Fraction(lo, 10**5)) < half**e < exact(clique, Fraction(hi, 10**5))
+    # both sides are polynomials in a of degree at most 2e, so agreeing
+    # at 2e + 1 rationals makes them equal everywhere, the root included
+    for i in range(2 * e + 1):
+        a = Fraction(i, 2 * e)
+        assert exact(once, a) == exact(clique, a) ** 2
+
+    # the same root, bisected in floats: F_2 is not matched there
+    def graphon(a):
+        return StepGraphon(np.array([0.5, 0.5]), np.array([[a, 1.0], [1.0, a]]))
+
+    below, above = lo / 10**5, hi / 10**5
+    for _ in range(60):
+        mid = (below + above) / 2
+        if graphon_density(clique, graphon(mid)) < 0.5**e:
+            below = mid
+        else:
+            above = mid
+    w = graphon((below + above) / 2)
+    target = 0.5**e
+    assert abs(doubling_density(complete_graph(t), 1, w) / target**2 - 1) <= 1e-12
+    # measured 1.1%, 0.51% and 0.14% at t = 3, 4, 5
+    assert abs(doubling_density(complete_graph(t), 2, w) / target**4 - 1) >= 1e-3
+
+
 def test_criterion_08_contrapositive_residuals():
     t0 = time.perf_counter()
     rng = np.random.default_rng(88)

@@ -82,6 +82,15 @@ def test_check_identity_validation():
         check_identity(g, 0.0, 3)
 
 
+@pytest.mark.parametrize("p", [math.nan, 2.0, -1.0, 0.0])
+def test_bad_p_refused_by_both_identity_routes(p):
+    g = constant_graphon(0.5, 2)
+    with pytest.raises(ValueError, match=r"p must lie in \(0, 1\]"):
+        check_identity(g, p, 3)
+    with pytest.raises(ValueError, match=r"p must lie in \(0, 1\]"):
+        identity_residual_at(g, p, 3, 2, (0, 1))
+
+
 def test_no_table_mode():
     g = constant_graphon(0.5, 2)
     rep = check_identity(g, 0.5, 3, include_table=False)
