@@ -10,10 +10,10 @@ Three evaluation strategies share one sum-product core:
   blown-up motif onto tables indexed by assignments of the glued classes.
   Each table axis carries the square root of its part's weight, so every
   doubling level is one symmetric Gram product A^T A (BLAS syrk, half the
-  flops of a general product) and the last level is a dot product.  A
-  Gram whose axes the next level reads in permuted order is written
-  straight into that order, one block of rows at a time, so the
-  recursion keeps one table per level and every split is a view.  From
+  flops of a general product) and the last level is a dot product.  Each
+  Gram is copied once into the axis order the next level reads (not at
+  all where that is its own order), so the recursion keeps one table
+  per level and every split is a view.  From
   three doublings on, neither of the last two Grams is built in full:
   swapping the two copies glued at any earlier level changes nothing, so
   level k-2's table commutes with the version group (Z2)^(k-2).  Level
@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UnsupportedSizeError
-from .graphon import StepGraphon
+from .graphon import StepGraphon, _adjacency
 from .graphs import ColoredGraph, Graph
 
 __all__ = [
@@ -302,14 +302,6 @@ def _sum_product(size, num_vertices, edges, edge_matrix, free_weight, keep=(),
     """
     plan = _checked_plan(size, num_vertices, edges, keep, budget)
     return _forward(plan, edge_matrix, free_weight)[-1]
-
-
-def _adjacency(g: Graph, dtype) -> np.ndarray:
-    a = np.zeros((g.n, g.n), dtype=dtype)
-    for u, v in g.edges:
-        a[u, v] = 1
-        a[v, u] = 1
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +564,8 @@ _VERSION_BLOCK_MIN = 1 << 13
 
 def _walsh_hadamard(b: np.ndarray) -> None:
     """b[h] = sum_c (-1)^popcount(c & h) b[c] over the first axis, in
-    place: the product with _characters, one butterfly per bit."""
+    place, one butterfly per bit: the product with the Sylvester-Hadamard
+    matrix, whose entry (c, h) is character c of (Z2)^bits at h."""
     tmp = np.empty_like(b[0])
     half = 1
     while half < len(b):
@@ -582,16 +575,6 @@ def _walsh_hadamard(b: np.ndarray) -> None:
                 b[c - half] += b[c]
                 b[c] = tmp
         half *= 2
-
-
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _characters(bits: int) -> np.ndarray:
-    """signs[c, h] = (-1)^popcount(c & h): character c of (Z2)^bits at h,
-    the Sylvester-Hadamard matrix."""
-    signs = np.ones((1, 1))
-    for _ in range(bits):
-        signs = np.block([[signs, signs], [signs, -signs]])
-    return signs
 
 
 class _VersionOrbits(NamedTuple):
@@ -633,15 +616,13 @@ def _version_orbits(m: int, n: int, bits: int) -> _VersionOrbits:
         for h in range(versions)])
     reps, orbit = np.unique(images.min(axis=0), return_inverse=True)
     shift = np.argmax(images == reps[orbit], axis=0)
-    fixes = images[:, reps] == reps  # fixes[h, o]: h stabilizes orbit o
-    keep = ~((_characters(bits) < 0)[:, :, None] & fixes[None]).any(axis=1)
-    root_stab = np.sqrt(fixes.sum(axis=0))
-    return _VersionOrbits(reps, images[:, reps].T.copy(), keep / root_stab,
-                          root_stab, orbit, shift)
-
-
-def _is_identity(perm: tuple[int, ...]) -> bool:
-    return all(i == x for i, x in enumerate(perm))
+    # the indicator of each orbit's stabilizer S_o, summed against every
+    # character c: |S_o| where c is trivial on S_o, else 0
+    trivial = (images[:, reps] == reps).astype(np.int64)
+    _walsh_hadamard(trivial)
+    root_stab = np.sqrt(trivial[0])
+    return _VersionOrbits(reps, images[:, reps].T.copy(),
+                          (trivial != 0) / root_stab, root_stab, orbit, shift)
 
 
 class _Level(NamedTuple):
@@ -906,9 +887,8 @@ class _Doubling:
         multiply to the weights the glued class is summed with.
 
         Every table is stored in the axis order its level reads, so each
-        split is a view.  Where a level's perm is not the identity, its
-        Gram is written straight into that order, one block of rows at a
-        time, instead of being computed whole and then copied permuted.
+        split is a view: a level's Gram is one syrk, copied once into the
+        next level's order, with no copy where its perm is the identity.
         With version blocks, level k-3's Gram is formed at the row orbit
         representatives only, level k-2's factor, so formed, is split
         into its blocks, and the last level is the squared norm of their
@@ -946,18 +926,9 @@ class _Doubling:
                 table = self._rep_rows(a, out=rep_rows)
             elif not level.r:
                 table = np.asarray(np.dot(a[:, 0], a[:, 0]))
-            elif _is_identity(level.perm):
-                table = (a.T @ a).reshape((m,) * (2 * level.r))
             else:
-                table = np.empty((m,) * (2 * level.r))
-                # the Gram in raw axis order: its first axis picks a block
-                # of m^(r-1) rows, the Gram of that block of A's columns
-                # with all of A
-                raw = table.transpose(level.inv)
-                rows = m ** (level.r - 1)
-                for x in range(m):
-                    gram = a[:, x * rows:(x + 1) * rows].T @ a
-                    raw[x] = gram.reshape(raw.shape[1:])
+                gram = (a.T @ a).reshape((m,) * (2 * level.r))
+                table = np.asarray(gram.transpose(level.perm), order="C")
         return _DoublingRun(values, tape, factors, blocks, grams, table)
 
     def base_adjoint(self, run: _DoublingRun) -> np.ndarray:
@@ -969,10 +940,9 @@ class _Doubling:
         factor a is 2 a T rather than a (T + T^T), and that of the last
         level's dot product 2 a.  The factors of 2 are exact wherever they
         enter, so they are carried as one scalar and applied once, with
-        the root products.  Where a level's perm is not the identity, T is
-        read in raw axis order: by its symmetry, column block x of T is row
-        block x transposed, so each block of columns of a T is one product,
-        written in place.
+        the root products.  T arrives in the axis order its level stored
+        the Gram in, so it is copied once back into the Gram's raw order
+        (no copy where the perm is the identity), and a T is one product.
 
         With version blocks, the last level's adjoint is the Gram G itself,
         so level k-2's is A G = sum_c A_c G_c in the character basis: one
@@ -1003,21 +973,8 @@ class _Doubling:
             tbar = self._rep_rows_adjoint(a, b.reshape(-1))
         tbar = tbar.reshape((m,) * (level.g + level.r))
         for level, a in reversed(pairs):
-            r = level.r
-            if _is_identity(level.perm):
-                # the blocked loop below gives the same result here, but
-                # its m products of transposed blocks made the whole
-                # adjoint a third slower at m=5, k=4 (12.7 -> 16.9 ms on
-                # a 2-core Xeon, OpenBLAS, 1 thread)
-                tbar = a @ tbar.reshape(m**r, m**r)
-            else:
-                raw = tbar.transpose(level.inv)
-                rows = m ** (r - 1)
-                tbar = np.empty((m**level.g, m**r))
-                for x in range(m):
-                    np.matmul(a, raw[x].reshape(rows, m**r).T,
-                              out=tbar[:, x * rows:(x + 1) * rows])
-            tbar = tbar.reshape((m,) * (level.g + r))
+            tbar = a @ tbar.transpose(level.inv).reshape(m**level.r, m**level.r)
+            tbar = tbar.reshape((m,) * (level.g + level.r))
         out = tbar * self.base_roots
         out *= 2.0 ** len(self.levels)
         return out

@@ -84,17 +84,13 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and non-negative; got {tol!r}")
 
 
-def _check_p(p: float) -> None:
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
-
-
 def _check_problem(t: int, m: int, p: float) -> None:
     if not 2 <= t <= 5:
         raise ValueError(f"t must lie in [2, 5]; got {t}")
     if not 1 <= m <= 8:
         raise ValueError(f"parts must lie in [1, 8]; got {m}")
-    _check_p(p)
+    if not 0.0 < p <= 1.0:
+        raise ValueError("p must lie in (0, 1]")
 
 
 class _Pair(NamedTuple):
@@ -393,11 +389,12 @@ def run_forcing_trial(t: int, p: float, start: StepGraphon, seed: int = 0,
     iterations.  ``tol`` must be finite and non-negative; no finite rate
     reaches ``tol=0``, so such a trial stops after its first stall window
     and is reported converged only when both residuals are exactly zero.
-    ``p`` must lie in (0, 1], as in forcing_experiment.
+    ``t``, the start's number of parts and ``p`` are checked as in
+    forcing_experiment.
     """
+    _check_problem(t, start.num_parts, p)
     if k is None:
         k = default_doublings(t)
-    _check_p(p)
     _check_tol(tol)
     _check_count("max_iter", max_iter)
     weights = start.weights

@@ -90,26 +90,36 @@ def constant_graphon(p: float, parts: int = 1) -> StepGraphon:
     return StepGraphon(np.full(parts, 1.0 / parts), np.full((parts, parts), float(p)))
 
 
+def _adjacency(g: Graph, dtype=float) -> np.ndarray:
+    """The 0/1 adjacency matrix of g; the integer 1 keeps an object
+    matrix exact."""
+    a = np.zeros((g.n, g.n), dtype=dtype)
+    for u, v in g.edges:
+        a[u, v] = a[v, u] = 1
+    return a
+
+
 def from_graph(g: Graph) -> StepGraphon:
     """The step graphon of a finite graph: uniform weights, 0/1 values."""
     if g.n == 0:
         raise ValueError("graph must have at least one vertex")
-    values = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        values[u, v] = values[v, u] = 1.0
-    return StepGraphon(np.full(g.n, 1.0 / g.n), values)
+    return StepGraphon(np.full(g.n, 1.0 / g.n), _adjacency(g))
 
 
 def random_near_constant(
     p: float, parts: int, spread: float, rng: np.random.Generator
 ) -> StepGraphon:
-    """Constant-p values plus independent uniform noise in [-spread, spread].
+    """Constant-p values plus independent uniform noise in [-spread, spread],
+    for a finite spread >= 0.
 
     The upper triangle (including the diagonal) is drawn and mirrored, then
     clamped to [0, 1]; weights stay uniform.
     """
     if parts < 1:
         raise ValueError("parts must be at least 1")
+    # NaN fails the comparison too
+    if not 0.0 <= spread < np.inf:
+        raise ValueError(f"spread must be finite and non-negative; got {spread}")
     noise = rng.uniform(-spread, spread, size=(parts, parts))
     upper = np.triu(noise)
     sym = upper + np.triu(noise, 1).T

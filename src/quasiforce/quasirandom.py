@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UnsupportedSizeError, _check_count
-from .graphon import StepGraphon
+from .graphon import StepGraphon, _adjacency
 from .graphs import Graph
 from .serialize import record_dict
 
@@ -91,13 +91,6 @@ def _subset_deviation(g: Graph, p: float, subset) -> float:
     e = sum(1 for u, v in g.edges if u in inside and v in inside)
     u = len(inside)
     return abs(e - p * u * (u - 1) / 2) / g.n**2
-
-
-def _adjacency(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        a[u, v] = a[v, u] = 1.0
-    return a
 
 
 def _subset_bits(k: int) -> np.ndarray:

@@ -685,11 +685,11 @@ def _root_products(w, n):
 
 
 def _assert_gluing_matches_dense(doubling, g, tol=1e-14):
-    """The fast recursion writes permuted Grams block by block, treats
-    every Gram output's adjoint as symmetric, and from k = 3 on builds
-    level k-2's table only at its row orbit representatives and reads the
-    last Gram only through its version blocks; check it against the plain
-    forms: the whole Gram A^T A then permuted, its rows at the
+    """The fast recursion takes every Gram output's adjoint as symmetric,
+    and from k = 3 on builds level k-2's table only at its row orbit
+    representatives and reads the last Gram only through its version
+    blocks; check it against the plain forms: each level's whole Gram
+    A^T A in the axis order the next level reads, its rows at the
     representatives, its dot product, each level's moments from the whole
     table, and the adjoint a (T + T^T) of the general product.  `tol`
     bounds each level's table error relative to its largest entry."""
@@ -836,6 +836,34 @@ def test_orbit_rows_against_dense_gram(name, k, m):
         # the last level sums up to 5^8 squares, which round to about
         # 1e-14 of the sum in either order
         _assert_gluing_matches_dense(doubling, g, tol=1e-13)
+
+
+def _stabilizers(reps, m, n, bits):
+    """stab[o, h]: h fixes the assignment x with flat index reps[o], where h
+    sends the axis of (vertex i, version v) to that of (i, v XOR h), the
+    axes vertex-major: x[i, v XOR h] == x[i, v] at every i and v."""
+    versions = 1 << bits
+    x = np.stack(np.unravel_index(reps, (m,) * (n * versions)), axis=1)
+    return np.stack([
+        (x[:, [i * versions + (v ^ h) for i in range(n) for v in range(versions)]]
+         == x).all(axis=1)
+        for h in range(versions)], axis=1)
+
+
+@pytest.mark.parametrize("bits,m,n", [
+    (bits, m, n) for bits in range(4) for m in (1, 2, 3) for n in (1, 2)
+    if m ** (n << bits) <= 1 << 16])
+def test_character_mask_against_stabilizers(bits, m, n):
+    orbits = density._version_orbits(m, n, bits)
+    stab = _stabilizers(orbits.reps, m, n, bits)
+    # character c is trivial on S_o when it is +1 at every h in S_o
+    odd = np.array([[bin(c & h).count("1") % 2 for h in range(1 << bits)]
+                    for c in range(1 << bits)], dtype=bool)
+    trivial = ~(odd[:, None, :] & stab[None, :, :]).any(axis=2)
+    np.testing.assert_array_equal(orbits.weight != 0, trivial)
+    # sqrt is correctly rounded, so this holds exactly iff root_stab**2
+    # is |S_o|
+    np.testing.assert_array_equal(orbits.root_stab, np.sqrt(stab.sum(axis=1)))
 
 
 def test_version_blocks_by_default_on_large_tables():

@@ -144,6 +144,24 @@ def test_p_validated(monkeypatch, p):
         run_forcing_trial(3, p, constant_graphon(0.5, 2))
 
 
+@pytest.mark.parametrize("spread", [float("inf"), float("nan"), -0.05])
+def test_spread_validated(spread):
+    with pytest.raises(ValueError, match="spread"):
+        forcing_experiment(3, 0.5, 2, 1, spread=spread)
+
+
+@pytest.mark.parametrize("t", [1, 6])
+def test_trial_refuses_what_the_experiment_refuses(monkeypatch, t):
+    def no_binding(*args, **kwargs):
+        raise AssertionError("bound a pair evaluator before checking t")
+
+    monkeypatch.setattr(experiments, "_PairEvaluator", no_binding)
+    for call in (lambda: forcing_experiment(t, 0.5, 2, 1),
+                 lambda: run_forcing_trial(t, 0.5, constant_graphon(0.5, 2))):
+        with pytest.raises(ValueError, match=f"t must lie in \\[2, 5\\]; got {t}"):
+            call()
+
+
 def test_underflowing_target_refused(monkeypatch):
     # 1e-5 ** (2^3 * C(5,2)) is 1e-400, which is 0.0 in floats: every trial
     # would read as converged at zero iterations

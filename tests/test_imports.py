@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and every
+private name it defines at module level is read somewhere in the library."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,51 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", _MODULES, ids=[p.name for p in _MODULES])
 def test_module_imports_are_used(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _dead_private_names(source: str, library: list[str]) -> list[str]:
+    """Private names (one leading underscore) that the source binds at
+    module level by a def, a class or an assignment, and that no source in
+    ``library`` reads, as a name or as an attribute."""
+    defined = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {sub.id for target in targets for sub in ast.walk(target)
+                        if isinstance(sub, ast.Name)}
+    read = set()
+    for tree in map(ast.parse, library):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(name for name in defined - read
+                  if name.startswith("_") and not name.startswith("__"))
+
+
+def test_checker_finds_dead_private_names():
+    source = (
+        "_CAP = 3\n"
+        "_A, _B = 1, 2\n"
+        "_C: int = 4\n"
+        "__version__ = '1'\n"
+        "def _used():\n"
+        "    return _A\n"
+        "def _dead():\n"
+        "    pass\n"
+        "class _Gone:\n"
+        "    pass\n"
+        "def public():\n"
+        "    return _used()\n"
+    )
+    other = "import mod\nmod._CAP\n"
+    assert _dead_private_names(source, [source, other]) == ["_B", "_C", "_Gone", "_dead"]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=[p.name for p in _MODULES])
+def test_module_private_names_are_read(path):
+    library = [p.read_text() for p in _MODULES]
+    assert _dead_private_names(path.read_text(), library) == []
