@@ -110,16 +110,17 @@ def random_near_constant(
     p: float, parts: int, spread: float, rng: np.random.Generator
 ) -> StepGraphon:
     """Constant-p values plus independent uniform noise in [-spread, spread],
-    for a finite spread >= 0.
+    for a spread >= 0 whose range 2 * spread is a finite double.
 
     The upper triangle (including the diagonal) is drawn and mirrored, then
     clamped to [0, 1]; weights stay uniform.
     """
     if parts < 1:
         raise ValueError("parts must be at least 1")
-    # NaN fails the comparison too
-    if not 0.0 <= spread < np.inf:
-        raise ValueError(f"spread must be finite and non-negative; got {spread}")
+    # the draw needs its range 2 * spread finite; NaN fails the comparison too
+    if not 0.0 <= 2.0 * spread < np.inf:
+        raise ValueError(
+            f"spread must be non-negative with 2 * spread finite; got {spread}")
     noise = rng.uniform(-spread, spread, size=(parts, parts))
     upper = np.triu(noise)
     sym = upper + np.triu(noise, 1).T

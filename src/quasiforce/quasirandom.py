@@ -5,14 +5,16 @@ A graph is (eps, p)-quasirandom when every vertex subset U satisfies
 left side over all 2^n subsets by a blocked meet-in-the-middle: the
 vertices split into halves, and for a block of subsets of one half a
 single matrix product gives e(U) against every subset of the other half.
-Each high-half subset first gets a cheap upper bound on its deviation
-(its cross term per low size lies between the sums of its smallest and
-largest edge counts to single low vertices), the high subsets are visited
-in descending order of that bound, and the search stops at the first
-block whose bounds all fall below the best deviation found.  Rows that
-can only tie the best are still scored, so the tie-break sees every
-maximizer.  The worst case, where every row ties at the best, is still
-O(2^n * n/2) time; memory is O(2^(n/2)) plus one fixed-size block.
+Each high-half subset first gets a cheap upper bound on its deviation:
+its cross term per low size lies between the sums of its smallest and
+largest edge counts to single low vertices.  The bound is built
+size-major, one row per low size, with those sums as one product of the
+sorted counts with a 0/1 triangular matrix.  The search scores a small
+seed block of the highest bounds, then only the rows whose bound reaches
+the best deviation found so far, dropping rows again as the best rises.
+Rows that can only tie the best are still scored, so the tie-break sees
+every maximizer.  The worst case, where every row ties at the best, is
+still O(2^n * n/2) time; memory is O(2^(n/2)) plus one fixed-size block.
 Beyond the exact cap a seeded local-search heuristic reports the best
 subset it finds, which lower-bounds the truth.
 """
@@ -45,6 +47,9 @@ _MAX_RESTARTS = 10_000
 _CUT_MAX_PARTS = 15
 # entries in one block of the exact search's cross-term product
 _BLOCK_ENTRIES = 1 << 18
+# high subsets in the exact search's seed block, the highest bounds; on
+# gnp(22, 1/2) inputs 16 to 48 rows time alike and 8 rows 5-15% slower
+_SEED_ROWS = 16
 # (n, p) pairs whose input-independent exact-search tables stay cached;
 # at the hard cap of 26 vertices one entry holds about 4 MiB
 _EXACT_TABLES_CACHE_SIZE = 16
@@ -121,7 +126,7 @@ def _lex_smallest(masks: np.ndarray) -> int:
     return prefix
 
 
-def _row_bounds(xh, adj_hl, e_high, e_low, starts, qs, n: int):
+def _row_bounds(xh, adj_hl, e_high, e_low, starts, tri, qs, n: int):
     """Per high subset, an upper bound on its largest rounded deviation.
 
     With c = x_H' A_HL the high subset's edge counts to each low vertex,
@@ -130,18 +135,19 @@ def _row_bounds(xh, adj_hl, e_high, e_low, starts, qs, n: int):
     extremes over size s (``e_low`` is ordered by size, one run per
     ``starts`` entry).  All terms are integers, so the ends are exact, and
     the rounded deviation is monotone in |e - q|: the bound holds bit for
-    bit.  ``qs`` holds q per (high subset, low size) and is overwritten."""
+    bit.  Every table here is size-major, one row per low size s: row s of
+    ``tri`` sums the s smallest sorted counts, and ``qs`` holds q per (low
+    size, high subset) and is overwritten."""
     counts = xh @ adj_hl
     counts.sort(axis=1)
-    smallest = np.zeros(qs.shape)
-    np.cumsum(counts, axis=1, out=smallest[:, 1:])
+    smallest = tri @ counts.T
     del counts
-    largest = smallest[:, -1:] - smallest[:, ::-1]
-    smallest += np.minimum.reduceat(e_low, starts) + e_high[:, None]
-    largest += np.maximum.reduceat(e_low, starts) + e_high[:, None]
+    largest = smallest[-1] - smallest[::-1]
+    smallest += np.minimum.reduceat(e_low, starts)[:, None] + e_high
+    largest += np.maximum.reduceat(e_low, starts)[:, None] + e_high
     _deviation(smallest, qs, n, out=smallest)
     _deviation(largest, qs, n, out=qs)
-    return np.maximum(qs, smallest, out=qs).max(axis=1)
+    return np.maximum(qs, smallest, out=qs).max(axis=0)
 
 
 class _ExactTables(NamedTuple):
@@ -150,13 +156,17 @@ class _ExactTables(NamedTuple):
     low: int  # vertices in the low half
     xl: np.ndarray  # bits of every low subset, ordered by size
     order: np.ndarray  # the low subset mask of each row of xl
-    size_low: np.ndarray  # size of each row of xl
+    size_low: np.ndarray  # size of each row of xl, int8 (sums stay <= 26)
     starts: np.ndarray  # first row of xl of each size
+    tri: np.ndarray  # 0/1, row s has ones in its first s columns
     xh: np.ndarray  # bits of every high subset, by mask
     size_high: np.ndarray
     left: np.ndarray  # xh with a column of ones for e(U_L)
     q: np.ndarray  # p * s * (s - 1) / 2 per size s, evaluated in that order
-    row_q: np.ndarray  # q per (high subset, low size)
+    size_q: np.ndarray  # q per (low size, high subset)
+    # the low subset mask of each row of xl with vertex 0 as its top bit,
+    # int16 (at most 13 bits)
+    reversed_low: np.ndarray
 
 
 @functools.lru_cache(maxsize=_EXACT_TABLES_CACHE_SIZE)
@@ -167,19 +177,61 @@ def _exact_tables(n: int, p: float) -> _ExactTables:
     # columns of the cross-term product
     order = np.argsort(xl.sum(axis=1), kind="stable")
     xl = xl[order]
-    size_low = xl.sum(axis=1).astype(np.int64)
-    size_high = xh.sum(axis=1).astype(np.int64)
+    size_low = xl.sum(axis=1).astype(np.int8)
+    size_high = xh.sum(axis=1).astype(np.int8)
     s = np.arange(n + 1.0)
     q = p * s
     q *= s - 1
     q /= 2.0
     tables = _ExactTables(
         low, xl, order, size_low, np.searchsorted(size_low, np.arange(low + 1)),
-        xh, size_high, np.hstack([xh, np.ones((len(xh), 1))]), q,
-        q[size_high[:, None] + np.arange(low + 1)])
+        np.tri(low + 1, low, -1), xh, size_high,
+        np.hstack([xh, np.ones((len(xh), 1))]), q,
+        q[np.arange(low + 1)[:, None] + size_high],
+        (xl @ (1 << np.arange(low)[::-1])).astype(np.int16))
     for a in tables[1:]:
         a.flags.writeable = False
     return tables
+
+
+def _score_block(t: _ExactTables, right, e_high, block, n: int, best, witness):
+    """Score the high subsets ``block`` against every low subset.
+
+    Returns the best deviation and its lexicographically smallest witness
+    over the block and the (``best``, ``witness``) carried in.  Each
+    rounding step is monotone, so for a fixed size the rounded deviation
+    never falls as e moves away from q: per (low size, high subset) the
+    largest or the smallest edge count attains the maximum, bit for bit."""
+    cross = t.left[block] @ right
+    eh = e_high[block, None]
+    qs = t.size_q[:, block].T
+    row_best = np.maximum(
+        _deviation(np.maximum.reduceat(cross, t.starts, axis=1) + eh, qs, n),
+        _deviation(np.minimum.reduceat(cross, t.starts, axis=1) + eh, qs, n),
+    ).max(axis=1)
+    block_best = float(row_best.max())
+    if block_best < best:
+        return best, witness
+    if block_best > best:
+        best, witness = block_best, None
+    # the full deviation, only on the rows that reach the best value
+    hit = np.flatnonzero(row_best == best)
+    high = block[hit]
+    e = cross[hit]
+    e += eh[hit]
+    at_best = _deviation(e, t.q[t.size_high[high, None] + t.size_low], n,
+                         out=e) == best
+    # two subsets with the same nonempty high part first differ at a low
+    # vertex, and the one holding it is lexicographically smaller: per
+    # row the largest bit-reversed low mask wins.  The empty high part
+    # keeps all its maximizers.
+    col = np.where(at_best, t.reversed_low, -1).argmax(axis=1)
+    masks = np.concatenate([t.order[col] | high << t.low,
+                            t.order[at_best[high == 0].any(axis=0)]])
+    cand = _mask_to_tuple(_lex_smallest(masks))
+    if witness is None or cand < witness:
+        witness = cand
+    return best, witness
 
 
 def _exact_max(g: Graph, p: float):
@@ -190,49 +242,29 @@ def _exact_max(g: Graph, p: float):
     # U splits into its low part (vertices below `low`) and its high part:
     # e(U) = e(U_L) + e(U_H) + x_H' A_HL x_L.  Every term is an integer far
     # below 2^53, so the float64 products and sums here are exact.
-    e_low = ((xl @ adj[:low, :low]) * xl).sum(axis=1) / 2
-    e_high = ((xh @ adj[low:, low:]) * xh).sum(axis=1) / 2
+    e_low = np.einsum("ij,ij->i", xl @ adj[:low, :low], xl) / 2
+    e_high = np.einsum("ij,ij->i", xh @ adj[low:, low:], xh) / 2
     # e(U_L) rides along as a last row against the column of ones of left
     right = np.vstack([adj[low:, :low] @ xl.T, e_low])
-    bound = _row_bounds(xh, adj[low:, :low], e_high, e_low, t.starts,
-                        t.row_q.copy(), n)
-    # high subsets in descending order of their bound: once the best found
-    # so far exceeds a row's bound, that row and every later one can only
-    # lose.  A row whose bound equals the best may still tie it, so it
-    # stays for the tie-break.
-    visit = np.argsort(-bound, kind="stable")
-    # each rounding step is monotone, so for a fixed size the rounded
-    # deviation never falls as e moves away from q: per (high subset, low
-    # size) the largest or the smallest edge count attains the maximum,
-    # bit for bit
+    bound = _row_bounds(xh, adj[low:, :low], e_high, e_low, t.starts, t.tri,
+                        t.size_q.copy(), n)
+    # a seed block of the highest bounds sets a first best; after it only
+    # rows whose bound reaches the best found so far are scored, and a
+    # scored row's bound drops to -1, below every deviation.  A row whose
+    # bound equals the best may still tie it, so it is scored for the
+    # tie-break.  Each block is scored in its own call, so its arrays are
+    # freed before the next block allocates and glibc serves every block
+    # from pages it already holds: under one minor fault per call at n = 22,
+    # against about 190 with a block's arrays alive until the next one's
+    # are allocated.
     rows = max(1, _BLOCK_ENTRIES >> low)
+    k = min(rows, _SEED_ROWS, len(bound))
+    block = np.argpartition(bound, len(bound) - k)[len(bound) - k:]
     best, witness = -1.0, None
-    for b0 in range(0, len(visit), rows):
-        block = visit[b0:b0 + rows]
-        block = block[bound[block] >= best]
-        if not len(block):
-            break
-        cross = t.left[block] @ right
-        eh = e_high[block, None]
-        qs = t.row_q[block]
-        row_best = np.maximum(
-            _deviation(np.maximum.reduceat(cross, t.starts, axis=1) + eh, qs, n),
-            _deviation(np.minimum.reduceat(cross, t.starts, axis=1) + eh, qs, n),
-        ).max(axis=1)
-        block_best = float(row_best.max())
-        if block_best < best:
-            continue
-        if block_best > best:
-            best, witness = block_best, None
-        # the full deviation, only on the rows that reach the best value
-        hit = np.flatnonzero(row_best == best)
-        high = block[hit]
-        dev = _deviation(cross[hit] + eh[hit],
-                         t.q[t.size_high[high, None] + t.size_low], n)
-        r, c = np.nonzero(dev == best)
-        cand = _mask_to_tuple(_lex_smallest(t.order[c] | high[r] << low))
-        if witness is None or cand < witness:
-            witness = cand
+    while len(block):
+        bound[block] = -1.0
+        best, witness = _score_block(t, right, e_high, block, n, best, witness)
+        block = np.flatnonzero(bound >= best)[:rows]
     return best, witness
 
 
@@ -275,10 +307,10 @@ def graph_quasirandomness(g: Graph, p: float, mode: str = "auto",
 
     ``mode='exact'`` maximizes over all subsets (blocked meet-in-the-middle
     over the two vertex halves, capped at ``exact_max_n`` vertices).  It
-    scores high-half subsets in descending order of an upper bound on
-    their deviation and stops once no bound can reach the best found, so
-    typically only a few percent of them are scored; when every one ties
-    at the best it is still O(2^n * n/2) time, in O(2^(n/2)) memory.
+    scores the high-half subsets with the highest upper bounds on their
+    deviation first, then only those whose bound reaches the best found,
+    so typically only a few percent of them are scored; when every one
+    ties at the best it is still O(2^n * n/2) time, in O(2^(n/2)) memory.
     ``'heuristic'`` runs greedy single-vertex flips from the
     top-eigenvector sign pattern of A - pJ plus ``restarts`` random starts
     (at most 10,000; more raise UnsupportedSizeError).  ``'auto'`` picks

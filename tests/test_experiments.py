@@ -144,7 +144,7 @@ def test_p_validated(monkeypatch, p):
         run_forcing_trial(3, p, constant_graphon(0.5, 2))
 
 
-@pytest.mark.parametrize("spread", [float("inf"), float("nan"), -0.05])
+@pytest.mark.parametrize("spread", [float("inf"), float("nan"), -0.05, 1e308])
 def test_spread_validated(spread):
     with pytest.raises(ValueError, match="spread"):
         forcing_experiment(3, 0.5, 2, 1, spread=spread)
