@@ -44,30 +44,21 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _load_colored(path: str) -> ColoredGraph:
-    data = load(path)
-    if isinstance(data, dict) and "classes" not in data:
-        raise ValueError(
-            f"{path} holds a plain graph; doubling needs color classes"
-        )
-    return ColoredGraph.from_dict(data)
-
-
-def _load_motif(path: str) -> tuple[Graph, ColoredGraph | None]:
+def _load_motif(path: str, colored: bool = False) -> tuple[Graph, ColoredGraph | None]:
+    """The graph in a motif file, with its coloring when the file has color
+    classes; `colored` refuses a plain graph before reading its fields."""
     data = load(path)
     if isinstance(data, dict) and "classes" in data:
-        colored = ColoredGraph.from_dict(data)
-        return colored.graph, colored
+        motif = ColoredGraph.from_dict(data)
+        return motif.graph, motif
+    if colored and isinstance(data, dict):
+        raise ValueError(f"{path} holds a plain graph; doubling needs color classes")
     return Graph.from_dict(data), None
 
 
 def _cmd_doubling(args) -> int:
-    if args.motif is not None:
-        colored = _load_colored(args.motif)
-    elif args.t is not None:
-        colored = complete_graph(args.t)
-    else:
-        raise ValueError("provide --t or --motif")
+    colored = (complete_graph(args.t) if args.motif is None
+               else _load_motif(args.motif, colored=True)[1])
     result = iterated_double(colored, args.k)
     print(f"{result.graph.n} vertices, {result.graph.num_edges} edges")
     if args.out:
@@ -143,7 +134,8 @@ def _parse_deltas(text: str) -> list[float]:
 def _emit(result, args, json_name: str, csv_name: str | None = None) -> None:
     """Write `result` to the --out files, then its payload to stdout: the
     CSV table under --format csv when the result has one, else the JSON.
-    Each form is built once, and the CSV only when something reads it."""
+    Each form is built once, and the CSV only when something reads it;
+    --format is read only for a result with a CSV table."""
     payload = result.to_dict()
     csv_text = None
     if csv_name is not None and (args.out or args.format == "csv"):
@@ -153,37 +145,44 @@ def _emit(result, args, json_name: str, csv_name: str | None = None) -> None:
         if csv_text is not None:
             with open(os.path.join(args.out, csv_name), "w") as fh:
                 fh.write(csv_text)
-    if args.format == "csv" and csv_text is not None:
+    if csv_text is not None and args.format == "csv":
         sys.stdout.write(csv_text)
     else:
         print(dumps(payload))
 
 
-def _cmd_experiment(args) -> int:
+def _make_out(args) -> None:
+    """Create the --out directory, before the experiment runs."""
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-    if args.kind == "forcing":
-        result = forcing_experiment(
-            args.t, args.p, args.parts, args.trials, seed=args.seed,
-            tol=args.tol, adversarial=args.adversarial, k=args.k,
-        )
-        _emit(result, args, "forcing_result.json", "forcing_trials.csv")
-        return 0 if result.all_converged else 4
-    if args.kind == "delta-eps":
-        extras = ()
-        if args.parts == 2 and 0.0 < args.p < 1.0:
-            # the two-part edge-and-triangle witness is a known far point;
-            # feeding it in anchors the loose-constraint rows
-            try:
-                extras = (non_forcing_witness(args.p)[0],)
-            except ValueError:
-                pass  # no witness at this p; the probe runs without it
-        table = delta_epsilon_probe(
-            args.t, args.p, _parse_deltas(args.deltas), args.parts,
-            seed=args.seed, k=args.k, extra_starts=extras,
-        )
-        _emit(table, args, "delta_eps.json", "delta_eps.csv")
-        return 0
+
+
+def _cmd_forcing(args) -> int:
+    _make_out(args)
+    result = forcing_experiment(args.t, args.p, args.parts, args.trials, seed=args.seed,
+                                tol=args.tol, adversarial=args.adversarial, k=args.k)
+    _emit(result, args, "forcing_result.json", "forcing_trials.csv")
+    return 0 if result.all_converged else 4
+
+
+def _cmd_delta_eps(args) -> int:
+    _make_out(args)
+    extras = ()
+    if args.parts == 2:
+        # the two-part edge-and-triangle witness is a known far point;
+        # feeding it in anchors the loose-constraint rows
+        try:
+            extras = (non_forcing_witness(args.p)[0],)
+        except ValueError:
+            pass  # no witness at this p (none outside (0, 1)); run without it
+    table = delta_epsilon_probe(args.t, args.p, _parse_deltas(args.deltas), args.parts,
+                                seed=args.seed, k=args.k, extra_starts=extras)
+    _emit(table, args, "delta_eps.json", "delta_eps.csv")
+    return 0
+
+
+def _cmd_contrast(args) -> int:
+    _make_out(args)
     _emit(contrast_experiment(args.p), args, "contrast.json")
     return 0
 
@@ -197,11 +196,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("doubling", help="iterate the gluing construction")
-    d.add_argument("--t", type=_positive_int,
-                   help="clique size; builds K_t with singleton classes")
+    motif = d.add_mutually_exclusive_group(required=True)
+    motif.add_argument("--t", type=_positive_int,
+                       help="clique size; builds K_t with singleton classes")
+    motif.add_argument("--motif", help="ColoredGraph JSON file replacing --t")
     d.add_argument("--k", type=int, required=True,
                    help="number of classes to double, in order")
-    d.add_argument("--motif", help="ColoredGraph JSON file replacing --t")
     d.add_argument("--out", help="write the doubled ColoredGraph JSON here")
     d.set_defaults(func=_cmd_doubling)
 
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     q.add_argument("--seed", type=_nonnegative_int, default=0,
                    help="seed for heuristic restarts")
-    q.add_argument("--restarts", type=_positive_int, default=32,
+    q.add_argument("--restarts", type=_nonnegative_int, default=32,
                    help="random heuristic starts, at most 10000")
     q.add_argument("--out", help="write the report JSON here")
     q.set_defaults(func=_cmd_quasirandom)
@@ -244,23 +244,32 @@ def build_parser() -> argparse.ArgumentParser:
     i.set_defaults(func=_cmd_check_identity)
 
     e = sub.add_parser("experiment", help="forcing and contrast experiments")
-    e.add_argument("kind", choices=["forcing", "delta-eps", "contrast"])
-    e.add_argument("--t", type=_positive_int, default=3)
-    e.add_argument("--p", type=float, default=0.5)
-    e.add_argument("--parts", type=_positive_int, default=4)
-    e.add_argument("--trials", type=_positive_int, default=10)
-    e.add_argument("--seed", type=_nonnegative_int, default=0)
-    e.add_argument("--tol", type=float, default=1e-6)
-    e.add_argument("--k", type=_positive_int, default=None,
-                   help="doublings; defaults to ceil((t+1)/2)")
-    e.add_argument("--adversarial", action="store_true",
+    kinds = e.add_subparsers(dest="kind", required=True)
+    # each kind takes exactly the flags it reads; shared ones come from
+    # these parents: every kind reads --p and --out, the searches the rest
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--p", type=float, default=0.5)
+    common.add_argument("--out", help="directory for result files")
+    search = argparse.ArgumentParser(add_help=False, parents=[common])
+    search.add_argument("--t", type=_positive_int, default=3)
+    search.add_argument("--parts", type=_positive_int, default=4)
+    search.add_argument("--seed", type=_nonnegative_int, default=0)
+    search.add_argument("--k", type=_positive_int, default=None,
+                        help="doublings; defaults to ceil((t+1)/2)")
+    search.add_argument("--format", choices=["json", "csv"], default="json",
+                        help="stdout payload format")
+
+    f = kinds.add_parser("forcing", parents=[search])
+    f.add_argument("--trials", type=_positive_int, default=10)
+    f.add_argument("--tol", type=float, default=1e-6)
+    f.add_argument("--adversarial", action="store_true",
                    help="add the distance-maximizing Pareto sweep (forcing)")
-    e.add_argument("--deltas", default="0.0,0.01,0.1,1.0",
-                   help="comma-separated deltas (delta-eps)")
-    e.add_argument("--out", help="directory for result files")
-    e.add_argument("--format", choices=["json", "csv"], default="json",
-                   help="stdout payload format")
-    e.set_defaults(func=_cmd_experiment)
+    f.set_defaults(func=_cmd_forcing)
+    de = kinds.add_parser("delta-eps", parents=[search])
+    de.add_argument("--deltas", default="0.0,0.01,0.1,1.0",
+                    help="comma-separated deltas (delta-eps)")
+    de.set_defaults(func=_cmd_delta_eps)
+    kinds.add_parser("contrast", parents=[common]).set_defaults(func=_cmd_contrast)
     return parser
 
 

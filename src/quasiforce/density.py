@@ -149,11 +149,15 @@ def _greedy_path(expr: str, size: int) -> tuple:
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _compile_plan(size: int, num_vertices: int, edges, keep) -> tuple[_Step, ...]:
-    """The contractions of _sum_product, one per eliminated vertex plus the
-    final combine onto the kept vertices.
+    """The contractions, one per eliminated vertex plus the final combine
+    onto the kept vertices, of the sum over phi: [num_vertices] -> [size] of
+    prod_{v not in keep} free_weight[phi(v)] * prod_{(u,v) in edges}
+    edge_matrix[phi(u), phi(v)]; _forward replays them into an array whose
+    axes are the vertices in `keep`, in that order (kept vertices get no
+    weight factor).
 
-    Pure in its hashable arguments; the budget is checked against the
-    stored table sizes on every call, so it is not part of the key.
+    Pure in its hashable arguments; _checked_plan checks the budget against
+    the stored table sizes on every call, so it is not part of the key.
     """
     keep_set = set(keep)
     factors: list[tuple[tuple[int, ...], int]] = [((u, v), _EDGE) for u, v in edges]
@@ -198,7 +202,7 @@ def _compile_plan(size: int, num_vertices: int, edges, keep) -> tuple[_Step, ...
 
 
 def _checked_plan(size, num_vertices, edges, keep, budget) -> tuple[_Step, ...]:
-    """The compiled plan of _sum_product, once every table it builds, the
+    """The plan _compile_plan compiles, once every table it builds, the
     output included, has been checked against `budget`."""
     keep = tuple(keep)
     if num_vertices > 50:
@@ -287,21 +291,6 @@ def _reverse(plan, tape, edge_matrix, free_weight, out_bar) -> np.ndarray:
             else:
                 bars[step.operands[pos]] = bar
     return grad
-
-
-def _sum_product(size, num_vertices, edges, edge_matrix, free_weight, keep=(),
-                 budget=DEFAULT_BUDGET):
-    """Sum over all maps of vertex factors times edge factors.
-
-    Computes sum over phi: [num_vertices] -> [size] of
-    prod_{v not in keep} free_weight[phi(v)] * prod_{(u,v) in edges}
-    edge_matrix[phi(u), phi(v)], returning an array whose axes are the
-    vertices in `keep`, in that order (kept vertices get no weight factor).
-    The contraction plan is compiled once per (size, vertices, edges, keep)
-    and replayed; every table it builds is checked against `budget` first.
-    """
-    plan = _checked_plan(size, num_vertices, edges, keep, budget)
-    return _forward(plan, edge_matrix, free_weight)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +476,8 @@ def pinned_table(motif: Graph, pinned, graphon: StepGraphon,
     """
     m = graphon.num_parts
     pinned, _ = _check_pinned(motif, pinned, None, m)
-    return _sum_product(
-        m, motif.n, motif.edges, graphon.values, graphon.weights,
-        keep=pinned, budget=budget,
-    )
+    plan = _checked_plan(m, motif.n, motif.edges, pinned, budget)
+    return _forward(plan, graphon.values, graphon.weights)[-1]
 
 
 @dataclass(frozen=True)

@@ -144,7 +144,7 @@ class _PairEvaluator:
 
     def residuals(self, graphon: StepGraphon) -> tuple[float, float]:
         """Both residuals recomputed through the public density functions,
-        as reported results are."""
+        as forcing trials report them."""
         r1 = (graphon_density(self._colored.graph, graphon, budget=self._budget)
               - self._targets[0])
         r2 = (doubling_density(self._colored, self._k, graphon,
@@ -619,7 +619,8 @@ def delta_epsilon_probe(t: int, p: float, deltas, m: int, seed: int = 0,
     damped restore into that band after every step (see _frontier); the
     zero band admits residuals up to 1e-10.  Each delta's search starts
     from the farthest point found at a smaller delta, the ``extra_starts``
-    (known graphons with matching part count) and three fresh seeded
+    (known graphons with m parts each; any other part count is a
+    ValueError, raised before any start runs) and three fresh seeded
     starts, and keeps that point unless it finds a farther one, so the
     reported distances are non-decreasing in delta.  Each start takes at
     most ``max_iter // 5`` ascent steps; ``max_iter`` and ``seed`` must be
@@ -635,7 +636,10 @@ def delta_epsilon_probe(t: int, p: float, deltas, m: int, seed: int = 0,
         raise ValueError(f"deltas must be finite and non-negative; got {deltas!r}")
     targets = _targets(t, k, p)
     caps = [(delta * targets[0], delta * targets[1]) for delta in deltas]
-    extras = [g.values for g in extra_starts if g.num_parts == m]
+    extras = [g.values for g in extra_starts]
+    if any(len(v) != m for v in extras):
+        raise ValueError(f"extra_starts must have m={m} parts each; got "
+                         f"{[len(v) for v in extras]}")
     rows = []
     for delta, (best, feasible) in zip(deltas, _sweep(
             t, k, p, m, seed, caps, max_iter // 5, budget, extras)):

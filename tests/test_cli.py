@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -22,7 +23,7 @@ import quasiforce
 from quasiforce import cli, experiments
 from quasiforce.cli import main
 from quasiforce.sampling import gnp
-from quasiforce.serialize import dump, load
+from quasiforce.serialize import dump, dumps, load
 
 
 def _write(tmp_path, name, payload):
@@ -100,6 +101,18 @@ def test_quasirandom_report(tmp_path, capsys):
     assert data["deviation"] == rep.deviation
     assert data["exact"] is True
     assert tuple(data["witness"]) == rep.witness
+
+
+def test_quasirandom_zero_restarts(tmp_path, capsys):
+    # restarts=0 leaves the heuristic its eigenvector start alone
+    g = gnp(30, 0.5, 4)
+    path = _write(tmp_path, "g.json", g.to_dict())
+    out = str(tmp_path / "rep.json")
+    assert main(["quasirandom", "--graph", path, "--p", "0.5", "--mode",
+                 "heuristic", "--restarts", "0", "--out", out]) == 0
+    assert "(heuristic)" in capsys.readouterr().out
+    rep = graph_quasirandomness(g, 0.5, mode="heuristic", restarts=0)
+    assert load(out) == json.loads(dumps(rep.to_dict()))
 
 
 def test_quasirandom_size_exit(tmp_path, capsys):
@@ -251,6 +264,58 @@ def test_argparse_failures():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+# (kind, flag) pairs the experiment parser once accepted and ignored
+_UNREAD = [
+    ("forcing", "--deltas", "0.1"),
+    ("delta-eps", "--trials", "2"),
+    ("delta-eps", "--tol", "1e-12"),
+    ("delta-eps", "--adversarial"),
+    ("contrast", "--t", "5"),
+    ("contrast", "--parts", "2"),
+    ("contrast", "--trials", "2"),
+    ("contrast", "--seed", "1"),
+    ("contrast", "--tol", "1e-12"),
+    ("contrast", "--k", "2"),
+    ("contrast", "--adversarial"),
+    ("contrast", "--deltas", "0.1"),
+    ("contrast", "--format", "csv"),
+]
+# each kind, run fast: with the unread flag dropped it exits 0
+_FAST = {"forcing": ["--parts", "2", "--trials", "1"],
+         "delta-eps": ["--parts", "2", "--deltas", "1.0"], "contrast": []}
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", kind, *_FAST[kind], *flag] for kind, *flag in _UNREAD
+] + [["doubling", "--t", "4", "--motif", "MOTIF", "--k", "1"]], ids=[
+    f"{kind}:{flag}" for kind, flag, *_ in _UNREAD] + ["doubling:--t:--motif"])
+def test_unread_flags_exit_2(tmp_path, capsys, argv):
+    motif = _write(tmp_path, "k3.json", complete_graph(3).to_dict())
+    with pytest.raises(SystemExit) as exc:
+        main([motif if a == "MOTIF" else a for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err
+
+
+def test_readme_cli_lines_parse():
+    """Every command in README's CLI block parses: a flag removed from the
+    parser cannot linger in the docs."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    lines = [line for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("quasiforce ")]
+    parser = cli.build_parser()
+    commands = set()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        commands.add((args.command, getattr(args, "kind", None)))
+    assert {command for command, _ in commands} == {
+        "doubling", "density", "quasirandom", "check-identity", "experiment"}
+    assert {kind for _, kind in commands} >= {"forcing", "delta-eps", "contrast"}
 
 
 def test_experiment_forcing_trials_cap_exits_2(monkeypatch, capsys):

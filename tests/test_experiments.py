@@ -669,6 +669,17 @@ def test_probe_extra_start_honored():
     assert table.rows[0].distance >= 0.3016136593425802 - 1e-9
 
 
+def test_probe_refuses_extra_starts_of_another_part_count(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("ran a start before checking extra_starts")
+
+    monkeypatch.setattr(experiments, "_frontier", no_search)
+    witness, _ = non_forcing_witness(0.5)  # two parts
+    for m in (3, 4):
+        with pytest.raises(ValueError, match="extra_starts"):
+            delta_epsilon_probe(3, 0.5, (0.0,), m, extra_starts=(witness,))
+
+
 def test_probe_validation():
     with pytest.raises(ValueError):
         delta_epsilon_probe(3, 0.5, (-0.1, 1.0), 2)
