@@ -187,13 +187,26 @@ def _cmd_contrast(args) -> int:
     return 0
 
 
+class _SubParser(argparse.ArgumentParser):
+    """A subcommand's parser.  It refuses the arguments it does not know
+    itself, so the error shows its own usage: argparse would hand them
+    back up to the root parser, which reports them under the root's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quasiforce",
         description="Density, doubling, and quasirandomness toolkit "
                     "for graphs and step graphons.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # every subcommand, and every kind of experiment, parses with _SubParser
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubParser)
 
     d = sub.add_parser("doubling", help="iterate the gluing construction")
     motif = d.add_mutually_exclusive_group(required=True)

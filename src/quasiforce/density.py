@@ -277,19 +277,23 @@ def _reverse(plan, tape, edge_matrix, free_weight, out_bar) -> np.ndarray:
     """
     inputs = _plan_inputs(edge_matrix, free_weight, float)
     out_bar = np.asarray(out_bar, dtype=float)
-    batch = out_bar.shape[:out_bar.ndim - np.ndim(tape[-1])]
-    grad = np.zeros(batch + edge_matrix.shape)
-    bars = {_FIRST_TEMP + len(plan) - 1: out_bar}
-    for slot, step in reversed(list(enumerate(plan, _FIRST_TEMP))):
-        ybar = bars.pop(slot)
+    grad = None
+    # the adjoint of each step's result, by step; each result feeds exactly
+    # one later step, so each slot is set once and released once read
+    bars = [None] * (len(plan) - 1) + [out_bar]
+    for j in range(len(plan) - 1, -1, -1):
+        step, ybar, bars[j] = plan[j], bars[j], None
         ops = [tape[i - _FIRST_TEMP] if i >= _FIRST_TEMP else inputs[i]
                for i in step.operands]
         for pos, expr, path in step.adjoints:
             bar = np.einsum(expr, ybar, *ops[:pos], *ops[pos + 1:], optimize=path)
-            if step.operands[pos] == _EDGE:
-                grad += bar
-            else:
-                bars[step.operands[pos]] = bar
+            if step.operands[pos] != _EDGE:
+                bars[step.operands[pos] - _FIRST_TEMP] = bar
+            else:  # the first edge adjoint, a fresh array, accumulates the rest
+                grad = bar if grad is None else np.add(grad, bar, out=grad)
+    if grad is None:  # no edge-matrix operand: the gradient is zero
+        return np.zeros(out_bar.shape[:out_bar.ndim - np.ndim(tape[-1])]
+                        + edge_matrix.shape)
     return grad
 
 

@@ -14,6 +14,7 @@ plenty of room away from constant.
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import math
@@ -110,6 +111,20 @@ class _Pair(NamedTuple):
                 math.copysign(h2 if h2 > 0.0 else 0.0, r2))
 
 
+@functools.cache
+def _param_maps(m: int):
+    """``iu``, ``sym`` and ``fold`` of _PairEvaluator for m parts, built on
+    first use and read-only, since every evaluator on m parts shares them."""
+    iu = np.triu_indices(m)
+    params = np.arange(iu[0].size)
+    sym = np.empty((m, m), dtype=np.intp)
+    sym[iu] = sym.T[iu] = params
+    fold = (sym.reshape(-1, 1) == params).astype(float)
+    for a in (*iu, sym, fold):
+        a.flags.writeable = False
+    return iu, sym, fold
+
+
 class _PairEvaluator:
     """Residuals of the (motif, k-times-doubled motif) pair and their
     gradients, for value matrices with fixed weights.
@@ -130,17 +145,15 @@ class _PairEvaluator:
 
     def __init__(self, colored: ColoredGraph, k: int, weights: np.ndarray,
                  targets, budget: int):
-        m = weights.size
-        _density_plan(colored.graph, m, budget)
+        _density_plan(colored.graph, weights.size, budget)
         self._doubling = _Doubling(colored, k, weights, budget)
         self._colored, self._k = colored, k
         self._targets, self._budget = targets, budget
-        self.iu = np.triu_indices(m)
-        params = np.arange(self.iu[0].size)
-        self.sym = np.empty((m, m), dtype=np.intp)
-        self.sym[self.iu] = params
-        self.sym.T[self.iu] = params
-        self.fold = (self.sym.reshape(-1, 1) == params).astype(float)
+        self.iu, self.sym, self.fold = _param_maps(weights.size)
+        # both base-table adjoints of jacobian: r1's is the base weights,
+        # shaped as the base table once here; r2's is filled in per call
+        self._bars = np.empty((2, *self._doubling.base_roots.shape))
+        self._bars[0] = self._doubling.base_weights.reshape(self._bars.shape[1:])
 
     def residuals(self, graphon: StepGraphon) -> tuple[float, float]:
         """Both residuals recomputed through the public density functions,
@@ -167,10 +180,8 @@ class _PairEvaluator:
         r1 is the base table summed against fixed weights, so its adjoint
         needs no gluing pass.  Each entry of ``fold`` picks one or two
         ordered entries, so the fold is exact."""
-        doubling, run = self._doubling, pair.run
-        bars = np.stack([doubling.base_weights.reshape(run.tape[-1].shape),
-                         doubling.base_adjoint(run)])
-        return doubling.gradient(run, bars).reshape(2, -1) @ self.fold
+        self._bars[1] = self._doubling.base_adjoint(pair.run)
+        return self._doubling.gradient(pair.run, self._bars).reshape(2, -1) @ self.fold
 
 
 def _l2sq(values: np.ndarray, weights: np.ndarray, p: float) -> float:
@@ -201,21 +212,24 @@ def _solve(values: np.ndarray, pair_eval: _PairEvaluator, band, merit,
     `tol` ("tol"), after `max_iter` steps ("cap"), when progress stalls
     ("slow"), or when no damping gives an acceptable step ("no_step").
 
-    Each step solves (J J^T + mu I) y = -e over the tied upper triangle
-    parameters and is accepted only when ``merit(*e)`` drops, shrinking mu
-    after accepted steps and inflating it on rejection.  The damping
-    matters because the two gradient rows become nearly parallel along
-    the flat valley, where the undamped least-norm direction blows up;
-    near the solution the Jacobian loses rank and progress is linear
-    rather than quadratic.  Coordinates pinned at 0 or 1 whose descent
-    direction points outside the box are dropped from the Jacobian,
-    otherwise clipping invalidates the step model.  A candidate that
-    clipping lands on a corner of the box (every coordinate at 0 or 1) is
-    accepted only when its largest excess is at most `tol`: at a 0/1
-    graphon the gradients of both densities can vanish in every
-    coordinate free to move, a saddle no later step leaves, and the first,
-    nearly undamped steps from a start far above p otherwise clip onto
-    one and stop there.  A zero band drives toward the exact targets.
+    Each step solves (J J^T + mu s I) y = -e over the tied upper triangle
+    parameters, where s = trace(J J^T) / 2, floored at 1e-30, makes mu
+    relative to the Jacobian's scale.  A step is accepted only when
+    ``merit(*e)`` drops, shrinking mu after accepted steps and inflating
+    it on rejection.  The damping matters because the two gradient rows
+    become nearly parallel along the flat valley, where the undamped
+    least-norm direction blows up; near the solution the Jacobian loses
+    rank and progress is linear rather than quadratic.  Coordinates
+    pinned at 0 or 1 whose descent direction points outside the box are
+    dropped from the Jacobian, otherwise clipping invalidates the step
+    model; an iterate with no coordinate at 0 or 1 drops none, so that
+    mask is built only on a face.  A candidate that clipping lands on a
+    corner of the box (every coordinate at 0 or 1) is accepted only when
+    its largest excess is at most `tol`: at a 0/1 graphon the gradients
+    of both densities can vanish in every coordinate free to move, a
+    saddle no later step leaves, and the first, nearly undamped steps
+    from a start far above p otherwise clip onto one and stop there.  A
+    zero band drives toward the exact targets.
 
     Every `_WINDOW` steps the merit, which every accepted step lowers, is
     compared with its value a window earlier.  Progress near a solution
@@ -244,25 +258,28 @@ def _solve(values: np.ndarray, pair_eval: _PairEvaluator, band, merit,
                 return v, pair, it, "slow"
             window_f = f
         jac = pair_eval.jacobian(pair)
-        vv = v[iu]
-        ssg = 2 * e[0] * jac[0] + 2 * e[1] * jac[1]
-        jac[:, ((vv <= 0.0) & (ssg > 0.0)) | ((vv >= 1.0) & (ssg < 0.0))] = 0.0
-        r = np.array(e)
+        if v.min() <= 0.0 or v.max() >= 1.0:  # v is on a face of the box
+            vv = v[iu]
+            ssg = 2 * e[0] * jac[0] + 2 * e[1] * jac[1]
+            jac[:, ((vv <= 0.0) & (ssg > 0.0)) | ((vv >= 1.0) & (ssg < 0.0))] = 0.0
+        rhs = -np.array(e)
         gram = jac @ jac.T
-        scale = max(float(np.trace(gram)) / 2.0, 1e-30)
+        scale = max(float(gram[0, 0] + gram[1, 1]) / 2.0, 1e-30)
         best = merit(*e)
         for _ in range(45):
             damped = gram + mu * scale * eye
             try:
-                y = np.linalg.solve(damped, -r)
+                y = np.linalg.solve(damped, rhs)
             except np.linalg.LinAlgError:
-                y = -np.linalg.pinv(damped) @ r
-            cand = np.clip(v + (jac.T @ y)[sym], 0.0, 1.0)
+                y = np.linalg.pinv(damped) @ rhs
+            cand = v + (jac.T @ y)[sym]
+            # clamped to the box as np.clip does, signed zeros included
+            np.minimum(np.maximum(0.0, cand, out=cand), 1.0, out=cand)
             cand_pair = pair_eval(cand)
             cand_e = cand_pair.excess(band)
             if merit(*cand_e) < best * (1.0 - 1e-12) and (
                     _worst(*cand_e) <= tol
-                    or not np.all((cand == 0.0) | (cand == 1.0))):
+                    or not ((cand == 0.0) | (cand == 1.0)).all()):
                 v, pair, e = cand, cand_pair, cand_e
                 mu = max(mu / 4.0, 1e-12)
                 break

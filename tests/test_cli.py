@@ -300,6 +300,15 @@ def test_unread_flags_exit_2(tmp_path, capsys, argv):
     assert captured.out == "" and captured.err
 
 
+def test_refused_experiment_flag_shows_the_kind_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "delta-eps", "--tol", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: quasiforce experiment delta-eps ")
+    assert "unrecognized arguments: --tol 1" in err
+
+
 def test_readme_cli_lines_parse():
     """Every command in README's CLI block parses: a flag removed from the
     parser cannot linger in the docs."""

@@ -593,6 +593,19 @@ def test_flat_gradient_matches_finite_differences(seed):
     assert np.abs(grad - fd).max() / scale < 1e-6
 
 
+def test_reverse_without_edge_operand_gives_zeros():
+    """A plan with no edge-matrix operand has a zero gradient, batched or
+    not: the branch for a reverse pass that never meets an edge adjoint."""
+    motif, g = Graph(3, ()), constant_graphon(0.5, 3)
+    value, grad = graphon_density_gradient(motif, g)
+    assert value == 1.0
+    assert grad.shape == (3, 3) and not grad.any()
+    plan = density._density_plan(motif, 3, density.DEFAULT_BUDGET)
+    tape = density._forward(plan, g.values, g.weights, keep_tape=True)
+    out = density._reverse(plan, tape, g.values, g.weights, np.ones(2))
+    assert out.shape == (2, 3, 3) and not out.any()
+
+
 def test_doubling_gradient_matches_finite_differences():
     rng = np.random.default_rng(23)
     colored = complete_graph(3)

@@ -290,6 +290,42 @@ def test_constant_starts_above_p_escape_the_box_corner():
         assert max(abs(r1), abs(r2)) <= 1e-6
 
 
+def test_face_start_keeps_its_recorded_trajectory():
+    # two parts from c = 0.9 and 1.0: the off-diagonal entry reaches 0, so
+    # every later step builds the box mask; the values were recorded with
+    # the mask built at every step
+    for c, steps, diagonal in ((0.9, 7, 0.7936924546630494),
+                               (1.0, 8, 0.7936924546387469)):
+        tr = run_forcing_trial(3, 0.5, constant_graphon(c, 2))
+        assert tr.stop_reason == "no_step" and not tr.converged
+        assert tr.iterations == steps
+        v = tr.graphon.values
+        assert v[0, 1] == v[1, 0] == 0.0
+        np.testing.assert_allclose(np.diag(v), diagonal, rtol=0, atol=1e-12)
+    # three parts from the same starts: here the mask drops coordinates
+    # pinned at 1 on the way, and the trials converge
+    for c, want in ((0.9, [0.6745439068743122, 0.4100717930614946,
+                           0.40988802580775824, 0.6749320805466332,
+                           0.40944881136196315, 0.6750945261025616]),
+                    (1.0, [0.6748603852912592, 0.40980100404615977,
+                           0.409800930467482, 0.6748605153278845,
+                           0.4098007833447989, 0.6748605803615247])):
+        tr = run_forcing_trial(3, 0.5, constant_graphon(c, 3))
+        assert tr.stop_reason == "tol" and tr.iterations == 188
+        np.testing.assert_allclose(tr.graphon.values[np.triu_indices(3)], want,
+                                   rtol=0, atol=1e-12)
+
+
+def test_interior_pool_keeps_its_recorded_step_counts():
+    # the benchmark's forcing pool never touches a face of the box, so no
+    # step builds the box mask; the counts were recorded with the mask
+    # built at every step
+    trials = forcing_experiment(3, 0.5, 4, 20, seed=0).trials
+    assert [tr.iterations for tr in trials] == [
+        6, 7, 8, 5, 5, 5, 4, 5, 4, 7, 6, 8, 7, 6, 7, 5, 5, 6, 5, 5]
+    assert all(tr.stop_reason == "tol" for tr in trials)
+
+
 def test_corner_step_taken_when_it_meets_tol():
     # at p = 1 the solution is the all-ones corner, so the rule must not
     # refuse the step onto it
