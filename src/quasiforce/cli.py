@@ -190,9 +190,25 @@ def _cmd_contrast(args) -> int:
 class _SubParser(argparse.ArgumentParser):
     """A subcommand's parser.  It refuses the arguments it does not know
     itself, so the error shows its own usage: argparse would hand them
-    back up to the root parser, which reports them under the root's."""
+    back up to the root parser, which reports them under the root's.
+
+    A parser whose only argument is a nested command, named by `nested`
+    (``experiment`` and its kind), takes no flag but help before that
+    command, and names any other: argparse would set the flag aside and
+    read its value as the command."""
+
+    def __init__(self, *args, nested: str | None = None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.nested = nested
 
     def parse_known_args(self, args=None, namespace=None):
+        for arg in args if self.nested is not None else ():
+            if arg == "--" or not arg.startswith("-"):
+                break
+            if arg != "-h" and not (len(arg) > 2 and "--help".startswith(arg)):
+                flag, name = arg.split("=", 1)[0], self.prog.rsplit(" ", 1)[-1]
+                self.error(f"argument {flag}: {name} flags go after the {self.nested}, "
+                           f"as in: {self.prog} {self.nested.upper()} {flag} ...")
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error(f"unrecognized arguments: {' '.join(extras)}")
@@ -256,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--out", help="write the report JSON here")
     i.set_defaults(func=_cmd_check_identity)
 
-    e = sub.add_parser("experiment", help="forcing and contrast experiments")
+    e = sub.add_parser("experiment", help="forcing and contrast experiments",
+                       nested="kind")
     kinds = e.add_subparsers(dest="kind", required=True)
     # each kind takes exactly the flags it reads; shared ones come from
     # these parents: every kind reads --p and --out, the searches the rest

@@ -518,9 +518,10 @@ def evaluate_pinned(motif: Graph, pinned, assignment, graphon: StepGraphon,
 
 
 def _weight_products(w: np.ndarray, g: int) -> np.ndarray:
-    """prod_i w[x_i] over g axes, flattened in C order."""
-    d = np.ones(1)
-    for _ in range(g):
+    """prod_i w[x_i] over g axes, flattened in C order, as a new array.
+    The product over one axis is w itself: 1.0 * x is x exactly."""
+    d = w.copy() if g else np.ones(1)
+    for _ in range(g - 1):
         d = np.multiply.outer(d, w).reshape(-1)
     return d
 
@@ -730,6 +731,68 @@ class _DoublingRun(NamedTuple):
     table: np.ndarray  # the final table: a scalar once every class is glued
 
 
+class _DoublingShape(NamedTuple):
+    """The part of a _Doubling that does not depend on the part weights."""
+
+    m: int
+    pinned: tuple[int, ...]
+    levels: tuple[_Level, ...]
+    plan: tuple[_Step, ...]
+    # with version blocks, else None: the version group's index maps on
+    # level k-2's rows and columns, the group's order, the maps of level
+    # k-2's rows at the row orbit representatives (_orbit_rows), and the
+    # (slice, shape) of each table in the buffer of one run with its size
+    versions: tuple[_VersionOrbits, _VersionOrbits] | None
+    order: int | None
+    orbit_rows: _OrbitRows | None
+    block_tables: tuple[tuple[slice, tuple[int, ...]], ...] | None
+    block_size: int | None
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _doubling_shape(colored: ColoredGraph, k: int, m: int, budget: int,
+                    block_min: int) -> _DoublingShape:
+    """The layout, checked plan, budget checks, version maps and buffer
+    slices of k doublings of `colored` over m parts, built once per
+    argument tuple: everything _Doubling binds but the weights.  Level
+    k-2 runs on version blocks from `block_min` entries up; the caller
+    passes _VERSION_BLOCK_MIN, so the key holds the threshold in force."""
+    if not 0 <= k <= colored.num_classes:
+        raise ValueError(
+            f"number of doublings {k} out of range for "
+            f"{colored.num_classes} classes"
+        )
+    g = colored.graph
+    pinned, levels = _doubling_layout(colored.classes, k)
+    plan = _checked_plan(m, g.n, g.edges, pinned, budget)
+    for j, level in enumerate(levels):
+        if m ** (level.g + level.r) > budget or m ** (2 * level.r) > budget:
+            raise UnsupportedSizeError(
+                f"doubling level {j} needs tables beyond the budget of "
+                f"{budget} entries"
+            )
+    last = levels[k - 2] if k >= 3 else None
+    if last is None or m ** (last.g + last.r) < block_min:
+        return _DoublingShape(m, pinned, levels, plan, None, None, None, None, None)
+    order = 1 << (k - 2)  # elements and characters of the group
+    rows, cols = (_version_orbits(m, len(colored.classes[c]), k - 2)
+                  for c in (k - 2, k - 1))
+    # level k-2's rows at the row orbit representatives, the blocks and
+    # their Grams: (slice, shape) of each in one buffer per run.  Every
+    # slice starts on a 64-byte boundary, so each table keeps the
+    # buffer's alignment for the vectorized kernels
+    block_tables, size = [], 0
+    for shape in ((rows.reps.size, m**last.r),
+                  (order, rows.reps.size, cols.reps.size),
+                  (order, cols.reps.size, cols.reps.size)):
+        n = math.prod(shape)
+        block_tables.append((slice(size, size + n), shape))
+        size += -(-n // 8) * 8
+    return _DoublingShape(m, pinned, levels, plan, (rows, cols), order,
+                          _orbit_rows(colored.classes, k, m), tuple(block_tables),
+                          size)
+
+
 class _Doubling:
     """The gluing recursion of one colored motif and k doublings, bound to
     fixed part weights and a table budget.
@@ -740,9 +803,11 @@ class _Doubling:
     rest), and the last level, which glues everything left, is a dot
     product.  Each level keeps only its own table, stored in the axis
     order the next level reads; the reverse pass relies on the symmetry
-    of every Gram's adjoint (see base_adjoint).  Binding checks the base
-    plan and every level's tables against the budget, so an oversized
-    request fails before any contraction runs.
+    of every Gram's adjoint (see base_adjoint).  Binding takes everything
+    but the weights from _doubling_shape, built once per (motif, k, part
+    count, budget), which checks the base plan and every level's tables
+    against the budget, so an oversized request fails before any
+    contraction runs; only the root products are computed per binding.
 
     From k = 3 on, the last two levels run on version blocks.  Swapping
     the two copies glued at any level changes nothing, and on level k-2's
@@ -760,7 +825,7 @@ class _Doubling:
 
     Those representative rows, the blocks and their Grams live and die
     with one run, so each run takes them as views of one buffer, at the
-    starts fixed here at binding (block_tables).  glibc hands freed heap
+    starts fixed in the shape (block_tables).  glibc hands freed heap
     back to the system above twice the largest mapped block freed so
     far.  Three tables of about 1 MB each (K_5, k = 4, m = 5) keep that
     threshold under a call's working set, and every call faults about
@@ -769,53 +834,22 @@ class _Doubling:
 
     def __init__(self, colored: ColoredGraph, k: int, weights: np.ndarray,
                  budget: int):
-        if not 0 <= k <= colored.num_classes:
-            raise ValueError(
-                f"number of doublings {k} out of range for "
-                f"{colored.num_classes} classes"
-            )
-        m = weights.size
-        g = colored.graph
-        self.pinned, self.levels = _doubling_layout(colored.classes, k)
-        self.plan = _checked_plan(m, g.n, g.edges, self.pinned, budget)
-        for j, level in enumerate(self.levels):
-            if m ** (level.g + level.r) > budget or m ** (2 * level.r) > budget:
-                raise UnsupportedSizeError(
-                    f"doubling level {j} needs tables beyond the budget of "
-                    f"{budget} entries"
-                )
-        self.m = m
+        (self.m, self.pinned, self.levels, self.plan, self.versions, self.order,
+         self.orbit_rows, self.block_tables, self.block_size) = _doubling_shape(
+            colored, k, weights.size, budget, _VERSION_BLOCK_MIN)
+        m = self.m
         self.weights = weights
         self.roots = np.sqrt(weights)
         # the root products over the pinned vertices, shaped as the base table
         self.base_roots = _weight_products(self.roots, len(self.pinned)).reshape(
             (m,) * len(self.pinned))
-        # the version group's index maps on level k-2's rows and columns
-        self.versions = None
-        last = self.levels[k - 2] if k >= 3 else None
-        if last is not None and m ** (last.g + last.r) >= _VERSION_BLOCK_MIN:
-            self.order = 1 << (k - 2)  # elements and characters of the group
-            rows, cols = (_version_orbits(m, len(colored.classes[c]), k - 2)
-                          for c in (k - 2, k - 1))
-            self.versions = rows, cols
+        if self.versions is not None:
             # the root products of level k-2's columns, which the version
             # group fixes, in the basis of the trivial block: sqrt|O| times
             # their value at the orbit's representative
-            roots = _weight_products(self.roots, last.r)
+            cols = self.versions[1]
+            roots = _weight_products(self.roots, self.levels[-2].r)
             self.block_roots = roots[cols.reps] * np.sqrt(self.order) / cols.root_stab
-            self.orbit_rows = _orbit_rows(colored.classes, k, m)
-            # level k-2's rows at the row orbit representatives, the blocks
-            # and their Grams: (slice, shape) of each in one buffer per run.
-            # Every slice starts on a 64-byte boundary, so each table keeps
-            # the buffer's alignment for the vectorized kernels
-            self.block_tables, size = [], 0
-            for shape in ((rows.reps.size, m**last.r),
-                          (self.order, rows.reps.size, cols.reps.size),
-                          (self.order, cols.reps.size, cols.reps.size)):
-                n = math.prod(shape)
-                self.block_tables.append((slice(size, size + n), shape))
-                size += -(-n // 8) * 8
-            self.block_size = size
 
     @functools.cached_property
     def base_weights(self) -> np.ndarray:

@@ -94,6 +94,13 @@ def _check_problem(t: int, m: int, p: float) -> None:
         raise ValueError("p must lie in (0, 1]")
 
 
+@functools.cache
+def _clique(t: int) -> ColoredGraph:
+    """complete_graph(t), built once per clique size: _check_problem caps t
+    at 5, and a ColoredGraph is immutable."""
+    return complete_graph(t)
+
+
 class _Pair(NamedTuple):
     """Both residuals at one value matrix, with the tape of their forward
     pass for the reverse pass of _PairEvaluator.jacobian."""
@@ -223,7 +230,8 @@ def _solve(values: np.ndarray, pair_eval: _PairEvaluator, band, merit,
     pinned at 0 or 1 whose descent direction points outside the box are
     dropped from the Jacobian, otherwise clipping invalidates the step
     model; an iterate with no coordinate at 0 or 1 drops none, so that
-    mask is built only on a face.  A candidate that clipping lands on a
+    mask is built only on a face, which the 0/1 mask of the corner test
+    below already tells.  A candidate that clipping lands on a
     corner of the box (every coordinate at 0 or 1) is accepted only when
     its largest excess is at most `tol`: at a 0/1 graphon the gradients
     of both densities can vanish in every coordinate free to move, a
@@ -243,6 +251,7 @@ def _solve(values: np.ndarray, pair_eval: _PairEvaluator, band, merit,
     v = values.copy()
     pair = pair_eval(v)
     e = pair.excess(band)
+    on_face = bool(((v == 0.0) | (v == 1.0)).any())
     mu = 1e-8
     for it in itertools.count():
         if _worst(*e) <= tol:
@@ -258,7 +267,7 @@ def _solve(values: np.ndarray, pair_eval: _PairEvaluator, band, merit,
                 return v, pair, it, "slow"
             window_f = f
         jac = pair_eval.jacobian(pair)
-        if v.min() <= 0.0 or v.max() >= 1.0:  # v is on a face of the box
+        if on_face:  # some coordinate of v is at 0 or 1
             vv = v[iu]
             ssg = 2 * e[0] * jac[0] + 2 * e[1] * jac[1]
             jac[:, ((vv <= 0.0) & (ssg > 0.0)) | ((vv >= 1.0) & (ssg < 0.0))] = 0.0
@@ -277,12 +286,14 @@ def _solve(values: np.ndarray, pair_eval: _PairEvaluator, band, merit,
             np.minimum(np.maximum(0.0, cand, out=cand), 1.0, out=cand)
             cand_pair = pair_eval(cand)
             cand_e = cand_pair.excess(band)
-            if merit(*cand_e) < best * (1.0 - 1e-12) and (
-                    _worst(*cand_e) <= tol
-                    or not ((cand == 0.0) | (cand == 1.0)).all()):
-                v, pair, e = cand, cand_pair, cand_e
-                mu = max(mu / 4.0, 1e-12)
-                break
+            if merit(*cand_e) < best * (1.0 - 1e-12):
+                # the candidate's coordinates at 0 or 1: all of them make a
+                # corner, any of them a face
+                box = (cand == 0.0) | (cand == 1.0)
+                if _worst(*cand_e) <= tol or not box.all():
+                    v, pair, e, on_face = cand, cand_pair, cand_e, box.any()
+                    mu = max(mu / 4.0, 1e-12)
+                    break
             mu *= 8.0
         else:
             return v, pair, it, "no_step"
@@ -415,8 +426,7 @@ def run_forcing_trial(t: int, p: float, start: StepGraphon, seed: int = 0,
     _check_tol(tol)
     _check_count("max_iter", max_iter)
     weights = start.weights
-    pair_eval = _PairEvaluator(complete_graph(t), k, weights, _targets(t, k, p),
-                               budget)
+    pair_eval = _PairEvaluator(_clique(t), k, weights, _targets(t, k, p), budget)
     values, _, steps, stop_reason = _solve(start.values, pair_eval, (0.0, 0.0),
                                            _sum_sq, tol, max_iter)
     final = StepGraphon._wrap(weights, values)
@@ -607,8 +617,7 @@ def _sweep(t: int, k: int, p: float, m: int, seed: int, caps, steps: int,
     """
     _check_count("seed", seed)
     weights = np.full(m, 1.0 / m)
-    pair_eval = _PairEvaluator(complete_graph(t), k, weights, _targets(t, k, p),
-                               budget)
+    pair_eval = _PairEvaluator(_clique(t), k, weights, _targets(t, k, p), budget)
     rng = np.random.Generator(np.random.PCG64(seed))
     best, found = None, []
     for cap in caps:
@@ -661,7 +670,7 @@ def delta_epsilon_probe(t: int, p: float, deltas, m: int, seed: int = 0,
     for delta, (best, feasible) in zip(deltas, _sweep(
             t, k, p, m, seed, caps, max_iter // 5, budget, extras)):
         if best is None:  # no start restored into this band or a tighter one
-            flat, motif = constant_graphon(p, m), complete_graph(t)
+            flat, motif = constant_graphon(p, m), _clique(t)
             r1 = graphon_density(motif.graph, flat, budget=budget) - targets[0]
             r2 = doubling_density(motif, k, flat, budget=budget) - targets[1]
             best = (0.0, r1, r2, flat)
@@ -726,6 +735,6 @@ def contrast_experiment(p: float = 0.5,
     shrink."""
     graphon, b = non_forcing_witness(p)
     edge = graphon_density(Graph(2, [(0, 1)]), graphon, budget=budget)
-    triangle = graphon_density(complete_graph(3).graph, graphon, budget=budget)
+    triangle = graphon_density(_clique(3).graph, graphon, budget=budget)
     return ContrastResult(float(p), b, graphon, edge, triangle,
                           graphon_constancy(graphon, p))

@@ -9,6 +9,7 @@ case of graphon densities.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,21 @@ __all__ = [
     "from_graph",
     "random_near_constant",
 ]
+
+
+def _check_in_order(w: np.ndarray, v: np.ndarray) -> None:
+    """The value checks of StepGraphon, one at a time, first failure raised."""
+    # NaN fails every comparison below, so finiteness comes first
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
+        raise ValueError("weights and values must be finite numbers")
+    if np.any(w <= 0):
+        raise ValueError("weights must be strictly positive")
+    if abs(float(w.sum()) - 1.0) > 1e-12:
+        raise ValueError("weights must sum to 1 (within 1e-12)")
+    if not np.array_equal(v, v.T):
+        raise ValueError("values must be symmetric: values[i][j] == values[j][i]")
+    if np.any(v < 0.0) or np.any(v > 1.0):
+        raise ValueError("values must lie in [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,17 +54,12 @@ class StepGraphon:
             raise ValueError(
                 f"values must be a {w.size} x {w.size} matrix matching the weights"
             )
-        # NaN fails every comparison below, so finiteness comes first
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
-            raise ValueError("weights and values must be finite numbers")
-        if np.any(w <= 0):
-            raise ValueError("weights must be strictly positive")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1 (within 1e-12)")
-        if not np.array_equal(v, v.T):
-            raise ValueError("values must be symmetric: values[i][j] == values[j][i]")
-        if np.any(v < 0.0) or np.any(v > 1.0):
-            raise ValueError("values must lie in [0, 1]")
+        # a valid input passes one combined test, whose every reduction
+        # fails on NaN; any other input is run through the checks in their
+        # documented order, so it meets the first one it fails
+        if not (w.min() > 0.0 and abs(float(w.sum()) - 1.0) <= 1e-12
+                and v.min() >= 0.0 and v.max() <= 1.0 and (v == v.T).all()):
+            _check_in_order(w, v)
         w.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -106,6 +117,17 @@ def from_graph(g: Graph) -> StepGraphon:
     return StepGraphon(np.full(g.n, 1.0 / g.n), _adjacency(g))
 
 
+@functools.lru_cache(maxsize=16)
+def _mirror(parts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices that read every entry of a parts x parts
+    matrix from its upper triangle, built once per size (for the last 16
+    sizes) and read-only."""
+    i = np.arange(parts)
+    rows, cols = np.minimum.outer(i, i), np.maximum.outer(i, i)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def random_near_constant(
     p: float, parts: int, spread: float, rng: np.random.Generator
 ) -> StepGraphon:
@@ -122,7 +144,5 @@ def random_near_constant(
         raise ValueError(
             f"spread must be non-negative with 2 * spread finite; got {spread}")
     noise = rng.uniform(-spread, spread, size=(parts, parts))
-    upper = np.triu(noise)
-    sym = upper + np.triu(noise, 1).T
-    values = np.clip(p + sym, 0.0, 1.0)
+    values = np.clip(p + noise[_mirror(parts)], 0.0, 1.0)
     return StepGraphon(np.full(parts, 1.0 / parts), values)

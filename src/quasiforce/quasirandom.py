@@ -98,9 +98,14 @@ def _subset_deviation(g: Graph, p: float, subset) -> float:
     return abs(e - p * u * (u - 1) / 2) / g.n**2
 
 
+@functools.lru_cache(maxsize=_CUT_MAX_PARTS + 1)
 def _subset_bits(k: int) -> np.ndarray:
-    """0/1 matrix whose row i holds the bits of i, lowest first."""
-    return ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(float)
+    """0/1 matrix whose row i holds the bits of i, lowest first, built once
+    per k and read-only: graphon_constancy sums over its rows, and the
+    exact search keeps it among its tables."""
+    bits = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(float)
+    bits.flags.writeable = False
+    return bits
 
 
 def _deviation(e, q, n: int, out=None):
@@ -382,7 +387,7 @@ def graphon_constancy(graphon: StepGraphon, p: float) -> ConstancyReport:
     w = graphon.weights
     diff = graphon.values - p
     linf = float(np.abs(diff).max())
-    wd = np.outer(w, w) * diff
+    wd = w[:, None] * w * diff
     l2 = float(np.sqrt((wd * diff).sum()))
     cut = None
     if m <= _CUT_MAX_PARTS:

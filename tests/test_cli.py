@@ -309,6 +309,30 @@ def test_refused_experiment_flag_shows_the_kind_usage(capsys):
     assert "unrecognized arguments: --tol 1" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["experiment", "--seed", "3", "forcing"], "--seed"),
+    (["experiment", "--adversarial", "forcing", "--trials", "1"], "--adversarial"),
+    (["experiment", "--p=0.3", "contrast"], "--p"),
+])
+def test_experiment_flag_before_the_kind_is_named(capsys, argv, flag):
+    # argparse would read "3" as the kind and refuse it as a bad choice
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: quasiforce experiment ")
+    assert (f"argument {flag}: experiment flags go after the kind, as in: "
+            f"quasiforce experiment KIND {flag} ...") in err
+    assert "invalid choice" not in err
+
+
+def test_experiment_help_before_the_kind_still_helps(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: quasiforce experiment ")
+
+
 def test_readme_cli_lines_parse():
     """Every command in README's CLI block parses: a flag removed from the
     parser cannot linger in the docs."""

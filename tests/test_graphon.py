@@ -13,17 +13,40 @@ from quasiforce import (
 )
 
 
+_HALVES = [0.5, 0.5]
+_FLAT = [[0.5, 0.5], [0.5, 0.5]]
+# (weights, values, the start of the message), for one fault at a time
+# and, further down, for several, where the first check in the
+# documented order must be the one reported
+_INVALID = [
+    ([], np.zeros((0, 0)), "weights must be a non-empty 1-d sequence"),
+    ([[1.0]], [[0.5]], "weights must be a non-empty 1-d sequence"),
+    ([1.0], [[0.5, 0.5]], "values must be a 1 x 1 matrix matching the weights"),
+    (_HALVES, [0.5, 0.5], "values must be a 2 x 2 matrix matching the weights"),
+    ([np.nan, 1.0], _FLAT, "weights and values must be finite numbers"),
+    ([np.inf, 0.5], _FLAT, "weights and values must be finite numbers"),
+    (_HALVES, [[0.5, np.nan], [np.nan, 0.5]], "weights and values must be finite"),
+    (_HALVES, [[-np.inf, 0.5], [0.5, 0.5]], "weights and values must be finite"),
+    ([1.0, 0.0], _FLAT, "weights must be strictly positive"),
+    ([1.5, -0.5], _FLAT, "weights must be strictly positive"),
+    ([0.5, 0.6], _FLAT, r"weights must sum to 1 \(within 1e-12\)"),
+    ([0.5, 0.5 + 4e-12], _FLAT, r"weights must sum to 1 \(within 1e-12\)"),
+    (_HALVES, [[0.1, 0.2], [0.3, 0.1]], r"values must be symmetric: values\[i\]\[j\]"),
+    ([1.0], [[1.5]], r"values must lie in \[0, 1\]"),
+    (_HALVES, [[0.5, -0.1], [-0.1, 0.5]], r"values must lie in \[0, 1\]"),
+    # several faults: the first in check order wins
+    ([1.0], [[0.5, np.nan]], "values must be a 1 x 1 matrix"),
+    ([-1.0, 2.0], [[0.5, np.nan], [np.nan, 0.5]], "weights and values must be finite"),
+    ([-0.5, 0.5], [[2.0, 0.1], [0.3, 0.5]], "weights must be strictly positive"),
+    ([0.5, 0.6], [[2.0, 0.1], [0.3, 0.5]], "weights must sum to 1"),
+    (_HALVES, [[2.0, 0.1], [0.3, -1.0]], "values must be symmetric"),
+]
+
+
 def test_constructor_validates():
-    with pytest.raises(ValueError):
-        StepGraphon(np.array([0.5, 0.5]), np.array([[0.1, 0.2], [0.3, 0.1]]))
-    with pytest.raises(ValueError):
-        StepGraphon(np.array([0.5, 0.6]), np.full((2, 2), 0.5))
-    with pytest.raises(ValueError):
-        StepGraphon(np.array([1.0, 0.0]), np.full((2, 2), 0.5))
-    with pytest.raises(ValueError):
-        StepGraphon(np.array([1.0]), np.array([[1.5]]))
-    with pytest.raises(ValueError):
-        StepGraphon(np.array([1.0]), np.array([[0.5, 0.5]]))
+    for weights, values, message in _INVALID:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            StepGraphon(np.array(weights, dtype=float), np.array(values, dtype=float))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

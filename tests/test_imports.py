@@ -1,7 +1,12 @@
-"""Every name a library module imports is used in that module, and every
-private name it defines at module level is read somewhere in the library."""
+"""Every name a library module imports is used in that module, every
+private name it defines at module level is read somewhere in the library,
+and importing the package fills none of its caches."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,3 +105,40 @@ def test_checker_finds_dead_private_names():
 def test_module_private_names_are_read(path):
     library = [p.read_text() for p in _MODULES]
     assert _dead_private_names(path.read_text(), library) == []
+
+
+# every functools cache in the library: each table is built on first use,
+# so importing the package does none of that work
+_CACHES = {
+    "quasiforce.cli": ["_parser"],
+    "quasiforce.density": ["_compile_plan", "_doubling_layout", "_doubling_shape",
+                           "_float_ones", "_orbit_rows", "_version_orbits"],
+    "quasiforce.experiments": ["_clique", "_param_maps"],
+    "quasiforce.graphon": ["_mirror"],
+    "quasiforce.quasirandom": ["_exact_tables", "_subset_bits"],
+    "quasiforce.serialize": ["_field_names"],
+}
+
+_CACHE_PROBE = """
+import json, sys
+import quasiforce
+from quasiforce import cli
+caches = {}
+for name, module in sorted(sys.modules.items()):
+    if name == "quasiforce" or name.startswith("quasiforce."):
+        for attr, value in sorted(vars(module).items()):
+            if callable(getattr(value, "cache_info", None)):
+                caches.setdefault(name, {})[attr] = value.cache_info().currsize
+print(json.dumps(caches))
+"""
+
+
+def test_import_fills_no_cache():
+    # a fresh process: the tests that run before this one fill the caches
+    src = os.path.dirname(os.path.dirname(quasiforce.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _CACHE_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    caches = json.loads(out)
+    assert {module: sorted(names) for module, names in caches.items()} == _CACHES
+    assert all(size == 0 for names in caches.values() for size in names.values()), caches

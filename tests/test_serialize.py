@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ from hypothesis import given, strategies as st
 
 from quasiforce import (
     Graph,
+    StepGraphon,
     check_identity,
+    complete_graph,
     constant_graphon,
     contrast_experiment,
     cs_chain_check,
     delta_epsilon_probe,
+    forcing_experiment,
     gnp,
     graph_quasirandomness,
     graphon_constancy,
@@ -144,3 +148,119 @@ def test_record_dict_key_order_and_types(name):
         if nested in keys:
             assert list(d[nested]) == list(nested_keys)
     assert json.loads(dumps(d)) == d
+
+
+# ---------------------------------------------------------------------------
+# the renderer against the reference it replaced
+
+
+def _reference_render(obj, indent: int, level: int) -> str:
+    """The renderer dumps used before its exact-type dispatch, kept
+    verbatim as the oracle of every byte it writes."""
+    pad = " " * (indent * level)
+    inner = " " * (indent * (level + 1))
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{inner}{json.dumps(str(k))}: {_reference_render(v, indent, level + 1)}"
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{inner}{_reference_render(v, indent, level + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, np.ndarray):
+        return _reference_render(obj.tolist(), indent, level)
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if x != x or x in (float("inf"), float("-inf")):
+            raise ValueError("non-finite floats are not serializable")
+        return f"{x:.17g}"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _reference_dumps(obj, indent: int = 2) -> str:
+    return _reference_render(obj, indent, 0) + "\n"
+
+
+class _Key(str):
+    """A str subclass whose str() differs from its characters."""
+
+    def __str__(self):
+        return "renamed"
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _finite,  # -0.0 and subnormals included
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e308]),
+    st.text(),  # escapes, non-ASCII and surrogates
+    st.text().map(_Key),
+    _finite.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.booleans().map(np.bool_),
+    st.lists(_finite, max_size=6).map(np.array),
+    st.lists(st.integers(-9, 9), min_size=4, max_size=4).map(
+        lambda xs: np.array(xs).reshape(2, 2)),
+    st.booleans().map(np.array),  # a 0-d array
+)
+_KEYS = st.one_of(st.text(), st.integers(), st.text().map(_Key), st.booleans())
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@given(_PAYLOADS, st.sampled_from([2, 0, 1, 4]))
+def test_dumps_matches_the_reference_renderer(obj, indent):
+    assert dumps(obj, indent) == _reference_dumps(obj, indent)
+
+
+@pytest.mark.parametrize("name", list(_RECORDS))
+def test_record_payload_matches_the_reference_renderer(name):
+    payload = _RECORDS[name][0]().to_dict()
+    assert dumps(payload) == _reference_dumps(payload)
+
+
+def test_experiment_payloads_match_the_reference_renderer():
+    for result in (
+        forcing_experiment(3, 0.5, 2, 2, seed=5),
+        delta_epsilon_probe(3, 0.5, [0.0, 0.1], 2, max_iter=50),
+        complete_graph(3),
+    ):
+        payload = result.to_dict()
+        assert dumps(payload) == _reference_dumps(payload)
+
+
+@pytest.mark.parametrize("bad", [
+    math.nan, -math.inf, np.float64(math.inf), np.float32(math.nan),
+    np.array([0.5, math.nan]), object(), {1, 2}, 1j, np.complex128(1.0),
+    b"bytes", StepGraphon(np.ones(1), np.ones((1, 1))),
+])
+def test_refusals_match_the_reference_renderer(bad):
+    for obj in (bad, {"x": [1.0, bad]}, (bad,)):
+        with pytest.raises((TypeError, ValueError)) as want:
+            _reference_dumps(obj)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            dumps(obj)
