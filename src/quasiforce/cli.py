@@ -195,20 +195,27 @@ class _SubParser(argparse.ArgumentParser):
     A parser whose only argument is a nested command, named by `nested`
     (``experiment`` and its kind), takes no flag but help before that
     command, and names any other: argparse would set the flag aside and
-    read its value as the command."""
+    read its value as the command.  An end-of-options ``--`` before the
+    command is dropped: argparse would read it as the command."""
 
     def __init__(self, *args, nested: str | None = None, **kwargs):
         super().__init__(*args, **kwargs)
         self.nested = nested
 
     def parse_known_args(self, args=None, namespace=None):
-        for arg in args if self.nested is not None else ():
-            if arg == "--" or not arg.startswith("-"):
-                break
-            if arg != "-h" and not (len(arg) > 2 and "--help".startswith(arg)):
-                flag, name = arg.split("=", 1)[0], self.prog.rsplit(" ", 1)[-1]
-                self.error(f"argument {flag}: {name} flags go after the {self.nested}, "
-                           f"as in: {self.prog} {self.nested.upper()} {flag} ...")
+        if self.nested is not None:
+            args = list(args)
+            for i, arg in enumerate(args):
+                if arg == "--":
+                    del args[i]
+                    break
+                if not arg.startswith("-"):
+                    break
+                if arg != "-h" and not (len(arg) > 2 and "--help".startswith(arg)):
+                    flag, name = arg.split("=", 1)[0], self.prog.rsplit(" ", 1)[-1]
+                    self.error(f"argument {flag}: {name} flags go after the "
+                               f"{self.nested}, as in: {self.prog} "
+                               f"{self.nested.upper()} {flag} ...")
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error(f"unrecognized arguments: {' '.join(extras)}")

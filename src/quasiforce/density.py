@@ -582,7 +582,6 @@ class _VersionOrbits(NamedTuple):
     shift: np.ndarray  # (N,): the h_x with x = h_x . reps[orbit(x)]
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _version_orbits(m: int, n: int, bits: int) -> _VersionOrbits:
     """The group (Z2)^bits acting on [m]^(n 2^bits), whose axes are
     vertex-major, version-minor: h sends the axis of (vertex i, version v)
@@ -626,7 +625,6 @@ class _Level(NamedTuple):
     inv: tuple[int, ...]  # the inverse of perm, for the reverse pass
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _doubling_layout(classes, k: int) -> tuple[tuple[int, ...], tuple[_Level, ...]]:
     """Pinned vertices of the base table and the axis layout of each level.
 
@@ -672,18 +670,19 @@ class _OrbitRows(NamedTuple):
     expand: np.ndarray  # (H, R^2)
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _orbit_rows(classes, k: int, m: int) -> _OrbitRows:
+def _orbit_rows(levels, rows: _VersionOrbits, cols: _VersionOrbits,
+                m: int) -> _OrbitRows:
     """Level k-2's table is level k-3's Gram with its raw axes (u_g, u_r,
     v_g, v_r), the class k-2 and class k-1 parts of the two copies, sorted
     into (class, vertex, version) order.  So row x of it is a pair (u_g,
     v_g) of class k-2 parts, column y a pair (u_r, v_r), and the entry is
     the (u_r, v_r) entry of C[:, u_g, :]^T C[:, v_g, :], for C level k-3's
     factor split as (glued) x (class k-2) x (class k-1).  These maps hold
-    a few entries per row and column of level k-2, not per entry."""
-    _, levels = _doubling_layout(classes, k)
+    a few entries per row and column of level k-2, not per entry.  `levels`
+    is the layout of k levels, `rows` and `cols` the version maps of
+    classes k-2 and k-1."""
+    k = len(levels)
     prev, level = levels[k - 3], levels[k - 2]
-    rows, cols = (_version_orbits(m, len(classes[c]), k - 2) for c in (k - 2, k - 1))
     half = level.g // 2
 
     def pairs(start, stop, lo, n):
@@ -750,13 +749,12 @@ class _DoublingShape(NamedTuple):
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _doubling_shape(colored: ColoredGraph, k: int, m: int, budget: int,
-                    block_min: int) -> _DoublingShape:
+def _doubling_shape(colored: ColoredGraph, k: int, m: int,
+                    budget: int) -> _DoublingShape:
     """The layout, checked plan, budget checks, version maps and buffer
     slices of k doublings of `colored` over m parts, built once per
     argument tuple: everything _Doubling binds but the weights.  Level
-    k-2 runs on version blocks from `block_min` entries up; the caller
-    passes _VERSION_BLOCK_MIN, so the key holds the threshold in force."""
+    k-2 runs on version blocks from _VERSION_BLOCK_MIN entries up."""
     if not 0 <= k <= colored.num_classes:
         raise ValueError(
             f"number of doublings {k} out of range for "
@@ -772,7 +770,7 @@ def _doubling_shape(colored: ColoredGraph, k: int, m: int, budget: int,
                 f"{budget} entries"
             )
     last = levels[k - 2] if k >= 3 else None
-    if last is None or m ** (last.g + last.r) < block_min:
+    if last is None or m ** (last.g + last.r) < _VERSION_BLOCK_MIN:
         return _DoublingShape(m, pinned, levels, plan, None, None, None, None, None)
     order = 1 << (k - 2)  # elements and characters of the group
     rows, cols = (_version_orbits(m, len(colored.classes[c]), k - 2)
@@ -789,7 +787,7 @@ def _doubling_shape(colored: ColoredGraph, k: int, m: int, budget: int,
         block_tables.append((slice(size, size + n), shape))
         size += -(-n // 8) * 8
     return _DoublingShape(m, pinned, levels, plan, (rows, cols), order,
-                          _orbit_rows(colored.classes, k, m), tuple(block_tables),
+                          _orbit_rows(levels, rows, cols, m), tuple(block_tables),
                           size)
 
 
@@ -836,7 +834,7 @@ class _Doubling:
                  budget: int):
         (self.m, self.pinned, self.levels, self.plan, self.versions, self.order,
          self.orbit_rows, self.block_tables, self.block_size) = _doubling_shape(
-            colored, k, weights.size, budget, _VERSION_BLOCK_MIN)
+            colored, k, weights.size, budget)
         m = self.m
         self.weights = weights
         self.roots = np.sqrt(weights)

@@ -35,7 +35,6 @@ from .density import (
     _density_plan,
     _Doubling,
     _DoublingRun,
-    _symmetrize_param_grad,
 )
 from .errors import _check_count
 from .graphon import StepGraphon, constant_graphon, random_near_constant
@@ -85,13 +84,23 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and non-negative; got {tol!r}")
 
 
-def _check_problem(t: int, m: int, p: float) -> None:
+def _check_problem(t: int, m: int, p: float, k: int | None) -> int:
+    """Check the clique size t, the part count m, p and the doublings k,
+    each an integer in its range; returns k, ceil((t+1)/2) when None."""
+    _check_count("t", t)
     if not 2 <= t <= 5:
         raise ValueError(f"t must lie in [2, 5]; got {t}")
+    _check_count("m", m)
     if not 1 <= m <= 8:
         raise ValueError(f"parts must lie in [1, 8]; got {m}")
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
+    if k is None:
+        return default_doublings(t)
+    _check_count("k", k)
+    if not 1 <= k <= t:
+        raise ValueError(f"k must lie in [1, t={t}]; got {k}")
+    return k
 
 
 @functools.cache
@@ -147,15 +156,17 @@ class _PairEvaluator:
     symmetric value matrix: ``iu`` indexes them in its upper triangle,
     ``sym`` maps every entry to its parameter, so ``step[sym]`` is the
     symmetric matrix of a parameter step, and the (m*m, P) 0/1 matrix
-    ``fold`` sums an ordered-entry gradient onto them.
+    ``fold`` sums an ordered-entry gradient onto them.  Each parameter
+    sums one or two entries, so the fold is exact.  ``weights`` and
+    ``targets`` are the ones bound.
     """
 
     def __init__(self, colored: ColoredGraph, k: int, weights: np.ndarray,
                  targets, budget: int):
         _density_plan(colored.graph, weights.size, budget)
         self._doubling = _Doubling(colored, k, weights, budget)
-        self._colored, self._k = colored, k
-        self._targets, self._budget = targets, budget
+        self._colored, self._k, self._budget = colored, k, budget
+        self.weights, self.targets = weights, targets
         self.iu, self.sym, self.fold = _param_maps(weights.size)
         # both base-table adjoints of jacobian: r1's is the base weights,
         # shaped as the base table once here; r2's is filled in per call
@@ -166,9 +177,9 @@ class _PairEvaluator:
         """Both residuals recomputed through the public density functions,
         as forcing trials report them."""
         r1 = (graphon_density(self._colored.graph, graphon, budget=self._budget)
-              - self._targets[0])
+              - self.targets[0])
         r2 = (doubling_density(self._colored, self._k, graphon,
-                               budget=self._budget) - self._targets[1])
+                               budget=self._budget) - self.targets[1])
         return r1, r2
 
     def __call__(self, values: np.ndarray) -> _Pair:
@@ -178,25 +189,20 @@ class _PairEvaluator:
         clipped to the box."""
         run = self._doubling.forward(values, keep_tape=True)
         d1 = float(self._doubling.base_weights @ run.tape[-1].reshape(-1))
-        return _Pair(d1 - self._targets[0], float(run.table[()]) - self._targets[1],
+        return _Pair(d1 - self.targets[0], float(run.table[()]) - self.targets[1],
                      run)
 
     def jacobian(self, pair: _Pair) -> np.ndarray:
         """The (2, P) gradients of r1 and r2 in the tied parameters, by one
         reverse pass over the pair's tape from both base-table adjoints.
         r1 is the base table summed against fixed weights, so its adjoint
-        needs no gluing pass.  Each entry of ``fold`` picks one or two
-        ordered entries, so the fold is exact."""
+        needs no gluing pass."""
         self._bars[1] = self._doubling.base_adjoint(pair.run)
         return self._doubling.gradient(pair.run, self._bars).reshape(2, -1) @ self.fold
 
 
 def _l2sq(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     return float((np.outer(weights, weights) * (values - p) ** 2).sum())
-
-
-def _l2sq_grad(values: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
-    return _symmetrize_param_grad(2.0 * np.outer(weights, weights) * (values - p))
 
 
 def _sum_sq(e1: float, e2: float) -> float:
@@ -417,35 +423,39 @@ def run_forcing_trial(t: int, p: float, start: StepGraphon, seed: int = 0,
     iterations.  ``tol`` must be finite and non-negative; no finite rate
     reaches ``tol=0``, so such a trial stops after its first stall window
     and is reported converged only when both residuals are exactly zero.
-    ``t``, the start's number of parts and ``p`` are checked as in
+    ``t``, ``k``, the start's number of parts and ``p`` are checked as in
     forcing_experiment.
     """
-    _check_problem(t, start.num_parts, p)
-    if k is None:
-        k = default_doublings(t)
+    k = _check_problem(t, start.num_parts, p, k)
     _check_tol(tol)
     _check_count("max_iter", max_iter)
-    weights = start.weights
-    pair_eval = _PairEvaluator(_clique(t), k, weights, _targets(t, k, p), budget)
+    pair_eval = _PairEvaluator(_clique(t), k, start.weights, _targets(t, k, p),
+                               budget)
     values, _, steps, stop_reason = _solve(start.values, pair_eval, (0.0, 0.0),
                                            _sum_sq, tol, max_iter)
-    final = StepGraphon._wrap(weights, values)
+    final = StepGraphon(start.weights, values)
     r1, r2 = pair_eval.residuals(final)
     converged = max(abs(r1), abs(r2)) <= tol
     return ForcingTrial(seed, converged, steps, stop_reason, r1, r2, final,
                         graphon_constancy(final, p))
 
 
-def _pareto_sweep(t: int, k: int, p: float, m: int, seed: int,
-                  budget: int) -> tuple[ParetoPoint, ...]:
+def _equal_parts(t: int, k: int, p: float, m: int, budget: int) -> _PairEvaluator:
+    """The pair evaluator of a frontier search: K_t and k doublings at
+    their constant-p targets, over m parts of equal weight."""
+    return _PairEvaluator(_clique(t), k, np.full(m, 1.0 / m), _targets(t, k, p),
+                          budget)
+
+
+def _pareto_sweep(pair_eval: _PairEvaluator, p: float,
+                  seed: int) -> tuple[ParetoPoint, ...]:
     """Trace the distance-versus-residual frontier with _sweep: one point
     per residual cap of _PARETO_BANDS that some start reached.  Each
     search aims at 90% of its cap, so restoration slack cannot tip the
     recorded point past the nominal residual level."""
     caps = [(0.9 * band, 0.9 * band) for band in _PARETO_BANDS]
     points = []
-    for band, (best, _) in zip(_PARETO_BANDS,
-                               _sweep(t, k, p, m, seed, caps, 400, budget)):
+    for band, (best, _) in zip(_PARETO_BANDS, _sweep(pair_eval, p, seed, caps, 400)):
         if best is not None:
             dist, r1, r2, graphon = best
             points.append(ParetoPoint(band, r1, r2, dist, graphon))
@@ -475,17 +485,19 @@ def forcing_experiment(t: int, p: float, m: int, trials: int, seed: int = 0,
     search keeps the tighter cap's point unless it finds a farther one, so
     the distances never fall as the cap loosens.
     Trial seeds are ``seed + trial index``, so results are reproducible
-    and order-independent.  ``tol``, ``max_iter`` and ``seed`` (both
-    non-negative integers) are checked before any trial runs.
+    and order-independent.  Every argument is checked before any trial
+    runs: ``t`` in [2, 5], ``m`` in [1, 8], ``k`` in [1, t] and ``trials``
+    in [1, 10000] are integers, ``tol`` is finite and non-negative, and
+    ``max_iter`` and ``seed`` are non-negative integers.
     """
-    _check_problem(t, m, p)
+    k = _check_problem(t, m, p, k)
+    _check_count("trials", trials)
     if not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must lie in [1, {_MAX_TRIALS}]; got {trials}")
     _check_tol(tol)
     _check_count("max_iter", max_iter)
     _check_count("seed", seed)
-    if k is None:
-        k = default_doublings(t)
+    sweep_eval = _equal_parts(t, k, p, m, budget) if adversarial else None
     done = []
     for i in range(trials):
         trial_seed = seed + i
@@ -493,9 +505,7 @@ def forcing_experiment(t: int, p: float, m: int, trials: int, seed: int = 0,
         start = random_near_constant(p, m, spread, rng)
         done.append(run_forcing_trial(t, p, start, seed=trial_seed, k=k,
                                       tol=tol, max_iter=max_iter, budget=budget))
-    pareto = None
-    if adversarial:
-        pareto = _pareto_sweep(t, k, p, m, seed, budget)
+    pareto = None if sweep_eval is None else _pareto_sweep(sweep_eval, p, seed)
     return ForcingExperimentResult(t, k, float(p), tol, tuple(done), pareto)
 
 
@@ -571,7 +581,7 @@ def _frontier(starts, weights, pair_eval, p, bounds, steps, best=None):
     lengths in a row.  The residual gradients come from the tape of the
     restored point, so a step costs no forward pass beyond its candidates.
     """
-    iu, sym = pair_eval.iu, pair_eval.sym
+    sym, fold = pair_eval.sym, pair_eval.fold
     feasible = 0
     for v in starts:
         restored = _restore(v, pair_eval, bounds)
@@ -582,7 +592,8 @@ def _frontier(starts, weights, pair_eval, p, bounds, steps, best=None):
         f, alpha = _l2sq(v, weights, p), 0.05
         for _ in range(steps):
             jac = pair_eval.jacobian(pair)
-            grad = _l2sq_grad(v, weights, p)[iu]
+            # the distance gradient in the ordered entries, folded
+            grad = (2.0 * np.outer(weights, weights) * (v - p)).reshape(-1) @ fold
             y = np.linalg.lstsq(jac @ jac.T, jac @ grad, rcond=None)[0]
             d = grad - jac.T @ y
             norm = float(np.linalg.norm(d))
@@ -605,31 +616,29 @@ def _frontier(starts, weights, pair_eval, p, bounds, steps, best=None):
     return best, feasible
 
 
-def _sweep(t: int, k: int, p: float, m: int, seed: int, caps, steps: int,
-           budget: int, extras=()):
-    """_frontier over m equal parts at each (r1, r2) cap pair of `caps` in
-    turn, with at most `steps` ascent steps per start.  Each search starts
-    from the farthest point found so far, the value matrices `extras` and
-    three fresh seeded starts (spreads 0.02, 0.3, 0.5), and keeps that
-    point unless a start beats it.  Returns one (best, feasible) per cap:
-    best is (distance, r1, r2, graphon), None until a start restores into
-    a band, and feasible counts the starts that restored into this one.
+def _sweep(pair_eval: _PairEvaluator, p: float, seed: int, caps, steps: int,
+           extras=()):
+    """_frontier over the evaluator's parts at each (r1, r2) cap pair of
+    `caps` in turn, with at most `steps` ascent steps per start.  Each
+    search starts from the farthest point found so far, the value matrices
+    `extras` and three fresh seeded starts (spreads 0.02, 0.3, 0.5), and
+    keeps that point unless a start beats it.  Returns one (best, feasible)
+    per cap: best is (distance, r1, r2, graphon), None until a start
+    restores into a band, and feasible counts the starts that restored
+    into this one.  Each cap's graphon owns a copy of its arrays.
     """
-    _check_count("seed", seed)
-    weights = np.full(m, 1.0 / m)
-    pair_eval = _PairEvaluator(_clique(t), k, weights, _targets(t, k, p), budget)
+    weights = pair_eval.weights
     rng = np.random.Generator(np.random.PCG64(seed))
     best, found = None, []
     for cap in caps:
         starts = [] if best is None else [best[3]]
         starts.extend(extras)
-        starts.extend(random_near_constant(p, m, spread, rng).values
+        starts.extend(random_near_constant(p, weights.size, spread, rng).values
                       for spread in (0.02, 0.3, 0.5))
         best, feasible = _frontier(starts, weights, pair_eval, p, cap, steps,
                                    best=best)
-        # copied: a point no later start beats is reported at each cap
         found.append((None if best is None else (
-            *best[:3], StepGraphon._wrap(weights, best[3].copy())), feasible))
+            *best[:3], StepGraphon(weights, best[3])), feasible))
     return found
 
 
@@ -650,30 +659,30 @@ def delta_epsilon_probe(t: int, p: float, deltas, m: int, seed: int = 0,
     starts, and keeps that point unless it finds a farther one, so the
     reported distances are non-decreasing in delta.  Each start takes at
     most ``max_iter // 5`` ascent steps; ``max_iter`` and ``seed`` must be
-    non-negative integers.  Reported distances are lower bounds on the true
-    optimum.  Every delta must be finite and non-negative.
+    non-negative integers, and ``t``, ``m`` and ``k`` are checked as in
+    forcing_experiment.  Reported distances are lower bounds on the true
+    optimum.  Every delta must be finite and non-negative.  Every argument
+    is checked before the search binds its one pair evaluator.
     """
-    _check_problem(t, m, p)
+    k = _check_problem(t, m, p, k)
     _check_count("max_iter", max_iter)
-    if k is None:
-        k = default_doublings(t)
+    _check_count("seed", seed)
     deltas = sorted(float(d) for d in deltas)
     if not all(math.isfinite(d) and d >= 0 for d in deltas):
         raise ValueError(f"deltas must be finite and non-negative; got {deltas!r}")
-    targets = _targets(t, k, p)
-    caps = [(delta * targets[0], delta * targets[1]) for delta in deltas]
     extras = [g.values for g in extra_starts]
     if any(len(v) != m for v in extras):
         raise ValueError(f"extra_starts must have m={m} parts each; got "
                          f"{[len(v) for v in extras]}")
+    pair_eval = _equal_parts(t, k, p, m, budget)
+    targets = pair_eval.targets
+    caps = [(delta * targets[0], delta * targets[1]) for delta in deltas]
     rows = []
     for delta, (best, feasible) in zip(deltas, _sweep(
-            t, k, p, m, seed, caps, max_iter // 5, budget, extras)):
+            pair_eval, p, seed, caps, max_iter // 5, extras)):
         if best is None:  # no start restored into this band or a tighter one
-            flat, motif = constant_graphon(p, m), _clique(t)
-            r1 = graphon_density(motif.graph, flat, budget=budget) - targets[0]
-            r2 = doubling_density(motif, k, flat, budget=budget) - targets[1]
-            best = (0.0, r1, r2, flat)
+            flat = constant_graphon(p, m)
+            best = (0.0, *pair_eval.residuals(flat), flat)
         dist, r1, r2, graphon = best
         rows.append(DeltaEpsilonRow(delta, dist, r1, r2, feasible, graphon))
     return DeltaEpsilonTable(t, k, float(p), tuple(rows))

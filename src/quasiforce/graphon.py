@@ -82,15 +82,6 @@ class StepGraphon:
             ) from None
         return cls(weights, values)
 
-    @classmethod
-    def _wrap(cls, weights: np.ndarray, values: np.ndarray) -> "StepGraphon":
-        # validation-free path for optimizer inner loops; the caller must
-        # guarantee symmetric values in [0, 1] and weights as in __init__
-        self = object.__new__(cls)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "values", values)
-        return self
-
 
 def constant_graphon(p: float, parts: int = 1) -> StepGraphon:
     """The graphon identically equal to p, on the given number of parts."""

@@ -333,6 +333,19 @@ def test_experiment_help_before_the_kind_still_helps(capsys):
     assert capsys.readouterr().out.startswith("usage: quasiforce experiment ")
 
 
+def test_end_of_options_before_the_kind_is_dropped(capsys):
+    # argparse would read the marker as the kind and refuse it
+    assert main(["experiment", "forcing", "--trials", "1"]) == 0
+    want = capsys.readouterr().out
+    assert main(["experiment", "--", "forcing", "--trials", "1"]) == 0
+    assert capsys.readouterr().out == want
+    # after the kind, the flags behind the marker are not the kind's
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "forcing", "--", "--trials", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: -- --trials 1" in capsys.readouterr().err
+
+
 def test_readme_cli_lines_parse():
     """Every command in README's CLI block parses: a flag removed from the
     parser cannot linger in the docs."""

@@ -606,6 +606,14 @@ def test_reverse_without_edge_operand_gives_zeros():
     assert out.shape == (2, 3, 3) and not out.any()
 
 
+def test_empty_motif_gradient():
+    # no vertex: the density is the empty product 1 and moves with no value
+    for m in (1, 3):
+        value, grad = graphon_density_gradient(Graph(0), constant_graphon(0.5, m))
+        assert value == 1.0 and type(value) is float
+        assert grad.shape == (m, m) and not grad.any()
+
+
 def test_doubling_gradient_matches_finite_differences():
     rng = np.random.default_rng(23)
     colored = complete_graph(3)
@@ -683,10 +691,15 @@ def test_doubling_gradient_on_random_colored_motifs(colored, m, seed):
 def _always_blocked():
     """Version blocks from the smallest table up, so that small cases run
     the block path too (by default tables below _VERSION_BLOCK_MIN entries
-    keep the dense Gram)."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(density, "_VERSION_BLOCK_MIN", 0)
-        yield
+    keep the dense Gram).  The shape cache is cleared on entry and on exit,
+    so no shape built under one threshold is read under the other."""
+    density._doubling_shape.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(density, "_VERSION_BLOCK_MIN", 0)
+            yield
+    finally:
+        density._doubling_shape.cache_clear()
 
 
 def _root_products(w, n):

@@ -118,6 +118,33 @@ def test_seed_validated_before_any_work(monkeypatch, seed):
             call()
 
 
+@pytest.mark.parametrize("name, call", [
+    ("k", lambda: forcing_experiment(3, 0.5, 2, 1, k=-1)),
+    ("k", lambda: forcing_experiment(3, 0.5, 2, 1, k=1.5)),
+    ("k", lambda: forcing_experiment(3, 0.5, 2, 1, k=True)),
+    ("k", lambda: forcing_experiment(3, 0.5, 2, 1, k=0)),
+    ("k", lambda: forcing_experiment(3, 0.5, 2, 1, k=4)),
+    ("t", lambda: forcing_experiment(3.5, 0.5, 2, 1)),
+    ("m", lambda: forcing_experiment(3, 0.5, 2.5, 1)),
+    ("trials", lambda: forcing_experiment(3, 0.5, 2, 1.5)),
+    ("trials", lambda: forcing_experiment(3, 0.5, 2, True)),
+    ("t", lambda: run_forcing_trial(3.0, 0.5, constant_graphon(0.5, 2))),
+    ("k", lambda: run_forcing_trial(3, 0.5, constant_graphon(0.5, 2), k=2.0)),
+    ("m", lambda: delta_epsilon_probe(3, 0.5, (0.0,), 2.0)),
+    ("k", lambda: delta_epsilon_probe(3, 0.5, (0.0,), 2, k=5)),
+], ids=lambda x: x if isinstance(x, str) else "")
+def test_sizes_refused_by_name(monkeypatch, name, call):
+    # t, m, k and trials are integers in their ranges, k in [1, t] as the
+    # CLI's --k and the t color classes allow, checked before any binding
+    def no_binding(*args, **kwargs):
+        raise AssertionError(f"bound a pair evaluator before checking {name}")
+
+    monkeypatch.setattr(experiments, "_PairEvaluator", no_binding)
+    monkeypatch.setattr(experiments, "run_forcing_trial", no_binding)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        call()
+
+
 def test_max_iter_accepts_numpy_integers():
     tr = run_forcing_trial(3, 0.5, constant_graphon(0.5, 2),
                            max_iter=np.int64(0))
@@ -573,6 +600,30 @@ def test_adversarial_sweep_points_recheck():
     best = res.pareto_distance_at(float("inf"))
     assert best == max(pt.distance_l2 for pt in res.pareto)
     assert "adversarial_distance_at_1e-8" in res.to_dict()["summary"]
+
+
+def test_reported_graphons_own_read_only_arrays(monkeypatch):
+    # every graphon a result holds is a validated StepGraphon: its arrays
+    # are read-only and shared with no other record and no evaluator
+    bound = []
+
+    class Recording(experiments._PairEvaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            bound.append(self)
+
+    monkeypatch.setattr(experiments, "_PairEvaluator", Recording)
+    res = forcing_experiment(3, 0.5, 2, 2, seed=1, adversarial=True)
+    table = delta_epsilon_probe(3, 0.5, [0.01, 0.1, 1.0], 2, max_iter=50)
+    assert len(bound) == 4 and res.pareto and len(table.rows) == 3
+    graphons = [*(tr.graphon for tr in res.trials),
+                *(pt.graphon for pt in res.pareto),
+                *(row.graphon for row in table.rows)]
+    arrays = [a for g in graphons for a in (g.weights, g.values)]
+    assert not any(a.flags.writeable for a in arrays)
+    held = arrays + [ev.weights for ev in bound]
+    for i, a in enumerate(held):
+        assert not any(np.shares_memory(a, b) for b in held[i + 1:]), i
 
 
 def test_frontier_step_reuses_the_restored_tape(monkeypatch):

@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
 private name it defines at module level is read somewhere in the library,
-and importing the package fills none of its caches."""
+the private names modules import from one another are pinned, and
+importing the package fills none of its caches."""
 
 import ast
 import json
@@ -107,12 +108,62 @@ def test_module_private_names_are_read(path):
     assert _dead_private_names(path.read_text(), library) == []
 
 
+def _private_imports(source: str, importer: str) -> dict:
+    """{(importer, source module): sorted private names} for every import
+    of one leading-underscore name from within the package, relative or
+    absolute, at any depth of the source."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom) or not (
+                node.level or (node.module or "").startswith("quasiforce")):
+            continue
+        names = [alias.name for alias in node.names
+                 if alias.name.startswith("_") and not alias.name.startswith("__")]
+        if names:
+            key = (importer, (node.module or "").rsplit(".", 1)[-1])
+            found[key] = sorted(found.get(key, []) + names)
+    return found
+
+
+def test_checker_finds_private_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "from os import _exit\n"
+        "from .density import _plan, public\n"
+        "from quasiforce.graphs import _fields, __all__\n"
+        "def f():\n"
+        "    from .density import _Doubling\n"
+    )
+    assert _private_imports(source, "mod") == {
+        ("mod", "density"): ["_Doubling", "_plan"], ("mod", "graphs"): ["_fields"]}
+
+
+# every private name one library module imports from another, keyed by
+# (importer, source): a new one is a deliberate edit of this table
+_PRIVATE_IMPORTS = {
+    ("density", "graphon"): ["_adjacency"],
+    ("experiments", "density"): ["_Doubling", "_DoublingRun", "_density_plan"],
+    ("experiments", "errors"): ["_check_count"],
+    ("graphon", "graphs"): ["_fields"],
+    ("identities", "density"): ["_Doubling"],
+    ("quasirandom", "errors"): ["_check_count"],
+    ("quasirandom", "graphon"): ["_adjacency"],
+    ("sampling", "errors"): ["_check_count"],
+}
+
+
+def test_private_imports_are_pinned():
+    found = {}
+    for path in _MODULES:
+        found.update(_private_imports(path.read_text(), path.stem))
+    assert found == _PRIVATE_IMPORTS
+
+
 # every functools cache in the library: each table is built on first use,
 # so importing the package does none of that work
 _CACHES = {
     "quasiforce.cli": ["_parser"],
-    "quasiforce.density": ["_compile_plan", "_doubling_layout", "_doubling_shape",
-                           "_float_ones", "_orbit_rows", "_version_orbits"],
+    "quasiforce.density": ["_compile_plan", "_doubling_shape", "_float_ones"],
     "quasiforce.experiments": ["_clique", "_param_maps"],
     "quasiforce.graphon": ["_mirror"],
     "quasiforce.quasirandom": ["_exact_tables", "_subset_bits"],

@@ -3,6 +3,8 @@
 import json
 import math
 import re
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from quasiforce import (
     run_forcing_trial,
 )
 from quasiforce.experiments import ParetoPoint
-from quasiforce.serialize import dump, dumps, load
+from quasiforce.serialize import dump, dumps, load, record_dict
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -251,6 +253,44 @@ def test_experiment_payloads_match_the_reference_renderer():
     ):
         payload = result.to_dict()
         assert dumps(payload) == _reference_dumps(payload)
+
+
+class _Mapping(dict):
+    pass
+
+
+class _Point(NamedTuple):
+    x: float
+    tags: list
+
+
+@dataclass(frozen=True)
+class _Holder:
+    value: object
+
+    to_dict = record_dict
+
+
+# one value of each type that leaves the exact-type dispatch for the
+# general path, and that a record field passes through unconverted unless
+# it is a tuple or an array
+_GENERAL = {
+    "dict-subclass": _Mapping({"a": 1.5, _Key("k"): [np.int64(2)]}),
+    "namedtuple": _Point(0.25, [np.float32(0.1), None]),
+    "str-subclass": _Key("key"),
+    "float32": np.float32(0.1),
+    "int64": np.int64(-7),
+    "bool_": np.bool_(True),
+    "0-d-array": np.array(0.5),
+}
+
+
+@pytest.mark.parametrize("name", list(_GENERAL))
+def test_general_path_matches_the_reference_renderer(name):
+    value = _GENERAL[name]
+    for obj in (value, [value, 1.0], _Mapping(x=value), _Holder(value).to_dict()):
+        for indent in (2, 0):
+            assert dumps(obj, indent) == _reference_dumps(obj, indent)
 
 
 @pytest.mark.parametrize("bad", [
