@@ -1,120 +1,30 @@
 """Iterated graph doublings, homomorphism densities, and quasirandomness
 checks over graphs and step graphons, with optimization experiments that
 probe when matching a pair of densities forces near-constant structure.
+
+Each module's ``__all__`` is its public API; the package re-exports them
+all, in module order.
 """
 
-from .density import (
-    DEFAULT_BUDGET,
-    PinnedDensity,
-    doubling_density,
-    doubling_density_gradient,
-    doubling_step_moments,
-    evaluate_pinned,
-    graphon_density,
-    graphon_density_gradient,
-    hom_count,
-    hom_density,
-    pinned_density,
-    pinned_table,
-)
-from .errors import UnsupportedSizeError
-from .experiments import (
-    ContrastResult,
-    DeltaEpsilonRow,
-    DeltaEpsilonTable,
-    ForcingExperimentResult,
-    ForcingTrial,
-    ParetoPoint,
-    contrast_experiment,
-    delta_epsilon_probe,
-    forcing_experiment,
-    non_forcing_witness,
-    run_forcing_trial,
-)
-from .graphon import (
-    StepGraphon,
-    constant_graphon,
-    from_graph,
-    random_near_constant,
-)
-from .graphs import (
-    ColoredGraph,
-    Graph,
-    are_isomorphic,
-    complete_graph,
-    cycle_graph,
-    double,
-    iterated_double,
-)
-from .identities import (
-    ChainRecord,
-    IdentityResidualReport,
-    check_identity,
-    cs_chain_check,
-    default_doublings,
-    identity_residual_at,
-)
-from .quasirandom import (
-    ConstancyReport,
-    QuasirandomReport,
-    graph_quasirandomness,
-    graphon_constancy,
-    row_oscillation,
-)
-from .sampling import SampleSpec, gnp, sample, w_random
+from . import (density, errors, experiments, graphon, graphs, identities,
+               quasirandom, sampling)
+from .density import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .experiments import *  # noqa: F403
+from .graphon import *  # noqa: F403
+from .graphs import *  # noqa: F403
+from .identities import *  # noqa: F403
+from .quasirandom import *  # noqa: F403
+from .sampling import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "UnsupportedSizeError",
-    "Graph",
-    "ColoredGraph",
-    "complete_graph",
-    "cycle_graph",
-    "double",
-    "iterated_double",
-    "are_isomorphic",
-    "StepGraphon",
-    "constant_graphon",
-    "from_graph",
-    "random_near_constant",
-    "DEFAULT_BUDGET",
-    "hom_count",
-    "hom_density",
-    "graphon_density",
-    "pinned_density",
-    "pinned_table",
-    "PinnedDensity",
-    "evaluate_pinned",
-    "doubling_density",
-    "doubling_step_moments",
-    "graphon_density_gradient",
-    "doubling_density_gradient",
-    "QuasirandomReport",
-    "ConstancyReport",
-    "graph_quasirandomness",
-    "graphon_constancy",
-    "row_oscillation",
-    "IdentityResidualReport",
-    "ChainRecord",
-    "check_identity",
-    "identity_residual_at",
-    "cs_chain_check",
-    "default_doublings",
-    "ForcingTrial",
-    "ParetoPoint",
-    "ForcingExperimentResult",
-    "DeltaEpsilonRow",
-    "DeltaEpsilonTable",
-    "ContrastResult",
-    "run_forcing_trial",
-    "forcing_experiment",
-    "delta_epsilon_probe",
-    "non_forcing_witness",
-    "contrast_experiment",
-    "SampleSpec",
-    "gnp",
-    "w_random",
-    "sample",
-]
+__all__ = ["__version__"]
+__all__ += errors.__all__
+__all__ += graphs.__all__
+__all__ += graphon.__all__
+__all__ += density.__all__
+__all__ += quasirandom.__all__
+__all__ += identities.__all__
+__all__ += experiments.__all__
+__all__ += sampling.__all__

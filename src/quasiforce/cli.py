@@ -196,7 +196,8 @@ class _SubParser(argparse.ArgumentParser):
     (``experiment`` and its kind), takes no flag but help before that
     command, and names any other: argparse would set the flag aside and
     read its value as the command.  An end-of-options ``--`` before the
-    command is dropped: argparse would read it as the command."""
+    command is dropped, and the flags after it are named all the same:
+    argparse would read the marker as the command."""
 
     def __init__(self, *args, nested: str | None = None, **kwargs):
         super().__init__(*args, **kwargs)
@@ -205,17 +206,16 @@ class _SubParser(argparse.ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
         if self.nested is not None:
             args = list(args)
-            for i, arg in enumerate(args):
-                if arg == "--":
-                    del args[i]
-                    break
-                if not arg.startswith("-"):
-                    break
-                if arg != "-h" and not (len(arg) > 2 and "--help".startswith(arg)):
+            end = next((i for i, arg in enumerate(args) if not arg.startswith("-")),
+                       len(args))
+            for arg in args[:end]:
+                if arg not in ("--", "-h") and not (
+                        len(arg) > 2 and "--help".startswith(arg)):
                     flag, name = arg.split("=", 1)[0], self.prog.rsplit(" ", 1)[-1]
                     self.error(f"argument {flag}: {name} flags go after the "
                                f"{self.nested}, as in: {self.prog} "
                                f"{self.nested.upper()} {flag} ...")
+            args = [arg for arg in args[:end] if arg != "--"] + args[end:]
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error(f"unrecognized arguments: {' '.join(extras)}")

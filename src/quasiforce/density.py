@@ -53,11 +53,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UnsupportedSizeError
+from .errors import UnsupportedSizeError, _check_count
 from .graphon import StepGraphon, _adjacency
 from .graphs import ColoredGraph, Graph
 
 __all__ = [
+    "DEFAULT_BUDGET",
     "hom_count",
     "hom_density",
     "graphon_density",
@@ -414,7 +415,7 @@ def _density_plan(motif: Graph, num_parts: int, budget: int) -> tuple[_Step, ...
 
 
 def _check_pinned(motif: Graph, pinned, assignment, num_parts: int):
-    pinned = tuple(int(v) for v in pinned)
+    pinned = tuple(_check_count("pinned vertex", v) for v in pinned)
     if len(set(pinned)) != len(pinned):
         raise ValueError("pinned vertices must be distinct")
     fixed: dict[int, int] = {}
@@ -425,7 +426,7 @@ def _check_pinned(motif: Graph, pinned, assignment, num_parts: int):
             continue
         if v not in assignment:
             raise ValueError(f"assignment is missing pinned vertex {v}")
-        part = int(assignment[v])
+        part = _check_count("assigned part", assignment[v])
         if not 0 <= part < num_parts:
             raise ValueError(
                 f"assignment maps vertex {v} to part {part} outside [0, {num_parts})"
@@ -506,11 +507,9 @@ class PinnedDensity:
 
 def evaluate_pinned(motif: Graph, pinned, assignment, graphon: StepGraphon,
                     budget: int = DEFAULT_BUDGET) -> PinnedDensity:
-    pinned = tuple(int(v) for v in pinned)
-    value = pinned_density(motif, pinned, assignment, graphon, budget=budget)
-    return PinnedDensity(
-        motif, pinned, tuple((v, int(assignment[v])) for v in pinned), value
-    )
+    pinned, fixed = _check_pinned(motif, pinned, assignment, graphon.num_parts)
+    value = pinned_density(motif, pinned, fixed, graphon, budget=budget)
+    return PinnedDensity(motif, pinned, tuple(fixed.items()), value)
 
 
 # ---------------------------------------------------------------------------
@@ -733,19 +732,16 @@ class _DoublingRun(NamedTuple):
 class _DoublingShape(NamedTuple):
     """The part of a _Doubling that does not depend on the part weights."""
 
-    m: int
     pinned: tuple[int, ...]
     levels: tuple[_Level, ...]
     plan: tuple[_Step, ...]
     # with version blocks, else None: the version group's index maps on
-    # level k-2's rows and columns, the group's order, the maps of level
-    # k-2's rows at the row orbit representatives (_orbit_rows), and the
-    # (slice, shape) of each table in the buffer of one run with its size
+    # level k-2's rows and columns, the maps of level k-2's rows at the
+    # row orbit representatives (_orbit_rows), and the (slice, shape) of
+    # each table in the buffer of one run, which ends with the last slice
     versions: tuple[_VersionOrbits, _VersionOrbits] | None
-    order: int | None
     orbit_rows: _OrbitRows | None
     block_tables: tuple[tuple[slice, tuple[int, ...]], ...] | None
-    block_size: int | None
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -771,7 +767,7 @@ def _doubling_shape(colored: ColoredGraph, k: int, m: int,
             )
     last = levels[k - 2] if k >= 3 else None
     if last is None or m ** (last.g + last.r) < _VERSION_BLOCK_MIN:
-        return _DoublingShape(m, pinned, levels, plan, None, None, None, None, None)
+        return _DoublingShape(pinned, levels, plan, None, None, None)
     order = 1 << (k - 2)  # elements and characters of the group
     rows, cols = (_version_orbits(m, len(colored.classes[c]), k - 2)
                   for c in (k - 2, k - 1))
@@ -786,9 +782,8 @@ def _doubling_shape(colored: ColoredGraph, k: int, m: int,
         n = math.prod(shape)
         block_tables.append((slice(size, size + n), shape))
         size += -(-n // 8) * 8
-    return _DoublingShape(m, pinned, levels, plan, (rows, cols), order,
-                          _orbit_rows(levels, rows, cols, m), tuple(block_tables),
-                          size)
+    return _DoublingShape(pinned, levels, plan, (rows, cols),
+                          _orbit_rows(levels, rows, cols, m), tuple(block_tables))
 
 
 class _Doubling:
@@ -832,10 +827,11 @@ class _Doubling:
 
     def __init__(self, colored: ColoredGraph, k: int, weights: np.ndarray,
                  budget: int):
-        (self.m, self.pinned, self.levels, self.plan, self.versions, self.order,
-         self.orbit_rows, self.block_tables, self.block_size) = _doubling_shape(
-            colored, k, weights.size, budget)
-        m = self.m
+        # before the cache, which would take k=True for k=1
+        _check_count("k", k)
+        (self.pinned, self.levels, self.plan, self.versions, self.orbit_rows,
+         self.block_tables) = _doubling_shape(colored, k, weights.size, budget)
+        self.m = m = weights.size
         self.weights = weights
         self.roots = np.sqrt(weights)
         # the root products over the pinned vertices, shaped as the base table
@@ -847,7 +843,8 @@ class _Doubling:
             # their value at the orbit's representative
             cols = self.versions[1]
             roots = _weight_products(self.roots, self.levels[-2].r)
-            self.block_roots = roots[cols.reps] * np.sqrt(self.order) / cols.root_stab
+            order = 1 << (k - 2)  # elements and characters of the group
+            self.block_roots = roots[cols.reps] * np.sqrt(order) / cols.root_stab
 
     @functools.cached_property
     def base_weights(self) -> np.ndarray:
@@ -924,7 +921,7 @@ class _Doubling:
         # the level whose table runs on version blocks, if any
         blocked = len(self.levels) - 2 if self.versions is not None else -1
         if blocked >= 0:
-            buffer = np.empty(self.block_size)
+            buffer = np.empty(self.block_tables[-1][0].stop)
             rep_rows, blocks, grams = (buffer[part].reshape(shape)
                                        for part, shape in self.block_tables)
         for j, level in enumerate(self.levels):
@@ -985,8 +982,8 @@ class _Doubling:
             tbar = a
         else:
             rows, cols = self.versions
-            b = run.blocks @ run.grams
-            b *= rows.root_stab[:, None] / self.order
+            b = run.blocks @ run.grams  # one block per element of the group
+            b *= rows.root_stab[:, None] / len(b)
             b *= cols.root_stab
             # summed over the characters: entry (h, o, o') is A G at
             # (rep_o, h . rep_o'), so A G at (x, y) is its entry
@@ -1063,6 +1060,7 @@ def doubling_step_moments(colored: ColoredGraph, j: int, graphon: StepGraphon,
     weights of that class: the (j-1)-st and j-th densities of the
     Cauchy-Schwarz chain and their gap (see _Doubling.moments).
     """
+    _check_count("j", j)
     if not 1 <= j <= colored.num_classes:
         raise ValueError(f"step {j} out of range for {colored.num_classes} classes")
     doubling = _Doubling(colored, j, graphon.weights, budget)

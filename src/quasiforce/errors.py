@@ -2,6 +2,8 @@
 
 import numbers
 
+__all__ = ["UnsupportedSizeError"]
+
 
 class UnsupportedSizeError(Exception):
     """Raised when an exact computation would exceed its feasibility cap.

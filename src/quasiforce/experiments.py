@@ -423,12 +423,13 @@ def run_forcing_trial(t: int, p: float, start: StepGraphon, seed: int = 0,
     iterations.  ``tol`` must be finite and non-negative; no finite rate
     reaches ``tol=0``, so such a trial stops after its first stall window
     and is reported converged only when both residuals are exactly zero.
-    ``t``, ``k``, the start's number of parts and ``p`` are checked as in
-    forcing_experiment.
+    ``t``, ``k``, the start's number of parts, ``p`` and ``seed``, which
+    the trial only records, are checked as in forcing_experiment.
     """
     k = _check_problem(t, start.num_parts, p, k)
     _check_tol(tol)
     _check_count("max_iter", max_iter)
+    _check_count("seed", seed)
     pair_eval = _PairEvaluator(_clique(t), k, start.weights, _targets(t, k, p),
                                budget)
     values, _, steps, stop_reason = _solve(start.values, pair_eval, (0.0, 0.0),

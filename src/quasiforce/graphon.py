@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _check_count
 from .graphs import Graph, _fields
 from .serialize import record_dict
 
@@ -87,6 +88,7 @@ def constant_graphon(p: float, parts: int = 1) -> StepGraphon:
     """The graphon identically equal to p, on the given number of parts."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    _check_count("parts", parts)
     if parts < 1:
         raise ValueError("parts must be at least 1")
     return StepGraphon(np.full(parts, 1.0 / parts), np.full((parts, parts), float(p)))
@@ -128,6 +130,7 @@ def random_near_constant(
     The upper triangle (including the diagonal) is drawn and mirrored, then
     clamped to [0, 1]; weights stay uniform.
     """
+    _check_count("parts", parts)
     if parts < 1:
         raise ValueError("parts must be at least 1")
     # the draw needs its range 2 * spread finite; NaN fails the comparison too

@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import combinations
 from numbers import Integral
 
-from .errors import UnsupportedSizeError
+from .errors import UnsupportedSizeError, _check_count
 from .serialize import record_dict
 
 __all__ = [
@@ -183,6 +183,7 @@ class ColoredGraph:
 
 def complete_graph(t: int) -> ColoredGraph:
     """K_t with its unique proper coloring into t singleton classes."""
+    _check_count("t", t)
     if t < 1:
         raise ValueError("complete graph needs at least one vertex")
     edges = tuple(combinations(range(t), 2))
@@ -190,6 +191,7 @@ def complete_graph(t: int) -> ColoredGraph:
 
 
 def cycle_graph(n: int) -> Graph:
+    _check_count("n", n)
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
     return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
@@ -204,6 +206,7 @@ def double(colored: ColoredGraph, class_index: int) -> ColoredGraph:
     the class structure: the shared class is unchanged, every other class is
     the union of its two copies.  Edge count exactly doubles.
     """
+    _check_count("class_index", class_index)
     t = colored.num_classes
     if not 0 <= class_index < t:
         raise ValueError(f"class index {class_index} out of range for {t} classes")
@@ -232,6 +235,7 @@ def iterated_double(colored: ColoredGraph, k: int) -> ColoredGraph:
     The k-th iterate of K_t has 2^k * t(t-1)/2 edges; up to isomorphism the
     order of the doublings does not matter (see the tests).
     """
+    _check_count("k", k)
     if not 0 <= k <= colored.num_classes:
         raise ValueError(
             f"number of doublings {k} out of range for {colored.num_classes} classes"

@@ -28,6 +28,7 @@ from .density import (
     pinned_table,
     _Doubling,
 )
+from .errors import _check_count
 from .graphon import StepGraphon
 from .graphs import complete_graph
 from .serialize import record_dict
@@ -72,13 +73,20 @@ class IdentityResidualReport:
     to_dict = record_dict
 
 
-def _check_tkp(t: int, k: int, p: float) -> None:
+def _check_tkp(t: int, k: int | None, p: float) -> int:
+    """Check the clique size t, the pinned count k and p; returns k,
+    ceil((t+1)/2) when None."""
+    _check_count("t", t)
     if not 3 <= t <= 6:
         raise ValueError(f"t must lie in [3, 6]; got {t}")
+    if k is None:
+        k = default_doublings(t)
+    _check_count("k", k)
     if not 1 <= k <= t:
         raise ValueError(f"k must lie in [1, {t}]; got {k}")
     if not 0.0 < p <= 1.0:  # NaN fails here too
         raise ValueError("p must lie in (0, 1]")
+    return k
 
 
 def check_identity(graphon: StepGraphon, p: float, t: int, k: int | None = None,
@@ -95,9 +103,7 @@ def check_identity(graphon: StepGraphon, p: float, t: int, k: int | None = None,
     the lexicographically smallest of them: which permutation of a tuple
     happens to round highest never decides the report.
     """
-    if k is None:
-        k = default_doublings(t)
-    _check_tkp(t, k, p)
+    k = _check_tkp(t, k, p)
     table = pinned_table(complete_graph(t).graph, tuple(range(k)), graphon,
                          budget=budget)
     residual = np.abs(table - p ** (t * (t - 1) // 2))
@@ -121,7 +127,7 @@ def identity_residual_at(graphon: StepGraphon, p: float, t: int, k: int,
     density comes from pinned_density's exactly rounded per-assignment sum.
     """
     _check_tkp(t, k, p)
-    parts = tuple(int(x) for x in parts)
+    parts = tuple(parts)
     if len(parts) != k:
         raise ValueError(f"expected {k} part indices, got {len(parts)}")
     density = pinned_density(complete_graph(t).graph, tuple(range(k)),
@@ -168,8 +174,10 @@ def cs_chain_check(t: int, k: int, graphon: StepGraphon,
     is the mean of level j's pinned density and d_k is the final table.
     Binding checks every level against the budget before any contraction.
     """
+    _check_count("t", t)
     if t < 2:
         raise ValueError("t must be at least 2")
+    _check_count("k", k)
     if not 0 <= k <= t:
         raise ValueError(f"k must lie in [0, {t}]; got {k}")
     doubling = _Doubling(complete_graph(t), k, graphon.weights, budget)

@@ -241,6 +241,9 @@ def test_experiment_delta_eps(tmp_path, capsys):
 def test_experiment_bad_deltas(capsys):
     assert main(["experiment", "delta-eps", "--deltas", "a,b"]) == 2
     assert "cannot parse" in capsys.readouterr().err
+    assert main(["experiment", "delta-eps", "--deltas", ","]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "at least one value" in err
     for deltas in ("nan", "0,inf"):
         assert main(["experiment", "delta-eps", "--deltas", deltas]) == 2
         out, err = capsys.readouterr()
@@ -255,12 +258,31 @@ def test_experiment_contrast(tmp_path, capsys):
     assert load(out + "/contrast.json") == payload
 
 
+def test_density_doubled_clique_in_a_graph(tmp_path, capsys):
+    # the doubled motif is expanded and counted in the graph
+    g = gnp(7, 0.5, 3)
+    target = _write(tmp_path, "g.json", g.to_dict())
+    assert main(["density", "--kt", "3", "--double", "2", "--graph", target]) == 0
+    text = capsys.readouterr().out
+    assert text == "0.0005419094258414124\n"
+    assert float(text) == hom_density(iterated_double(complete_graph(3), 2).graph, g)
+
+
+def test_experiment_delta_eps_without_a_witness(capsys):
+    # no two-part witness exists at p = 0.9, so the probe runs without one
+    assert main(["experiment", "delta-eps", "--parts", "2", "--p", "0.9",
+                 "--deltas", "0.0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["p"] == 0.9 and len(payload["rows"]) == 1
+
+
 def test_argparse_failures():
     # --threads was a documented no-op and is gone: it is an unknown option
     for argv in ([], ["density", "--kt", "3"], ["--threads", "0",
                                                 "doubling", "--t", "2",
                                                 "--k", "1"],
-                 ["doubling", "--t", "2", "--k", "1", "--bogus"]):
+                 ["doubling", "--t", "2", "--k", "1", "--bogus"],
+                 ["experiment", "forcing", "--t", "0"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -344,6 +366,19 @@ def test_end_of_options_before_the_kind_is_dropped(capsys):
         main(["experiment", "forcing", "--", "--trials", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: -- --trials 1" in capsys.readouterr().err
+
+
+def test_flag_after_the_end_of_options_marker_is_named(capsys):
+    # the marker before the kind is dropped, not the end of the scan
+    errs = []
+    for argv in (["experiment", "--seed", "3", "forcing"],
+                 ["experiment", "--", "--seed", "3", "forcing"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[1] == errs[0]
+    assert "--seed: experiment flags go after the kind" in errs[1]
 
 
 def test_readme_cli_lines_parse():

@@ -113,7 +113,9 @@ def test_seed_validated_before_any_work(monkeypatch, seed):
     for call in (lambda: forcing_experiment(3, 0.5, 2, 2, seed=seed),
                  lambda: forcing_experiment(3, 0.5, 2, 2, seed=seed,
                                             adversarial=True),
-                 lambda: delta_epsilon_probe(3, 0.5, (0.0,), 2, seed=seed)):
+                 lambda: delta_epsilon_probe(3, 0.5, (0.0,), 2, seed=seed),
+                 lambda: run_forcing_trial(3, 0.5, constant_graphon(0.5, 2),
+                                           seed=seed)):
         with pytest.raises(ValueError, match="seed"):
             call()
 

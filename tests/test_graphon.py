@@ -107,6 +107,11 @@ def test_random_near_constant_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
+def test_random_near_constant_refuses_no_parts():
+    with pytest.raises(ValueError, match="parts must be at least 1"):
+        random_near_constant(0.5, 0, 0.1, np.random.default_rng(0))
+
+
 def test_round_trip():
     g = StepGraphon(np.array([0.25, 0.75]), np.array([[0.1, 0.7], [0.7, 1.0]]))
     back = StepGraphon.from_dict(g.to_dict())

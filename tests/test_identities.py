@@ -22,7 +22,12 @@ from quasiforce import (
     doubling_step_moments,
     graphon_density,
     identity_residual_at,
+    double,
+    doubling_density_gradient,
+    evaluate_pinned,
     iterated_double,
+    pinned_density,
+    pinned_table,
     random_near_constant,
 )
 from quasiforce import density
@@ -89,6 +94,44 @@ def test_bad_p_refused_by_both_identity_routes(p):
         check_identity(g, p, 3)
     with pytest.raises(ValueError, match=r"p must lie in \(0, 1\]"):
         identity_residual_at(g, p, 3, 2, (0, 1))
+
+
+_G = constant_graphon(0.5, 2)
+_K3 = complete_graph(3)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("k", lambda: check_identity(_G, 0.5, 3, k=1.5)),
+    ("k", lambda: check_identity(_G, 0.5, 3, k=True)),
+    ("t", lambda: check_identity(_G, 0.5, 3.0)),
+    ("k", lambda: cs_chain_check(4, 2.0, _G)),
+    ("k", lambda: cs_chain_check(4, True, _G)),
+    ("t", lambda: cs_chain_check(3.5, 2, _G)),
+    ("k", lambda: identity_residual_at(_G, 0.5, 3, 2.0, (0, 1))),
+    ("assigned part", lambda: identity_residual_at(_G, 0.5, 3, 2, (0, 1.0))),
+    ("j", lambda: doubling_step_moments(_K3, 1.5, _G)),
+    ("j", lambda: doubling_step_moments(_K3, True, _G)),
+    ("k", lambda: doubling_density(_K3, 1.5, _G)),
+    ("k", lambda: doubling_density(_K3, True, _G)),
+    ("k", lambda: doubling_density_gradient(_K3, 2.0, _G)),
+    ("k", lambda: iterated_double(_K3, 1.5)),
+    ("class_index", lambda: double(_K3, 1.0)),
+    ("t", lambda: complete_graph(3.0)),
+    ("n", lambda: cycle_graph(4.0)),
+    ("parts", lambda: constant_graphon(0.5, 2.0)),
+    ("parts", lambda: constant_graphon(0.5, True)),
+    ("parts", lambda: random_near_constant(0.5, 1.5, 0.1, np.random.default_rng(0))),
+    ("pinned vertex", lambda: pinned_table(_K3.graph, (0.5, 1), _G)),
+    ("pinned vertex", lambda: pinned_density(_K3.graph, (True,), {1: 0}, _G)),
+    ("assigned part", lambda: pinned_density(_K3.graph, (1,), {1: 1.7}, _G)),
+    ("pinned vertex", lambda: evaluate_pinned(_K3.graph, (0.5,), {0: 0}, _G)),
+    ("assigned part", lambda: evaluate_pinned(_K3.graph, (1,), {1: 1.7}, _G)),
+], ids=lambda x: x if isinstance(x, str) else "")
+def test_sizes_refused_by_name(name, call):
+    # sizes, doublings, pinned vertices and parts are integers, never
+    # truncated or read as bools; checked before any range check
+    with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer"):
+        call()
 
 
 def test_no_table_mode():

@@ -20,7 +20,9 @@ _MODULES = sorted(Path(quasiforce.__file__).parent.glob("*.py"))
 def _unused_imports(source: str) -> list[str]:
     """Imported names the source never reads.  ``__future__`` imports,
     names listed in ``__all__`` (re-exports) and names on a line marked
-    ``noqa: F401`` (kept importable on purpose) are exempt."""
+    ``noqa: F401`` (kept importable on purpose) are exempt.  A star import
+    ``from m import *`` is reported as ``m.*`` unless the source extends
+    ``__all__`` by ``m.__all__``, which republishes it."""
     tree = ast.parse(source)
     lines = source.splitlines()
     imported = set()
@@ -30,7 +32,9 @@ def _unused_imports(source: str) -> list[str]:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         for alias in node.names:
-            if "noqa: F401" not in lines[alias.lineno - 1]:
+            if alias.name == "*":
+                imported.add(f"{node.module}.*")
+            elif "noqa: F401" not in lines[alias.lineno - 1]:
                 imported.add(alias.asname or alias.name.split(".")[0])
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
@@ -38,6 +42,13 @@ def _unused_imports(source: str) -> list[str]:
                 isinstance(target, ast.Name) and target.id == "__all__"
                 for target in node.targets):
             used |= set(ast.literal_eval(node.value))
+        elif (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+              and isinstance(node.target, ast.Name) and node.target.id == "__all__"):
+            value = ast.unparse(node.value)
+            if value.endswith(".__all__"):
+                used.add(value.removesuffix("__all__") + "*")
+            else:
+                used |= set(ast.literal_eval(node.value))
     return sorted(imported - used)
 
 
@@ -49,15 +60,55 @@ def test_checker_finds_unused_names():
         "import numpy as np\n"
         "from json import dumps, loads\n"
         "from itertools import chain  # noqa: F401\n"
+        "from . import shapes\n"
+        "from .shapes import *  # noqa: F403\n"
+        "from .colors import *  # noqa: F403\n"
         "__all__ = ['loads']\n"
+        "__all__ += shapes.__all__\n"
         "np.ones(os.sep)\n"
     )
-    assert _unused_imports(source) == ["dumps", "math"]
+    assert _unused_imports(source) == ["colors.*", "dumps", "math"]
 
 
 @pytest.mark.parametrize("path", _MODULES, ids=[p.name for p in _MODULES])
 def test_module_imports_are_used(path):
     assert _unused_imports(path.read_text()) == []
+
+
+# the package's public names in order, each module's __all__ in turn:
+# a change here is a change of the public API
+_PUBLIC = [
+    "__version__",
+    "UnsupportedSizeError",
+    "Graph", "ColoredGraph", "complete_graph", "cycle_graph", "double",
+    "iterated_double", "are_isomorphic",
+    "StepGraphon", "constant_graphon", "from_graph", "random_near_constant",
+    "DEFAULT_BUDGET", "hom_count", "hom_density", "graphon_density",
+    "pinned_density", "pinned_table", "PinnedDensity", "evaluate_pinned",
+    "doubling_density", "doubling_step_moments", "graphon_density_gradient",
+    "doubling_density_gradient",
+    "QuasirandomReport", "ConstancyReport", "graph_quasirandomness",
+    "graphon_constancy", "row_oscillation",
+    "IdentityResidualReport", "ChainRecord", "check_identity",
+    "identity_residual_at", "cs_chain_check", "default_doublings",
+    "ForcingTrial", "ParetoPoint", "ForcingExperimentResult", "DeltaEpsilonRow",
+    "DeltaEpsilonTable", "ContrastResult", "run_forcing_trial",
+    "forcing_experiment", "delta_epsilon_probe", "non_forcing_witness",
+    "contrast_experiment",
+    "SampleSpec", "gnp", "w_random", "sample",
+]
+
+
+def test_package_reexports_each_module_api():
+    assert quasiforce.__all__ == _PUBLIC
+    modules = [quasiforce.errors, quasiforce.graphs, quasiforce.graphon,
+               quasiforce.density, quasiforce.quasirandom, quasiforce.identities,
+               quasiforce.experiments, quasiforce.sampling]
+    assert ["__version__"] + [name for module in modules
+                              for name in module.__all__] == _PUBLIC
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(quasiforce, name) is vars(module)[name], name
 
 
 def _dead_private_names(source: str, library: list[str]) -> list[str]:
@@ -141,11 +192,15 @@ def test_checker_finds_private_imports():
 # every private name one library module imports from another, keyed by
 # (importer, source): a new one is a deliberate edit of this table
 _PRIVATE_IMPORTS = {
+    ("density", "errors"): ["_check_count"],
     ("density", "graphon"): ["_adjacency"],
     ("experiments", "density"): ["_Doubling", "_DoublingRun", "_density_plan"],
     ("experiments", "errors"): ["_check_count"],
+    ("graphon", "errors"): ["_check_count"],
     ("graphon", "graphs"): ["_fields"],
+    ("graphs", "errors"): ["_check_count"],
     ("identities", "density"): ["_Doubling"],
+    ("identities", "errors"): ["_check_count"],
     ("quasirandom", "errors"): ["_check_count"],
     ("quasirandom", "graphon"): ["_adjacency"],
     ("sampling", "errors"): ["_check_count"],

@@ -406,6 +406,12 @@ def test_constancy_zero_on_constant():
     assert rep.oscillation == 0.0
 
 
+@pytest.mark.parametrize("p", [float("nan"), -0.1, 1.5])
+def test_constancy_refuses_p_outside_unit_interval(p):
+    with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+        graphon_constancy(constant_graphon(0.5, 2), p)
+
+
 def test_constancy_cut_matches_brute():
     rng = np.random.default_rng(31)
     for _ in range(10):
