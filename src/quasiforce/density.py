@@ -20,11 +20,19 @@ Three evaluation strategies share one sum-product core:
   k-3's Gram, which is that table, is formed only at the rows of the
   group's orbit representatives, and the last two levels run on one block
   per character of the group, which costs a few small Grams and products
-  instead of two m^r x m^r syrks and gemms.  Level k-2's representative
-  rows, the blocks and their Grams share one buffer per run: as one
-  freed allocation it is what sets glibc's trim threshold, which then
-  covers a whole call, so the next call reuses mapped pages rather than
-  faulting its working set back in.
+  instead of two m^r x m^r syrks and gemms.  From four doublings on, a
+  motif with an automorphism that swaps classes 0 and 1 (every K_t has
+  one) makes the copies of the first two doublings interchangeable too:
+  sigma, the swap of version bits 0 and 1, fixes level k-2's table.  The
+  orbits are then ordered [F, P1, P2], F those sigma maps to themselves
+  and P2 the images of P1, the P2 rows are never formed, a pair of
+  characters that sigma swaps keeps one block counted twice, and a
+  character it fixes splits into a sigma-even and a sigma-odd half, all
+  cut from the blocks by slices.  Level k-2's kept rows, the blocks and
+  their Grams share one buffer per run: as one freed allocation it is
+  what sets glibc's trim threshold, which then covers a whole call, so
+  the next call reuses mapped pages rather than faulting its working set
+  back in.
 
 Gradients in the value matrix come from reverse accumulation over the same
 compiled plan: the forward replay keeps every step's table (the tape), and
@@ -33,9 +41,13 @@ einsum of its adjoint (the output adjoint contracted with the step's other
 operands).  Replaying those backwards from an output adjoint gives the
 whole gradient at the cost of about two more forward passes, whatever the
 number of edges; an adjoint with leading batch axes gives the gradient of
-each of its adjoints in that one replay.  Through the gluing recursion the adjoint of every Gram
-output is symmetric, because swapping the two glued copies changes
-nothing, so each level's adjoint is one product 2 A T, not A (T + T^T).
+each of its adjoints in that one replay.  Through the dense gluing
+recursion the adjoint of every Gram output is symmetric, because swapping
+the two glued copies changes nothing, so each level's adjoint is one
+product 2 A T, not A (T + T^T).  On version blocks the reverse pass is the
+exact adjoint of the maps that read only the kept rows, with A (T + T^T)
+from level k-3 down, averaged over the swap of classes 0 and 1 where
+sigma is used (see _Doubling.base_adjoint).
 
 The density of a motif F in a step graphon W is the sum over all maps
 phi: V(F) -> parts of prod_v weights[phi(v)] * prod_{uv in E} values[phi(u)][phi(v)];
@@ -53,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UnsupportedSizeError, _check_count
+from .errors import UnsupportedSizeError, _check_budget, _check_count
 from .graphon import StepGraphon, _adjacency
 from .graphs import ColoredGraph, Graph
 
@@ -358,6 +370,7 @@ def hom_count(motif: Graph, target: Graph, method: str = "auto",
     elimination takes milliseconds.  The count is exact
     (arbitrary-precision once int64 could overflow).
     """
+    budget = _check_budget(budget)
     if motif.n == 0:
         return 1
     if target.n == 0:
@@ -386,6 +399,7 @@ def hom_count(motif: Graph, target: Graph, method: str = "auto",
 def hom_density(motif: Graph, target: Graph, method: str = "auto",
                 budget: int = DEFAULT_BUDGET) -> float:
     """hom(F, G) / n^{|V(F)|}: the probability a uniform map is a homomorphism."""
+    budget = _check_budget(budget)
     if target.n == 0:
         raise ValueError("target graph must have at least one vertex")
     return hom_count(motif, target, method=method, budget=budget) / target.n ** motif.n
@@ -398,6 +412,7 @@ def hom_density(motif: Graph, target: Graph, method: str = "auto",
 def graphon_density(motif: Graph, graphon: StepGraphon,
                     budget: int = DEFAULT_BUDGET) -> float:
     """Density t(F, W) of a motif in a step graphon."""
+    budget = _check_budget(budget)
     if motif.n == 0:
         return 1.0
     plan = _density_plan(motif, graphon.num_parts, budget)
@@ -444,6 +459,7 @@ def pinned_density(motif: Graph, pinned, assignment, graphon: StepGraphon,
     multiplies in its fixed value.  Terms accumulate through math.fsum, so
     the sum is exactly rounded however many parts there are.
     """
+    budget = _check_budget(budget)
     m = graphon.num_parts
     pinned, fixed = _check_pinned(motif, pinned, assignment, m)
     free = [v for v in range(motif.n) if v not in fixed]
@@ -479,6 +495,7 @@ def pinned_table(motif: Graph, pinned, graphon: StepGraphon,
     agrees with pinned_density, but the whole table is produced by one
     elimination pass.
     """
+    budget = _check_budget(budget)
     m = graphon.num_parts
     pinned, _ = _check_pinned(motif, pinned, None, m)
     plan = _checked_plan(m, motif.n, motif.edges, pinned, budget)
@@ -507,6 +524,7 @@ class PinnedDensity:
 
 def evaluate_pinned(motif: Graph, pinned, assignment, graphon: StepGraphon,
                     budget: int = DEFAULT_BUDGET) -> PinnedDensity:
+    budget = _check_budget(budget)
     pinned, fixed = _check_pinned(motif, pinned, assignment, graphon.num_parts)
     value = pinned_density(motif, pinned, fixed, graphon, budget=budget)
     return PinnedDensity(motif, pinned, tuple(fixed.items()), value)
@@ -568,20 +586,42 @@ def _walsh_hadamard(b: np.ndarray) -> None:
         half *= 2
 
 
+def _swap_low_bits(v: int) -> int:
+    """v with bits 0 and 1 swapped: the swap sigma on versions and on
+    characters of the version group."""
+    return v ^ 3 if (v ^ v >> 1) & 1 else v
+
+
+def _pair_butterfly(b: np.ndarray, p1: slice, p2: slice) -> None:
+    """(x, y) -> (x + y, x - y) on the column slices p1 and p2 of b, in
+    place: the basis change to sigma-even and sigma-odd pair columns, up to
+    the factor 1/sqrt 2 the column scales carry.  Its matrix is symmetric,
+    so it is also its own adjoint."""
+    diff = b[..., p1] - b[..., p2]
+    b[..., p1] += b[..., p2]
+    b[..., p2] = diff
+
+
 class _VersionOrbits(NamedTuple):
     """Index maps of the version group on the assignments of one class,
     for its n orbits and N assignments, H = 2^bits group elements."""
 
-    reps: np.ndarray  # (n,) smallest flat index of each orbit
+    reps: np.ndarray  # (n,) the representative of each orbit, a flat index
     rep_images: np.ndarray  # (n, H): h . reps[o]
     # (H, n): 1/sqrt|S_o| where character c is trivial on S_o, else 0
     weight: np.ndarray
     root_stab: np.ndarray  # (n,): sqrt|S_o|, S_o the stabilizer
     orbit: np.ndarray  # (N,): the orbit of every assignment x
-    shift: np.ndarray  # (N,): the h_x with x = h_x . reps[orbit(x)]
+    # with the swap sigma the orbits run [F, P1, P2]: F the orbits sigma
+    # maps to themselves, then `pairs` orbits P1 and their images P2 in
+    # the same order, reps[P2] = sigma(reps[P1]); without it pairs is 0
+    pairs: int
+    # (n,): on F the h with sigma(reps[o]) = h . reps[o] (0 where sigma
+    # fixes reps[o]), elsewhere 0
+    swap_shift: np.ndarray
 
 
-def _version_orbits(m: int, n: int, bits: int) -> _VersionOrbits:
+def _version_orbits(m: int, n: int, bits: int, swap: bool = False) -> _VersionOrbits:
     """The group (Z2)^bits acting on [m]^(n 2^bits), whose axes are
     vertex-major, version-minor: h sends the axis of (vertex i, version v)
     to that of (i, v XOR h).
@@ -594,25 +634,61 @@ def _version_orbits(m: int, n: int, bits: int) -> _VersionOrbits:
     diagonal, one block per character.  By that invariance, the entry of
     block c at row orbit O and column orbit O' reads only O's
     representative row: sum_h c(h) a[rep_O, h . rep_O'] / sqrt|S_O||S_O'|.
-    Every block keeps a row and a column per orbit, zero where c is not
-    trivial on the stabilizer.  The maps hold a few entries per assignment
-    of one class, not per entry of the table.
+    The maps hold a few entries per assignment of one class, not per
+    entry of the table.
+
+    With `swap` the orbits are ordered for sigma, the swap of version bits
+    0 and 1 (see _Doubling): [F, P1, P2] as in _VersionOrbits.  F takes
+    the smallest assignment sigma fixes as its representative where the
+    orbit has one, so that sigma maps it to itself; a pair puts first the
+    orbit whose stabilizer holds the larger group elements.  F runs from
+    the largest stabilizers down and P1 from the smallest up, so that at
+    two version bits the orbits on which each character is nonzero make
+    one run of F and one of P1.  Without it the representative of each
+    orbit is its smallest assignment.
     """
     versions = 1 << bits
     flat = np.arange(m ** (n * versions)).reshape((m,) * (n * versions))
-    images = np.stack([
-        flat.transpose([i * versions + (v ^ h) for i in range(n)
-                        for v in range(versions)]).reshape(-1)
-        for h in range(versions)])
+
+    def images_of(vmap) -> np.ndarray:
+        return flat.transpose([i * versions + vmap(v) for i in range(n)
+                               for v in range(versions)]).reshape(-1)
+
+    images = np.stack([images_of(lambda v, h=h: v ^ h) for h in range(versions)])
     reps, orbit = np.unique(images.min(axis=0), return_inverse=True)
-    shift = np.argmax(images == reps[orbit], axis=0)
+    pairs, swap_shift = 0, np.zeros(reps.size, dtype=np.int64)
+    if swap:
+        sigma = images_of(_swap_low_bits)
+        stab = images[:, reps] == reps
+        size = stab.sum(axis=0)
+        # the elements of each stabilizer as a bit mask
+        elements = (stab << np.arange(versions)[:, None]).sum(axis=0)
+        partner = orbit[sigma[reps]]
+        index = np.arange(reps.size)
+        fixed_points = np.flatnonzero(sigma == np.arange(sigma.size))
+        has, first = np.unique(orbit[fixed_points], return_index=True)
+        reps = reps.copy()
+        reps[has] = fixed_points[first]
+        fixed = np.flatnonzero(partner == index)
+        ahead = (elements > elements[partner]) | (
+            (elements == elements[partner]) & (index < partner))
+        p1 = np.flatnonzero((partner != index) & ahead)
+        fixed = fixed[np.lexsort((fixed, -size[fixed]))]
+        p1 = p1[np.lexsort((p1, size[p1]))]
+        order = np.concatenate([fixed, p1, partner[p1]])
+        reps = np.concatenate([reps[fixed], reps[p1], sigma[reps[p1]]])
+        orbit = np.argsort(order)[orbit]
+        pairs = p1.size
+        swap_shift[:fixed.size] = np.argmax(
+            images[:, reps[:fixed.size]] == sigma[reps[:fixed.size]], axis=0)
     # the indicator of each orbit's stabilizer S_o, summed against every
     # character c: |S_o| where c is trivial on S_o, else 0
     trivial = (images[:, reps] == reps).astype(np.int64)
     _walsh_hadamard(trivial)
     root_stab = np.sqrt(trivial[0])
     return _VersionOrbits(reps, images[:, reps].T.copy(),
-                          (trivial != 0) / root_stab, root_stab, orbit, shift)
+                          (trivial != 0) / root_stab, root_stab, orbit,
+                          pairs, swap_shift)
 
 
 class _Level(NamedTuple):
@@ -656,21 +732,14 @@ class _OrbitRows(NamedTuple):
     of class k-1 in one copy of level k-3's columns, whose two copies
     (u, v) the Gram pairs."""
 
-    # (u, vs, dest): the representative rows x = (u, v) for v in vs, and
-    # where they go among the representatives (a slice when contiguous)
+    # (v, us, dest): the kept rows x = (u, v) for u in us, and where they
+    # go among the kept rows (a slice when contiguous)
     groups: tuple[tuple[int, np.ndarray, slice | np.ndarray], ...]
     cols: np.ndarray | None  # (R^2,): u_r R + v_r at column y; None where that is y
-    # A G at (x, y) sits in the character-summed blocks (h, o, o') at
-    # (h_x XOR h_y, orbit(x), orbit(y)), flattened: at offset[x] +
-    # expand[h_x, y], for x = (u_g, v_g) and y = (u_r, v_r) read in
-    # (v_r, u_r) order
-    offset: np.ndarray  # (G, G): orbit(x) times the column orbits
-    shift: np.ndarray  # (G, G): h_x
-    expand: np.ndarray  # (H, R^2)
+    inverse: np.ndarray | None  # (R^2,): the column y of each u_r R + v_r
 
 
-def _orbit_rows(levels, rows: _VersionOrbits, cols: _VersionOrbits,
-                m: int) -> _OrbitRows:
+def _orbit_rows(levels, reps: np.ndarray, m: int) -> _OrbitRows:
     """Level k-2's table is level k-3's Gram with its raw axes (u_g, u_r,
     v_g, v_r), the class k-2 and class k-1 parts of the two copies, sorted
     into (class, vertex, version) order.  So row x of it is a pair (u_g,
@@ -678,8 +747,7 @@ def _orbit_rows(levels, rows: _VersionOrbits, cols: _VersionOrbits,
     the (u_r, v_r) entry of C[:, u_g, :]^T C[:, v_g, :], for C level k-3's
     factor split as (glued) x (class k-2) x (class k-1).  These maps hold
     a few entries per row and column of level k-2, not per entry.  `levels`
-    is the layout of k levels, `rows` and `cols` the version maps of
-    classes k-2 and k-1."""
+    is the layout of k levels, `reps` the kept rows of level k-2."""
     k = len(levels)
     prev, level = levels[k - 3], levels[k - 2]
     half = level.g // 2
@@ -693,25 +761,178 @@ def _orbit_rows(levels, rows: _VersionOrbits, cols: _VersionOrbits,
 
     pair = pairs(0, level.g, 0, half)
     col = pairs(level.g, 2 * prev.r, half, level.r // 2)
-    size_g, size_r = m**half, m ** (level.r // 2)
-    rep_pairs = pair[rows.reps]
-    order = np.argsort(rep_pairs)  # the representatives by (u_g, v_g)
-    us = rep_pairs[order] // size_g
-    starts = np.flatnonzero(np.diff(us, prepend=-1))
+    size_g = m**half
+    rep_pairs = pair[reps]
+    vs = rep_pairs % size_g
+    order = np.argsort(vs, kind="stable")  # the kept rows by v_g
+    starts = np.flatnonzero(np.diff(vs[order], prepend=-1))
     groups = []
-    for start, stop in zip(starts, [*starts[1:], us.size]):
+    for start, stop in zip(starts, [*starts[1:], vs.size]):
         dest = order[start:stop]
         if np.array_equal(dest, np.arange(dest[0], dest[0] + dest.size)):
             dest = slice(int(dest[0]), int(dest[0]) + dest.size)
-        groups.append((int(us[start]), rep_pairs[dest] % size_g, dest))
-    grid = np.argsort(pair).reshape(size_g, size_g)  # x of each (u_g, v_g)
-    ys = np.argsort(col).reshape(size_r, size_r).T.reshape(-1)  # y of (v_r, u_r)
-    n_cols = cols.reps.size
-    expand = ((np.arange(1 << (k - 2))[:, None] ^ cols.shift[ys])
-              * (rows.reps.size * n_cols) + cols.orbit[ys])
-    identity = np.array_equal(col, np.arange(col.size))
-    return _OrbitRows(tuple(groups), None if identity else col,
-                      rows.orbit[grid] * n_cols, rows.shift[grid], expand)
+        groups.append((int(vs[order[start]]), rep_pairs[dest] // size_g, dest))
+    if np.array_equal(col, np.arange(col.size)):
+        return _OrbitRows(tuple(groups), None, None)
+    return _OrbitRows(tuple(groups), col, np.argsort(col))
+
+
+class _Half(NamedTuple):
+    """One diagonal block of level k-2's table in the version basis: d_k
+    adds `weight` times the squared norm of its Gram.  Its rows are those
+    of the `parts`, (character, rows, columns) of the blocks table, stacked
+    (a conjugate pair reads its second orbit of each row pair from the
+    partner character); the columns of every part are the same."""
+
+    weight: float
+    parts: tuple[tuple[int, slice, slice | np.ndarray], ...]
+
+
+class _VersionBlocks(NamedTuple):
+    """The maps of the last two gluing levels on version blocks, for H
+    characters, nK kept rows and nY column orbits of level k-2."""
+
+    rows: _VersionOrbits  # the version maps of class k-2 and of class k-1
+    cols: _VersionOrbits
+    orbit_rows: _OrbitRows  # level k-2's kept rows from level k-3's factor
+    row_of: np.ndarray  # (m^g,): the kept row that holds each row's values
+    # (m^r,): the entry h_y nY + o_y of a kept row's blocks, read in
+    # (h, o) order, that column y = h_y . reps[o_y] of level k-2 goes to
+    gather: np.ndarray
+    row_scale: np.ndarray  # (H, nK, 1)
+    col_scale: np.ndarray  # (H, 1, nY)
+    # col_scale times |S_o|, the number of block entries (h, o) that read
+    # each column; the blocks vanish on the characters not trivial on S_o,
+    # so those entries are equal
+    col_scale_adjoint: np.ndarray
+    # with sigma: the P1 and P2 column slices, and the characters that
+    # only lend their P1 rows to a conjugate pair, whose odd pair columns
+    # change sign; else None and an empty array
+    pairs: tuple[slice, slice] | None
+    partners: np.ndarray
+    halves: tuple[_Half, ...]  # the sigma-even half of the trivial block first
+    swap_axes: tuple[int, ...] | None  # the class 0 / class 1 swap of the base table
+    # (slice, shape) in the buffer of one run, which ends with the last
+    # slice: the kept rows, the blocks, then the Gram of each half
+    tables: tuple[tuple[slice, tuple[int, ...]], ...]
+
+
+def _span(needed: np.ndarray, forbidden: np.ndarray | None = None
+          ) -> slice | np.ndarray | None:
+    """The indices where `needed` holds: the slice that spans them where
+    it spans no `forbidden` index, else the indices themselves; None where
+    there are none.  A spanned index that is not needed is a zero row or
+    column of its block (up to rounding, for an F row of the other sign
+    in a sigma half), which changes neither its Gram's norm nor the
+    adjoint."""
+    hits = np.flatnonzero(needed)
+    if not hits.size:
+        return None
+    span = slice(int(hits[0]), int(hits[-1]) + 1)
+    return hits if forbidden is not None and forbidden[span].any() else span
+
+
+def _swaps_first_classes(colored: ColoredGraph) -> bool:
+    """Whether swapping vertex i of class 0 with vertex i of class 1, for
+    every i, and fixing every other vertex is an automorphism."""
+    a, b = colored.classes[0], colored.classes[1]
+    if len(a) != len(b):
+        return False
+    image = list(range(colored.graph.n))
+    for u, v in zip(a, b):
+        image[u], image[v] = v, u
+    edges = set(colored.graph.edges)
+    return all((min(image[u], image[v]), max(image[u], image[v])) in edges
+               for u, v in edges)
+
+
+def _version_blocks(colored: ColoredGraph, levels, k: int, m: int) -> _VersionBlocks:
+    """The maps of _VersionBlocks for k >= 3 doublings over m parts; sigma
+    (see _Doubling) from k = 4 on where the motif swaps classes 0 and 1."""
+    bits = k - 2
+    order = 1 << bits  # elements and characters of the group
+    swap = bits >= 2 and _swaps_first_classes(colored)
+    rows, cols = (_version_orbits(m, len(colored.classes[c]), bits, swap)
+                  for c in (k - 2, k - 1))
+    kept = rows.reps.size - rows.pairs
+    fixed = kept - rows.pairs
+    nf, npair = cols.reps.size - 2 * cols.pairs, cols.pairs
+    # odd[c, h]: character c is -1 at h
+    odd = np.array([[bin(c & h).count("1") & 1 for h in range(order)]
+                    for c in range(order)], dtype=bool)
+    conj = [_swap_low_bits(c) if swap else c for c in range(order)]
+    row_nz = rows.weight[:, :kept] != 0
+    col_nz = cols.weight != 0
+    row_scale = rows.weight[:, :kept].copy()
+    col_scale = cols.weight.copy()
+    halves, partners = [], []
+    if swap:
+        # a pair column of the sigma basis is nonzero where either orbit is
+        pair_nz = col_nz[:, nf:nf + npair] | col_nz[:, nf + npair:]
+        col_nz = np.concatenate([col_nz[:, :nf], pair_nz, pair_nz], axis=1)
+        col_scale[:, nf:] /= math.sqrt(2)
+        in_p1 = np.arange(kept) >= fixed
+    for c in range(order):
+        sc = conj[c]
+        if not swap:
+            r, cs = _span(row_nz[c]), _span(col_nz[c])
+            if r is not None and cs is not None:
+                halves.append(_Half(1.0, ((c, r, cs),)))
+        elif sc == c:
+            # sigma-even and sigma-odd halves: the F orbits of that sign
+            # and the pair columns x + y or x - y; each pair row stands
+            # for both of its orbits, sqrt 2 times
+            row_scale[c, fixed:] *= math.sqrt(2)
+            row_odd = odd[c, rows.swap_shift[:kept]] & ~in_p1
+            col_odd = odd[c, cols.swap_shift]
+            for parity in (False, True):
+                want = np.zeros(cols.reps.size, dtype=bool)
+                want[:nf] = col_odd[:nf] == parity
+                want[nf + npair * parity:nf + npair * (parity + 1)] = True
+                needed_rows = row_nz[c] & ((row_odd == parity) | in_p1)
+                r = _span(needed_rows)
+                cs = _span(col_nz[c] & want, col_nz[c] & ~want)
+                if r is not None and cs is not None:
+                    halves.append(_Half(1.0, ((c, r, cs),)))
+        elif c < sc:
+            # B_sc is B_c up to a signed permutation, so |G_sc| = |G_c|;
+            # the second orbits of B_c's row pairs are sc's P1 rows, whose
+            # F columns take the sign of c at sigma's shift and whose odd
+            # pair columns change sign
+            cs = _span(col_nz[c])
+            parts = tuple((char, r, cs) for char, r in (
+                (c, _span(row_nz[c])), (sc, _span(row_nz[sc] & in_p1)))
+                if r is not None)
+            if parts and cs is not None:
+                halves.append(_Half(2.0, parts))
+            col_scale[sc, :nf] *= np.where(odd[c, cols.swap_shift[:nf]], -1.0, 1.0)
+            partners.append(sc)
+    tables, size = [], 0
+    shapes = [(kept, m ** levels[k - 2].r), (order, kept, cols.reps.size)]
+    for half in halves:
+        n = np.arange(cols.reps.size)[half.parts[0][2]].size
+        shapes.append((n, n))
+    # every slice starts on a 64-byte boundary, so each table keeps the
+    # buffer's alignment for the vectorized kernels
+    for shape in shapes:
+        n = math.prod(shape)
+        tables.append((slice(size, size + n), shape))
+        size += -(-n // 8) * 8
+    n0 = len(colored.classes[0])
+    pinned = sum(len(colored.classes[c]) for c in range(k))
+    swap_axes = (tuple(range(n0, 2 * n0)) + tuple(range(n0))
+                 + tuple(range(2 * n0, pinned)) if swap else None)
+    row_of = np.where(rows.orbit < kept, rows.orbit, rows.orbit - rows.pairs)
+    shift = np.argmax(cols.rep_images[cols.orbit] == np.arange(cols.orbit.size)[:, None],
+                      axis=1)
+    return _VersionBlocks(
+        rows, cols, _orbit_rows(levels, rows.reps[:kept], m), row_of,
+        shift * cols.reps.size + cols.orbit,
+        row_scale[:, :, None], col_scale[:, None, :],
+        (col_scale * np.rint(cols.root_stab**2))[:, None, :],
+        (slice(nf, nf + npair), slice(nf + npair, None)) if swap else None,
+        np.array(partners, dtype=np.int64), tuple(halves), swap_axes,
+        tuple(tables))
 
 
 class _DoublingRun(NamedTuple):
@@ -720,12 +941,12 @@ class _DoublingRun(NamedTuple):
     values: np.ndarray  # the value matrix evaluated at
     tape: list  # the base plan's step results, the base table last
     # each level's root-weighted factor, innermost level first; with version
-    # blocks level k-2's factor holds only its rows at the row orbit
-    # representatives, the last level's factor, the Gram of level k-2, is
-    # never formed, and only its character blocks are kept
+    # blocks level k-2's factor holds only its kept rows, the last level's
+    # factor, the Gram of level k-2, is never formed, and only the blocks
+    # of level k-2 are kept
     factors: list
-    blocks: np.ndarray | None  # (H, nX, nY) character blocks of level k-2
-    grams: np.ndarray | None  # (H, nY, nY) the Gram of each block
+    blocks: np.ndarray | None  # (H, nK, nY) character blocks of the kept rows
+    grams: list | None  # the Gram of each half (_VersionBlocks.halves)
     table: np.ndarray  # the final table: a scalar once every class is glued
 
 
@@ -735,13 +956,7 @@ class _DoublingShape(NamedTuple):
     pinned: tuple[int, ...]
     levels: tuple[_Level, ...]
     plan: tuple[_Step, ...]
-    # with version blocks, else None: the version group's index maps on
-    # level k-2's rows and columns, the maps of level k-2's rows at the
-    # row orbit representatives (_orbit_rows), and the (slice, shape) of
-    # each table in the buffer of one run, which ends with the last slice
-    versions: tuple[_VersionOrbits, _VersionOrbits] | None
-    orbit_rows: _OrbitRows | None
-    block_tables: tuple[tuple[slice, tuple[int, ...]], ...] | None
+    versions: _VersionBlocks | None  # with version blocks, else None
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -767,23 +982,8 @@ def _doubling_shape(colored: ColoredGraph, k: int, m: int,
             )
     last = levels[k - 2] if k >= 3 else None
     if last is None or m ** (last.g + last.r) < _VERSION_BLOCK_MIN:
-        return _DoublingShape(pinned, levels, plan, None, None, None)
-    order = 1 << (k - 2)  # elements and characters of the group
-    rows, cols = (_version_orbits(m, len(colored.classes[c]), k - 2)
-                  for c in (k - 2, k - 1))
-    # level k-2's rows at the row orbit representatives, the blocks and
-    # their Grams: (slice, shape) of each in one buffer per run.  Every
-    # slice starts on a 64-byte boundary, so each table keeps the
-    # buffer's alignment for the vectorized kernels
-    block_tables, size = [], 0
-    for shape in ((rows.reps.size, m**last.r),
-                  (order, rows.reps.size, cols.reps.size),
-                  (order, cols.reps.size, cols.reps.size)):
-        n = math.prod(shape)
-        block_tables.append((slice(size, size + n), shape))
-        size += -(-n // 8) * 8
-    return _DoublingShape(pinned, levels, plan, (rows, cols),
-                          _orbit_rows(levels, rows, cols, m), tuple(block_tables))
+        return _DoublingShape(pinned, levels, plan, None)
+    return _DoublingShape(pinned, levels, plan, _version_blocks(colored, levels, k, m))
 
 
 class _Doubling:
@@ -809,28 +1009,49 @@ class _Doubling:
     is block diagonal in the basis of its characters (_version_orbits),
     one block A_c per character c.  The last level is the squared norm of
     the Gram A^T A, so d_k = sum_c |A_c^T A_c|^2, and the m^(2r) Gram is
-    never built.  At K_5, k = 4, m = 5 the 625 x 625 syrk becomes Grams of
-    four blocks of 175 or 150 rows and columns.  The blocks read A only at
-    the rows of its orbit representatives, and A is itself level k-3's
-    Gram, so that Gram is formed at those rows only (_orbit_rows): 175 of
-    625 there, and the adjoint goes back through level k-3 without
-    building either m^(2r) table.
+    never built.  The blocks read A only at the rows of its orbit
+    representatives, and A is itself level k-3's Gram, so that Gram is
+    formed at those rows only (_orbit_rows), and the adjoint goes back
+    through level k-3 without building either m^(2r) table.  Each block
+    keeps only the orbits on which its character is nonzero.
 
-    Those representative rows, the blocks and their Grams live and die
+    From k = 4 on, where the motif has the automorphism that swaps vertex
+    i of class 0 with vertex i of class 1 and fixes every other vertex
+    (every K_t has one), the first two doublings are interchangeable:
+    sigma, the swap of version bits 0 and 1 on A's rows and columns at
+    once, leaves A unchanged.  sigma permutes the orbits, so they are
+    ordered [F, P1, P2]: F the orbits it maps to themselves, P1 one of
+    each other pair and P2 = sigma(P1) in the same order.  A is formed
+    at the F and P1 representatives only (kept rows).  sigma maps block
+    c to block sigma(c) up to signs and a permutation, so where c !=
+    sigma(c) one block of the pair is kept and counted twice, its P2 rows
+    read off the partner's P1 rows.  Where c = sigma(c), the block splits
+    into a sigma-even half on the columns F+ and (P1 + P2)/sqrt 2 and a
+    sigma-odd half on F- and (P1 - P2)/sqrt 2, each pair row standing in
+    for both of its orbits sqrt 2 times; F+ and F- are the F orbits on
+    which sigma acts on c's basis vector by +1 or -1 (all of F at k = 4).
+    Over the even and odd pair columns of every block (_pair_butterfly),
+    each half and each kept block is a slice of the blocks table.  At
+    K_5, k = 4, m = 5 the kept rows are 120 of 625 (175 without sigma),
+    and four 175 x 175 blocks become halves of 120 and 55, one block of
+    105 + 45 rows by 160 columns counted twice, and halves of 105 and 45.
+
+    Those kept rows, the blocks and the Grams of their halves live and die
     with one run, so each run takes them as views of one buffer, at the
-    starts fixed in the shape (block_tables).  glibc hands freed heap
-    back to the system above twice the largest mapped block freed so
-    far.  Three tables of about 1 MB each (K_5, k = 4, m = 5) keep that
-    threshold under a call's working set, and every call faults about
-    1,800 pages in anew; one buffer of their joint size lifts it above.
+    starts fixed in the shape (_VersionBlocks.tables).  glibc hands freed
+    heap back to the system above twice the largest mapped block freed so
+    far.  Three tables of about 1 MB each (K_5, k = 4, m = 5, without
+    sigma) keep that threshold under a call's working set, and every call
+    faults about 1,800 pages in anew; one buffer of their joint size lifts
+    it above.
     """
 
     def __init__(self, colored: ColoredGraph, k: int, weights: np.ndarray,
                  budget: int):
         # before the cache, which would take k=True for k=1
         _check_count("k", k)
-        (self.pinned, self.levels, self.plan, self.versions, self.orbit_rows,
-         self.block_tables) = _doubling_shape(colored, k, weights.size, budget)
+        self.pinned, self.levels, self.plan, self.versions = _doubling_shape(
+            colored, k, weights.size, budget)
         self.m = m = weights.size
         self.weights = weights
         self.roots = np.sqrt(weights)
@@ -839,12 +1060,16 @@ class _Doubling:
             (m,) * len(self.pinned))
         if self.versions is not None:
             # the root products of level k-2's columns, which the version
-            # group fixes, in the basis of the trivial block: sqrt|O| times
-            # their value at the orbit's representative
-            cols = self.versions[1]
+            # group and sigma fix, in the columns of the first half (the
+            # trivial block, sigma-even): sqrt|O| times their value at the
+            # orbit's representative, in the sigma basis
+            vb = self.versions
             roots = _weight_products(self.roots, self.levels[-2].r)
-            order = 1 << (k - 2)  # elements and characters of the group
-            self.block_roots = roots[cols.reps] * np.sqrt(order) / cols.root_stab
+            s = roots[vb.cols.reps] * np.sqrt(1 << (k - 2)) / vb.cols.root_stab
+            if vb.pairs is not None:
+                s[vb.pairs[0]] *= math.sqrt(2)
+                s[vb.pairs[1]] = 0.0
+            self.block_roots = s[vb.halves[0].parts[0][2]]
 
     @functools.cached_property
     def base_weights(self) -> np.ndarray:
@@ -869,21 +1094,22 @@ class _Doubling:
         over the first g//2 axes and the rest, and sqrt(w_g) as the outer
         product of two short vectors.
 
-        With version blocks level k-2's factor holds only the rows of the
-        row orbit representatives; its q is fixed by the version group, so
-        it is read at every row from its orbit's representative.  The last
-        level's q is the Gram G of level k-2 and sqrt(w_g) the outer
-        product s s^T of that Gram's root products.  The version group
-        fixes s, so s lies in the trivial block: the
-        mean is s_1^T G_1 s_1 and the variance sum_{c != 1} |G_c|^2 +
-        |G_1 - mean s_1 s_1^T|^2, still a sum of squares, for G_1 and s_1
-        the trivial block and s in its basis.
+        With version blocks level k-2's factor holds only its kept rows;
+        its q is fixed by the version group (and sigma), so it is read at
+        every row from the kept row of its orbit.  The last level's q is
+        the Gram G of level k-2 and sqrt(w_g) the outer product s s^T of
+        that Gram's root products.  The version group and sigma fix s, so
+        s lies in the sigma-even half of the trivial block, the first
+        half: the mean is s_1^T G_1 s_1 and the variance the weighted sum
+        of |G|^2 over the other halves plus |G_1 - mean s_1 s_1^T|^2,
+        still a sum of squares, for G_1 and s_1 that half and s in its
+        basis.
         """
         m, out = self.m, []
         for level, a in zip(self.levels, run.factors):
             q = a @ _weight_products(self.roots, level.r) if level.r else a
-            if q.size < m**level.g:  # rows at the orbit representatives
-                q = q[self.versions[0].orbit]
+            if q.size < m**level.g:  # the kept rows
+                q = q[self.versions.row_of]
             h = level.g // 2
             q = q.reshape(m**h, m ** (level.g - h))
             s1 = _weight_products(self.roots, h)
@@ -891,9 +1117,11 @@ class _Doubling:
             mean = float(s1 @ q @ s2)
             out.append((mean, float(np.vdot(q, q)), _centered_sq(q, s1, s2, mean)))
         if run.grams is not None:
-            trivial, rest, s = run.grams[0], run.grams[1:], self.block_roots
-            mean = float(s @ trivial @ s)
-            var = float(np.vdot(rest, rest)) + _centered_sq(trivial, s, s, mean)
+            first, s = run.grams[0], self.block_roots
+            mean = float(s @ first @ s)
+            var = _centered_sq(first, s, s, mean)
+            for half, gram in zip(self.versions.halves[1:], run.grams[1:]):
+                var += half.weight * float(np.vdot(gram, gram))
             out.append((mean, float(run.table), var))
         return out
 
@@ -909,11 +1137,11 @@ class _Doubling:
         Every table is stored in the axis order its level reads, so each
         split is a view: a level's Gram is one syrk, copied once into the
         next level's order, with no copy where its perm is the identity.
-        With version blocks, level k-3's Gram is formed at the row orbit
-        representatives only, level k-2's factor, so formed, is split
-        into its blocks, and the last level is the squared norm of their
-        Grams; those three tables are views of one buffer per run (see
-        the class docstring)."""
+        With version blocks, level k-3's Gram is formed at the kept rows
+        only, level k-2's factor, so formed, is split into its blocks
+        (_blocks), and the last level is the weighted sum of the squared
+        norms of their Grams; those tables are views of one buffer per run
+        (see the class docstring)."""
         m = self.m
         tape = _forward(self.plan, values, self.weights, keep_tape)
         table = tape[-1] * self.base_roots
@@ -921,24 +1149,13 @@ class _Doubling:
         # the level whose table runs on version blocks, if any
         blocked = len(self.levels) - 2 if self.versions is not None else -1
         if blocked >= 0:
-            buffer = np.empty(self.block_tables[-1][0].stop)
-            rep_rows, blocks, grams = (buffer[part].reshape(shape)
-                                       for part, shape in self.block_tables)
+            buffer = np.empty(self.versions.tables[-1][0].stop)
+            rep_rows, blocks, *grams = (buffer[part].reshape(shape)
+                                        for part, shape in self.versions.tables)
         for j, level in enumerate(self.levels):
             if j == blocked:
-                # table holds level k-2's rows at the row orbit
-                # representatives; a[rep_o, h . rep_o'] for each h, then
-                # summed against each character over h
-                rows, cols = self.versions
                 factors.append(table)
-                for h, images in enumerate(cols.rep_images.T):
-                    np.take(table, images, axis=1, out=blocks[h])
-                _walsh_hadamard(blocks)
-                blocks *= rows.weight[:, :, None]
-                blocks *= cols.weight[:, None, :]
-                for b, gram in zip(blocks, grams):
-                    np.matmul(b.T, b, out=gram)
-                table = np.asarray(np.vdot(grams, grams))
+                table = np.asarray(self._blocks(table, blocks, grams))
                 break
             a = table.reshape(m**level.g, m**level.r)
             factors.append(a)
@@ -950,6 +1167,31 @@ class _Doubling:
                 gram = (a.T @ a).reshape((m,) * (2 * level.r))
                 table = np.asarray(gram.transpose(level.perm), order="C")
         return _DoublingRun(values, tape, factors, blocks, grams, table)
+
+    def _blocks(self, rows: np.ndarray, blocks: np.ndarray, grams) -> float:
+        """d_k from level k-2's kept rows: a[rep_o, h . rep_o'] for each h,
+        summed against each character over h and scaled into the version
+        basis (with sigma, into its even and odd pair columns too), then
+        the Gram of each half, written into `blocks` and `grams`."""
+        vb = self.versions
+        for h, images in enumerate(vb.cols.rep_images.T):
+            np.take(rows, images, axis=1, out=blocks[h])
+        _walsh_hadamard(blocks)
+        blocks *= vb.row_scale
+        blocks *= vb.col_scale
+        if vb.pairs is not None:
+            _pair_butterfly(blocks, *vb.pairs)
+            blocks[vb.partners, :, vb.pairs[1]] *= -1.0
+        total = 0.0
+        for half, gram in zip(vb.halves, grams):
+            (c, r, cs), *rest = half.parts
+            x = blocks[c][r, cs]
+            np.matmul(x.T, x, out=gram)
+            for c, r, cs in rest:
+                x = blocks[c][r, cs]
+                gram += x.T @ x
+            total += half.weight * float(np.vdot(gram, gram))
+        return total
 
     def base_adjoint(self, run: _DoublingRun) -> np.ndarray:
         """Adjoint on the base table of the final density.
@@ -964,72 +1206,98 @@ class _Doubling:
         the Gram in, so it is copied once back into the Gram's raw order
         (no copy where the perm is the identity), and a T is one product.
 
-        With version blocks, the last level's adjoint is the Gram G itself,
-        so level k-2's is A G = sum_c A_c G_c in the character basis: one
-        product per block, then a Walsh-Hadamard transform over the
-        characters, in place.  A G commutes with the version group too, so
-        its entries are read off the orbit representatives, gathered for
-        level k-3's product a T one class k-2 part at a time: no table of
-        A G's size is built in the standard basis.  At K_5, k = 4, m = 5
-        that replaces two 625 x 625 products by four of at most 175 rows
-        and columns and 25 of 25 x 625 x 25."""
+        With version blocks the reverse pass is the exact adjoint of the
+        forward maps, which read level k-2 at its kept rows only: each
+        half's adjoint X G, back through the sigma basis, the scales, the
+        Walsh-Hadamard transform and the take into the kept rows
+        (_blocks_adjoint), then the transposes of _rep_rows' products
+        (_rep_rows_adjoint).  That reduced objective is d_k wherever the
+        version group and sigma fix level k-2's table, but off it T need
+        not be symmetric, so every level from k-3 down takes a (T + T^T).
+        The version group fixes the table for every base table.  sigma
+        fixes it where the base table is symmetric under the swap of
+        classes 0 and 1, which the motif's automorphism makes it, and d_k
+        is symmetric under that swap too, so the adjoint of d_k is the
+        reduced one averaged over the swap.  At K_5, k = 4, m = 5 the
+        reverse pass builds no m^r x m^r table."""
         m = self.m
         if not self.levels:
             return self.base_roots.copy()
         pairs = list(zip(self.levels, run.factors))
         level, a = pairs.pop()
-        if run.grams is None:
-            tbar = a
-        else:
-            rows, cols = self.versions
-            b = run.blocks @ run.grams  # one block per element of the group
-            b *= rows.root_stab[:, None] / len(b)
-            b *= cols.root_stab
-            # summed over the characters: entry (h, o, o') is A G at
-            # (rep_o, h . rep_o'), so A G at (x, y) is its entry
-            # (h_x XOR h_y, orbit(x), orbit(y))
-            _walsh_hadamard(b)
+        blocked = run.grams is not None
+        if blocked:
             level, a = pairs.pop()
-            tbar = self._rep_rows_adjoint(a, b.reshape(-1))
+            tbar = self._rep_rows_adjoint(a, self._blocks_adjoint(run))
+            scale = 4.0  # the squared norm of a Gram: 2, twice
+        else:
+            tbar, scale = a, 2.0 ** len(self.levels)
         tbar = tbar.reshape((m,) * (level.g + level.r))
         for level, a in reversed(pairs):
-            tbar = a @ tbar.transpose(level.inv).reshape(m**level.r, m**level.r)
+            t = tbar.transpose(level.inv).reshape(m**level.r, m**level.r)
+            tbar = a @ (t + t.T if blocked else t)
             tbar = tbar.reshape((m,) * (level.g + level.r))
         out = tbar * self.base_roots
-        out *= 2.0 ** len(self.levels)
+        out *= scale
+        if blocked and self.versions.swap_axes is not None:
+            out += out.transpose(self.versions.swap_axes)
+            out *= 0.5
         return out
 
     def _rep_rows(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Level k-2's table at the row orbit representatives only, from
-        level k-3's factor a (see _orbit_rows), written into out and
-        returned: one product per class k-2 part u_g of the first copy,
-        against the parts v_g that pair with it in a representative."""
-        maps = self.orbit_rows
+        """Level k-2's table at its kept rows only, from level k-3's factor
+        a (see _orbit_rows), written into out and returned: one product per
+        class k-2 part v_g of the second copy, C[:, us, :]^T C[:, v_g, :]
+        against the parts u_g that pair with it in a kept row, whose rows
+        (u_g, u_r) come out in the kept rows' own order."""
+        maps = self.versions.orbit_rows
         size_r = self.m ** (self.levels[-2].r // 2)
-        c = a.reshape(a.shape[0], -1, size_r)
-        for u, vs, dest in maps.groups:
-            # (u_r, v_g, v_r), then one row per v_g
-            prod = c[:, u].T @ c.take(vs, axis=1).reshape(a.shape[0], -1)
-            prod = prod.reshape(size_r, vs.size, size_r).transpose(1, 0, 2)
-            prod = prod.reshape(vs.size, -1)
+        # (class k-2, class k-1, glued): each part's C[:, u, :]^T is contiguous
+        ct = a.reshape(a.shape[0], -1, size_r).transpose(1, 2, 0).copy()
+        for v, us, dest in maps.groups:
+            prod = ct[us].reshape(-1, a.shape[0]) @ ct[v].T
+            prod = prod.reshape(us.size, -1)
             out[dest] = prod if maps.cols is None else prod[:, maps.cols]
         return out
 
-    def _rep_rows_adjoint(self, a: np.ndarray, ag: np.ndarray) -> np.ndarray:
-        """a T for level k-3's factor a and T the adjoint of its Gram in raw
-        axis order, which is level k-2's A G; ag holds that as its
-        character-summed blocks, flattened (see _orbit_rows).  The columns
-        (u_g, .) of a T read the rows x = (u_g, v_g) of A G for every v_g,
-        gathered as a (v_g, v_r) x u_r matrix, so each class k-2 part u_g
-        costs one gather and one product, and no table of T's size is
+    def _rep_rows_adjoint(self, a: np.ndarray, rbar: np.ndarray) -> np.ndarray:
+        """a (T + T^T) for level k-3's factor a and T the adjoint of its
+        Gram in raw axis order, which is rbar, the adjoint of the kept rows,
+        at those rows and zero elsewhere: the transposes of _rep_rows'
+        products, two per class k-2 part v_g, so no table of T's size is
         built."""
-        maps = self.orbit_rows
+        maps = self.versions.orbit_rows
         size_r = self.m ** (self.levels[-2].r // 2)
-        out = np.empty((maps.offset.shape[0], a.shape[0], size_r))
-        for u, (offset, shift) in enumerate(zip(maps.offset, maps.shift)):
-            t = ag.take(offset[:, None] + maps.expand[shift])
-            np.matmul(a, t.reshape(-1, size_r), out=out[u])
-        return out.transpose(1, 0, 2).reshape(a.shape[0], -1)
+        # in the (class k-2, class k-1, glued) layout of _rep_rows
+        ct = a.reshape(a.shape[0], -1, size_r).transpose(1, 2, 0).copy()
+        out = np.zeros_like(ct)
+        for v, us, dest in maps.groups:
+            pbar = rbar[dest] if maps.cols is None else rbar[dest][:, maps.inverse]
+            pbar = pbar.reshape(-1, size_r)  # (u_g, u_r) x v_r
+            out[v] += pbar.T @ ct[us].reshape(-1, a.shape[0])
+            out[us] += (pbar @ ct[v]).reshape(us.size, size_r, -1)
+        return out.transpose(2, 0, 1).reshape(a.shape[0], -1)
+
+    def _blocks_adjoint(self, run: _DoublingRun) -> np.ndarray:
+        """The adjoint of _blocks' d_k in level k-2's kept rows, over 4:
+        weight X G for each part X of each half, then back through each
+        map of _blocks in reverse, each its own adjoint but the take,
+        whose adjoint adds every block entry back into the row entry it
+        was read from."""
+        vb = self.versions
+        bar = np.zeros_like(run.blocks)
+        for half, gram in zip(vb.halves, run.grams):
+            for c, r, cs in half.parts:
+                xg = run.blocks[c][r, cs] @ gram
+                bar[c][r, cs] = xg if half.weight == 1.0 else half.weight * xg
+        if vb.pairs is not None:
+            bar[vb.partners, :, vb.pairs[1]] *= -1.0
+            _pair_butterfly(bar, *vb.pairs)
+        bar *= vb.row_scale
+        bar *= vb.col_scale_adjoint
+        _walsh_hadamard(bar)
+        bar = bar.transpose(1, 0, 2).reshape(bar.shape[1], -1)
+        return np.take(bar, vb.gather, axis=1)
 
     def gradient(self, run: _DoublingRun, base_bar: np.ndarray) -> np.ndarray:
         """Gradient in the ordered value-matrix entries of sum(base_bar *
@@ -1047,6 +1315,7 @@ def doubling_density(colored: ColoredGraph, k: int, graphon: StepGraphon,
     runs in time polynomial in the table sizes of the glued classes instead
     of exponential in the doubled motif's vertex count.
     """
+    budget = _check_budget(budget)
     run = _Doubling(colored, k, graphon.weights, budget).forward(graphon.values)
     return float(run.table[()])
 
@@ -1060,6 +1329,7 @@ def doubling_step_moments(colored: ColoredGraph, j: int, graphon: StepGraphon,
     weights of that class: the (j-1)-st and j-th densities of the
     Cauchy-Schwarz chain and their gap (see _Doubling.moments).
     """
+    budget = _check_budget(budget)
     _check_count("j", j)
     if not 1 <= j <= colored.num_classes:
         raise ValueError(f"step {j} out of range for {colored.num_classes} classes")
@@ -1091,6 +1361,7 @@ def graphon_density_gradient(motif: Graph, graphon: StepGraphon,
     One forward pass over the motif's compiled plan, keeping its tape, and
     one reverse pass from the unit adjoint of the density.
     """
+    budget = _check_budget(budget)
     m = graphon.num_parts
     if motif.n == 0:
         return 1.0, np.zeros((m, m))
@@ -1109,6 +1380,7 @@ def doubling_density_gradient(colored: ColoredGraph, k: int,
     level's Gram product and the root weights down to the base table, then
     takes one reverse pass over the base table's compiled plan.
     """
+    budget = _check_budget(budget)
     doubling = _Doubling(colored, k, graphon.weights, budget)
     run = doubling.forward(graphon.values, keep_tape=True)
     grad = doubling.gradient(run, doubling.base_adjoint(run))

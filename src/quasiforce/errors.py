@@ -21,3 +21,13 @@ def _check_count(name: str, value) -> int:
             isinstance(value, numbers.Integral) and value >= 0):
         raise ValueError(f"{name} must be a non-negative integer; got {value!r}")
     return int(value)
+
+
+def _check_budget(value) -> int:
+    """A table budget, the most entries of any table: a positive integer
+    (numpy integers too) as a Python int; bools, floats and values below 1
+    are refused, naming it."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral) and value >= 1):
+        raise ValueError(f"budget must be a positive integer; got {value!r}")
+    return int(value)

@@ -36,7 +36,7 @@ from .density import (
     _Doubling,
     _DoublingRun,
 )
-from .errors import _check_count
+from .errors import _check_budget, _check_count
 from .graphon import StepGraphon, constant_graphon, random_near_constant
 from .graphs import Graph, ColoredGraph, complete_graph
 from .identities import default_doublings
@@ -426,6 +426,7 @@ def run_forcing_trial(t: int, p: float, start: StepGraphon, seed: int = 0,
     ``t``, ``k``, the start's number of parts, ``p`` and ``seed``, which
     the trial only records, are checked as in forcing_experiment.
     """
+    budget = _check_budget(budget)
     k = _check_problem(t, start.num_parts, p, k)
     _check_tol(tol)
     _check_count("max_iter", max_iter)
@@ -491,6 +492,7 @@ def forcing_experiment(t: int, p: float, m: int, trials: int, seed: int = 0,
     in [1, 10000] are integers, ``tol`` is finite and non-negative, and
     ``max_iter`` and ``seed`` are non-negative integers.
     """
+    budget = _check_budget(budget)
     k = _check_problem(t, m, p, k)
     _check_count("trials", trials)
     if not 1 <= trials <= _MAX_TRIALS:
@@ -665,6 +667,7 @@ def delta_epsilon_probe(t: int, p: float, deltas, m: int, seed: int = 0,
     optimum.  Every delta must be finite and non-negative.  Every argument
     is checked before the search binds its one pair evaluator.
     """
+    budget = _check_budget(budget)
     k = _check_problem(t, m, p, k)
     _check_count("max_iter", max_iter)
     _check_count("seed", seed)
@@ -743,6 +746,7 @@ def contrast_experiment(p: float = 0.5,
                         budget: int = DEFAULT_BUDGET) -> ContrastResult:
     """Evaluate the non-forcing witness: densities match, distance does not
     shrink."""
+    budget = _check_budget(budget)
     graphon, b = non_forcing_witness(p)
     edge = graphon_density(Graph(2, [(0, 1)]), graphon, budget=budget)
     triangle = graphon_density(_clique(3).graph, graphon, budget=budget)

@@ -28,7 +28,7 @@ from .density import (
     pinned_table,
     _Doubling,
 )
-from .errors import _check_count
+from .errors import _check_budget, _check_count
 from .graphon import StepGraphon
 from .graphs import complete_graph
 from .serialize import record_dict
@@ -45,7 +45,7 @@ __all__ = [
 
 def default_doublings(t: int) -> int:
     """Number of doublings paired with K_t by default: ceil((t+1)/2)."""
-    return (t + 2) // 2
+    return (_check_count("t", t) + 2) // 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,6 +103,7 @@ def check_identity(graphon: StepGraphon, p: float, t: int, k: int | None = None,
     the lexicographically smallest of them: which permutation of a tuple
     happens to round highest never decides the report.
     """
+    budget = _check_budget(budget)
     k = _check_tkp(t, k, p)
     table = pinned_table(complete_graph(t).graph, tuple(range(k)), graphon,
                          budget=budget)
@@ -126,6 +127,7 @@ def identity_residual_at(graphon: StepGraphon, p: float, t: int, k: int,
     Independent of the table route in check_identity: the pinned K_t
     density comes from pinned_density's exactly rounded per-assignment sum.
     """
+    budget = _check_budget(budget)
     _check_tkp(t, k, p)
     parts = tuple(parts)
     if len(parts) != k:
@@ -174,6 +176,7 @@ def cs_chain_check(t: int, k: int, graphon: StepGraphon,
     is the mean of level j's pinned density and d_k is the final table.
     Binding checks every level against the budget before any contraction.
     """
+    budget = _check_budget(budget)
     _check_count("t", t)
     if t < 2:
         raise ValueError("t must be at least 2")

@@ -729,8 +729,9 @@ def _assert_gluing_matches_dense(doubling, g, tol=1e-14):
         a = factors[-2]
         full = (a.T @ a).reshape((m,) * (2 * prev.r)).transpose(prev.perm)
         full = full.reshape(m**level.g, m**level.r)
-        reps = doubling.versions[0].reps
-        assert factors[-1].shape == (reps.size, m**level.r)
+        kept = doubling.versions.rows.reps.size - doubling.versions.rows.pairs
+        reps = doubling.versions.rows.reps[:kept]
+        assert factors[-1].shape == (kept, m**level.r)
         np.testing.assert_allclose(factors[-1], full[reps], rtol=0,
                                    atol=tol * np.abs(full).max())
         factors[-1] = full
@@ -769,8 +770,29 @@ def _assert_gluing_matches_dense(doubling, g, tol=1e-14):
                                atol=1e-13 * np.abs(want).max())
 
 
+@st.composite
+def _swappable_motifs(draw):
+    """Random colored motifs of four classes whose classes 0 and 1, of one
+    or two vertices each, swap vertex for vertex under an automorphism
+    that fixes the two singleton classes 2 and 3: the edges are a random
+    union of orbits of that swap."""
+    size = draw(st.integers(1, 2))
+    classes = (tuple(range(size)), tuple(range(size, 2 * size)),
+               (2 * size,), (2 * size + 1,))
+    color = {v: j for j, cls in enumerate(classes) for v in cls}
+    image = {v: v for v in color}
+    for u, v in zip(classes[0], classes[1]):
+        image[u], image[v] = v, u
+    orbits = sorted({tuple(sorted({(u, v), tuple(sorted((image[u], image[v])))}))
+                     for u in color for v in color if u < v and color[u] != color[v]})
+    keep = draw(st.lists(st.booleans(), min_size=len(orbits), max_size=len(orbits)))
+    edges = sorted({e for orbit, y in zip(orbits, keep) if y for e in orbit})
+    return ColoredGraph(Graph(2 * size + 2, tuple(edges)), classes)
+
+
 @settings(deadline=None, max_examples=30)
-@given(colored=_colored_motifs(), m=st.integers(1, 4), seed=st.integers(0, 2**16))
+@given(colored=st.one_of(_colored_motifs(), _swappable_motifs()),
+       m=st.integers(1, 4), seed=st.integers(0, 2**16))
 def test_gluing_levels_blocked_and_symmetric(colored, m, seed):
     g = _graphon_from_seed(seed, m, 0.0, 1.0)
     for k in range(1, colored.num_classes + 1):
@@ -780,6 +802,8 @@ def test_gluing_levels_blocked_and_symmetric(colored, m, seed):
         except UnsupportedSizeError:
             break
         assert (doubling.versions is None) == (k < 3)
+        if k == 4:  # every swappable motif takes sigma from four doublings on
+            assert doubling.versions.pairs is not None
         _assert_gluing_matches_dense(doubling, g)
 
 
@@ -797,13 +821,16 @@ _BLOCK_MOTIFS = {
     "W5": (ColoredGraph(Graph(5, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
                                   (2, 4), (3, 4), (0, 4))),
                         ((0,), (1,), (2, 3), (4,))), 4),
+    "K5": (complete_graph(5), 4),
 }
+# parts above which a motif's cases are left out, to keep the run short
+_BLOCK_PARTS = {"K5": 3}
 
 
 def _blocked_cases():
     for name, (colored, k) in sorted(_BLOCK_MOTIFS.items()):
         _, levels = density._doubling_layout(colored.classes, k)
-        for m in range(1, 6):
+        for m in range(1, _BLOCK_PARTS.get(name, 5) + 1):
             if m ** (levels[k - 2].g + levels[k - 2].r) <= 5**8:
                 yield name, k, m
 
@@ -830,19 +857,22 @@ def test_version_blocks_against_oracles(name, k, m):
             value, grad = doubling_density_gradient(colored, k, g)
         # the character blocks split the rows and the columns of level k-2
         level = doubling.levels[k - 2]
-        rows, cols = doubling.versions
+        rows, cols = doubling.versions.rows, doubling.versions.cols
         assert np.count_nonzero(rows.weight) == m**level.g
         assert np.count_nonzero(cols.weight) == m**level.r
         expanded = iterated_double(colored, k).graph
+        want = None
         if m ** expanded.n <= 3**9:
             want = brute_graphon_density(expanded, g.weights, g.values)
-        else:
+        elif expanded.n <= 32:  # K_5's 48 vertices take minutes to plan
             try:
                 want = graphon_density(expanded, g)
             except UnsupportedSizeError:
-                # too wide to eliminate: the dense Gram recursion instead
-                doubling.versions = None
-                want = float(doubling.forward(g.values).table)
+                pass
+        if want is None:
+            # too wide to eliminate: the dense Gram recursion instead
+            doubling.versions = None
+            want = float(doubling.forward(g.values).table)
         assert value == pytest.approx(want, rel=1e-12, abs=0)
         with _always_blocked():
             fd = _fd_gradient(lambda x: doubling_density(colored, k, x), g, h=1e-6)
@@ -890,6 +920,87 @@ def test_character_mask_against_stabilizers(bits, m, n):
     # sqrt is correctly rounded, so this holds exactly iff root_stab**2
     # is |S_o|
     np.testing.assert_array_equal(orbits.root_stab, np.sqrt(stab.sum(axis=1)))
+
+
+def test_swap_of_the_first_two_doublings_for_cliques_only():
+    # K_t from four doublings on swaps classes 0 and 1; W5 and C6 do not,
+    # and three doublings leave one version bit, so no sigma
+    g = _random_graphon(np.random.default_rng(59), 2)
+    with _always_blocked():
+        for colored, k, swapped in [(complete_graph(t), 4, True) for t in (4, 5, 6)] + [
+                (*_BLOCK_MOTIFS["W5"], False), (*_BLOCK_MOTIFS["C6"], False),
+                (complete_graph(4), 3, False)]:
+            vb = density._Doubling(colored, k, g.weights, density.DEFAULT_BUDGET).versions
+            assert (vb.pairs is not None) == swapped
+            assert (vb.swap_axes is not None) == swapped
+            assert (vb.rows.pairs > 0) == swapped
+
+
+def test_swap_keeps_one_of_each_conjugate_pair_and_splits_the_rest():
+    # K_5, k = 4, m = 5: 120 of the 175 row orbits are formed, and the
+    # blocks are the trivial character's even and odd halves, one block of
+    # the conjugate pair (1, 2) counted twice, and character 3's halves,
+    # with no zero row or column
+    vb = density._doubling_shape(complete_graph(5), 4, 5, density.DEFAULT_BUDGET).versions
+    assert vb.tables[0][1] == (120, 625)
+    shapes = [(half.weight, [(c, np.arange(175)[r].size, np.arange(175)[cs].size)
+                             for c, r, cs in half.parts]) for half in vb.halves]
+    assert shapes == [(1.0, [(0, 120, 120)]), (1.0, [(0, 55, 55)]),
+                      (2.0, [(1, 105, 160), (2, 45, 160)]),
+                      (1.0, [(3, 105, 105)]), (1.0, [(3, 45, 45)])]
+    assert all(isinstance(r, slice) and isinstance(cs, slice)
+               for half in vb.halves for _, r, cs in half.parts)
+
+
+def _plain_blocks(doubling, g):
+    """The Gram of every character block of level k-2's whole table, from
+    the plain version maps: no sigma, no kept rows, no trimming."""
+    m, k = g.num_parts, len(doubling.levels)
+    a = doubling.forward(g.values).factors[-2]
+    prev, level = doubling.levels[-3:-1]
+    full = (a.T @ a).reshape((m,) * (2 * prev.r)).transpose(prev.perm)
+    full = full.reshape(m**level.g, m**level.r)
+    rows, cols = (density._version_orbits(m, 1, k - 2) for _ in range(2))
+    out = []
+    for c in range(1 << (k - 2)):
+        sign = np.array([(-1) ** bin(c & h).count("1") for h in range(1 << (k - 2))])
+        block = np.einsum("h,rch->rc", sign, full[rows.reps][:, cols.rep_images])
+        block *= rows.weight[c][:, None] * cols.weight[c]
+        out.append(block.T @ block)
+    return out
+
+
+@pytest.mark.parametrize("t,m", [(4, 3), (5, 2), (6, 2)])
+def test_conjugate_characters_have_equal_squared_grams(t, m):
+    # sigma swaps characters 1 and 2: their blocks agree up to a signed
+    # permutation, so one of them, counted twice, stands for both; the
+    # plain blocks sum to d_k
+    for g in _skewed_graphons_at(m):
+        with _always_blocked():
+            doubling = density._Doubling(complete_graph(t), 4, g.weights,
+                                         density.DEFAULT_BUDGET)
+            grams = _plain_blocks(doubling, g)
+            value = doubling_density(complete_graph(t), 4, g)
+        norms = [np.vdot(x, x) for x in grams]
+        assert norms[1] == pytest.approx(norms[2], rel=1e-12, abs=0)
+        assert norms[1] > 0
+        assert sum(norms) == pytest.approx(value, rel=1e-12, abs=0)
+
+
+def test_swap_forced_onto_an_asymmetric_motif_is_caught(monkeypatch):
+    # W5 has no automorphism that swaps classes 0 and 1, so sigma does not
+    # fix its level k-2 table; forcing the sigma path onto it must move the
+    # value away from the oracle that the version-block tests compare with
+    colored, k = _BLOCK_MOTIFS["W5"]
+    # the other graphon has a part of weight about 1e-9, so it is nearly
+    # constant, and sigma nearly fixes it
+    g = _skewed_graphons_at(2)[1]
+    want = doubling_density(colored, k, g)  # the dense Gram recursion at m = 2
+    assert density._Doubling(colored, k, g.weights, density.DEFAULT_BUDGET).versions is None
+    with _always_blocked():
+        monkeypatch.setattr(density, "_swaps_first_classes", lambda colored: True)
+        value = doubling_density(colored, k, g)
+    assert value != pytest.approx(want, rel=1e-6, abs=0)
 
 
 def test_version_blocks_by_default_on_large_tables():

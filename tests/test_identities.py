@@ -15,13 +15,20 @@ from quasiforce import (
     check_identity,
     complete_graph,
     constant_graphon,
+    contrast_experiment,
     cs_chain_check,
     cycle_graph,
     default_doublings,
+    delta_epsilon_probe,
     doubling_density,
     doubling_step_moments,
+    forcing_experiment,
     graphon_density,
+    graphon_density_gradient,
+    hom_count,
+    hom_density,
     identity_residual_at,
+    run_forcing_trial,
     double,
     doubling_density_gradient,
     evaluate_pinned,
@@ -126,12 +133,44 @@ _K3 = complete_graph(3)
     ("assigned part", lambda: pinned_density(_K3.graph, (1,), {1: 1.7}, _G)),
     ("pinned vertex", lambda: evaluate_pinned(_K3.graph, (0.5,), {0: 0}, _G)),
     ("assigned part", lambda: evaluate_pinned(_K3.graph, (1,), {1: 1.7}, _G)),
+    ("t", lambda: default_doublings(3.5)),
+    ("t", lambda: default_doublings(True)),
 ], ids=lambda x: x if isinstance(x, str) else "")
 def test_sizes_refused_by_name(name, call):
     # sizes, doublings, pinned vertices and parts are integers, never
     # truncated or read as bools; checked before any range check
     with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer"):
         call()
+
+
+_BUDGET_CALLS = {
+    "hom_count": lambda b: hom_count(_K3.graph, _K3.graph, budget=b),
+    "hom_density": lambda b: hom_density(_K3.graph, _K3.graph, budget=b),
+    "graphon_density": lambda b: graphon_density(_K3.graph, _G, budget=b),
+    "pinned_density": lambda b: pinned_density(_K3.graph, (0,), {0: 0}, _G, budget=b),
+    "pinned_table": lambda b: pinned_table(_K3.graph, (0,), _G, budget=b),
+    "evaluate_pinned": lambda b: evaluate_pinned(_K3.graph, (0,), {0: 0}, _G, budget=b),
+    "doubling_density": lambda b: doubling_density(_K3, 1, _G, budget=b),
+    "doubling_step_moments": lambda b: doubling_step_moments(_K3, 1, _G, budget=b),
+    "graphon_density_gradient": lambda b: graphon_density_gradient(_K3.graph, _G, budget=b),
+    "doubling_density_gradient": lambda b: doubling_density_gradient(_K3, 1, _G, budget=b),
+    "check_identity": lambda b: check_identity(_G, 0.5, 3, budget=b),
+    "identity_residual_at": lambda b: identity_residual_at(_G, 0.5, 3, 2, (0, 1), budget=b),
+    "cs_chain_check": lambda b: cs_chain_check(3, 2, _G, budget=b),
+    "run_forcing_trial": lambda b: run_forcing_trial(3, 0.5, _G, budget=b),
+    "forcing_experiment": lambda b: forcing_experiment(3, 0.5, 2, 1, budget=b),
+    "delta_epsilon_probe": lambda b: delta_epsilon_probe(3, 0.5, [0.0], 2, budget=b),
+    "contrast_experiment": lambda b: contrast_experiment(0.5, budget=b),
+}
+
+
+@pytest.mark.parametrize("budget", [True, 0, -1, 2.5, 16.0])
+@pytest.mark.parametrize("name", sorted(_BUDGET_CALLS))
+def test_budget_refused_by_name(name, budget):
+    # a budget is a positive integer: True is not read as one entry, and
+    # neither a fraction nor a count below 1 reaches a size check
+    with pytest.raises(ValueError, match="^budget must be a positive integer"):
+        _BUDGET_CALLS[name](budget)
 
 
 def test_no_table_mode():

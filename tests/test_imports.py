@@ -192,15 +192,15 @@ def test_checker_finds_private_imports():
 # every private name one library module imports from another, keyed by
 # (importer, source): a new one is a deliberate edit of this table
 _PRIVATE_IMPORTS = {
-    ("density", "errors"): ["_check_count"],
+    ("density", "errors"): ["_check_budget", "_check_count"],
     ("density", "graphon"): ["_adjacency"],
     ("experiments", "density"): ["_Doubling", "_DoublingRun", "_density_plan"],
-    ("experiments", "errors"): ["_check_count"],
+    ("experiments", "errors"): ["_check_budget", "_check_count"],
     ("graphon", "errors"): ["_check_count"],
     ("graphon", "graphs"): ["_fields"],
     ("graphs", "errors"): ["_check_count"],
     ("identities", "density"): ["_Doubling"],
-    ("identities", "errors"): ["_check_count"],
+    ("identities", "errors"): ["_check_budget", "_check_count"],
     ("quasirandom", "errors"): ["_check_count"],
     ("quasirandom", "graphon"): ["_adjacency"],
     ("sampling", "errors"): ["_check_count"],
