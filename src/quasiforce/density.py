@@ -28,9 +28,14 @@ Three evaluation strategies share one sum-product core:
   and P2 the images of P1, the P2 rows are never formed, a pair of
   characters that sigma swaps keeps one block counted twice, and a
   character it fixes splits into a sigma-even and a sigma-odd half, all
-  cut from the blocks by slices.  Level k-2's kept rows, the blocks and
-  their Grams share one buffer per run: as one freed allocation it is
-  what sets glibc's trim threshold, which then covers a whole call, so
+  cut from the blocks by slices.  The blocks are a linear map of the kept
+  rows that acts on every row alike, and each column orbit reads only its
+  own columns, so the kept rows are gathered once, transposed, into the
+  order of runs of orbits that share one small coefficient matrix, and
+  each run is one product into the blocks, stored transposed.  Level
+  k-2's kept rows, the blocks, their Grams and the reverse pass's adjoint
+  of the kept rows share one buffer per run: as one freed allocation it
+  is what sets glibc's trim threshold, which then covers a whole call, so
   the next call reuses mapped pages rather than faulting its working set
   back in.
 
@@ -60,7 +65,7 @@ import functools
 import math
 import string
 from dataclasses import dataclass
-from itertools import product as iter_product
+from itertools import groupby, product as iter_product
 from typing import NamedTuple
 
 import numpy as np
@@ -571,35 +576,17 @@ def _centered_sq(q: np.ndarray, u: np.ndarray, v: np.ndarray, mean: float) -> fl
 _VERSION_BLOCK_MIN = 1 << 13
 
 
-def _walsh_hadamard(b: np.ndarray) -> None:
-    """b[h] = sum_c (-1)^popcount(c & h) b[c] over the first axis, in
-    place, one butterfly per bit: the product with the Sylvester-Hadamard
-    matrix, whose entry (c, h) is character c of (Z2)^bits at h."""
-    tmp = np.empty_like(b[0])
-    half = 1
-    while half < len(b):
-        for c in range(len(b)):
-            if c & half:
-                np.subtract(b[c - half], b[c], out=tmp)
-                b[c - half] += b[c]
-                b[c] = tmp
-        half *= 2
+def _characters(bits: int) -> np.ndarray:
+    """chi[c, h] = (-1)^popcount(c & h): character c of (Z2)^bits at h."""
+    order = 1 << bits
+    return np.array([[-1 if bin(c & h).count("1") & 1 else 1 for h in range(order)]
+                     for c in range(order)])
 
 
 def _swap_low_bits(v: int) -> int:
     """v with bits 0 and 1 swapped: the swap sigma on versions and on
     characters of the version group."""
     return v ^ 3 if (v ^ v >> 1) & 1 else v
-
-
-def _pair_butterfly(b: np.ndarray, p1: slice, p2: slice) -> None:
-    """(x, y) -> (x + y, x - y) on the column slices p1 and p2 of b, in
-    place: the basis change to sigma-even and sigma-odd pair columns, up to
-    the factor 1/sqrt 2 the column scales carry.  Its matrix is symmetric,
-    so it is also its own adjoint."""
-    diff = b[..., p1] - b[..., p2]
-    b[..., p1] += b[..., p2]
-    b[..., p2] = diff
 
 
 class _VersionOrbits(NamedTuple):
@@ -683,8 +670,7 @@ def _version_orbits(m: int, n: int, bits: int, swap: bool = False) -> _VersionOr
             images[:, reps[:fixed.size]] == sigma[reps[:fixed.size]], axis=0)
     # the indicator of each orbit's stabilizer S_o, summed against every
     # character c: |S_o| where c is trivial on S_o, else 0
-    trivial = (images[:, reps] == reps).astype(np.int64)
-    _walsh_hadamard(trivial)
+    trivial = _characters(bits) @ (images[:, reps] == reps)
     root_stab = np.sqrt(trivial[0])
     return _VersionOrbits(reps, images[:, reps].T.copy(),
                           (trivial != 0) / root_stab, root_stab, orbit,
@@ -732,14 +718,15 @@ class _OrbitRows(NamedTuple):
     of class k-1 in one copy of level k-3's columns, whose two copies
     (u, v) the Gram pairs."""
 
-    # (v, us, dest): the kept rows x = (u, v) for u in us, and where they
-    # go among the kept rows (a slice when contiguous)
+    u_of: np.ndarray  # (nK,): the first copy's class k-2 part u_g of each kept row
+    v_of: np.ndarray  # (nK,): the second copy's part v_g
+    # u_of and v_of grouped by v for _rep_rows_adjoint's loop, (v, us,
+    # dest): the kept rows x = (u, v) for u in us, and where they go among
+    # the kept rows (a slice when contiguous)
     groups: tuple[tuple[int, np.ndarray, slice | np.ndarray], ...]
-    cols: np.ndarray | None  # (R^2,): u_r R + v_r at column y; None where that is y
-    inverse: np.ndarray | None  # (R^2,): the column y of each u_r R + v_r
 
 
-def _orbit_rows(levels, reps: np.ndarray, m: int) -> _OrbitRows:
+def _orbit_rows(levels, reps: np.ndarray, m: int) -> tuple[_OrbitRows, np.ndarray]:
     """Level k-2's table is level k-3's Gram with its raw axes (u_g, u_r,
     v_g, v_r), the class k-2 and class k-1 parts of the two copies, sorted
     into (class, vertex, version) order.  So row x of it is a pair (u_g,
@@ -747,7 +734,8 @@ def _orbit_rows(levels, reps: np.ndarray, m: int) -> _OrbitRows:
     the (u_r, v_r) entry of C[:, u_g, :]^T C[:, v_g, :], for C level k-3's
     factor split as (glued) x (class k-2) x (class k-1).  These maps hold
     a few entries per row and column of level k-2, not per entry.  `levels`
-    is the layout of k levels, `reps` the kept rows of level k-2."""
+    is the layout of k levels, `reps` the kept rows of level k-2.  Also
+    returns the raw column u_r R + v_r of each column y of level k-2."""
     k = len(levels)
     prev, level = levels[k - 3], levels[k - 2]
     half = level.g // 2
@@ -759,11 +747,9 @@ def _orbit_rows(levels, reps: np.ndarray, m: int) -> _OrbitRows:
                for p in prev.perm[start:stop]]
         return np.arange(m ** (2 * n)).reshape((m,) * (2 * n)).transpose(pos).reshape(-1)
 
-    pair = pairs(0, level.g, 0, half)
-    col = pairs(level.g, 2 * prev.r, half, level.r // 2)
     size_g = m**half
-    rep_pairs = pair[reps]
-    vs = rep_pairs % size_g
+    rep_pairs = pairs(0, level.g, 0, half)[reps]
+    us, vs = np.divmod(rep_pairs, size_g)
     order = np.argsort(vs, kind="stable")  # the kept rows by v_g
     starts = np.flatnonzero(np.diff(vs[order], prepend=-1))
     groups = []
@@ -771,21 +757,35 @@ def _orbit_rows(levels, reps: np.ndarray, m: int) -> _OrbitRows:
         dest = order[start:stop]
         if np.array_equal(dest, np.arange(dest[0], dest[0] + dest.size)):
             dest = slice(int(dest[0]), int(dest[0]) + dest.size)
-        groups.append((int(vs[order[start]]), rep_pairs[dest] // size_g, dest))
-    if np.array_equal(col, np.arange(col.size)):
-        return _OrbitRows(tuple(groups), None, None)
-    return _OrbitRows(tuple(groups), col, np.argsort(col))
+        groups.append((int(vs[order[start]]), us[dest], dest))
+    return (_OrbitRows(us, vs, tuple(groups)),
+            pairs(level.g, 2 * prev.r, half, level.r // 2))
 
 
 class _Half(NamedTuple):
     """One diagonal block of level k-2's table in the version basis: d_k
     adds `weight` times the squared norm of its Gram.  Its rows are those
-    of the `parts`, (character, rows, columns) of the blocks table, stacked
-    (a conjugate pair reads its second orbit of each row pair from the
-    partner character); the columns of every part are the same."""
+    of the `parts`, (character, kept rows, column orbits) of the blocks
+    table, stacked (a conjugate pair reads its second orbit of each row
+    pair from the partner character); the columns of every part are the
+    same."""
 
     weight: float
     parts: tuple[tuple[int, slice, slice | np.ndarray], ...]
+
+
+class _Run(NamedTuple):
+    """Consecutive column orbits of level k-2 whose blocks read the kept
+    rows through one coefficient matrix K: single orbits (pp = 1) or sigma
+    pairs, a P1 orbit with its P2 image (pp = 2).  An orbit's sources are
+    its columns h . rep for h = 0..H-1, first occurrences only (a pair's
+    those of P1, then those of P2), and the column of block c at output p
+    is sum_j K[p, c, j] times source j: the character sum, the column
+    scale, the pair's (x + y, x - y) and the partner sign in one map."""
+
+    rows: slice  # its rows of the gathered table, s sources by n orbits
+    cols: tuple[slice, ...]  # for each output p, its n column orbits
+    coef: np.ndarray  # (pp, H, s): K
 
 
 class _VersionBlocks(NamedTuple):
@@ -796,24 +796,21 @@ class _VersionBlocks(NamedTuple):
     cols: _VersionOrbits
     orbit_rows: _OrbitRows  # level k-2's kept rows from level k-3's factor
     row_of: np.ndarray  # (m^g,): the kept row that holds each row's values
-    # (m^r,): the entry h_y nY + o_y of a kept row's blocks, read in
-    # (h, o) order, that column y = h_y . reps[o_y] of level k-2 goes to
-    gather: np.ndarray
-    row_scale: np.ndarray  # (H, nK, 1)
-    col_scale: np.ndarray  # (H, 1, nY)
-    # col_scale times |S_o|, the number of block entries (h, o) that read
-    # each column; the blocks vanish on the characters not trivial on S_o,
-    # so those entries are equal
-    col_scale_adjoint: np.ndarray
-    # with sigma: the P1 and P2 column slices, and the characters that
-    # only lend their P1 rows to a conjugate pair, whose odd pair columns
-    # change sign; else None and an empty array
+    # (m^r,): the column of the kept rows (in their raw order, see
+    # _Doubling._rep_rows) at each row of the gathered table, laid out run
+    # by run as (source, orbit); and its inverse
+    perm: np.ndarray
+    unperm: np.ndarray
+    runs: tuple[_Run, ...]
+    row_scale: np.ndarray  # (H, 1, nK)
+    # with sigma: the P1 and P2 column slices; else None
     pairs: tuple[slice, slice] | None
-    partners: np.ndarray
     halves: tuple[_Half, ...]  # the sigma-even half of the trivial block first
     swap_axes: tuple[int, ...] | None  # the class 0 / class 1 swap of the base table
-    # (slice, shape) in the buffer of one run, which ends with the last
-    # slice: the kept rows, the blocks, then the Gram of each half
+    # (area, shape) in the buffer of one run, which ends with the last
+    # area, each table at the start of its area: the kept rows, transposed
+    # and gathered by perm (the raw kept rows first), the blocks, the Gram
+    # of each half, then the reverse pass's adjoint of the first
     tables: tuple[tuple[slice, tuple[int, ...]], ...]
 
 
@@ -857,15 +854,16 @@ def _version_blocks(colored: ColoredGraph, levels, k: int, m: int) -> _VersionBl
     kept = rows.reps.size - rows.pairs
     fixed = kept - rows.pairs
     nf, npair = cols.reps.size - 2 * cols.pairs, cols.pairs
-    # odd[c, h]: character c is -1 at h
-    odd = np.array([[bin(c & h).count("1") & 1 for h in range(order)]
-                    for c in range(order)], dtype=bool)
+    chi = _characters(bits)
+    odd = chi < 0
     conj = [_swap_low_bits(c) if swap else c for c in range(order)]
     row_nz = rows.weight[:, :kept] != 0
     col_nz = cols.weight != 0
     row_scale = rows.weight[:, :kept].copy()
     col_scale = cols.weight.copy()
-    halves, partners = [], []
+    halves = []
+    # -1 at the characters whose odd pair columns change sign
+    sign = np.ones(order)
     if swap:
         # a pair column of the sigma basis is nonzero where either orbit is
         pair_nz = col_nz[:, nf:nf + npair] | col_nz[:, nf + npair:]
@@ -906,16 +904,31 @@ def _version_blocks(colored: ColoredGraph, levels, k: int, m: int) -> _VersionBl
             if parts and cs is not None:
                 halves.append(_Half(2.0, parts))
             col_scale[sc, :nf] *= np.where(odd[c, cols.swap_shift[:nf]], -1.0, 1.0)
-            partners.append(sc)
-    tables, size = [], 0
-    shapes = [(kept, m ** levels[k - 2].r), (order, kept, cols.reps.size)]
+            sign[sc] = -1.0
+    runs, perm = _column_runs(cols, col_scale, chi, sign)
+    orbit_rows, raw_col = _orbit_rows(levels, rows.reps[:kept], m)
+    perm = raw_col[perm]
+    size_y = perm.size
+    # before the blocks fill their area, it holds _rep_rows' gathers of
+    # level k-3's factor at the kept rows' class k-2 parts (two copies of
+    # at least one row at a time) and then the kept rows transposed (H nY
+    # >= m^r, as no orbit has more than H members), so the forward pass
+    # allocates nothing else.  Gathering every kept row at once into fresh
+    # arrays instead (1.2 MB at K_5, k = 4, m = 5) keeps the page-fault and
+    # peak-memory tests' bounds but lifts cs_chain_check's traced peak from
+    # 2.67 to 3.62 MiB and the chain workload's peak RSS by about 0.3 MiB,
+    # and ran its op 1.5-3% slower (one thread of a 2-core Xeon)
+    copy_row = m ** (levels[k - 3].g + levels[k - 2].r // 2)
+    shapes = [((size_y, kept), 0), ((order, cols.reps.size, kept), 2 * copy_row)]
     for half in halves:
         n = np.arange(cols.reps.size)[half.parts[0][2]].size
-        shapes.append((n, n))
-    # every slice starts on a 64-byte boundary, so each table keeps the
+        shapes.append(((n, n), 0))
+    shapes.append(((size_y, kept), 0))
+    # every area starts on a 64-byte boundary, so each table keeps the
     # buffer's alignment for the vectorized kernels
-    for shape in shapes:
-        n = math.prod(shape)
+    tables, size = [], 0
+    for shape, least in shapes:
+        n = max(math.prod(shape), least)
         tables.append((slice(size, size + n), shape))
         size += -(-n // 8) * 8
     n0 = len(colored.classes[0])
@@ -923,16 +936,57 @@ def _version_blocks(colored: ColoredGraph, levels, k: int, m: int) -> _VersionBl
     swap_axes = (tuple(range(n0, 2 * n0)) + tuple(range(n0))
                  + tuple(range(2 * n0, pinned)) if swap else None)
     row_of = np.where(rows.orbit < kept, rows.orbit, rows.orbit - rows.pairs)
-    shift = np.argmax(cols.rep_images[cols.orbit] == np.arange(cols.orbit.size)[:, None],
-                      axis=1)
     return _VersionBlocks(
-        rows, cols, _orbit_rows(levels, rows.reps[:kept], m), row_of,
-        shift * cols.reps.size + cols.orbit,
-        row_scale[:, :, None], col_scale[:, None, :],
-        (col_scale * np.rint(cols.root_stab**2))[:, None, :],
+        rows, cols, orbit_rows, row_of, perm, np.argsort(perm), runs,
+        row_scale[:, None, :],
         (slice(nf, nf + npair), slice(nf + npair, None)) if swap else None,
-        np.array(partners, dtype=np.int64), tuple(halves), swap_axes,
-        tuple(tables))
+        tuple(halves), swap_axes, tuple(tables))
+
+
+def _column_runs(cols: _VersionOrbits, col_scale: np.ndarray, chi: np.ndarray,
+                 sign: np.ndarray) -> tuple[tuple[_Run, ...], np.ndarray]:
+    """The runs of level k-2's column orbits (see _Run), and the column of
+    level k-2 that each row of the gathered table reads.  col_scale[c, o]
+    is the scale of block c's column o before the pairs' (x + y, x - y),
+    chi the characters (_characters), and sign[c] the sign of block c's
+    P2 columns after it."""
+    order, npair = chi.shape[0], cols.pairs
+    nf = cols.reps.size - 2 * npair
+    images = cols.rep_images
+    # lead[o, h]: the first h' with h' . rep_o = h . rep_o; the h that
+    # lead themselves give the sources, and source[o, h] is the one h
+    # reaches
+    lead = np.argmax(images[:, :, None] == images[:, None, :], axis=2)
+    leads = lead == np.arange(order)
+    source = np.take_along_axis(np.cumsum(leads, axis=1) - 1, lead, axis=1)
+    # each orbit's own K[c, j]: its column scale times the sum of
+    # character c over the h that reach source j
+    reach = (source[:, :, None] == np.arange(order)).astype(float)
+    coef = np.einsum("ch,ohj->ocj", chi.astype(float), reach)
+    coef *= col_scale.T[:, :, None]
+    units = []  # (first column orbit, K, sources) of each orbit or pair
+    for o in range(nf):
+        s = np.count_nonzero(leads[o])
+        units.append((o, coef[o, :, :s][None], images[o, leads[o]]))
+    for o in range(nf, nf + npair):
+        s = np.count_nonzero(leads[o])
+        k1, k2 = coef[o, :, :s], coef[o + npair, :, :s]
+        k = np.stack([np.hstack([k1, k2]), sign[:, None] * np.hstack([k1, -k2])])
+        src = np.concatenate([images[o, leads[o]], images[o + npair, leads[o + npair]]])
+        units.append((o, k, src))
+    runs, perm, start = [], [], 0
+    # consecutive equal K make a run; adding 0.0 turns -0.0 into 0.0, so
+    # that equal K have equal bytes
+    for _, group in groupby(units, key=lambda unit: (unit[1].shape,
+                                                     (unit[1] + 0.0).tobytes())):
+        (first, *_), (k, *_), srcs = zip(*group)
+        sources = np.stack(srcs, axis=1)  # (s, n)
+        runs.append(_Run(slice(start, start + sources.size),
+                         tuple(slice(first + p * npair, first + p * npair + len(srcs))
+                               for p in range(len(k))), k))
+        perm.append(sources.reshape(-1))
+        start += sources.size
+    return tuple(runs), np.concatenate(perm)
 
 
 class _DoublingRun(NamedTuple):
@@ -941,12 +995,18 @@ class _DoublingRun(NamedTuple):
     values: np.ndarray  # the value matrix evaluated at
     tape: list  # the base plan's step results, the base table last
     # each level's root-weighted factor, innermost level first; with version
-    # blocks level k-2's factor holds only its kept rows, the last level's
-    # factor, the Gram of level k-2, is never formed, and only the blocks
-    # of level k-2 are kept
+    # blocks level k-2's factor holds only its kept rows, transposed and
+    # gathered by perm into (m^r, nK), the last level's factor, the Gram of
+    # level k-2, is never formed, and only the blocks of level k-2 are kept
     factors: list
-    blocks: np.ndarray | None  # (H, nK, nY) character blocks of the kept rows
+    # (H, nY, nK): the character blocks of the kept rows, transposed (block
+    # c's column orbits by its kept rows), each run of like column orbits
+    # written by one product of its K with its gathered source rows
+    blocks: np.ndarray | None
     grams: list | None  # the Gram of each half (_VersionBlocks.halves)
+    # (m^r, nK): room in the same buffer for the reverse pass's adjoint of
+    # level k-2's factor
+    rows_bar: np.ndarray | None
     table: np.ndarray  # the final table: a scalar once every class is glued
 
 
@@ -1030,20 +1090,33 @@ class _Doubling:
     sigma-odd half on F- and (P1 - P2)/sqrt 2, each pair row standing in
     for both of its orbits sqrt 2 times; F+ and F- are the F orbits on
     which sigma acts on c's basis vector by +1 or -1 (all of F at k = 4).
-    Over the even and odd pair columns of every block (_pair_butterfly),
-    each half and each kept block is a slice of the blocks table.  At
-    K_5, k = 4, m = 5 the kept rows are 120 of 625 (175 without sigma),
-    and four 175 x 175 blocks become halves of 120 and 55, one block of
-    105 + 45 rows by 160 columns counted twice, and halves of 105 and 45.
+    Over the even and odd pair columns of every block, each half and each
+    kept block is a slice of the blocks table.  At K_5, k = 4, m = 5 the
+    kept rows are 120 of 625 (175 without sigma), and four 175 x 175
+    blocks become halves of 120 and 55, one block of 105 + 45 rows by 160
+    columns counted twice, and halves of 105 and 45.
 
-    Those kept rows, the blocks and the Grams of their halves live and die
-    with one run, so each run takes them as views of one buffer, at the
-    starts fixed in the shape (_VersionBlocks.tables).  glibc hands freed
-    heap back to the system above twice the largest mapped block freed so
-    far.  Three tables of about 1 MB each (K_5, k = 4, m = 5, without
-    sigma) keep that threshold under a call's working set, and every call
-    faults about 1,800 pages in anew; one buffer of their joint size lifts
-    it above.
+    The map from the kept rows to the blocks acts on every row alike, and
+    each column orbit (or sigma pair of orbits) reads only its own
+    columns of A, so it is one small matrix K per orbit (_Run): the
+    character sums, the column scales, the pair's even and odd columns
+    and the partner's signs at once.  Orbits with the same K lie next to
+    each other, so the kept rows, transposed, are gathered once into
+    (source, orbit) order (perm) and each run of like orbits is one
+    product K times its rows, written straight into the blocks, which are
+    stored transposed (H, nY, nK); at K_5, k = 4, m = 5 the 175 column
+    orbits make 5 runs.  The reverse pass applies K^T to each run and
+    the inverse gather.
+
+    Those kept rows, the blocks, the Grams of their halves and the
+    reverse pass's adjoint of the kept rows live and die with one run,
+    so each run takes them as views of one buffer, at the starts fixed in
+    the shape (_VersionBlocks.tables), and the steps between them reuse
+    areas read no more.  glibc hands freed heap back to the system above
+    twice the largest mapped block freed so far.  Three tables of about 1
+    MB each (K_5, k = 4, m = 5, without sigma) keep that threshold under
+    a call's working set, and every call faults about 1,800 pages in
+    anew; one buffer of their joint size lifts it above.
     """
 
     def __init__(self, colored: ColoredGraph, k: int, weights: np.ndarray,
@@ -1094,22 +1167,26 @@ class _Doubling:
         over the first g//2 axes and the rest, and sqrt(w_g) as the outer
         product of two short vectors.
 
-        With version blocks level k-2's factor holds only its kept rows;
-        its q is fixed by the version group (and sigma), so it is read at
-        every row from the kept row of its orbit.  The last level's q is
-        the Gram G of level k-2 and sqrt(w_g) the outer product s s^T of
-        that Gram's root products.  The version group and sigma fix s, so
-        s lies in the sigma-even half of the trivial block, the first
-        half: the mean is s_1^T G_1 s_1 and the variance the weighted sum
-        of |G|^2 over the other halves plus |G_1 - mean s_1 s_1^T|^2,
-        still a sum of squares, for G_1 and s_1 that half and s in its
-        basis.
+        With version blocks level k-2's factor holds only its kept rows,
+        transposed and gathered by perm, so q sums it against the root
+        products in perm's order; q is fixed by the version group (and
+        sigma), so it is read at every row from the kept row of its orbit.
+        The last level's q is the Gram G of level k-2 and sqrt(w_g) the
+        outer product s s^T of that Gram's root products.  The version
+        group and sigma fix s, so s lies in the sigma-even half of the
+        trivial block, the first half: the mean is s_1^T G_1 s_1 and the
+        variance the weighted sum of |G|^2 over the other halves plus
+        |G_1 - mean s_1 s_1^T|^2, still a sum of squares, for G_1 and s_1
+        that half and s in its basis.
         """
         m, out = self.m, []
+        kept = run.factors[-1] if run.grams is not None else None
         for level, a in zip(self.levels, run.factors):
-            q = a @ _weight_products(self.roots, level.r) if level.r else a
-            if q.size < m**level.g:  # the kept rows
+            if a is kept:  # transposed and gathered by perm
+                q = _weight_products(self.roots, level.r)[self.versions.perm] @ a
                 q = q[self.versions.row_of]
+            else:
+                q = a @ _weight_products(self.roots, level.r) if level.r else a
             h = level.g // 2
             q = q.reshape(m**h, m ** (level.g - h))
             s1 = _weight_products(self.roots, h)
@@ -1145,51 +1222,61 @@ class _Doubling:
         m = self.m
         tape = _forward(self.plan, values, self.weights, keep_tape)
         table = tape[-1] * self.base_roots
-        factors, blocks, grams = [], None, None
+        factors, blocks, grams, rows_bar = [], None, None, None
         # the level whose table runs on version blocks, if any
         blocked = len(self.levels) - 2 if self.versions is not None else -1
         if blocked >= 0:
-            buffer = np.empty(self.versions.tables[-1][0].stop)
-            rep_rows, blocks, *grams = (buffer[part].reshape(shape)
-                                        for part, shape in self.versions.tables)
+            tables = self.versions.tables
+            buffer = np.empty(tables[-1][0].stop)
+            kept, blocks, *grams, rows_bar = (buffer[part][:math.prod(shape)].reshape(shape)
+                                              for part, shape in tables)
+            area = buffer[tables[1][0]]  # the blocks' whole area
         for j, level in enumerate(self.levels):
             if j == blocked:
-                factors.append(table)
-                table = np.asarray(self._blocks(table, blocks, grams))
+                factors.append(self._gather(table, area))
+                table = np.asarray(self._blocks(factors[-1], blocks, grams))
                 break
             a = table.reshape(m**level.g, m**level.r)
             factors.append(a)
             if j == blocked - 1:
-                table = self._rep_rows(a, out=rep_rows)
+                table = self._rep_rows(a, kept.reshape(kept.shape[::-1]), area)
             elif not level.r:
                 table = np.asarray(np.dot(a[:, 0], a[:, 0]))
             else:
                 gram = (a.T @ a).reshape((m,) * (2 * level.r))
                 table = np.asarray(gram.transpose(level.perm), order="C")
-        return _DoublingRun(values, tape, factors, blocks, grams, table)
+        return _DoublingRun(values, tape, factors, blocks, grams, rows_bar, table)
 
-    def _blocks(self, rows: np.ndarray, blocks: np.ndarray, grams) -> float:
-        """d_k from level k-2's kept rows: a[rep_o, h . rep_o'] for each h,
-        summed against each character over h and scaled into the version
-        basis (with sigma, into its even and odd pair columns too), then
+    def _gather(self, rows: np.ndarray, spare: np.ndarray) -> np.ndarray:
+        """Level k-2's kept rows transposed and gathered by perm, (m^r, nK),
+        written over `rows` (through a transposed copy in `spare`) and
+        returned."""
+        transposed = spare[:rows.size].reshape(rows.shape[::-1])
+        np.copyto(transposed, rows.T)
+        out = rows.reshape(transposed.shape)
+        # every index is in range: "clip" skips the copy "raise" makes of out
+        return np.take(transposed, self.versions.perm, axis=0, out=out, mode="clip")
+
+    def _blocks(self, gathered: np.ndarray, blocks: np.ndarray, grams) -> float:
+        """d_k from level k-2's kept rows, transposed and gathered: one
+        product per run and output (K times the run's sources, straight
+        into the run's column orbits of every block), the row scale, then
         the Gram of each half, written into `blocks` and `grams`."""
         vb = self.versions
-        for h, images in enumerate(vb.cols.rep_images.T):
-            np.take(rows, images, axis=1, out=blocks[h])
-        _walsh_hadamard(blocks)
+        order = blocks.shape[0]
+        for run in vb.runs:
+            src = gathered[run.rows].reshape(run.coef.shape[2], -1)
+            for coef, cols in zip(run.coef, run.cols):
+                np.matmul(coef, src, out=blocks[:, cols].reshape(order, -1))
         blocks *= vb.row_scale
-        blocks *= vb.col_scale
-        if vb.pairs is not None:
-            _pair_butterfly(blocks, *vb.pairs)
-            blocks[vb.partners, :, vb.pairs[1]] *= -1.0
         total = 0.0
         for half, gram in zip(vb.halves, grams):
             (c, r, cs), *rest = half.parts
-            x = blocks[c][r, cs]
-            np.matmul(x.T, x, out=gram)
+            y = blocks[c][cs, r]
+            np.matmul(y, y.T, out=gram)
             for c, r, cs in rest:
-                x = blocks[c][r, cs]
-                gram += x.T @ x
+                y = blocks[c][cs, r]
+                gram += y @ y.T
             total += half.weight * float(np.vdot(gram, gram))
         return total
 
@@ -1208,18 +1295,17 @@ class _Doubling:
 
         With version blocks the reverse pass is the exact adjoint of the
         forward maps, which read level k-2 at its kept rows only: each
-        half's adjoint X G, back through the sigma basis, the scales, the
-        Walsh-Hadamard transform and the take into the kept rows
-        (_blocks_adjoint), then the transposes of _rep_rows' products
-        (_rep_rows_adjoint).  That reduced objective is d_k wherever the
-        version group and sigma fix level k-2's table, but off it T need
-        not be symmetric, so every level from k-3 down takes a (T + T^T).
-        The version group fixes the table for every base table.  sigma
-        fixes it where the base table is symmetric under the swap of
-        classes 0 and 1, which the motif's automorphism makes it, and d_k
-        is symmetric under that swap too, so the adjoint of d_k is the
-        reduced one averaged over the swap.  At K_5, k = 4, m = 5 the
-        reverse pass builds no m^r x m^r table."""
+        half's adjoint G Y, the row scale, K^T for each run and the
+        inverse of the gather (_blocks_adjoint), then the transposes of
+        _rep_rows' products (_rep_rows_adjoint).  That reduced objective
+        is d_k wherever the version group and sigma fix level k-2's
+        table, but off it T need not be symmetric, so every level from
+        k-3 down takes a (T + T^T).  The version group fixes the table for
+        every base table.  sigma fixes it where the base table is
+        symmetric under the swap of classes 0 and 1, which the motif's
+        automorphism makes it, and d_k is symmetric under that swap too,
+        so the adjoint of d_k is the reduced one averaged over the swap.
+        At K_5, k = 4, m = 5 the reverse pass builds no m^r x m^r table."""
         m = self.m
         if not self.levels:
             return self.base_roots.copy()
@@ -1244,20 +1330,26 @@ class _Doubling:
             out *= 0.5
         return out
 
-    def _rep_rows(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def _rep_rows(self, a: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
         """Level k-2's table at its kept rows only, from level k-3's factor
-        a (see _orbit_rows), written into out and returned: one product per
-        class k-2 part v_g of the second copy, C[:, us, :]^T C[:, v_g, :]
-        against the parts u_g that pair with it in a kept row, whose rows
-        (u_g, u_r) come out in the kept rows' own order."""
+        a (see _orbit_rows), written into out and returned: the batched
+        product C[:, u_g, :]^T C[:, v_g, :] over the kept rows (u_g, v_g),
+        so its columns come out in the raw (u_r, v_r) order, which perm
+        reads.  C is gathered at the u_g and the v_g of as many rows at a
+        time as the flat `spare` holds."""
         maps = self.versions.orbit_rows
         size_r = self.m ** (self.levels[-2].r // 2)
-        # (class k-2, class k-1, glued): each part's C[:, u, :]^T is contiguous
-        ct = a.reshape(a.shape[0], -1, size_r).transpose(1, 2, 0).copy()
-        for v, us, dest in maps.groups:
-            prod = ct[us].reshape(-1, a.shape[0]) @ ct[v].T
-            prod = prod.reshape(us.size, -1)
-            out[dest] = prod if maps.cols is None else prod[:, maps.cols]
+        c = a.reshape(a.shape[0], -1, size_r)  # (glued, class k-2, class k-1)
+        # the kept rows whose gathers of both copies fit in spare
+        step = spare.size // (2 * a.shape[0] * size_r)
+        for start in range(0, out.shape[0], step):
+            us, vs = maps.u_of[start:start + step], maps.v_of[start:start + step]
+            n = us.size * a.shape[0] * size_r
+            u = np.take(c, us, axis=1, out=spare[:n].reshape(a.shape[0], -1, size_r),
+                        mode="clip")
+            v = np.take(c, vs, axis=1, out=spare[n:2 * n].reshape(u.shape), mode="clip")
+            np.matmul(u.transpose(1, 2, 0), v.transpose(1, 0, 2),
+                      out=out[start:start + us.size].reshape(-1, size_r, size_r))
         return out
 
     def _rep_rows_adjoint(self, a: np.ndarray, rbar: np.ndarray) -> np.ndarray:
@@ -1268,36 +1360,52 @@ class _Doubling:
         built."""
         maps = self.versions.orbit_rows
         size_r = self.m ** (self.levels[-2].r // 2)
-        # in the (class k-2, class k-1, glued) layout of _rep_rows
+        # (class k-2, class k-1, glued): each part's C[:, u, :]^T is contiguous
         ct = a.reshape(a.shape[0], -1, size_r).transpose(1, 2, 0).copy()
         out = np.zeros_like(ct)
         for v, us, dest in maps.groups:
-            pbar = rbar[dest] if maps.cols is None else rbar[dest][:, maps.inverse]
-            pbar = pbar.reshape(-1, size_r)  # (u_g, u_r) x v_r
+            pbar = rbar[dest].reshape(-1, size_r)  # (u_g, u_r) x v_r
             out[v] += pbar.T @ ct[us].reshape(-1, a.shape[0])
             out[us] += (pbar @ ct[v]).reshape(us.size, size_r, -1)
         return out.transpose(2, 0, 1).reshape(a.shape[0], -1)
 
     def _blocks_adjoint(self, run: _DoublingRun) -> np.ndarray:
-        """The adjoint of _blocks' d_k in level k-2's kept rows, over 4:
-        weight X G for each part X of each half, then back through each
-        map of _blocks in reverse, each its own adjoint but the take,
-        whose adjoint adds every block entry back into the row entry it
-        was read from."""
+        """The adjoint of _blocks' d_k in level k-2's kept rows (nK, m^r),
+        over 4: weight G Y for each part Y of each half, into a zeroed
+        table of the blocks' layout, the row scale, K^T for each run and
+        output into the gathered rows' layout, then the take by the
+        inverse of perm and one transposed copy back."""
         vb = self.versions
         bar = np.zeros_like(run.blocks)
         for half, gram in zip(vb.halves, run.grams):
             for c, r, cs in half.parts:
-                xg = run.blocks[c][r, cs] @ gram
-                bar[c][r, cs] = xg if half.weight == 1.0 else half.weight * xg
-        if vb.pairs is not None:
-            bar[vb.partners, :, vb.pairs[1]] *= -1.0
-            _pair_butterfly(bar, *vb.pairs)
+                y = run.blocks[c][cs, r]
+                if isinstance(cs, slice):  # a view: G Y goes straight into bar
+                    np.matmul(gram, y, out=bar[c][cs, r])
+                else:
+                    bar[c][cs, r] = gram @ y
+                if half.weight != 1.0:
+                    bar[c][cs, r] *= half.weight
         bar *= vb.row_scale
-        bar *= vb.col_scale_adjoint
-        _walsh_hadamard(bar)
-        bar = bar.transpose(1, 0, 2).reshape(bar.shape[1], -1)
-        return np.take(bar, vb.gather, axis=1)
+        gbar = run.rows_bar
+        order = bar.shape[0]
+        for r in vb.runs:
+            out = gbar[r.rows].reshape(r.coef.shape[2], -1)
+            first, *rest = (bar[:, cols].reshape(order, -1) for cols in r.cols)
+            np.matmul(r.coef[0].T, first, out=out)
+            if rest:
+                # a pair's P1 columns of bar are read no more, and each half
+                # of its sources (at most H) fits there
+                half = out.shape[0] // 2
+                for rows in (slice(0, half), slice(half, None)):
+                    out[rows] += np.matmul(r.coef[1][:, rows].T, rest[0], out=first[:half])
+        # then bar's area, which holds a table of gbar's size, and gbar's
+        # are read no more
+        rbar = np.take(gbar, vb.unperm, axis=0, mode="clip",
+                       out=bar.reshape(-1)[:gbar.size].reshape(gbar.shape))
+        out = gbar.reshape(rbar.shape[::-1])
+        np.copyto(out, rbar.T)
+        return out
 
     def gradient(self, run: _DoublingRun, base_bar: np.ndarray) -> np.ndarray:
         """Gradient in the ordered value-matrix entries of sum(base_bar *

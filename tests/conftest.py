@@ -15,12 +15,25 @@ def brute_hom_count(motif, target) -> int:
     return count
 
 
+# maps a graphon oracle enumerates at most.  The largest call in the suite
+# enumerates 3^9; a motif of many more vertices, such as an expanded
+# doubling (48 vertices for K_5 at k = 4), would run for hours, so it is
+# refused before the first map
+BRUTE_MAPS_CAP = 3**12
+
+
+def _check_maps(motif, m: int) -> None:
+    if m**motif.n > BRUTE_MAPS_CAP:
+        raise ValueError(f"{m}^{motif.n} maps exceed the brute-force cap of 3^12")
+
+
 def brute_graphon_density(motif, weights, values) -> float:
     """Sum over all maps of weight products times edge value products.
 
     The sums start from the integers 0 and 1, so Fraction inputs give an
     exact Fraction and float inputs the same floats as from 0.0 and 1.0."""
     m = len(weights)
+    _check_maps(motif, m)
     total = 0
     for assign in product(range(m), repeat=motif.n):
         term = 1
@@ -72,6 +85,7 @@ def brute_graphon_density_gradient(motif, weights, values):
     factors to the parameter of the edge's (unordered) pair of parts.
     """
     m = len(weights)
+    _check_maps(motif, m)
     grad = np.zeros((m, m))
     for assign in product(range(m), repeat=motif.n):
         weight = 1.0

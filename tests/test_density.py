@@ -505,7 +505,7 @@ def test_doubling_peak_memory_at_m5():
             peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
-    # measured 4.3 and 3.2 MiB; level k-3's whole 625 x 625 Gram, or its
+    # measured 3.1 and 2.7 MiB; level k-3's whole 625 x 625 Gram, or its
     # whole adjoint gathered from the version blocks (9.6 and 6.5 MiB with
     # both), breaks these bounds
     assert peaks["gradient"] < 5.0
@@ -724,16 +724,20 @@ def _assert_gluing_matches_dense(doubling, g, tol=1e-14):
     factors = list(run.factors)
     if run.grams is not None:
         # level k-2's whole table and the last level's factor, which the
-        # block path never forms
+        # block path never forms; its kept rows are stored transposed, each
+        # column y at the row of the gathered table that perm gives its
+        # index in the Gram's raw order, the class k-1 axes of the first
+        # copy, then of the second
         prev, level = doubling.levels[-3:-1]
         a = factors[-2]
-        full = (a.T @ a).reshape((m,) * (2 * prev.r)).transpose(prev.perm)
-        full = full.reshape(m**level.g, m**level.r)
-        kept = doubling.versions.rows.reps.size - doubling.versions.rows.pairs
-        reps = doubling.versions.rows.reps[:kept]
-        assert factors[-1].shape == (kept, m**level.r)
-        np.testing.assert_allclose(factors[-1], full[reps], rtol=0,
-                                   atol=tol * np.abs(full).max())
+        gram = (a.T @ a).reshape((m,) * (2 * prev.r))
+        full = gram.transpose(prev.perm).reshape(m**level.g, m**level.r)
+        raw = gram.transpose(prev.perm[:level.g] + tuple(sorted(prev.perm[level.g:])))
+        vb = doubling.versions
+        kept = vb.rows.reps.size - vb.rows.pairs
+        assert factors[-1].shape == (m**level.r, kept)
+        want = raw.reshape(full.shape)[vb.rows.reps[:kept]][:, vb.perm].T
+        np.testing.assert_allclose(factors[-1], want, rtol=0, atol=tol * np.abs(full).max())
         factors[-1] = full
         factors.append((full.T @ full).reshape(-1, 1))
     for level, a, nxt in zip(doubling.levels, factors, [*factors[1:], run.table]):
@@ -864,7 +868,7 @@ def test_version_blocks_against_oracles(name, k, m):
         want = None
         if m ** expanded.n <= 3**9:
             want = brute_graphon_density(expanded, g.weights, g.values)
-        elif expanded.n <= 32:  # K_5's 48 vertices take minutes to plan
+        else:
             try:
                 want = graphon_density(expanded, g)
             except UnsupportedSizeError:
@@ -909,7 +913,9 @@ def _stabilizers(reps, m, n, bits):
 @pytest.mark.parametrize("bits,m,n", [
     (bits, m, n) for bits in range(4) for m in (1, 2, 3) for n in (1, 2)
     if m ** (n << bits) <= 1 << 16])
-def test_character_mask_against_stabilizers(bits, m, n):
+def test_character_mask_against_stabilizers(monkeypatch, bits, m, n):
+    # the package supports numpy 1.25, which has no np.bitwise_count
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
     orbits = density._version_orbits(m, n, bits)
     stab = _stabilizers(orbits.reps, m, n, bits)
     # character c is trivial on S_o when it is +1 at every h in S_o
@@ -920,6 +926,104 @@ def test_character_mask_against_stabilizers(bits, m, n):
     # sqrt is correctly rounded, so this holds exactly iff root_stab**2
     # is |S_o|
     np.testing.assert_array_equal(orbits.root_stab, np.sqrt(stab.sum(axis=1)))
+
+
+def _block_maps(name, k, m):
+    """The version-block maps of a _BLOCK_MOTIFS motif, built on the block
+    path whatever its table size."""
+    with _always_blocked():
+        return density._doubling_shape(_BLOCK_MOTIFS[name][0], k, m,
+                                       density.DEFAULT_BUDGET).versions
+
+
+# every block case, and K_5 at the benchmark's five parts
+_RUN_CASES = [*_blocked_cases(), ("K5", 4, 5)]
+
+
+@pytest.mark.parametrize("name,k,m", _RUN_CASES)
+def test_runs_read_each_column_once(name, k, m):
+    # perm is a permutation of level k-2's columns, laid out run by run,
+    # so each source column is read by exactly one run; the runs' outputs
+    # cover every column orbit of the blocks once
+    vb = _block_maps(name, k, m)
+    _, levels = density._doubling_layout(_BLOCK_MOTIFS[name][0].classes, k)
+    size = m ** levels[k - 2].r
+    np.testing.assert_array_equal(np.sort(vb.perm), np.arange(size))
+    np.testing.assert_array_equal(vb.perm[vb.unperm], np.arange(size))
+    start, outputs = 0, []
+    for run in vb.runs:
+        orbits = [np.arange(vb.cols.reps.size)[cols] for cols in run.cols]
+        assert run.rows.start == start
+        assert run.rows.stop - start == run.coef.shape[2] * orbits[0].size
+        assert run.coef.shape[:2] == (len(run.cols), 1 << (k - 2))
+        outputs += orbits
+        start = run.rows.stop
+    assert start == size
+    np.testing.assert_array_equal(np.sort(np.concatenate(outputs)),
+                                  np.arange(vb.cols.reps.size))
+
+
+@pytest.mark.parametrize("name,k,m", _RUN_CASES)
+def test_run_coefficients_vanish_where_the_character_is_not_trivial(name, k, m):
+    # a run's K reads each orbit's sources (a pair's P1 sources, then its
+    # P2 sources) through one row per character c and output: all zero
+    # exactly where c is not trivial on the orbit's stabilizer, which is
+    # computed here from the assignments, as in
+    # test_character_mask_against_stabilizers
+    vb = _block_maps(name, k, m)
+    bits = k - 2
+    stab = _stabilizers(vb.cols.reps, m, len(_BLOCK_MOTIFS[name][0].classes[k - 1]), bits)
+    odd = np.array([[bin(c & h).count("1") % 2 for h in range(1 << bits)]
+                    for c in range(1 << bits)], dtype=bool)
+    trivial = ~(odd[:, None, :] & stab[None, :, :]).any(axis=2)
+    for run in vb.runs:
+        per_orbit = run.coef.shape[2] // len(run.cols)
+        for q, cols in enumerate(run.cols):
+            part = run.coef[:, :, q * per_orbit:(q + 1) * per_orbit]
+            for o in np.arange(vb.cols.reps.size)[cols]:
+                np.testing.assert_array_equal((part != 0).all(axis=(0, 2)), trivial[:, o])
+                np.testing.assert_array_equal((part == 0).all(axis=(0, 2)), ~trivial[:, o])
+
+
+@pytest.mark.parametrize("t", (5, 6))
+def test_clique_column_orbits_make_five_runs(t):
+    # at K_5 and K_6, k = 4, m = 5 the [F, P1, P2] order puts like orbits
+    # next to each other: (sources, orbits, outputs) for the F orbits of
+    # stabilizer size 4, 2 and 1, then the pairs of stabilizer size 1 and 2,
+    # not one run for each of the 175 column orbits
+    vb = density._doubling_shape(complete_graph(t), 4, 5, density.DEFAULT_BUDGET).versions
+    got = [(run.coef.shape[2], run.cols[0].stop - run.cols[0].start, len(run.cols))
+           for run in vb.runs]
+    assert got == [(1, 5, 1), (2, 10, 1), (4, 50, 1), (8, 45, 2), (4, 10, 2)]
+
+
+def test_flipped_run_coefficient_is_caught():
+    # the blocks read the kept rows only through the runs' K: flipping the
+    # sign of one entry must move d_k away from the dense Gram recursion,
+    # which test_version_blocks_against_oracles compares K_5 with
+    colored, k = _BLOCK_MOTIFS["K5"]
+    g = _skewed_graphons_at(3)[0]
+    with _always_blocked():
+        doubling = density._Doubling(colored, k, g.weights, density.DEFAULT_BUDGET)
+    vb = doubling.versions
+    value = float(doubling.forward(g.values).table)
+    coef = vb.runs[-1].coef.copy()
+    coef[0, 0, 0] *= -1.0
+    doubling.versions = vb._replace(runs=(*vb.runs[:-1], vb.runs[-1]._replace(coef=coef)))
+    flipped = float(doubling.forward(g.values).table)
+    doubling.versions = None
+    want = float(doubling.forward(g.values).table)
+    assert value == pytest.approx(want, rel=1e-12, abs=0)
+    assert flipped != pytest.approx(want, rel=1e-6, abs=0)
+
+
+def test_brute_oracles_refuse_too_many_maps():
+    # the brute oracles enumerate m^n maps; K_5 doubled four times has 48
+    # vertices, which is refused before the first map rather than run
+    doubled = iterated_double(complete_graph(5), 4).graph
+    for oracle in (brute_graphon_density, brute_graphon_density_gradient):
+        with pytest.raises(ValueError, match="brute-force cap"):
+            oracle(doubled, [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_swap_of_the_first_two_doublings_for_cliques_only():
@@ -942,7 +1046,7 @@ def test_swap_keeps_one_of_each_conjugate_pair_and_splits_the_rest():
     # the conjugate pair (1, 2) counted twice, and character 3's halves,
     # with no zero row or column
     vb = density._doubling_shape(complete_graph(5), 4, 5, density.DEFAULT_BUDGET).versions
-    assert vb.tables[0][1] == (120, 625)
+    assert vb.tables[0][1] == (625, 120)  # transposed: m^r columns by kept rows
     shapes = [(half.weight, [(c, np.arange(175)[r].size, np.arange(175)[cs].size)
                              for c, r, cs in half.parts]) for half in vb.halves]
     assert shapes == [(1.0, [(0, 120, 120)]), (1.0, [(0, 55, 55)]),
