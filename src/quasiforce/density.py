@@ -43,16 +43,16 @@ Gradients in the value matrix come from reverse accumulation over the same
 compiled plan: the forward replay keeps every step's table (the tape), and
 each step also carries, for every edge-matrix or intermediate operand, the
 einsum of its adjoint (the output adjoint contracted with the step's other
-operands).  Replaying those backwards from an output adjoint gives the
-whole gradient at the cost of about two more forward passes, whatever the
-number of edges; an adjoint with leading batch axes gives the gradient of
-each of its adjoints in that one replay.  Through the dense gluing
-recursion the adjoint of every Gram output is symmetric, because swapping
-the two glued copies changes nothing, so each level's adjoint is one
-product 2 A T, not A (T + T^T).  On version blocks the reverse pass is the
-exact adjoint of the maps that read only the kept rows, with A (T + T^T)
-from level k-3 down, averaged over the swap of classes 0 and 1 where
-sigma is used (see _Doubling.base_adjoint).
+operands).  An elimination over 1,024 entries runs as pairwise steps, each
+with at most two adjoints, so its reverse costs about two of its forward,
+whatever the number of edges; an adjoint with leading batch axes gives
+the gradient of each of its adjoints in that one replay.
+Through the dense gluing recursion the adjoint of every Gram output is
+symmetric, because swapping the two glued copies changes nothing, so each
+level's adjoint is one product 2 A T, not A (T + T^T).  On version blocks
+the reverse pass is the exact adjoint of the maps that read only the kept
+rows, with A (T + T^T) from level k-3 down, averaged over the swap of
+classes 0 and 1 where sigma is used (see _Doubling.base_adjoint).
 
 The density of a motif F in a step graphon W is the sum over all maps
 phi: V(F) -> parts of prod_v weights[phi(v)] * prod_{uv in E} values[phi(u)][phi(v)];
@@ -132,20 +132,14 @@ def _min_fill_order(num_vertices: int, scopes, free) -> list[int]:
 
 
 class _Step(NamedTuple):
-    """One contraction of a compiled plan."""
+    """One einsum of a compiled plan, replayed with no path search."""
 
     expr: str
     operands: tuple[int, ...]  # slot ids, see _EDGE below
-    # the einsum's greedy contraction path, found once when the plan is
-    # compiled, or False where the step contracts its operands directly
-    optimize: tuple | bool
-    axes: int  # vertices spanned by the step's table
-    entries: int  # size ** axes
-    # (operand position, einsum of that operand's adjoint, its path) for
-    # every edge-matrix or step-result operand; the adjoint einsum reads
-    # the output adjoint first, then the other operands in order, and
-    # keeps the output adjoint's leading batch axes
-    adjoints: tuple[tuple[int, str, tuple | bool], ...]
+    # (operand position, einsum of that operand's adjoint) for every
+    # edge-matrix or step-result operand: it reads the output adjoint, then
+    # the other operands in order, and keeps the adjoint's batch axes
+    adjoints: tuple[tuple[int, str], ...]
 
 
 # operand slots of a plan: the edge matrix, the free-vertex weight, the
@@ -153,90 +147,102 @@ class _Step(NamedTuple):
 # the result of each step in step order
 _EDGE, _WEIGHT, _ONE, _UNIT = range(4)
 _FIRST_TEMP = 4
-
-
-def _greedy_path(expr: str, size: int) -> tuple:
-    """The path np.einsum(expr, ..., optimize=True) searches for on every
-    call, found once from shape-only operands: every axis has `size`
-    entries, and the search reads only the shapes."""
-    inputs = expr.split("->")[0].split(",")
-    operands = [np.broadcast_to(0.0, (size,) * len(sub.replace("...", "")))
-                for sub in inputs]
-    return tuple(np.einsum_path(expr, *operands, optimize="greedy")[0])
+# an elimination over more entries runs as the pairwise steps of its path
+_SPLIT_ENTRIES = 1024
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _compile_plan(size: int, num_vertices: int, edges, keep) -> tuple[_Step, ...]:
-    """The contractions, one per eliminated vertex plus the final combine
-    onto the kept vertices, of the sum over phi: [num_vertices] -> [size] of
-    prod_{v not in keep} free_weight[phi(v)] * prod_{(u,v) in edges}
-    edge_matrix[phi(u), phi(v)]; _forward replays them into an array whose
-    axes are the vertices in `keep`, in that order (kept vertices get no
-    weight factor).
-
-    Pure in its hashable arguments; _checked_plan checks the budget against
-    the stored table sizes on every call, so it is not part of the key.
-    """
+def _eliminate(num_vertices: int, edges, keep) -> tuple:
+    """The sum over phi: [num_vertices] -> parts of prod_{v not in keep}
+    free_weight[phi(v)] * prod_{(u,v) in edges} edge_matrix[phi(u), phi(v)]
+    as (factors, union, out) per vertex eliminated in min-fill order, then
+    the combine onto `keep` (kept vertices get no weight): the (vertices,
+    slot) factors, slot _FIRST_TEMP + i the result of triple i, and the
+    vertices the table spans and keeps.  The combine drops a ones factor
+    where another carries its vertex, unless one factor would remain."""
     keep_set = set(keep)
     factors: list[tuple[tuple[int, ...], int]] = [((u, v), _EDGE) for u, v in edges]
     for v in range(num_vertices):
         factors.append(((v,), _ONE if v in keep_set else _WEIGHT))
-    steps: list[_Step] = []
-
-    def emit(group, union, out_vars) -> int:
-        letters = {u: string.ascii_letters[i] for i, u in enumerate(union)}
-        subs = ["".join(letters[x] for x in vars_) for vars_, _ in group]
-        out = "".join(letters[x] for x in out_vars)
-        slots = tuple(slot for _, slot in group)
-        # every letter of an operand is either kept in the output or is the
-        # eliminated vertex, whose weight or ones factor is another operand,
-        # so each adjoint einsum sees all the letters it must produce; the
-        # leading ... carries any batch axes of the output adjoint through
-        exprs = [
-            (i, ",".join(["..." + out, *subs[:i], *subs[i + 1:]]) + "->..." + subs[i])
-            for i, slot in enumerate(slots) if slot == _EDGE or slot >= _FIRST_TEMP
-        ]
-        expr = ",".join(subs) + "->" + out
-        entries = size ** len(union)
-        # a contraction path pays off only on large tables
-        big = entries > 4096
-        steps.append(_Step(expr, slots, big and _greedy_path(expr, size),
-                           len(union), entries,
-                           tuple((i, e, big and _greedy_path(e, size))
-                                 for i, e in exprs)))
-        return _FIRST_TEMP + len(steps) - 1
-
+    eliminations = []
     free = [v for v in range(num_vertices) if v not in keep_set]
     for v in _min_fill_order(num_vertices, [f[0] for f in factors], free):
-        group = [f for f in factors if v in f[0]]
-        rest = [f for f in factors if v not in f[0]]
-        union = sorted(set().union(*[set(f[0]) for f in group]))
-        out_vars = tuple(u for u in union if u != v)
-        factors = rest + [(out_vars, emit(group, union, out_vars))]
+        group = tuple(f for f in factors if v in f[0])
+        union = tuple(sorted(set().union(*[f[0] for f in group])))
+        out = tuple(u for u in union if u != v)
+        factors = [f for f in factors if v not in f[0]]
+        factors.append((out, _FIRST_TEMP + len(eliminations)))
+        eliminations.append((group, union, out))
+    covered = {x for vars_, slot in factors if slot != _ONE for x in vars_}
+    needed = [f for f in factors if f[1] != _ONE or f[0][0] not in covered]
+    factors = needed if len(needed) > 1 else factors or [((), _UNIT)]
+    return (*eliminations, (tuple(factors), keep, keep))
 
-    # everything left lives on kept vertices (or is scalar); combine
-    emit(factors or [((), _UNIT)], list(keep), keep)
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _compile_plan(size: int, num_vertices: int, edges, keep) -> tuple[_Step, ...]:
+    """_eliminate's eliminations over `size` parts as the steps _forward
+    replays: one per elimination of at most _SPLIT_ENTRIES entries, else
+    the pairwise steps of np.einsum's greedy path, found once from shapes.
+    An elimination's operands all carry its vertex and it keeps every
+    other, so a pairwise step sums only that vertex, in both operands:
+    each adjoint einsum sees every letter it produces.  The budget is
+    checked before, by _checked_plan, so it is not part of the key."""
+    steps: list[_Step] = []
+    results: list[int] = []  # the slot of each elimination's result
+
+    def emit(operands, out: str) -> int:
+        subs, slots = zip(*operands)
+        # the leading ... carries any batch axes of the output adjoint through
+        adjoints = tuple(
+            (i, ",".join(["..." + out, *subs[:i], *subs[i + 1:]]) + "->..." + subs[i])
+            for i, slot in enumerate(slots) if slot == _EDGE or slot >= _FIRST_TEMP
+        )
+        steps.append(_Step(",".join(subs) + "->" + out, slots, adjoints))
+        return _FIRST_TEMP + len(steps) - 1
+
+    for factors, union, kept in _eliminate(num_vertices, edges, keep):
+        letters = dict(zip(union, string.ascii_letters))
+        operands = [("".join(letters[x] for x in vars_),
+                     results[slot - _FIRST_TEMP] if slot >= _FIRST_TEMP else slot)
+                    for vars_, slot in factors]
+        out = "".join(letters[x] for x in kept)
+        if size ** len(union) <= _SPLIT_ENTRIES or len(operands) <= 2:
+            results.append(emit(operands, out))
+            continue
+        shapes = [np.broadcast_to(0.0, (size,) * len(sub)) for sub, _ in operands]
+        expr = ",".join(sub for sub, _ in operands) + "->" + out
+        for group in np.einsum_path(expr, *shapes, optimize="greedy")[0][1:]:
+            # the search leaves more than two to one contraction where
+            # nothing is summed or no pair fits its memory limit: fold them
+            taken = [operands.pop(i) for i in sorted(group, reverse=True)]
+            while len(taken) > 1:
+                pair, taken = taken[:2], taken[2:]
+                needed = set(out).union(*[sub for sub, _ in operands + taken])
+                # in letter order, as `out` is
+                sub = "".join(sorted(set(pair[0][0] + pair[1][0]) & needed))
+                taken.insert(0, (sub, emit(pair, sub)))
+            operands += taken
+        results.append(operands[0][1])
     return tuple(steps)
 
 
 def _checked_plan(size, num_vertices, edges, keep, budget) -> tuple[_Step, ...]:
-    """The plan _compile_plan compiles, once every table it builds, the
-    output included, has been checked against `budget`."""
-    keep = tuple(keep)
+    """The plan _compile_plan compiles, once every table of its eliminations,
+    the output included, fits `budget`: a refused plan searches no path."""
     if num_vertices > 50:
         raise UnsupportedSizeError("sum-product core supports at most 50 vertices")
     if size ** len(keep) > budget:
         raise UnsupportedSizeError(
             f"output table with {len(keep)} axes of size {size} exceeds the budget"
         )
-    plan = _compile_plan(size, num_vertices, tuple(edges), keep)
-    for step in plan:
-        if step.entries > budget:
+    for _, union, _ in _eliminate(num_vertices, edges, keep):
+        if size ** len(union) > budget:
             raise UnsupportedSizeError(
-                f"intermediate table over {step.axes} vertices of size {size} "
+                f"intermediate table over {len(union)} vertices of size {size} "
                 f"exceeds the budget of {budget} entries"
             )
-    return plan
+    return _compile_plan(size, num_vertices, edges, keep)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -276,7 +282,7 @@ def _forward(plan, edge_matrix, free_weight, keep_tape: bool = False) -> list:
             for i in step.operands:
                 if i >= _FIRST_TEMP:
                     tape[i - _FIRST_TEMP] = None
-        out = np.einsum(step.expr, *ops, optimize=step.optimize)
+        out = np.einsum(step.expr, *ops)
         tape.append(np.asarray(out, dtype=object) if obj_mode else out)
     return tape
 
@@ -289,9 +295,9 @@ def _reverse(plan, tape, edge_matrix, free_weight, out_bar) -> np.ndarray:
     accumulate into the gradient, and of its step-result operands, which
     the step that produced them consumes in turn.  Axes of `out_bar`
     before the output's are batch axes: one pass gives the gradient of
-    every adjoint in the batch, stacked along them.  No adjoint is larger
-    than an operand of the forward step times the batch, so the forward
-    budget check covers an unbatched reverse pass too.
+    every adjoint in the batch, stacked along them.  Each adjoint is one
+    plain einsum, no larger than an operand of its step times the batch,
+    so the forward budget check covers an unbatched reverse pass too.
     """
     inputs = _plan_inputs(edge_matrix, free_weight, float)
     out_bar = np.asarray(out_bar, dtype=float)
@@ -303,8 +309,8 @@ def _reverse(plan, tape, edge_matrix, free_weight, out_bar) -> np.ndarray:
         step, ybar, bars[j] = plan[j], bars[j], None
         ops = [tape[i - _FIRST_TEMP] if i >= _FIRST_TEMP else inputs[i]
                for i in step.operands]
-        for pos, expr, path in step.adjoints:
-            bar = np.einsum(expr, ybar, *ops[:pos], *ops[pos + 1:], optimize=path)
+        for pos, expr in step.adjoints:
+            bar = np.einsum(expr, ybar, *ops[:pos], *ops[pos + 1:])
             if step.operands[pos] != _EDGE:
                 bars[step.operands[pos] - _FIRST_TEMP] = bar
             else:  # the first edge adjoint, a fresh array, accumulates the rest

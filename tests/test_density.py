@@ -7,6 +7,7 @@ evaluation (conftest) or a closed form on constant graphons.
 import contextlib
 import os
 import platform
+import string
 import subprocess
 import sys
 
@@ -28,6 +29,7 @@ from quasiforce import (
     StepGraphon,
     UnsupportedSizeError,
     complete_graph,
+    check_identity,
     constant_graphon,
     cs_chain_check,
     cycle_graph,
@@ -257,34 +259,154 @@ def test_plan_cache_hit_is_bitwise_identical():
 
 
 def test_stored_paths_match_a_greedy_search_on_real_operands():
-    # steps over 4096 entries keep the greedy path of their einsum and of
-    # each adjoint einsum, found once from shapes alone; a search on the
-    # operands of a real replay finds the same path, and replaying with
-    # the stored one gives the searched contraction bit for bit
-    g = _random_graphon(np.random.default_rng(37), 6)
-    colored = complete_graph(6)
-    doubling = density._Doubling(colored, 4, g.weights, density.DEFAULT_BUDGET)
-    tape = density._forward(doubling.plan, g.values, g.weights, keep_tape=True)
-    inputs = density._plan_inputs(g.values, g.weights, float)
-    stored = 0
-    for slot, step in enumerate(doubling.plan, density._FIRST_TEMP):
-        assert bool(step.optimize) == (step.entries > 4096)
-        if not step.optimize:
-            assert not any(path for _, _, path in step.adjoints)
-            continue
-        ops = [tape[i - density._FIRST_TEMP] if i >= density._FIRST_TEMP
-               else inputs[i] for i in step.operands]
-        searched = np.einsum_path(step.expr, *ops, optimize="greedy")[0]
-        assert list(step.optimize) == searched
-        want = np.einsum(step.expr, *ops, optimize=True)
-        assert tape[slot - density._FIRST_TEMP].tobytes() == want.tobytes()
-        ybar = np.ones_like(tape[slot - density._FIRST_TEMP])
-        for pos, expr, path in step.adjoints:
-            others = [*ops[:pos], *ops[pos + 1:]]
-            assert list(path) == np.einsum_path(expr, ybar, *others,
-                                                optimize="greedy")[0]
-            stored += 1
-    assert stored  # K_6 from 6 parts has steps over 4096 entries
+    # an elimination over 1,024 entries runs as the pairwise steps of its
+    # greedy path, found once from shapes alone: a search on the operands
+    # of a real replay finds the same pairs, and the replay agrees with the
+    # whole contraction; a smaller elimination stays one step
+    first = density._FIRST_TEMP
+    split = 0
+    for t, m in ((5, 5), (6, 5), (6, 6)):
+        g = _random_graphon(np.random.default_rng(37), m)
+        motif = complete_graph(t).graph
+        doubling = density._Doubling(complete_graph(t), 4, g.weights,
+                                     density.DEFAULT_BUDGET)
+        tape = density._forward(doubling.plan, g.values, g.weights, keep_tape=True)
+        inputs = density._plan_inputs(g.values, g.weights, float)
+        for step in doubling.plan:
+            if m ** len(set(step.expr) - set(",->")) > 1024:
+                assert len(step.operands) <= 2
+        steps = enumerate(doubling.plan, first)
+        results = []  # the slot of each elimination's result
+        for factors, union, kept in density._eliminate(motif.n, motif.edges,
+                                                       doubling.pinned):
+            letters = dict(zip(union, string.ascii_letters))
+            subs = ["".join(letters[x] for x in vars_) for vars_, _ in factors]
+            slots = [results[s - first] if s >= first else s for _, s in factors]
+            ops = [tape[s - first] if s >= first else inputs[s] for s in slots]
+            expr = ",".join(subs) + "->" + "".join(letters[x] for x in kept)
+            if m ** len(union) <= 1024 or len(ops) <= 2:
+                slot, step = next(steps)
+                assert (step.expr, list(step.operands)) == (expr, slots)
+                results.append(slot)
+                continue
+            split += 1
+            live = list(subs)
+            for group in np.einsum_path(expr, *ops, optimize="greedy")[0][1:]:
+                # a group the search contracts at once, as it does for the
+                # combine, which sums nothing, is folded into pairs
+                acc, *rest = [live.pop(i) for i in sorted(group, reverse=True)]
+                assert rest
+                for sub in rest:
+                    slot, step = next(steps)
+                    lhs, out = step.expr.split("->")
+                    assert lhs.split(",") == [acc, sub]
+                    acc = out
+                live.append(acc)
+            assert live == [expr.split("->")[1]]
+            want = np.einsum(expr, *ops, optimize=True)
+            got = tape[slot - first]
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            results.append(slot)
+        assert next(steps, None) is None
+    # K_5 splits one elimination, K_6 two from 5 parts and three from 6
+    assert split == 6
+
+
+def _no_path_search(monkeypatch):
+    """Make every contraction path search raise, np.einsum's own included."""
+    def search(*args, **kwargs):
+        raise AssertionError("a contraction path was searched")
+
+    monkeypatch.setattr(np, "einsum_path", search)
+    monkeypatch.setitem(np.einsum.__wrapped__.__globals__, "einsum_path", search)
+
+
+def test_budget_is_checked_before_any_path_search(monkeypatch):
+    # K_40 eliminates a vertex over all 40 others first: refused from the
+    # table sizes alone, with no path searched for the refused plan
+    _no_path_search(monkeypatch)
+    with pytest.raises(UnsupportedSizeError, match="intermediate table over 40"):
+        graphon_density(complete_graph(40).graph, constant_graphon(0.5, 2))
+
+
+def test_warm_chain_calls_search_no_path(monkeypatch):
+    rng = np.random.default_rng(41)
+    g = _random_graphon(rng, 5)
+
+    def chain_op():
+        return (cs_chain_check(6, 4, g), check_identity(g, 0.5, 6),
+                doubling_density_gradient(complete_graph(6), 4, g))
+
+    warm = chain_op()
+    _no_path_search(monkeypatch)
+    again = chain_op()
+    assert again[0] == warm[0]
+    assert again[2][1].tobytes() == warm[2][1].tobytes()
+
+
+def _wheel(n):
+    """The wheel W_n: an n-cycle on 0..n-1 and a hub n joined to each."""
+    rim = tuple(tuple(sorted((i, (i + 1) % n))) for i in range(n))
+    return Graph(n + 1, rim + tuple((i, n) for i in range(n)))
+
+
+def _splits(motif, m, keep=()):
+    """True when some elimination of the plan runs as pairwise steps."""
+    plan = density._compile_plan(m, motif.n, motif.edges, keep)
+    return len(plan) > len(density._eliminate(motif.n, motif.edges, keep))
+
+
+def test_split_plans_against_brute():
+    # at 4 parts K_6 eliminates a vertex over 4,096 entries, as does W_5
+    # with its rim pinned, so their plans run pairwise steps
+    rng = np.random.default_rng(43)
+    g = _random_graphon(rng, 4)
+    k6, w5 = complete_graph(6).graph, _wheel(5)
+    for motif in (k6, w5):
+        value, grad = graphon_density_gradient(motif, g)
+        want = brute_graphon_density(motif, g.weights, g.values)
+        assert value == pytest.approx(want, rel=1e-13)
+        brute_grad = brute_graphon_density_gradient(motif, g.weights, g.values)
+        assert np.abs(grad - brute_grad).max() <= 1e-13 * np.abs(brute_grad).max()
+        fd = _fd_gradient(lambda w: brute_graphon_density(motif, w.weights, w.values), g)
+        assert np.abs(grad - fd).max() <= 1e-6 * np.abs(fd).max()
+    assert _splits(k6, 4)
+    for motif, pinned in ((k6, (0, 1)), (w5, (0, 1, 2, 3, 4))):
+        assert _splits(motif, 4, pinned)
+        table = pinned_table(motif, pinned, g)
+        assert table.shape == (4,) * len(pinned)
+        for parts in np.ndindex(table.shape):
+            want = pinned_density(motif, pinned, dict(zip(pinned, parts)), g)
+            assert table[parts] == pytest.approx(want, rel=1e-13)
+
+
+def test_hom_count_is_exact_on_split_plans():
+    # K_4 into 6 vertices eliminates over 1,296 entries: int64 counts
+    k4 = complete_graph(4).graph
+    target = _random_graph(np.random.default_rng(47), 6, p=0.7)
+    assert _splits(k4, 6)
+    assert hom_count(k4, target, method="eliminate") == brute_hom_count(k4, target)
+    # with 18 isolated vertices into K_8 the count passes 2^62: exact
+    # integers in object arrays, through the same split elimination
+    padded = Graph(22, k4.edges)
+    assert _splits(padded, 8)
+    count = hom_count(padded, complete_graph(8).graph, method="eliminate")
+    assert type(count) is int and count == 8 * 7 * 6 * 5 * 8**18
+
+
+def test_pinned_isolated_vertex_keeps_its_ones_operand():
+    # the combine drops the ones operand of a kept vertex that an edge
+    # carries, but an isolated pinned vertex has nothing else to give its
+    # axis: the table is the triangle's pinned density times ones
+    rng = np.random.default_rng(53)
+    g = _random_graphon(rng, 3)
+    motif = Graph(4, complete_graph(3).graph.edges)
+    combine = density._compile_plan(3, 4, motif.edges, (0, 3))[-1]
+    assert combine.operands.count(density._ONE) == 1
+    table = pinned_table(motif, (0, 3), g)
+    assert table.shape == (3, 3)
+    row = pinned_table(complete_graph(3).graph, (0,), g)
+    assert table.tobytes() == np.repeat(row[:, None], 3, axis=1).tobytes()
 
 
 def test_evaluate_pinned_record():

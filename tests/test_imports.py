@@ -218,7 +218,8 @@ def test_private_imports_are_pinned():
 # so importing the package does none of that work
 _CACHES = {
     "quasiforce.cli": ["_parser"],
-    "quasiforce.density": ["_compile_plan", "_doubling_shape", "_float_ones"],
+    "quasiforce.density": ["_compile_plan", "_doubling_shape", "_eliminate",
+                           "_float_ones"],
     "quasiforce.experiments": ["_clique", "_param_maps"],
     "quasiforce.graphon": ["_mirror"],
     "quasiforce.quasirandom": ["_exact_tables", "_subset_bits"],
