@@ -5,7 +5,8 @@ Three evaluation strategies share one sum-product core:
 * brute-force map enumeration (the oracle-friendly naive path),
 * variable elimination along a greedy fill-in order, polynomial for motifs
   of bounded width, compiled once per motif shape into a fixed sequence
-  of einsum steps and replayed on every call, and
+  of einsum and matmul steps on fixed layouts and replayed on every call,
+  and
 * a copy-gluing recursion for iterated doublings that collapses the
   blown-up motif onto tables indexed by assignments of the glued classes.
   Each table axis carries the square root of its part's weight, so every
@@ -33,20 +34,21 @@ Three evaluation strategies share one sum-product core:
   own columns, so the kept rows are gathered once, transposed, into the
   order of runs of orbits that share one small coefficient matrix, and
   each run is one product into the blocks, stored transposed.  Level
-  k-2's kept rows, the blocks, their Grams and the reverse pass's adjoint
-  of the kept rows share one buffer per run: as one freed allocation it
-  is what sets glibc's trim threshold, which then covers a whole call, so
-  the next call reuses mapped pages rather than faulting its working set
-  back in.
+  k-2's kept rows, the blocks, their Grams and (where a reverse pass
+  follows) the adjoint of the kept rows share one buffer per run: as one
+  freed allocation it is what sets glibc's trim threshold, which then
+  covers a whole call, so the next call reuses mapped pages rather than
+  faulting its working set back in.
 
 Gradients in the value matrix come from reverse accumulation over the same
 compiled plan: the forward replay keeps every step's table (the tape), and
 each step also carries, for every edge-matrix or intermediate operand, the
 einsum of its adjoint (the output adjoint contracted with the step's other
-operands).  An elimination over 1,024 entries runs as pairwise steps, each
-with at most two adjoints, so its reverse costs about two of its forward,
-whatever the number of edges; an adjoint with leading batch axes gives
-the gradient of each of its adjoints in that one replay.
+operands), or, for a step that runs as a matmul, how to form its adjoint
+as one.  An elimination over 1,024 entries runs as pairwise steps, each
+with at most two adjoints, whatever the number of edges; an adjoint with
+leading batch axes gives the gradient of each of its adjoints in that one
+replay.
 Through the dense gluing recursion the adjoint of every Gram output is
 symmetric, because swapping the two glued copies changes nothing, so each
 level's adjoint is one product 2 A T, not A (T + T^T).  On version blocks
@@ -65,7 +67,7 @@ import functools
 import math
 import string
 from dataclasses import dataclass
-from itertools import groupby, product as iter_product
+from itertools import combinations, groupby, product as iter_product
 from typing import NamedTuple
 
 import numpy as np
@@ -132,14 +134,23 @@ def _min_fill_order(num_vertices: int, scopes, free) -> list[int]:
 
 
 class _Step(NamedTuple):
-    """One einsum of a compiled plan, replayed with no path search."""
+    """One einsum or one matmul of a compiled plan, replayed with no path
+    search.  Each operand's letters in `expr` name its axes in the order
+    they are stored (an edge matrix's read transposed, see below), and the
+    output's the order the step stores its result in."""
 
     expr: str
     operands: tuple[int, ...]  # slot ids, see _EDGE below
-    # (operand position, einsum of that operand's adjoint) for every
-    # edge-matrix or step-result operand: it reads the output adjoint, then
-    # the other operands in order, and keeps the adjoint's batch axes
-    adjoints: tuple[tuple[int, str], ...]
+    # one entry for every edge-matrix or step-result operand.  An einsum
+    # step: (operand position, einsum of that operand's adjoint), which
+    # reads the output adjoint, then the other operands in order, and keeps
+    # the adjoint's batch axes.  A matmul step: (operand position, whether
+    # it is an edge matrix read transposed), its adjoint a matmul too
+    adjoints: tuple[tuple[int, str | bool], ...]
+    # np.matmul of the first operand viewed as (its other axes, its last)
+    # by the second viewed as (its first, its other axes): both read the
+    # summed letter there, and they share no other
+    matmul: bool
 
 
 # operand slots of a plan: the edge matrix, the free-vertex weight, the
@@ -147,8 +158,11 @@ class _Step(NamedTuple):
 # the result of each step in step order
 _EDGE, _WEIGHT, _ONE, _UNIT = range(4)
 _FIRST_TEMP = 4
-# an elimination over more entries runs as the pairwise steps of its path
+# an elimination over more entries runs as pairwise steps
 _SPLIT_ENTRIES = 1024
+# an operand over more letters is an elimination's big table, which meets
+# the product of its other operands only in its last step
+_SMALL_LETTERS = 3
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -179,57 +193,163 @@ def _eliminate(num_vertices: int, edges, keep) -> tuple:
     return (*eliminations, (tuple(factors), keep, keep))
 
 
+def _halves(operands, summed: set) -> list[list]:
+    """`operands` as two sides that share no vertex but the summed one, or
+    as one side where they cannot be split: operands linked by another
+    shared vertex stay together, the linked groups go in order of their
+    lowest vertex, the first to the left until it holds half the other
+    vertices, and an operand with no other (the weight) to the side with
+    fewer."""
+    groups: list[tuple[set, list]] = []
+    for op in operands:
+        own = set(op[0]) - summed
+        linked = [g for g in groups if g[0] & own]
+        groups = [g for g in groups if not g[0] & own]
+        groups.append((own.union(*(g[0] for g in linked)),
+                       [x for g in linked for x in g[1]] + [op]))
+    total = sum(len(own) for own, _ in groups)
+    left, right, count = [], [], 0
+    for own, ops in sorted((g for g in groups if g[0]), key=lambda g: min(g[0])):
+        if 2 * count < total:
+            left += ops
+            count += len(own)
+        else:
+            right += ops
+    (left if 2 * count < total else right).extend(
+        op for own, ops in groups if not own for op in ops)
+    return [side for side in (left, right) if side]
+
+
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _compile_plan(size: int, num_vertices: int, edges, keep) -> tuple[_Step, ...]:
     """_eliminate's eliminations over `size` parts as the steps _forward
-    replays: one per elimination of at most _SPLIT_ENTRIES entries, else
-    the pairwise steps of np.einsum's greedy path, found once from shapes.
-    An elimination's operands all carry its vertex and it keeps every
-    other, so a pairwise step sums only that vertex, in both operands:
-    each adjoint einsum sees every letter it produces.  The budget is
-    checked before, by _checked_plan, so it is not part of the key."""
-    steps: list[_Step] = []
+    replays, every layout fixed here.
+
+    An elimination of at most _SPLIT_ENTRIES entries is one einsum step.
+    A larger one runs as pairwise steps.  Its big table (over
+    _SMALL_LETTERS letters) stands alone against the product of its small
+    operands; with none, its operands split into two halves that share only
+    the summed vertex (_halves).  Each side is multiplied out by halving it
+    again, pairwise (the smallest product first) where it cannot be
+    halved, so the small factors meet each other before the big table and
+    each product's letters run in two blocks.  The last step joins the two
+    sides and sums the vertex: one matmul where they share no other
+    vertex, else an einsum.  Every step but the last keeps every letter,
+    so each adjoint sees every letter it produces.
+
+    A matmul reads its first operand with the summed letter last and its
+    second with it first, so the step that feeds it stores its result that
+    way, and an edge matrix stored the other way is read transposed, which
+    is the same matrix (it is symmetric); its adjoint is formed
+    transposed, in the stored order.  A matmul's result is its first
+    operand's other letters, then its second's, so a matmul that feeds
+    another takes its operands in the order that puts the letters the
+    consumer needs at the ends, or, where no order does, runs as an
+    einsum.  Every other result is stored in letter order, the plan's
+    output in `keep`'s, and each einsum names the order it reads.  The
+    budget is checked before, by _checked_plan, so it is not part of the
+    key."""
+    # the steps as [operands, out, letters, lowered]: each operand a
+    # (vertices, slot) pair, `out` the vertices the step keeps, `letters`
+    # its elimination's, and `lowered` whether it may run as a matmul
+    steps: list[list] = []
     results: list[int] = []  # the slot of each elimination's result
 
-    def emit(operands, out: str) -> int:
-        subs, slots = zip(*operands)
-        # the leading ... carries any batch axes of the output adjoint through
-        adjoints = tuple(
-            (i, ",".join(["..." + out, *subs[:i], *subs[i + 1:]]) + "->..." + subs[i])
-            for i, slot in enumerate(slots) if slot == _EDGE or slot >= _FIRST_TEMP
-        )
-        steps.append(_Step(",".join(subs) + "->" + out, slots, adjoints))
-        return _FIRST_TEMP + len(steps) - 1
+    def emit(operands, out, letters, lowered=False):
+        steps.append([list(operands), out, letters, lowered])
+        return out, _FIRST_TEMP + len(steps) - 1
+
+    def product(side, summed, letters):
+        # halves that share no other vertex than the summed one, each
+        # multiplied out, so each product's letters run in two blocks;
+        # operands that cannot be halved go in pairs, the smallest
+        # product first
+        halves = _halves(side, summed) if len(side) > 2 else []
+        if len(halves) == 2:
+            side = [product(half, summed, letters) for half in halves]
+        side = list(side)
+        while len(side) > 1:
+            i, j = min(combinations(range(len(side)), 2), key=lambda p: (
+                len(set(side[p[0]][0] + side[p[1]][0])),
+                max(len(side[p[0]][0]), len(side[p[1]][0]))))
+            b, a = side.pop(j), side.pop(i)
+            side.append(emit((a, b), tuple(sorted(set(a[0] + b[0]))), letters))
+        return side[0]
 
     for factors, union, kept in _eliminate(num_vertices, edges, keep):
         letters = dict(zip(union, string.ascii_letters))
-        operands = [("".join(letters[x] for x in vars_),
-                     results[slot - _FIRST_TEMP] if slot >= _FIRST_TEMP else slot)
+        operands = [(vars_, results[slot - _FIRST_TEMP] if slot >= _FIRST_TEMP else slot)
                     for vars_, slot in factors]
-        out = "".join(letters[x] for x in kept)
-        if size ** len(union) <= _SPLIT_ENTRIES or len(operands) <= 2:
-            results.append(emit(operands, out))
+        if size ** len(union) <= _SPLIT_ENTRIES or len(operands) == 1:
+            results.append(emit(operands, kept, letters)[1])
             continue
-        shapes = [np.broadcast_to(0.0, (size,) * len(sub)) for sub, _ in operands]
-        expr = ",".join(sub for sub, _ in operands) + "->" + out
-        for group in np.einsum_path(expr, *shapes, optimize="greedy")[0][1:]:
-            # the search leaves more than two to one contraction where
-            # nothing is summed or no pair fits its memory limit: fold them
-            taken = [operands.pop(i) for i in sorted(group, reverse=True)]
-            while len(taken) > 1:
-                pair, taken = taken[:2], taken[2:]
-                needed = set(out).union(*[sub for sub, _ in operands + taken])
-                # in letter order, as `out` is
-                sub = "".join(sorted(set(pair[0][0] + pair[1][0]) & needed))
-                taken.insert(0, (sub, emit(pair, sub)))
-            operands += taken
-        results.append(operands[0][1])
-    return tuple(steps)
+        summed = set(union) - set(kept)  # empty for the combine
+        big = max(operands, key=lambda op: len(op[0]))
+        sides = ([[big], [op for op in operands if op is not big]]
+                 if len(big[0]) > _SMALL_LETTERS else _halves(operands, summed))
+        tables = [product(side, summed, letters) for side in sides]
+        if len(tables) == 1:
+            results.append(tables[0][1])
+            continue
+        lowered = bool(summed) and set(tables[0][0]) & set(tables[1][0]) == summed
+        results.append(emit(tables, kept, letters, lowered)[1])
+
+    # last step first: the (first, last) vertex each result's consumer
+    # needs, and the operand order of each matmul
+    need = [(None, None)] * len(steps)
+    flipped = set()  # (step, operand position) of each edge read transposed
+    for j in range(len(steps) - 1, -1, -1):
+        operands, _, _, lowered = steps[j]
+        if not lowered:
+            continue
+        first, last = need[j]
+        (s,) = set(operands[0][0]) & set(operands[1][0])
+        for x, y in (operands, operands[::-1]):
+            if ((first is None or first in set(x[0]) - {s})
+                    and (last is None or last in set(y[0]) - {s})):
+                break
+        else:
+            steps[j][3] = False
+            continue
+        steps[j][0] = [x, y]
+        for pos, ((vars_, slot), want) in enumerate(((x, (first, s)), (y, (s, last)))):
+            if slot >= _FIRST_TEMP:
+                need[slot - _FIRST_TEMP] = want
+            elif slot == _EDGE and (vars_[0] == s) != (pos == 1):
+                flipped.add((j, pos))
+
+    plan: list[_Step] = []
+    layouts: list[tuple[int, ...]] = []  # each result's vertices, as stored
+    for j, (operands, out, letters, lowered) in enumerate(steps):
+        reads = [layouts[slot - _FIRST_TEMP] if slot >= _FIRST_TEMP
+                 else vars_[::-1] if (j, pos) in flipped else vars_
+                 for pos, (vars_, slot) in enumerate(operands)]
+        if lowered:
+            layout = reads[0][:-1] + reads[1][1:]
+        elif j == len(steps) - 1:
+            layout = tuple(keep)
+        else:
+            first, last = need[j]
+            layout = tuple([first] * (first is not None)
+                           + [x for x in out if x not in (first, last)]
+                           + [last] * (last not in (None, first)))
+        layouts.append(layout)
+        subs = ["".join(letters[x] for x in vars_) for vars_ in reads]
+        res = "".join(letters[x] for x in layout)
+        slots = tuple(slot for _, slot in operands)
+        owed = [i for i, slot in enumerate(slots) if slot == _EDGE or slot >= _FIRST_TEMP]
+        # the leading ... carries any batch axes of the output adjoint through
+        adjoints = tuple(
+            (i, (j, i) in flipped) if lowered else
+            (i, ",".join(["..." + res, *subs[:i], *subs[i + 1:]]) + "->..." + subs[i])
+            for i in owed)
+        plan.append(_Step(",".join(subs) + "->" + res, slots, adjoints, lowered))
+    return tuple(plan)
 
 
 def _checked_plan(size, num_vertices, edges, keep, budget) -> tuple[_Step, ...]:
     """The plan _compile_plan compiles, once every table of its eliminations,
-    the output included, fits `budget`: a refused plan searches no path."""
+    the output included, fits `budget`: a refused plan compiles nothing."""
     if num_vertices > 50:
         raise UnsupportedSizeError("sum-product core supports at most 50 vertices")
     if size ** len(keep) > budget:
@@ -263,12 +383,21 @@ def _plan_inputs(edge_matrix, free_weight, dtype) -> tuple:
             np.ones((), dtype=dtype))
 
 
+def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A matmul step: x's other axes by y's, summing x's last and y's first."""
+    s = x.shape[-1]
+    out = np.matmul(x.reshape(-1, s), y.reshape(s, -1))
+    return out.reshape(x.shape[:-1] + y.shape[1:])
+
+
 def _forward(plan, edge_matrix, free_weight, keep_tape: bool = False) -> list:
     """Replay a compiled plan; returns every step's result, the output last.
 
-    Each step result feeds exactly one later step, so unless `keep_tape`
-    asks for the whole tape (the reverse pass reads it), a result is
-    released as soon as that step has run.
+    Each step is one np.einsum, or one np.matmul of reshaped operands,
+    with no path search; object and integer operands stay exact through
+    both.  Each step result feeds exactly one later step, so unless
+    `keep_tape` asks for the whole tape (the reverse pass reads it), a
+    result is released as soon as that step has run.
     """
     # object arrays hold exact big integers; einsum keeps them exact, but a
     # scalar result comes back as a bare Python int, so rewrap every result
@@ -282,22 +411,39 @@ def _forward(plan, edge_matrix, free_weight, keep_tape: bool = False) -> list:
             for i in step.operands:
                 if i >= _FIRST_TEMP:
                     tape[i - _FIRST_TEMP] = None
-        out = np.einsum(step.expr, *ops)
+        out = _matmul(*ops) if step.matmul else np.einsum(step.expr, *ops)
         tape.append(np.asarray(out, dtype=object) if obj_mode else out)
     return tape
+
+
+def _matmul_adjoint(pos: int, flipped: bool, x, y, ybar) -> np.ndarray:
+    """The adjoint of operand `pos` of a matmul step with operands x, y
+    from its output adjoint ybar, batch axes leading: one matmul, formed
+    transposed where the operand is an edge matrix read transposed, so it
+    comes out in the stored order."""
+    s = x.shape[-1]
+    x2, y2 = x.reshape(-1, s), y.reshape(s, -1)
+    batch = ybar.shape[:ybar.ndim - (x.ndim + y.ndim - 2)]
+    z = ybar.reshape(batch + (x2.shape[0], y2.shape[1]))
+    if pos == 0:
+        bar = np.matmul(y2, z.swapaxes(-1, -2)) if flipped else np.matmul(z, y2.T)
+    else:
+        bar = np.matmul(z.swapaxes(-1, -2), x2) if flipped else np.matmul(x2.T, z)
+    return bar.reshape(batch + (x, y)[pos].shape)
 
 
 def _reverse(plan, tape, edge_matrix, free_weight, out_bar) -> np.ndarray:
     """Gradient of sum(out_bar * output) in the ordered edge-matrix entries.
 
-    Walks the plan backwards: each step's adjoint einsums turn the adjoint
-    of its result into the adjoints of its edge-matrix operands, which
-    accumulate into the gradient, and of its step-result operands, which
-    the step that produced them consumes in turn.  Axes of `out_bar`
-    before the output's are batch axes: one pass gives the gradient of
-    every adjoint in the batch, stacked along them.  Each adjoint is one
-    plain einsum, no larger than an operand of its step times the batch,
-    so the forward budget check covers an unbatched reverse pass too.
+    Walks the plan backwards: each step's adjoints turn the adjoint of its
+    result into the adjoints of its edge-matrix operands, which accumulate
+    into the gradient, and of its step-result operands, which the step
+    that produced them consumes in turn.  An einsum step's adjoints are
+    einsums, a matmul step's matmuls.  Axes of `out_bar` before the
+    output's are batch axes: one pass gives the gradient of every adjoint
+    in the batch, stacked along them.  Each adjoint is no larger than an
+    operand of its step times the batch, so the forward budget check
+    covers an unbatched reverse pass too.
     """
     inputs = _plan_inputs(edge_matrix, free_weight, float)
     out_bar = np.asarray(out_bar, dtype=float)
@@ -309,8 +455,11 @@ def _reverse(plan, tape, edge_matrix, free_weight, out_bar) -> np.ndarray:
         step, ybar, bars[j] = plan[j], bars[j], None
         ops = [tape[i - _FIRST_TEMP] if i >= _FIRST_TEMP else inputs[i]
                for i in step.operands]
-        for pos, expr in step.adjoints:
-            bar = np.einsum(expr, ybar, *ops[:pos], *ops[pos + 1:])
+        for pos, adjoint in step.adjoints:
+            if step.matmul:
+                bar = _matmul_adjoint(pos, adjoint, *ops, ybar)
+            else:
+                bar = np.einsum(adjoint, ybar, *ops[:pos], *ops[pos + 1:])
             if step.operands[pos] != _EDGE:
                 bars[step.operands[pos] - _FIRST_TEMP] = bar
             else:  # the first edge adjoint, a fresh array, accumulates the rest
@@ -1011,7 +1160,7 @@ class _DoublingRun(NamedTuple):
     blocks: np.ndarray | None
     grams: list | None  # the Gram of each half (_VersionBlocks.halves)
     # (m^r, nK): room in the same buffer for the reverse pass's adjoint of
-    # level k-2's factor
+    # level k-2's factor, on a run that keeps its tape; else None
     rows_bar: np.ndarray | None
     table: np.ndarray  # the final table: a scalar once every class is glued
 
@@ -1118,7 +1267,8 @@ class _Doubling:
     reverse pass's adjoint of the kept rows live and die with one run,
     so each run takes them as views of one buffer, at the starts fixed in
     the shape (_VersionBlocks.tables), and the steps between them reuse
-    areas read no more.  glibc hands freed heap back to the system above
+    areas read no more; a run that keeps no tape stops the buffer before
+    the adjoint's area.  glibc hands freed heap back to the system above
     twice the largest mapped block freed so far.  Three tables of about 1
     MB each (K_5, k = 4, m = 5, without sigma) keep that threshold under
     a call's working set, and every call faults about 1,800 pages in
@@ -1232,10 +1382,12 @@ class _Doubling:
         # the level whose table runs on version blocks, if any
         blocked = len(self.levels) - 2 if self.versions is not None else -1
         if blocked >= 0:
-            tables = self.versions.tables
+            # a run with no tape has no reverse pass: no room for its adjoint
+            tables = self.versions.tables[:None if keep_tape else -1]
             buffer = np.empty(tables[-1][0].stop)
-            kept, blocks, *grams, rows_bar = (buffer[part][:math.prod(shape)].reshape(shape)
-                                              for part, shape in tables)
+            kept, blocks, *grams = (buffer[part][:math.prod(shape)].reshape(shape)
+                                    for part, shape in tables)
+            rows_bar = grams.pop() if keep_tape else None
             area = buffer[tables[1][0]]  # the blocks' whole area
         for j, level in enumerate(self.levels):
             if j == blocked:

@@ -103,13 +103,6 @@ def _check_problem(t: int, m: int, p: float, k: int | None) -> int:
     return k
 
 
-@functools.cache
-def _clique(t: int) -> ColoredGraph:
-    """complete_graph(t), built once per clique size: _check_problem caps t
-    at 5, and a ColoredGraph is immutable."""
-    return complete_graph(t)
-
-
 class _Pair(NamedTuple):
     """Both residuals at one value matrix, with the tape of their forward
     pass for the reverse pass of _PairEvaluator.jacobian."""
@@ -431,8 +424,8 @@ def run_forcing_trial(t: int, p: float, start: StepGraphon, seed: int = 0,
     _check_tol(tol)
     _check_count("max_iter", max_iter)
     _check_count("seed", seed)
-    pair_eval = _PairEvaluator(_clique(t), k, start.weights, _targets(t, k, p),
-                               budget)
+    pair_eval = _PairEvaluator(complete_graph(t), k, start.weights,
+                               _targets(t, k, p), budget)
     values, _, steps, stop_reason = _solve(start.values, pair_eval, (0.0, 0.0),
                                            _sum_sq, tol, max_iter)
     final = StepGraphon(start.weights, values)
@@ -445,8 +438,8 @@ def run_forcing_trial(t: int, p: float, start: StepGraphon, seed: int = 0,
 def _equal_parts(t: int, k: int, p: float, m: int, budget: int) -> _PairEvaluator:
     """The pair evaluator of a frontier search: K_t and k doublings at
     their constant-p targets, over m parts of equal weight."""
-    return _PairEvaluator(_clique(t), k, np.full(m, 1.0 / m), _targets(t, k, p),
-                          budget)
+    return _PairEvaluator(complete_graph(t), k, np.full(m, 1.0 / m),
+                          _targets(t, k, p), budget)
 
 
 def _pareto_sweep(pair_eval: _PairEvaluator, p: float,
@@ -749,6 +742,6 @@ def contrast_experiment(p: float = 0.5,
     budget = _check_budget(budget)
     graphon, b = non_forcing_witness(p)
     edge = graphon_density(Graph(2, [(0, 1)]), graphon, budget=budget)
-    triangle = graphon_density(_clique(3).graph, graphon, budget=budget)
+    triangle = graphon_density(complete_graph(3).graph, graphon, budget=budget)
     return ContrastResult(float(p), b, graphon, edge, triangle,
                           graphon_constancy(graphon, p))

@@ -10,7 +10,7 @@ each doubling exactly doubles the edge count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from numbers import Integral
 
@@ -182,8 +182,14 @@ class ColoredGraph:
 
 
 def complete_graph(t: int) -> ColoredGraph:
-    """K_t with its unique proper coloring into t singleton classes."""
-    _check_count("t", t)
+    """K_t with its unique proper coloring into t singleton classes, built
+    once per t: a ColoredGraph is immutable, so every caller shares it."""
+    return _complete_graph(_check_count("t", t))
+
+
+# after the count check, which the cache would skip for True after 1
+@lru_cache(maxsize=16)
+def _complete_graph(t: int) -> ColoredGraph:
     if t < 1:
         raise ValueError("complete graph needs at least one vertex")
     edges = tuple(combinations(range(t), 2))

@@ -14,6 +14,7 @@ the equality case through the variance of the pinned density.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,20 @@ def _check_tkp(t: int, k: int | None, p: float) -> int:
     return k
 
 
+@functools.lru_cache(maxsize=8)
+def _non_decreasing(m: int, k: int) -> np.ndarray:
+    """The flat C-order indices of the non-decreasing k-tuples of m parts,
+    ascending, built once per (m, k) and read-only."""
+    # x_i <= x_{i+1} on every pair of neighbouring axes: m^k bytes
+    upper = np.triu(np.ones((m, m), dtype=bool))
+    mask = np.ones((m,) * k, dtype=bool)
+    for i in range(k - 1):
+        mask &= upper.reshape((1,) * i + upper.shape + (1,) * (k - i - 2))
+    flat = np.flatnonzero(mask)
+    flat.flags.writeable = False
+    return flat
+
+
 def check_identity(graphon: StepGraphon, p: float, t: int, k: int | None = None,
                    include_table: bool = True,
                    budget: int = DEFAULT_BUDGET) -> IdentityResidualReport:
@@ -108,13 +123,9 @@ def check_identity(graphon: StepGraphon, p: float, t: int, k: int | None = None,
     table = pinned_table(complete_graph(t).graph, tuple(range(k)), graphon,
                          budget=budget)
     residual = np.abs(table - p ** (t * (t - 1) // 2))
-    # x_i <= x_{i+1} on every pair of neighbouring axes: m^k bytes
-    upper = np.triu(np.ones_like(graphon.values, dtype=bool))
-    non_decreasing = np.ones(residual.shape, dtype=bool)
-    for i in range(k - 1):
-        non_decreasing &= upper.reshape((1,) * i + upper.shape + (1,) * (k - i - 2))
-    # first max in C order = lex smallest
-    flat_arg = int(np.argmax(np.where(non_decreasing, residual, -np.inf)))
+    flat = _non_decreasing(graphon.num_parts, k)
+    # the first max in C order is the lex smallest
+    flat_arg = int(flat[np.argmax(residual.reshape(-1)[flat])])
     argmax = tuple(int(i) for i in np.unravel_index(flat_arg, residual.shape))
     return IdentityResidualReport(t, k, float(p), float(residual[argmax]), argmax,
                                   residual if include_table else None)

@@ -258,58 +258,171 @@ def test_plan_cache_hit_is_bitwise_identical():
     assert again is not first
 
 
-def test_stored_paths_match_a_greedy_search_on_real_operands():
-    # an elimination over 1,024 entries runs as the pairwise steps of its
-    # greedy path, found once from shapes alone: a search on the operands
-    # of a real replay finds the same pairs, and the replay agrees with the
-    # whole contraction; a smaller elimination stays one step
+def _split_plans():
+    """(motif, keep, part count) of plans with split eliminations: the
+    doubling base plans of K_5 and K_6 at 5 and 6 parts, and W_5 pinned on
+    its rim, whose last elimination (the combine) splits too."""
+    for t, m in ((5, 5), (6, 5), (5, 6), (6, 6)):
+        yield complete_graph(t).graph, (0, 1, 2, 3), m
+    for m in (5, 6):
+        yield _wheel(5), (0, 1, 2, 3, 4), m
+
+
+def test_split_eliminations_match_their_whole_contraction():
+    # each elimination over 1,024 entries runs as pairwise steps on
+    # layouts fixed at compile time: its result, read in the layout its
+    # last step names, is the whole contraction of its operands; every
+    # step over 1,024 entries whose two operands share only the letter it
+    # sums is one matmul, which reads that letter last in its first
+    # operand and first in its second; a smaller elimination stays one step
     first = density._FIRST_TEMP
-    split = 0
-    for t, m in ((5, 5), (6, 5), (6, 6)):
+    split = lowered = 0
+    for motif, keep, m in _split_plans():
         g = _random_graphon(np.random.default_rng(37), m)
-        motif = complete_graph(t).graph
-        doubling = density._Doubling(complete_graph(t), 4, g.weights,
-                                     density.DEFAULT_BUDGET)
-        tape = density._forward(doubling.plan, g.values, g.weights, keep_tape=True)
+        plan = density._compile_plan(m, motif.n, motif.edges, keep)
+        tape = density._forward(plan, g.values, g.weights, keep_tape=True)
         inputs = density._plan_inputs(g.values, g.weights, float)
-        for step in doubling.plan:
-            if m ** len(set(step.expr) - set(",->")) > 1024:
-                assert len(step.operands) <= 2
-        steps = enumerate(doubling.plan, first)
-        results = []  # the slot of each elimination's result
-        for factors, union, kept in density._eliminate(motif.n, motif.edges,
-                                                       doubling.pinned):
+        stored = []  # each elimination's result: (tape index, vertices as stored)
+        pos = 0
+        for factors, union, kept in density._eliminate(motif.n, motif.edges, keep):
             letters = dict(zip(union, string.ascii_letters))
-            subs = ["".join(letters[x] for x in vars_) for vars_, _ in factors]
-            slots = [results[s - first] if s >= first else s for _, s in factors]
-            ops = [tape[s - first] if s >= first else inputs[s] for s in slots]
-            expr = ",".join(subs) + "->" + "".join(letters[x] for x in kept)
-            if m ** len(union) <= 1024 or len(ops) <= 2:
-                slot, step = next(steps)
-                assert (step.expr, list(step.operands)) == (expr, slots)
-                results.append(slot)
-                continue
-            split += 1
-            live = list(subs)
-            for group in np.einsum_path(expr, *ops, optimize="greedy")[0][1:]:
-                # a group the search contracts at once, as it does for the
-                # combine, which sums nothing, is folded into pairs
-                acc, *rest = [live.pop(i) for i in sorted(group, reverse=True)]
-                assert rest
-                for sub in rest:
-                    slot, step = next(steps)
-                    lhs, out = step.expr.split("->")
-                    assert lhs.split(",") == [acc, sub]
-                    acc = out
-                live.append(acc)
-            assert live == [expr.split("->")[1]]
-            want = np.einsum(expr, *ops, optimize=True)
-            got = tape[slot - first]
-            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-            results.append(slot)
-        assert next(steps, None) is None
-    # K_5 splits one elimination, K_6 two from 5 parts and three from 6
-    assert split == 6
+            vertex = dict(zip(string.ascii_letters, union))
+            subs, ops = [], []
+            for vars_, slot in factors:
+                if slot >= first:
+                    index, vars_ = stored[slot - first]
+                    ops.append(tape[index])
+                else:
+                    ops.append(inputs[slot])
+                subs.append("".join(letters[x] for x in vars_))
+            pairwise = m ** len(union) > 1024 and len(factors) > 1
+            steps = plan[pos:pos + (len(factors) - 1 if pairwise else 1)]
+            pos += len(steps)
+            out = steps[-1].expr.split("->")[1]
+            if not pairwise:
+                assert steps[0].expr == ",".join(subs) + "->" + out
+                assert not steps[0].matmul
+            else:
+                split += 1
+                want = np.einsum(",".join(subs) + "->" + out, *ops, optimize=True)
+                got = tape[pos - 1]
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            for step in steps:
+                *lhs, res = step.expr.replace("->", ",").split(",")
+                assert len(lhs) <= 2 or not pairwise
+                shared = set(lhs[0]).intersection(*lhs[1:])
+                summed = set("".join(lhs)) - set(res)
+                if step.matmul:
+                    lowered += 1
+                    (s,) = summed
+                    assert shared == summed and lhs[0][-1] == s == lhs[1][0]
+                    assert res == lhs[0][:-1] + lhs[1][1:]
+                elif m ** len(set("".join(lhs))) > 1024:
+                    assert not (len(lhs) == 2 and summed and shared == summed)
+            stored.append((pos - 1, tuple(vertex[c] for c in out)))
+        assert pos == len(plan)
+    # K_5 splits one elimination at 5 parts, and its combine too at 6; K_6
+    # two and three; W_5 its hub and its combine: one matmul per split
+    # elimination that sums a vertex
+    assert (split, lowered) == (12, 6)
+
+
+def _whole_contraction(motif, keep, g, out_bar):
+    """The table of `motif` pinned on `keep` and the gradient of
+    sum(out_bar * table) in the ordered value-matrix entries, each one
+    np.einsum over the whole motif (one per edge for the gradient), along
+    a greedy path allowed tables of up to 2^20 entries."""
+    letters = string.ascii_letters
+    free = [v for v in range(motif.n) if v not in keep]
+    subs = [letters[u] + letters[v] for u, v in motif.edges] + [letters[v] for v in free]
+    ops = [g.values] * len(motif.edges) + [g.weights] * len(free)
+    out = "".join(letters[v] for v in keep)
+
+    def whole(expr, *operands):
+        path = np.einsum_path(expr, *operands, optimize=("greedy", 1 << 20))[0]
+        return np.einsum(expr, *operands, optimize=path)
+
+    table = whole(",".join(subs) + "->" + out, *ops)
+    grad = sum(whole(",".join([out, *subs[:i], *subs[i + 1:]]) + "->" + subs[i],
+                     out_bar, *ops[:i], *ops[i + 1:])
+               for i in range(len(motif.edges)))
+    return table, grad
+
+
+def _check_plan_against_whole(motif, keep, g, rng):
+    plan = density._compile_plan(g.num_parts, motif.n, motif.edges, keep)
+    tape = density._forward(plan, g.values, g.weights, keep_tape=True)
+    out_bar = rng.random(tape[-1].shape)
+    got = density._reverse(plan, tape, g.values, g.weights, out_bar)
+    table, grad = _whole_contraction(motif, keep, g, out_bar)
+    assert np.abs(tape[-1] - table).max() <= 1e-14 * np.abs(table).max()
+    assert np.abs(got - grad).max() <= 1e-14 * np.abs(grad).max()
+    return plan, grad
+
+
+def test_edge_read_transposed_keeps_ordered_adjoint():
+    # the path 1 - 0 - 2 pinned at its ends over 11 parts eliminates vertex
+    # 0 over 1,331 entries: the edge (0, 1) alone is the matmul's first
+    # operand, read as (1, 0), so its adjoint is formed transposed; the
+    # ordered gradient, which is not symmetric, matches the whole one
+    rng = np.random.default_rng(59)
+    motif = Graph(3, ((0, 1), (0, 2)))
+    plan, grad = _check_plan_against_whole(motif, (1, 2), _random_graphon(rng, 11), rng)
+    adjoints = [a for step in plan if step.matmul for a in step.adjoints]
+    assert adjoints == [(0, True), (1, False)]
+    assert np.abs(grad - grad.T).max() > 0.1 * np.abs(grad).max()
+
+
+def test_matmul_no_operand_order_can_lay_out_runs_as_einsum():
+    # here a matmul's result feeds another matmul that needs it laid out
+    # with one letter first and another last, and both of those come from
+    # the same operand: the step runs as an einsum on its two operands
+    rng = np.random.default_rng(73)
+    motif = Graph(9, ((0, 1), (0, 3), (1, 4), (1, 7), (1, 8), (2, 5), (2, 6), (2, 8),
+                      (3, 6), (3, 7), (4, 5), (4, 8), (5, 7), (5, 8), (6, 8)))
+    plan, _ = _check_plan_against_whole(motif, (0,), _random_graphon(rng, 11), rng)
+    demoted = 0
+    for step in plan:
+        *lhs, res = step.expr.replace("->", ",").split(",")
+        summed = set("".join(lhs)) - set(res)
+        if len(lhs) == 2 and summed and set(lhs[0]) & set(lhs[1]) == summed:
+            demoted += not step.matmul
+    assert demoted == 1 and any(step.matmul for step in plan)
+
+
+def test_matmul_adjoints_match_their_einsums():
+    # a matmul step and its adjoints, with a batch axis on the output
+    # adjoint, against einsums; an edge matrix read transposed gets the
+    # transpose of the adjoint of what the step reads: its stored order
+    rng = np.random.default_rng(67)
+    x, y, ybar = rng.random((4, 3)), rng.random((3, 2, 5)), rng.random((6, 4, 2, 5))
+    np.testing.assert_allclose(density._matmul(x, y), np.einsum("ab,bcd->acd", x, y),
+                               rtol=1e-14)
+    np.testing.assert_allclose(density._matmul_adjoint(0, False, x, y, ybar),
+                               np.einsum("...acd,bcd->...ab", ybar, y), rtol=1e-14)
+    np.testing.assert_allclose(density._matmul_adjoint(1, False, x, y, ybar),
+                               np.einsum("...acd,ab->...bcd", ybar, x), rtol=1e-14)
+    e = rng.random((3, 3))
+    for pos, ops in ((0, (e, y)), (1, (x, e))):
+        ybar = rng.random((6,) + density._matmul(*ops).shape)
+        read = density._matmul_adjoint(pos, False, *ops, ybar)
+        np.testing.assert_allclose(density._matmul_adjoint(pos, True, *ops, ybar),
+                                   read.swapaxes(-1, -2), rtol=1e-14)
+
+
+def test_batched_reverse_through_matmuls_is_bitwise():
+    # one reverse pass with a batch of adjoints equals the single passes
+    # bit for bit through the matmul steps of K_6's plan at 5 parts
+    rng = np.random.default_rng(71)
+    g = _random_graphon(rng, 5)
+    plan = density._compile_plan(5, 6, complete_graph(6).graph.edges, (0, 1, 2, 3))
+    assert any(step.matmul for step in plan)
+    tape = density._forward(plan, g.values, g.weights, keep_tape=True)
+    bars = rng.random((3,) + tape[-1].shape)
+    batched = density._reverse(plan, tape, g.values, g.weights, bars)
+    for bar, got in zip(bars, batched):
+        want = density._reverse(plan, tape, g.values, g.weights, bar)
+        assert got.tobytes() == want.tobytes()
 
 
 def _no_path_search(monkeypatch):
@@ -351,14 +464,16 @@ def _wheel(n):
 
 
 def _splits(motif, m, keep=()):
-    """True when some elimination of the plan runs as pairwise steps."""
+    """True when some elimination of the plan runs as pairwise steps, one
+    of them a matmul."""
     plan = density._compile_plan(m, motif.n, motif.edges, keep)
-    return len(plan) > len(density._eliminate(motif.n, motif.edges, keep))
+    return (len(plan) > len(density._eliminate(motif.n, motif.edges, keep))
+            and any(step.matmul for step in plan))
 
 
 def test_split_plans_against_brute():
     # at 4 parts K_6 eliminates a vertex over 4,096 entries, as does W_5
-    # with its rim pinned, so their plans run pairwise steps
+    # with its rim pinned, so their plans run pairwise steps and a matmul
     rng = np.random.default_rng(43)
     g = _random_graphon(rng, 4)
     k6, w5 = complete_graph(6).graph, _wheel(5)
@@ -387,7 +502,8 @@ def test_hom_count_is_exact_on_split_plans():
     assert _splits(k4, 6)
     assert hom_count(k4, target, method="eliminate") == brute_hom_count(k4, target)
     # with 18 isolated vertices into K_8 the count passes 2^62: exact
-    # integers in object arrays, through the same split elimination
+    # integers in object arrays, through the same split elimination and
+    # its matmul
     padded = Graph(22, k4.edges)
     assert _splits(padded, 8)
     count = hom_count(padded, complete_graph(8).graph, method="eliminate")
@@ -627,11 +743,18 @@ def test_doubling_peak_memory_at_m5():
             peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
-    # measured 3.1 and 2.7 MiB; level k-3's whole 625 x 625 Gram, or its
+    # measured 3.1 and 2.1 MiB; level k-3's whole 625 x 625 Gram, or its
     # whole adjoint gathered from the version blocks (9.6 and 6.5 MiB with
     # both), breaks these bounds
     assert peaks["gradient"] < 5.0
     assert peaks["chain"] < 5.0
+    # a run with no tape reserves no room for the reverse pass's adjoint of
+    # the kept rows (0.57 MiB here): 2.7 MiB with it
+    doubling = density._Doubling(colored, 4, g.weights, density.DEFAULT_BUDGET)
+    assert doubling.forward(g.values).rows_bar is None
+    assert doubling.forward(g.values, keep_tape=True).rows_bar is not None
+    _, shape = doubling.versions.tables[-1]
+    assert peaks["chain"] + 8 * np.prod(shape) / 2**20 < peaks["gradient"]
 
 
 _FAULTS_PER_ROUND = """
@@ -842,7 +965,8 @@ def _assert_gluing_matches_dense(doubling, g, tol=1e-14):
     table, and the adjoint a (T + T^T) of the general product.  `tol`
     bounds each level's table error relative to its largest entry."""
     m = g.num_parts
-    run = doubling.forward(g.values)
+    # with the tape: base_adjoint below runs a reverse pass on it
+    run = doubling.forward(g.values, keep_tape=True)
     factors = list(run.factors)
     if run.grams is not None:
         # level k-2's whole table and the last level's factor, which the

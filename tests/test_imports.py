@@ -220,8 +220,10 @@ _CACHES = {
     "quasiforce.cli": ["_parser"],
     "quasiforce.density": ["_compile_plan", "_doubling_shape", "_eliminate",
                            "_float_ones"],
-    "quasiforce.experiments": ["_clique", "_param_maps"],
+    "quasiforce.experiments": ["_param_maps"],
     "quasiforce.graphon": ["_mirror"],
+    "quasiforce.graphs": ["_complete_graph"],
+    "quasiforce.identities": ["_non_decreasing"],
     "quasiforce.quasirandom": ["_exact_tables", "_subset_bits"],
     "quasiforce.serialize": ["_field_names"],
 }
