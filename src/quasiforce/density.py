@@ -234,8 +234,10 @@ def _compile_plan(size: int, num_vertices: int, edges, keep) -> tuple[_Step, ...
     halved, so the small factors meet each other before the big table and
     each product's letters run in two blocks.  The last step joins the two
     sides and sums the vertex: one matmul where they share no other
-    vertex, else an einsum.  Every step but the last keeps every letter,
-    so each adjoint sees every letter it produces.
+    vertex, else an einsum.  Operands that cannot be halved (each over the
+    summed vertex alone, or a combine's, all linked) are one side, whose
+    last pairwise product is the join.  Every step but the last keeps
+    every letter, so each adjoint sees every letter it produces.
 
     A matmul reads its first operand with the summed letter last and its
     second with it first, so the step that feeds it stores its result that
@@ -289,8 +291,10 @@ def _compile_plan(size: int, num_vertices: int, edges, keep) -> tuple[_Step, ...
                  if len(big[0]) > _SMALL_LETTERS else _halves(operands, summed))
         tables = [product(side, summed, letters) for side in sides]
         if len(tables) == 1:
-            results.append(tables[0][1])
-            continue
+            # one side (every operand over the summed vertex alone, or a
+            # combine whose operands are all linked): its last product is
+            # the join, emitted again to keep only `kept`
+            tables = steps.pop()[0]
         lowered = bool(summed) and set(tables[0][0]) & set(tables[1][0]) == summed
         results.append(emit(tables, kept, letters, lowered)[1])
 

@@ -510,6 +510,27 @@ def test_hom_count_is_exact_on_split_plans():
     assert type(count) is int and count == 8 * 7 * 6 * 5 * 8**18
 
 
+def test_elimination_over_its_vertex_alone_sums_it():
+    # over 1,100 parts the last vertex of K_2 and P_3 is eliminated over
+    # 1,100 entries from its weight and tables over that vertex alone,
+    # which cannot be halved: the last of their pairwise products sums it
+    rng = np.random.default_rng(79)
+    n = 1100
+    rows, cols = np.nonzero(np.triu(rng.random((n, n)) < 0.01, 1))
+    target = Graph(n, tuple(zip(rows.tolist(), cols.tolist())))
+    degrees = np.bincount(np.concatenate([rows, cols]), minlength=n)
+    edge, path = complete_graph(2).graph, Graph(3, ((0, 1), (1, 2)))
+    for motif in (edge, path):
+        plan = density._compile_plan(n, motif.n, motif.edges, ())
+        assert plan[-1].expr == "->" and plan[-2].matmul
+    assert hom_count(edge, target, method="eliminate") == 2 * len(target.edges)
+    assert hom_count(path, target, method="eliminate") == int((degrees ** 2).sum())
+    g = _random_graphon(rng, n)
+    reach = g.values @ g.weights  # each part's edge density to the rest
+    assert graphon_density(edge, g) == pytest.approx(g.weights @ reach, rel=1e-13)
+    assert graphon_density(path, g) == pytest.approx(g.weights @ reach**2, rel=1e-13)
+
+
 def test_pinned_isolated_vertex_keeps_its_ones_operand():
     # the combine drops the ones operand of a kept vertex that an edge
     # carries, but an isolated pinned vertex has nothing else to give its
