@@ -21,15 +21,17 @@ Three evaluation strategies share one sum-product core:
   k-3's Gram, which is that table, is formed only at the rows of the
   group's orbit representatives, and the last two levels run on one block
   per character of the group, which costs a few small Grams and products
-  instead of two m^r x m^r syrks and gemms.  From four doublings on, a
-  motif with an automorphism that swaps classes 0 and 1 (every K_t has
-  one) makes the copies of the first two doublings interchangeable too:
-  sigma, the swap of version bits 0 and 1, fixes level k-2's table.  The
-  orbits are then ordered [F, P1, P2], F those sigma maps to themselves
+  instead of two m^r x m^r syrks and gemms.  One more symmetry sigma of
+  that table shrinks the blocks: from four doublings on, a motif with an
+  automorphism that swaps classes 0 and 1 (every K_t has one) makes the
+  copies of the first two doublings interchangeable too, and sigma is
+  the swap of version bits 0 and 1; otherwise sigma is the identity.
+  The orbits are ordered [F, P1, P2], F those sigma maps to themselves
   and P2 the images of P1, the P2 rows are never formed, a pair of
   characters that sigma swaps keeps one block counted twice, and a
   character it fixes splits into a sigma-even and a sigma-odd half, all
-  cut from the blocks by slices.  The blocks are a linear map of the kept
+  cut from the blocks by slices (under the identity: every orbit in F,
+  one half per character).  The blocks are a linear map of the kept
   rows that acts on every row alike, and each column orbit reads only its
   own columns, so the kept rows are gathered once, transposed, into the
   order of runs of orbits that share one small coefficient matrix, and
@@ -53,8 +55,8 @@ Through the dense gluing recursion the adjoint of every Gram output is
 symmetric, because swapping the two glued copies changes nothing, so each
 level's adjoint is one product 2 A T, not A (T + T^T).  On version blocks
 the reverse pass is the exact adjoint of the maps that read only the kept
-rows, with A (T + T^T) from level k-3 down, averaged over the swap of
-classes 0 and 1 where sigma is used (see _Doubling.base_adjoint).
+rows, with A (T + T^T) from level k-3 down, averaged over sigma's map of
+the base table (see _Doubling.base_adjoint).
 
 The density of a motif F in a step graphon W is the sum over all maps
 phi: V(F) -> parts of prod_v weights[phi(v)] * prod_{uv in E} values[phi(u)][phi(v)];
@@ -728,11 +730,13 @@ def _centered_sq(q: np.ndarray, u: np.ndarray, v: np.ndarray, mean: float) -> fl
 # (and level k-3's Gram at the row orbit representatives only).  The
 # blocks cost about a dozen more numpy calls per forward and adjoint, and
 # a few more per class k-2 part on level k-3, which outweigh the flops
-# they save on small tables: on one thread of a 2-core Xeon, forward plus
-# adjoint ran 20-60% slower on blocks at 81 x 81 (K_4, C_6 at k = 3, K_5
-# at k = 4), and at 256 x 256 from 1.2 (two characters) to 2.5 times
-# (four) faster.
-_VERSION_BLOCK_MIN = 1 << 13
+# they save on small tables.  Forward plus adjoint on blocks over the
+# dense Gram, K_4 and K_5 at k = 3 (m^4 entries), K_5 and K_6 at k = 4
+# (m^8), min of 15 repeats on one thread of a 2-core Xeon: at k = 3, 1.7
+# to 5.6 times the time up to 10,000 entries, 1.2 to 1.7 at 20,736 and
+# 28,561, even at 38,416 and 0.6 to 0.9 at 50,625; at k = 4, 2.4 to 4.9
+# times at 256 and 6,561 entries and 0.3 at 65,536.
+_VERSION_BLOCK_MIN = 1 << 15
 
 
 def _characters(bits: int) -> np.ndarray:
@@ -758,16 +762,16 @@ class _VersionOrbits(NamedTuple):
     weight: np.ndarray
     root_stab: np.ndarray  # (n,): sqrt|S_o|, S_o the stabilizer
     orbit: np.ndarray  # (N,): the orbit of every assignment x
-    # with the swap sigma the orbits run [F, P1, P2]: F the orbits sigma
-    # maps to themselves, then `pairs` orbits P1 and their images P2 in
-    # the same order, reps[P2] = sigma(reps[P1]); without it pairs is 0
+    # the orbits run [F, P1, P2]: F the orbits sigma maps to themselves,
+    # then `pairs` orbits P1 and their images P2 in the same order,
+    # reps[P2] = sigma(reps[P1]); pairs is 0 where sigma is the identity
     pairs: int
     # (n,): on F the h with sigma(reps[o]) = h . reps[o] (0 where sigma
     # fixes reps[o]), elsewhere 0
     swap_shift: np.ndarray
 
 
-def _version_orbits(m: int, n: int, bits: int, swap: bool = False) -> _VersionOrbits:
+def _version_orbits(m: int, n: int, bits: int, sigma=lambda v: v) -> _VersionOrbits:
     """The group (Z2)^bits acting on [m]^(n 2^bits), whose axes are
     vertex-major, version-minor: h sends the axis of (vertex i, version v)
     to that of (i, v XOR h).
@@ -783,15 +787,15 @@ def _version_orbits(m: int, n: int, bits: int, swap: bool = False) -> _VersionOr
     The maps hold a few entries per assignment of one class, not per
     entry of the table.
 
-    With `swap` the orbits are ordered for sigma, the swap of version bits
-    0 and 1 (see _Doubling): [F, P1, P2] as in _VersionOrbits.  F takes
-    the smallest assignment sigma fixes as its representative where the
-    orbit has one, so that sigma maps it to itself; a pair puts first the
-    orbit whose stabilizer holds the larger group elements.  F runs from
-    the largest stabilizers down and P1 from the smallest up, so that at
-    two version bits the orbits on which each character is nonzero make
-    one run of F and one of P1.  Without it the representative of each
-    orbit is its smallest assignment.
+    The orbits are ordered for `sigma`, a map on versions (see _Doubling),
+    as [F, P1, P2] of _VersionOrbits.  F takes the smallest assignment
+    sigma fixes as its representative where the orbit has one, so that
+    sigma maps it to itself; a pair puts first the orbit whose stabilizer
+    holds the larger group elements.  F runs from the largest stabilizers
+    down and P1 from the smallest up, so that at two version bits the
+    orbits on which each character is nonzero make one run of F and one
+    of P1.  Under the identity every orbit is in F, represented by its
+    smallest assignment.
     """
     versions = 1 << bits
     flat = np.arange(m ** (n * versions)).reshape((m,) * (n * versions))
@@ -802,38 +806,35 @@ def _version_orbits(m: int, n: int, bits: int, swap: bool = False) -> _VersionOr
 
     images = np.stack([images_of(lambda v, h=h: v ^ h) for h in range(versions)])
     reps, orbit = np.unique(images.min(axis=0), return_inverse=True)
-    pairs, swap_shift = 0, np.zeros(reps.size, dtype=np.int64)
-    if swap:
-        sigma = images_of(_swap_low_bits)
-        stab = images[:, reps] == reps
-        size = stab.sum(axis=0)
-        # the elements of each stabilizer as a bit mask
-        elements = (stab << np.arange(versions)[:, None]).sum(axis=0)
-        partner = orbit[sigma[reps]]
-        index = np.arange(reps.size)
-        fixed_points = np.flatnonzero(sigma == np.arange(sigma.size))
-        has, first = np.unique(orbit[fixed_points], return_index=True)
-        reps = reps.copy()
-        reps[has] = fixed_points[first]
-        fixed = np.flatnonzero(partner == index)
-        ahead = (elements > elements[partner]) | (
-            (elements == elements[partner]) & (index < partner))
-        p1 = np.flatnonzero((partner != index) & ahead)
-        fixed = fixed[np.lexsort((fixed, -size[fixed]))]
-        p1 = p1[np.lexsort((p1, size[p1]))]
-        order = np.concatenate([fixed, p1, partner[p1]])
-        reps = np.concatenate([reps[fixed], reps[p1], sigma[reps[p1]]])
-        orbit = np.argsort(order)[orbit]
-        pairs = p1.size
-        swap_shift[:fixed.size] = np.argmax(
-            images[:, reps[:fixed.size]] == sigma[reps[:fixed.size]], axis=0)
+    sigma = images_of(sigma)  # from here on, sigma on assignments
+    stab = images[:, reps] == reps
+    size = stab.sum(axis=0)
+    # the elements of each stabilizer as a bit mask
+    elements = (stab << np.arange(versions)[:, None]).sum(axis=0)
+    partner = orbit[sigma[reps]]
+    index = np.arange(reps.size)
+    fixed_points = np.flatnonzero(sigma == np.arange(sigma.size))
+    has, first = np.unique(orbit[fixed_points], return_index=True)
+    reps[has] = fixed_points[first]
+    fixed = np.flatnonzero(partner == index)
+    ahead = (elements > elements[partner]) | (
+        (elements == elements[partner]) & (index < partner))
+    p1 = np.flatnonzero((partner != index) & ahead)
+    fixed = fixed[np.lexsort((fixed, -size[fixed]))]
+    p1 = p1[np.lexsort((p1, size[p1]))]
+    order = np.concatenate([fixed, p1, partner[p1]])
+    reps = np.concatenate([reps[fixed], reps[p1], sigma[reps[p1]]])
+    orbit = np.argsort(order)[orbit]
+    swap_shift = np.zeros(reps.size, dtype=np.int64)
+    swap_shift[:fixed.size] = np.argmax(
+        images[:, reps[:fixed.size]] == sigma[reps[:fixed.size]], axis=0)
     # the indicator of each orbit's stabilizer S_o, summed against every
     # character c: |S_o| where c is trivial on S_o, else 0
     trivial = _characters(bits) @ (images[:, reps] == reps)
     root_stab = np.sqrt(trivial[0])
     return _VersionOrbits(reps, images[:, reps].T.copy(),
                           (trivial != 0) / root_stab, root_stab, orbit,
-                          pairs, swap_shift)
+                          p1.size, swap_shift)
 
 
 class _Level(NamedTuple):
@@ -962,10 +963,12 @@ class _VersionBlocks(NamedTuple):
     unperm: np.ndarray
     runs: tuple[_Run, ...]
     row_scale: np.ndarray  # (H, 1, nK)
-    # with sigma: the P1 and P2 column slices; else None
-    pairs: tuple[slice, slice] | None
     halves: tuple[_Half, ...]  # the sigma-even half of the trivial block first
-    swap_axes: tuple[int, ...] | None  # the class 0 / class 1 swap of the base table
+    # the first half's column scale beyond sqrt(H / |S_o|): sqrt 2 on P1
+    # and 0 on P2, the coordinates of a sigma-fixed vector on the pair
+    # columns (x + y)/sqrt 2, else 1
+    pair_scale: np.ndarray
+    swap_axes: tuple[int, ...]  # sigma on the base table's axes
     # (area, shape) in the buffer of one run, which ends with the last
     # area, each table at the start of its area: the kept rows, transposed
     # and gathered by perm (the raw kept rows first), the blocks, the Gram
@@ -1003,19 +1006,23 @@ def _swaps_first_classes(colored: ColoredGraph) -> bool:
 
 
 def _version_blocks(colored: ColoredGraph, levels, k: int, m: int) -> _VersionBlocks:
-    """The maps of _VersionBlocks for k >= 3 doublings over m parts; sigma
-    (see _Doubling) from k = 4 on where the motif swaps classes 0 and 1."""
+    """The maps of _VersionBlocks for k >= 3 doublings over m parts.  sigma
+    (see _Doubling) is the swap of version bits 0 and 1 from k = 4 on where
+    the motif swaps classes 0 and 1, and the identity otherwise, which
+    fixes every orbit and character: each character makes one half, its
+    sigma-even one."""
     bits = k - 2
     order = 1 << bits  # elements and characters of the group
     swap = bits >= 2 and _swaps_first_classes(colored)
-    rows, cols = (_version_orbits(m, len(colored.classes[c]), bits, swap)
+    sigma = _swap_low_bits if swap else lambda v: v
+    rows, cols = (_version_orbits(m, len(colored.classes[c]), bits, sigma)
                   for c in (k - 2, k - 1))
     kept = rows.reps.size - rows.pairs
     fixed = kept - rows.pairs
     nf, npair = cols.reps.size - 2 * cols.pairs, cols.pairs
     chi = _characters(bits)
     odd = chi < 0
-    conj = [_swap_low_bits(c) if swap else c for c in range(order)]
+    conj = [sigma(c) for c in range(order)]
     row_nz = rows.weight[:, :kept] != 0
     col_nz = cols.weight != 0
     row_scale = rows.weight[:, :kept].copy()
@@ -1023,19 +1030,14 @@ def _version_blocks(colored: ColoredGraph, levels, k: int, m: int) -> _VersionBl
     halves = []
     # -1 at the characters whose odd pair columns change sign
     sign = np.ones(order)
-    if swap:
-        # a pair column of the sigma basis is nonzero where either orbit is
-        pair_nz = col_nz[:, nf:nf + npair] | col_nz[:, nf + npair:]
-        col_nz = np.concatenate([col_nz[:, :nf], pair_nz, pair_nz], axis=1)
-        col_scale[:, nf:] /= math.sqrt(2)
-        in_p1 = np.arange(kept) >= fixed
+    # a pair column of the sigma basis is nonzero where either orbit is
+    pair_nz = col_nz[:, nf:nf + npair] | col_nz[:, nf + npair:]
+    col_nz = np.concatenate([col_nz[:, :nf], pair_nz, pair_nz], axis=1)
+    col_scale[:, nf:] /= math.sqrt(2)
+    in_p1 = np.arange(kept) >= fixed
     for c in range(order):
         sc = conj[c]
-        if not swap:
-            r, cs = _span(row_nz[c]), _span(col_nz[c])
-            if r is not None and cs is not None:
-                halves.append(_Half(1.0, ((c, r, cs),)))
-        elif sc == c:
+        if sc == c:
             # sigma-even and sigma-odd halves: the F orbits of that sign
             # and the pair columns x + y or x - y; each pair row stands
             # for both of its orbits, sqrt 2 times
@@ -1090,16 +1092,19 @@ def _version_blocks(colored: ColoredGraph, levels, k: int, m: int) -> _VersionBl
         n = max(math.prod(shape), least)
         tables.append((slice(size, size + n), shape))
         size += -(-n // 8) * 8
-    n0 = len(colored.classes[0])
+    pair_scale = np.ones(cols.reps.size)
+    pair_scale[nf:nf + npair] = math.sqrt(2)
+    pair_scale[nf + npair:] = 0.0
+    # the vertices that sigma swaps: those of class 0 with those of class 1,
+    # or none
+    n0 = len(colored.classes[0]) if swap else 0
     pinned = sum(len(colored.classes[c]) for c in range(k))
-    swap_axes = (tuple(range(n0, 2 * n0)) + tuple(range(n0))
-                 + tuple(range(2 * n0, pinned)) if swap else None)
+    swap_axes = tuple(range(n0, 2 * n0)) + tuple(range(n0)) + tuple(range(2 * n0, pinned))
     row_of = np.where(rows.orbit < kept, rows.orbit, rows.orbit - rows.pairs)
     return _VersionBlocks(
         rows, cols, orbit_rows, row_of, perm, np.argsort(perm), runs,
-        row_scale[:, None, :],
-        (slice(nf, nf + npair), slice(nf + npair, None)) if swap else None,
-        tuple(halves), swap_axes, tuple(tables))
+        row_scale[:, None, :], tuple(halves), pair_scale[halves[0].parts[0][2]],
+        swap_axes, tuple(tables))
 
 
 def _column_runs(cols: _VersionOrbits, col_scale: np.ndarray, chi: np.ndarray,
@@ -1234,11 +1239,12 @@ class _Doubling:
     through level k-3 without building either m^(2r) table.  Each block
     keeps only the orbits on which its character is nonzero.
 
-    From k = 4 on, where the motif has the automorphism that swaps vertex
-    i of class 0 with vertex i of class 1 and fixes every other vertex
-    (every K_t has one), the first two doublings are interchangeable:
-    sigma, the swap of version bits 0 and 1 on A's rows and columns at
-    once, leaves A unchanged.  sigma permutes the orbits, so they are
+    sigma is one more map on A's rows and columns at once that leaves A
+    unchanged.  From k = 4 on, where the motif has the automorphism that
+    swaps vertex i of class 0 with vertex i of class 1 and fixes every
+    other vertex (every K_t has one), the first two doublings are
+    interchangeable, and sigma is the swap of version bits 0 and 1;
+    elsewhere it is the identity.  sigma permutes the orbits, so they are
     ordered [F, P1, P2]: F the orbits it maps to themselves, P1 one of
     each other pair and P2 = sigma(P1) in the same order.  A is formed
     at the F and P1 representatives only (kept rows).  sigma maps block
@@ -1250,9 +1256,11 @@ class _Doubling:
     for both of its orbits sqrt 2 times; F+ and F- are the F orbits on
     which sigma acts on c's basis vector by +1 or -1 (all of F at k = 4).
     Over the even and odd pair columns of every block, each half and each
-    kept block is a slice of the blocks table.  At K_5, k = 4, m = 5 the
-    kept rows are 120 of 625 (175 without sigma), and four 175 x 175
-    blocks become halves of 120 and 55, one block of 105 + 45 rows by 160
+    kept block is a slice of the blocks table.  The identity fixes every
+    orbit and character, so it keeps every row orbit and makes one
+    sigma-even half per character.  At K_5, k = 4, m = 5 the kept rows
+    are 120 of 625 (175 under the identity), and four 175 x 175 blocks
+    become halves of 120 and 55, one block of 105 + 45 rows by 160
     columns counted twice, and halves of 105 and 45.
 
     The map from the kept rows to the blocks acts on every row alike, and
@@ -1274,7 +1282,7 @@ class _Doubling:
     areas read no more; a run that keeps no tape stops the buffer before
     the adjoint's area.  glibc hands freed heap back to the system above
     twice the largest mapped block freed so far.  Three tables of about 1
-    MB each (K_5, k = 4, m = 5, without sigma) keep that threshold under
+    MB each (K_5, k = 4, m = 5, sigma the identity) keep that threshold under
     a call's working set, and every call faults about 1,800 pages in
     anew; one buffer of their joint size lifts it above.
     """
@@ -1297,12 +1305,10 @@ class _Doubling:
             # trivial block, sigma-even): sqrt|O| times their value at the
             # orbit's representative, in the sigma basis
             vb = self.versions
-            roots = _weight_products(self.roots, self.levels[-2].r)
-            s = roots[vb.cols.reps] * np.sqrt(1 << (k - 2)) / vb.cols.root_stab
-            if vb.pairs is not None:
-                s[vb.pairs[0]] *= math.sqrt(2)
-                s[vb.pairs[1]] = 0.0
-            self.block_roots = s[vb.halves[0].parts[0][2]]
+            cs = vb.halves[0].parts[0][2]
+            roots = _weight_products(self.roots, self.levels[-2].r)[vb.cols.reps[cs]]
+            self.block_roots = (roots * np.sqrt(1 << (k - 2)) / vb.cols.root_stab[cs]
+                                * vb.pair_scale)
 
     @functools.cached_property
     def base_weights(self) -> np.ndarray:
@@ -1463,11 +1469,13 @@ class _Doubling:
         is d_k wherever the version group and sigma fix level k-2's
         table, but off it T need not be symmetric, so every level from
         k-3 down takes a (T + T^T).  The version group fixes the table for
-        every base table.  sigma fixes it where the base table is
+        every base table.  A swap sigma fixes it where the base table is
         symmetric under the swap of classes 0 and 1, which the motif's
         automorphism makes it, and d_k is symmetric under that swap too,
-        so the adjoint of d_k is the reduced one averaged over the swap.
-        At K_5, k = 4, m = 5 the reverse pass builds no m^r x m^r table."""
+        so the adjoint of d_k is the reduced one averaged over sigma's
+        map of the base table's axes (swap_axes; an exact no-op where
+        sigma is the identity).  At K_5, k = 4, m = 5 the reverse pass
+        builds no m^r x m^r table."""
         m = self.m
         if not self.levels:
             return self.base_roots.copy()
@@ -1487,7 +1495,7 @@ class _Doubling:
             tbar = tbar.reshape((m,) * (level.g + level.r))
         out = tbar * self.base_roots
         out *= scale
-        if blocked and self.versions.swap_axes is not None:
+        if blocked:  # exact where sigma is the identity: (x + x) 0.5 = x
             out += out.transpose(self.versions.swap_axes)
             out *= 0.5
         return out

@@ -1073,15 +1073,15 @@ def test_gluing_levels_blocked_and_symmetric(colored, m, seed):
         except UnsupportedSizeError:
             break
         assert (doubling.versions is None) == (k < 3)
-        if k == 4:  # every swappable motif takes sigma from four doublings on
-            assert doubling.versions.pairs is not None
+        if k == 4:  # every swappable motif takes the swap from four doublings on
+            assert doubling.versions.swap_axes != tuple(range(len(doubling.pinned)))
         _assert_gluing_matches_dense(doubling, g)
 
 
 # ---------------------------------------------------------------------------
 # version blocks of the last Gram level
 
-# motifs of three and four classes, some of two vertices
+# motifs of three and four classes, some of two vertices, and K_6
 _BLOCK_MOTIFS = {
     "C6": (_MULTI_CLASS_MOTIFS["C6"], 3),
     "K211": (ColoredGraph(Graph(4, ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
@@ -1093,9 +1093,16 @@ _BLOCK_MOTIFS = {
                                   (2, 4), (3, 4), (0, 4))),
                         ((0,), (1,), (2, 3), (4,))), 4),
     "K5": (complete_graph(5), 4),
+    "K6": (complete_graph(6), 4),
+    # class 0 is larger than class 1, so no automorphism swaps them
+    "K2111": (ColoredGraph(Graph(5, ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4),
+                                     (2, 3), (2, 4), (3, 4))),
+                           ((0, 1), (2,), (3,), (4,))), 4),
 }
 # parts above which a motif's cases are left out, to keep the run short
-_BLOCK_PARTS = {"K5": 3}
+_BLOCK_PARTS = {"K5": 3, "K6": 2, "K2111": 3}
+# five doublings, where some halves span their columns by index arrays
+_DEEP_BLOCK_CASES = [("K5", 5, 2), ("K6", 5, 2)]
 
 
 def _blocked_cases():
@@ -1104,6 +1111,7 @@ def _blocked_cases():
         for m in range(1, _BLOCK_PARTS.get(name, 5) + 1):
             if m ** (levels[k - 2].g + levels[k - 2].r) <= 5**8:
                 yield name, k, m
+    yield from _DEEP_BLOCK_CASES
 
 
 def _skewed_graphons_at(m):
@@ -1294,17 +1302,36 @@ def test_brute_oracles_refuse_too_many_maps():
 
 
 def test_swap_of_the_first_two_doublings_for_cliques_only():
-    # K_t from four doublings on swaps classes 0 and 1; W5 and C6 do not,
-    # and three doublings leave one version bit, so no sigma
+    # K_t from four doublings on swaps classes 0 and 1; W5, C6 and K2111
+    # (whose classes 0 and 1 differ in size) do not, and three doublings
+    # leave one version bit, so sigma is the identity there: no orbit
+    # pairs, no axes moved, every orbit in F by falling stabilizer size
+    # and one half per character
     g = _random_graphon(np.random.default_rng(59), 2)
     with _always_blocked():
         for colored, k, swapped in [(complete_graph(t), 4, True) for t in (4, 5, 6)] + [
-                (*_BLOCK_MOTIFS["W5"], False), (*_BLOCK_MOTIFS["C6"], False),
+                (*_BLOCK_MOTIFS[name], False) for name in ("W5", "C6", "K2111")] + [
                 (complete_graph(4), 3, False)]:
-            vb = density._Doubling(colored, k, g.weights, density.DEFAULT_BUDGET).versions
-            assert (vb.pairs is not None) == swapped
-            assert (vb.swap_axes is not None) == swapped
+            doubling = density._Doubling(colored, k, g.weights, density.DEFAULT_BUDGET)
+            vb = doubling.versions
+            assert (vb.swap_axes != tuple(range(len(doubling.pinned)))) == swapped
+            assert (vb.cols.pairs > 0) == swapped
             assert (vb.rows.pairs > 0) == swapped
+            if not swapped:
+                for orbits in (vb.rows, vb.cols):
+                    assert not np.any(np.diff(orbits.root_stab) > 0)
+                assert [(half.weight, len(half.parts), half.parts[0][0])
+                        for half in vb.halves] == [(1.0, 1, c) for c in range(1 << (k - 2))]
+
+
+def test_deep_blocks_span_columns_by_index_arrays():
+    # at five doublings some halves' columns are not one run, so the
+    # reverse pass's index-array branch, which the oracle tests cover at
+    # these cases, is reached
+    for name, k, m in _DEEP_BLOCK_CASES:
+        vb = _block_maps(name, k, m)
+        assert any(isinstance(cs, np.ndarray) for half in vb.halves
+                   for _, _, cs in half.parts)
 
 
 def test_swap_keeps_one_of_each_conjugate_pair_and_splits_the_rest():
