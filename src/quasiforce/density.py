@@ -1619,17 +1619,42 @@ def doubling_step_moments(colored: ColoredGraph, j: int, graphon: StepGraphon,
 # gradients with respect to the value matrix
 
 
-def _symmetrize_param_grad(m_ordered: np.ndarray) -> np.ndarray:
-    """Fold an ordered-entry gradient onto the symmetric parameters, over
-    its last two axes.
+@functools.lru_cache(maxsize=16)
+def _param_maps(m: int):
+    """``iu``, ``sym``, ``order`` and ``starts``: the maps between the
+    entries of an m x m symmetric value matrix and its P = m(m+1)/2 tied
+    parameters, built once per part count (for the last 16) and read-only.
+    ``iu`` indexes the parameters in the upper triangle and ``sym`` maps
+    every entry to its parameter, so ``step[sym]`` is the symmetric matrix
+    of a parameter step.  ``order`` lists the flat entries parameter by
+    parameter, the upper one first, and ``starts`` where each parameter's
+    run begins: every map has O(m^2) entries."""
+    iu = np.triu_indices(m)
+    sym = np.empty((m, m), dtype=np.intp)
+    sym[iu] = sym.T[iu] = np.arange(iu[0].size)
+    order = np.argsort(sym.reshape(-1), kind="stable")
+    starts = np.flatnonzero(np.diff(sym.reshape(-1)[order], prepend=-1))
+    for a in (*iu, sym, order, starts):
+        a.flags.writeable = False
+    return iu, sym, order, starts
 
-    Off-diagonal parameters appear at two positions of the value matrix, so
-    their derivatives add; diagonal ones appear once.
-    """
-    out = m_ordered + np.swapaxes(m_ordered, -1, -2)
-    i = np.arange(out.shape[-1])
-    out[..., i, i] = m_ordered[..., i, i]
-    return out
+
+def _fold(ordered: np.ndarray) -> np.ndarray:
+    """Sum a gradient in the ordered entries, over its last two axes, onto
+    the tied parameters.  Off-diagonal parameters appear at two positions
+    of the value matrix, so their derivatives add, as g + g^T adds them;
+    diagonal ones appear once and are kept as they are.  Leading axes are
+    a batch."""
+    m = ordered.shape[-1]
+    _, _, order, starts = _param_maps(m)
+    flat = ordered.reshape(*ordered.shape[:-2], m * m)
+    return np.add.reduceat(flat[..., order], starts, axis=-1)
+
+
+def _symmetrize_param_grad(m_ordered: np.ndarray) -> np.ndarray:
+    """_fold over the last two axes, spread back over the symmetric
+    matrix: every entry holds its parameter's derivative."""
+    return _fold(m_ordered)[..., _param_maps(m_ordered.shape[-1])[1]]
 
 
 def graphon_density_gradient(motif: Graph, graphon: StepGraphon,

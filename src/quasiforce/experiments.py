@@ -14,7 +14,6 @@ plenty of room away from constant.
 
 from __future__ import annotations
 
-import functools
 import io
 import itertools
 import math
@@ -24,23 +23,25 @@ from typing import NamedTuple
 
 import numpy as np
 
-# the two gradient functions are no longer called here, but stay importable
-# from this module: the benchmark's tracer wraps them under these names
+# doubling_density and the two gradient functions are no longer called
+# here, but stay importable from this module: the benchmark's tracer wraps
+# them under these names
 from .density import (
     DEFAULT_BUDGET,
-    doubling_density,
+    doubling_density,  # noqa: F401
     doubling_density_gradient,  # noqa: F401
     graphon_density,
     graphon_density_gradient,  # noqa: F401
-    _density_plan,
     _Doubling,
     _DoublingRun,
+    _fold,
+    _param_maps,
 )
 from .errors import _check_budget, _check_count
 from .graphon import StepGraphon, constant_graphon, random_near_constant
 from .graphs import Graph, ColoredGraph, complete_graph
 from .identities import default_doublings
-from .quasirandom import ConstancyReport, graphon_constancy
+from .quasirandom import ConstancyReport, graphon_constancy, _l2sq
 from .serialize import record_dict
 
 __all__ = [
@@ -120,60 +121,35 @@ class _Pair(NamedTuple):
                 math.copysign(h2 if h2 > 0.0 else 0.0, r2))
 
 
-@functools.cache
-def _param_maps(m: int):
-    """``iu``, ``sym`` and ``fold`` of _PairEvaluator for m parts, built on
-    first use and read-only, since every evaluator on m parts shares them."""
-    iu = np.triu_indices(m)
-    params = np.arange(iu[0].size)
-    sym = np.empty((m, m), dtype=np.intp)
-    sym[iu] = sym.T[iu] = params
-    fold = (sym.reshape(-1, 1) == params).astype(float)
-    for a in (*iu, sym, fold):
-        a.flags.writeable = False
-    return iu, sym, fold
-
-
 class _PairEvaluator:
     """Residuals of the (motif, k-times-doubled motif) pair and their
-    gradients, for value matrices with fixed weights.
+    gradients, for value matrices with fixed weights.  Every residual an
+    experiment reports is one of its evaluations.
 
     One forward pass over the doubling base plan gives both densities: the
     base table pins classes 0..k-1 without weighting them, so summing it
     against the pinned weight products gives t(motif, W), and gluing its
     root-weighted copy level by level gives the doubled density.  Binding
-    checks every table against `budget`, as graphon_density and
-    doubling_density would.
+    checks the base plan and every gluing level against `budget` (see
+    _Doubling), so an oversized request fails before any contraction runs.
 
     The optimizers step over the P = m(m+1)/2 tied parameters of the
-    symmetric value matrix: ``iu`` indexes them in its upper triangle,
+    symmetric value matrix: ``iu`` indexes them in its upper triangle and
     ``sym`` maps every entry to its parameter, so ``step[sym]`` is the
-    symmetric matrix of a parameter step, and the (m*m, P) 0/1 matrix
-    ``fold`` sums an ordered-entry gradient onto them.  Each parameter
-    sums one or two entries, so the fold is exact.  ``weights`` and
-    ``targets`` are the ones bound.
+    symmetric matrix of a parameter step (density._param_maps), and
+    density._fold sums an ordered-entry gradient onto them.  ``weights``
+    and ``targets`` are the ones bound.
     """
 
     def __init__(self, colored: ColoredGraph, k: int, weights: np.ndarray,
                  targets, budget: int):
-        _density_plan(colored.graph, weights.size, budget)
         self._doubling = _Doubling(colored, k, weights, budget)
-        self._colored, self._k, self._budget = colored, k, budget
         self.weights, self.targets = weights, targets
-        self.iu, self.sym, self.fold = _param_maps(weights.size)
+        self.iu, self.sym = _param_maps(weights.size)[:2]
         # both base-table adjoints of jacobian: r1's is the base weights,
         # shaped as the base table once here; r2's is filled in per call
         self._bars = np.empty((2, *self._doubling.base_roots.shape))
         self._bars[0] = self._doubling.base_weights.reshape(self._bars.shape[1:])
-
-    def residuals(self, graphon: StepGraphon) -> tuple[float, float]:
-        """Both residuals recomputed through the public density functions,
-        as forcing trials report them."""
-        r1 = (graphon_density(self._colored.graph, graphon, budget=self._budget)
-              - self.targets[0])
-        r2 = (doubling_density(self._colored, self._k, graphon,
-                               budget=self._budget) - self.targets[1])
-        return r1, r2
 
     def __call__(self, values: np.ndarray) -> _Pair:
         """Both residuals at `values`, which must already be symmetric with
@@ -191,11 +167,7 @@ class _PairEvaluator:
         r1 is the base table summed against fixed weights, so its adjoint
         needs no gluing pass."""
         self._bars[1] = self._doubling.base_adjoint(pair.run)
-        return self._doubling.gradient(pair.run, self._bars).reshape(2, -1) @ self.fold
-
-
-def _l2sq(values: np.ndarray, weights: np.ndarray, p: float) -> float:
-    return float((np.outer(weights, weights) * (values - p) ** 2).sum())
+        return _fold(self._doubling.gradient(pair.run, self._bars))
 
 
 def _sum_sq(e1: float, e2: float) -> float:
@@ -276,10 +248,9 @@ def _solve(values: np.ndarray, pair_eval: _PairEvaluator, band, merit,
         best = merit(*e)
         for _ in range(45):
             damped = gram + mu * scale * eye
-            try:
-                y = np.linalg.solve(damped, rhs)
-            except np.linalg.LinAlgError:
-                y = np.linalg.pinv(damped) @ rhs
+            # gram is positive semidefinite, so mu * scale * I keeps every
+            # pivot of the solve above zero
+            y = np.linalg.solve(damped, rhs)
             cand = v + (jac.T @ y)[sym]
             # clamped to the box as np.clip does, signed zeros included
             np.minimum(np.maximum(0.0, cand, out=cand), 1.0, out=cand)
@@ -426,13 +397,19 @@ def run_forcing_trial(t: int, p: float, start: StepGraphon, seed: int = 0,
     _check_count("seed", seed)
     pair_eval = _PairEvaluator(complete_graph(t), k, start.weights,
                                _targets(t, k, p), budget)
-    values, _, steps, stop_reason = _solve(start.values, pair_eval, (0.0, 0.0),
-                                           _sum_sq, tol, max_iter)
-    final = StepGraphon(start.weights, values)
-    r1, r2 = pair_eval.residuals(final)
-    converged = max(abs(r1), abs(r2)) <= tol
-    return ForcingTrial(seed, converged, steps, stop_reason, r1, r2, final,
-                        graphon_constancy(final, p))
+    return _trial(pair_eval, start.values, seed, p, tol, max_iter)
+
+
+def _trial(pair_eval: _PairEvaluator, values: np.ndarray, seed: int, p: float,
+           tol: float, max_iter: int) -> ForcingTrial:
+    """The forcing trial from `values` on a bound evaluator: it reports the
+    residuals of the pair _solve stopped on, and converged when it stopped
+    on tol."""
+    values, pair, steps, stop_reason = _solve(values, pair_eval, (0.0, 0.0),
+                                              _sum_sq, tol, max_iter)
+    final = StepGraphon(pair_eval.weights, values)
+    return ForcingTrial(seed, stop_reason == "tol", steps, stop_reason, pair.r1,
+                        pair.r2, final, graphon_constancy(final, p))
 
 
 def _equal_parts(t: int, k: int, p: float, m: int, budget: int) -> _PairEvaluator:
@@ -493,15 +470,13 @@ def forcing_experiment(t: int, p: float, m: int, trials: int, seed: int = 0,
     _check_tol(tol)
     _check_count("max_iter", max_iter)
     _check_count("seed", seed)
-    sweep_eval = _equal_parts(t, k, p, m, budget) if adversarial else None
+    pair_eval = _equal_parts(t, k, p, m, budget)
     done = []
-    for i in range(trials):
-        trial_seed = seed + i
+    for trial_seed in range(seed, seed + trials):
         rng = np.random.Generator(np.random.PCG64(trial_seed))
         start = random_near_constant(p, m, spread, rng)
-        done.append(run_forcing_trial(t, p, start, seed=trial_seed, k=k,
-                                      tol=tol, max_iter=max_iter, budget=budget))
-    pareto = None if sweep_eval is None else _pareto_sweep(sweep_eval, p, seed)
+        done.append(_trial(pair_eval, start.values, trial_seed, p, tol, max_iter))
+    pareto = _pareto_sweep(pair_eval, p, seed) if adversarial else None
     return ForcingExperimentResult(t, k, float(p), tol, tuple(done), pareto)
 
 
@@ -577,7 +552,7 @@ def _frontier(starts, weights, pair_eval, p, bounds, steps, best=None):
     lengths in a row.  The residual gradients come from the tape of the
     restored point, so a step costs no forward pass beyond its candidates.
     """
-    sym, fold = pair_eval.sym, pair_eval.fold
+    sym = pair_eval.sym
     feasible = 0
     for v in starts:
         restored = _restore(v, pair_eval, bounds)
@@ -589,7 +564,7 @@ def _frontier(starts, weights, pair_eval, p, bounds, steps, best=None):
         for _ in range(steps):
             jac = pair_eval.jacobian(pair)
             # the distance gradient in the ordered entries, folded
-            grad = (2.0 * np.outer(weights, weights) * (v - p)).reshape(-1) @ fold
+            grad = _fold(2.0 * np.outer(weights, weights) * (v - p))
             y = np.linalg.lstsq(jac @ jac.T, jac @ grad, rcond=None)[0]
             d = grad - jac.T @ y
             norm = float(np.linalg.norm(d))
@@ -679,7 +654,7 @@ def delta_epsilon_probe(t: int, p: float, deltas, m: int, seed: int = 0,
             pair_eval, p, seed, caps, max_iter // 5, extras)):
         if best is None:  # no start restored into this band or a tighter one
             flat = constant_graphon(p, m)
-            best = (0.0, *pair_eval.residuals(flat), flat)
+            best = (0.0, *pair_eval(flat.values)[:2], flat)
         dist, r1, r2, graphon = best
         rows.append(DeltaEpsilonRow(delta, dist, r1, r2, feasible, graphon))
     return DeltaEpsilonTable(t, k, float(p), tuple(rows))
@@ -729,8 +704,6 @@ def non_forcing_witness(p: float = 0.5) -> tuple[StepGraphon, float]:
             hi = mid
     b = (lo + hi) / 2.0
     a = 4.0 * p - 2.0 * b
-    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-        raise ValueError(f"witness values fall outside [0, 1] at p={p}")
     graphon = StepGraphon(np.array([0.5, 0.5]), np.array([[a, b], [b, 0.0]]))
     return graphon, b
 

@@ -387,6 +387,11 @@ def row_oscillation(graphon: StepGraphon) -> tuple[float, int]:
     return float(spread[part]), part
 
 
+def _l2sq(values: np.ndarray, weights: np.ndarray, p: float) -> float:
+    """Squared weighted l2 distance of a value matrix from the constant p."""
+    return float((np.outer(weights, weights) * (values - p) ** 2).sum())
+
+
 def graphon_constancy(graphon: StepGraphon, p: float) -> ConstancyReport:
     """linf, weighted l2, and cut-norm distances from the constant p."""
     if not 0.0 <= p <= 1.0:
@@ -395,13 +400,12 @@ def graphon_constancy(graphon: StepGraphon, p: float) -> ConstancyReport:
     w = graphon.weights
     diff = graphon.values - p
     linf = float(np.abs(diff).max())
-    wd = w[:, None] * w * diff
-    l2 = float(np.sqrt((wd * diff).sum()))
+    l2 = float(np.sqrt(_l2sq(graphon.values, w, p)))
     cut = None
     if m <= _CUT_MAX_PARTS:
         # for each row subset S the optimal column subset is the positive
         # (or negative) part of the combined row, so 2^m rows suffice
-        combined = _subset_bits(m) @ wd
+        combined = _subset_bits(m) @ (w[:, None] * w * diff)
         pos = np.maximum(combined, 0.0).sum(axis=1)
         neg = np.maximum(-combined, 0.0).sum(axis=1)
         cut = float(max(pos.max(), neg.max()))

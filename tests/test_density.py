@@ -554,6 +554,15 @@ def test_evaluate_pinned_record():
     assert rec.value == pytest.approx(0.5**3, abs=1e-14)
 
 
+def test_pinned_record_checks():
+    k_3 = complete_graph(3).graph
+    with pytest.raises(ValueError, match="cover exactly the pinned vertices"):
+        density.PinnedDensity(k_3, (0, 1), ((0, 1),), 0.5)
+    for value in (-1e-9, 1.0 + 1e-9):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            density.PinnedDensity(k_3, (0,), ((0, 1),), value)
+
+
 # ---------------------------------------------------------------------------
 # doubling recursion
 
@@ -878,6 +887,28 @@ def test_empty_motif_gradient():
         value, grad = graphon_density_gradient(Graph(0), constant_graphon(0.5, m))
         assert value == 1.0 and type(value) is float
         assert grad.shape == (m, m) and not grad.any()
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_fold_matches_the_transpose_sum(m):
+    """The one fold of an ordered-entry gradient onto the tied parameters
+    is g + g^T with the diagonal kept, byte for byte, with and without
+    batch axes, signed zeros included."""
+    def oracle(g):
+        out = g + np.swapaxes(g, -1, -2)
+        i = np.arange(m)
+        out[..., i, i] = g[..., i, i]
+        return out
+
+    rng = np.random.default_rng(m)
+    upper = (Ellipsis, *np.triu_indices(m))
+    for shape in ((m, m), (3, m, m), (2, 3, m, m)):
+        for _ in range(50):
+            g = rng.standard_normal(shape) * 10.0 ** rng.integers(-150, 150, shape)
+            g[rng.random(shape) < 0.2] = -0.0
+            want = oracle(g)
+            assert density._symmetrize_param_grad(g).tobytes() == want.tobytes()
+            assert density._fold(g).tobytes() == want[upper].tobytes()
 
 
 def test_doubling_gradient_matches_finite_differences():

@@ -16,6 +16,7 @@ from quasiforce import (
     delta_epsilon_probe,
     doubling_density,
     forcing_experiment,
+    graphon_constancy,
     graphon_density,
     iterated_double,
     non_forcing_witness,
@@ -222,14 +223,14 @@ def test_zero_tol_runs_to_the_cap():
 
 def test_forcing_trial_runs_one_forward_per_evaluation(monkeypatch):
     """Each evaluation of a forcing trial is one forward pass over the base
-    plan, each Levenberg step one Jacobian, one reverse pass over the tape
-    of the point it steps from, and the reported residuals two public
-    forwards."""
-    events, points, pairs = [], [], []
+    plan and each Levenberg step one Jacobian, one reverse pass over the
+    tape of the point it steps from.  No forward pass runs after the solver
+    stops: the trial reports the residuals of the pair it stopped on."""
+    events, points, pairs, solved = [], [], [], []
     real_forward, real_reverse = density._forward, density._reverse
     evaluator = experiments._PairEvaluator
     real_call, real_jacobian = evaluator.__call__, evaluator.jacobian
-    real_residuals = evaluator.residuals
+    real_solve = experiments._solve
 
     def forward(*args, **kwargs):
         events.append("forward")
@@ -252,20 +253,21 @@ def test_forcing_trial_runs_one_forward_per_evaluation(monkeypatch):
         assert pair is pairs[-1]
         return real_jacobian(self, pair)
 
-    def residuals(self, graphon):
-        events.append("residuals")
-        return real_residuals(self, graphon)
+    def solve(*args):
+        solved.append(real_solve(*args))
+        events.append("solved")
+        return solved[-1]
 
     monkeypatch.setattr(density, "_forward", forward)
     monkeypatch.setattr(density, "_reverse", reverse)
     monkeypatch.setattr(evaluator, "__call__", call)
     monkeypatch.setattr(evaluator, "jacobian", jacobian)
-    monkeypatch.setattr(evaluator, "residuals", residuals)
+    monkeypatch.setattr(experiments, "_solve", solve)
     (trial,) = forcing_experiment(3, 0.5, 4, 1, seed=1).trials
     assert trial.converged and trial.stop_reason == "tol"
     assert trial.iterations > 2
 
-    done = events.index("residuals")
+    done = events.index("solved")
     loop, after = events[:done], events[done + 1:]
     calls = {name: loop.count(name) for name in set(loop)}
     assert calls["evaluate"] == calls["forward"]
@@ -278,8 +280,12 @@ def test_forcing_trial_runs_one_forward_per_evaluation(monkeypatch):
     outer = "".join(e[0] for e in loop if e in ("evaluate", "jacobian"))
     assert re.fullmatch(r"e(je+)*", outer)
     assert len(set(points)) == len(points) == calls["evaluate"]
-    # the reported residuals come from the public density functions
-    assert after == ["forward", "forward"]
+    # a trial that stops on tol stops on the candidate it just accepted,
+    # the latest point evaluated, and reports that pair's residuals
+    assert after == []
+    (_, pair, _, _), = solved
+    assert pair is pairs[-1]
+    assert (trial.r1, trial.r2) == (pair.r1, pair.r2)
 
 
 def test_stop_reasons_are_reachable():
@@ -389,6 +395,25 @@ def test_every_forcing_trial_converges_and_rechecks():
         assert max(abs(r1), abs(r2)) <= res.tol
         assert r1 == pytest.approx(tr.r1, abs=1e-15)
         assert r2 == pytest.approx(tr.r2, abs=1e-15)
+
+
+@pytest.mark.parametrize("t", (3, 4, 5))
+@pytest.mark.parametrize("m", (2, 3, 4, 5))
+def test_trials_report_the_pair_they_stopped_on(t, m):
+    """A trial is converged exactly when the solver stopped on tol, and its
+    residuals are a fresh evaluator's at its graphon, bit for bit: also
+    after slow stops, and after no_step stops, where the last points
+    evaluated are rejected candidates."""
+    k = default_doublings(t)
+    targets = experiments._targets(t, k, 0.5)
+    for kwargs in ({}, {"tol": 0.0, "spread": 0.3}):
+        res = forcing_experiment(t, 0.5, m, 3, seed=10 * t + m, **kwargs)
+        for tr in res.trials:
+            assert tr.converged == (tr.stop_reason == "tol")
+            fresh = experiments._PairEvaluator(
+                complete_graph(t), k, np.full(m, 1.0 / m), targets,
+                density.DEFAULT_BUDGET)(tr.graphon.values)
+            assert (tr.r1, tr.r2) == (fresh.r1, fresh.r2)
 
 
 def _pair_evaluator(t, m, seed, budget=density.DEFAULT_BUDGET):
@@ -613,9 +638,11 @@ def test_reported_graphons_own_read_only_arrays(monkeypatch):
             bound.append(self)
 
     monkeypatch.setattr(experiments, "_PairEvaluator", Recording)
+    # one evaluator per experiment: the trials and the sweep share one
     res = forcing_experiment(3, 0.5, 2, 2, seed=1, adversarial=True)
+    assert len(bound) == 1
     table = delta_epsilon_probe(3, 0.5, [0.01, 0.1, 1.0], 2, max_iter=50)
-    assert len(bound) == 4 and res.pareto and len(table.rows) == 3
+    assert len(bound) == 2 and res.pareto and len(table.rows) == 3
     graphons = [*(tr.graphon for tr in res.trials),
                 *(pt.graphon for pt in res.pareto),
                 *(row.graphon for row in table.rows)]
@@ -689,6 +716,28 @@ def test_frontier_step_reuses_the_restored_tape(monkeypatch):
     assert len(steps) > 10
 
 
+def test_frontier_stops_where_the_projected_direction_vanishes(monkeypatch):
+    # at the constant graphon the distance gradient is zero, so the
+    # projected direction is exactly zero and the start takes no step
+    restores = []
+    real_restore = experiments._restore
+
+    def restore(*args):
+        restores.append(args[0])
+        return real_restore(*args)
+
+    monkeypatch.setattr(experiments, "_restore", restore)
+    m, p = 3, 0.5
+    ev = experiments._equal_parts(3, 2, p, m, density.DEFAULT_BUDGET)
+    flat = constant_graphon(p, m).values
+    best, feasible = experiments._frontier([flat], ev.weights, ev, p,
+                                           (0.0, 0.0), 20)
+    assert feasible == 1 and len(restores) == 1
+    dist, r1, r2, v = best
+    assert dist == 0.0 and np.all(v == p)
+    assert (r1, r2) == ev(flat)[:2]
+
+
 @pytest.mark.parametrize("m", (2, 3, 4))
 def test_probe_restores_into_the_zero_band(m):
     # every row has a restored start, even at delta=0, and its point
@@ -705,6 +754,8 @@ def test_probe_restores_into_the_zero_band(m):
         w, v = row.graphon.weights, row.graphon.values
         dist = math.sqrt(float(np.einsum("a,b,ab->", w, w, (v - 0.5) ** 2)))
         assert dist == pytest.approx(row.distance, abs=1e-12)
+        # one weighted l2: the search's distance is the constancy report's
+        assert row.distance == graphon_constancy(row.graphon, 0.5).l2
 
 
 def test_probe_monotone_and_sorted():
@@ -737,6 +788,13 @@ def test_probe_fallback_row_reports_no_feasible_start(monkeypatch):
     exact, loose = table.rows
     assert exact.feasible_starts == 0 and exact.distance == 0.0
     assert np.all(exact.graphon.values == 0.5)
+    # the fallback's residuals are the evaluator's at the constant graphon
+    t1, t2 = experiments._targets(3, table.k, 0.5)
+    pair = experiments._equal_parts(3, table.k, 0.5, 2, density.DEFAULT_BUDGET)(
+        exact.graphon.values)
+    assert (exact.r1, exact.r2) == (pair.r1, pair.r2)
+    for row in table.rows:
+        assert row.distance == graphon_constancy(row.graphon, 0.5).l2
     assert loose.feasible_starts >= 1 and loose.distance > 0.0
     rows = table.to_dict()["rows"]
     assert [row["feasible_starts"] for row in rows] == [0, loose.feasible_starts]

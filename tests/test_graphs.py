@@ -17,6 +17,7 @@ from quasiforce import (
     double,
     iterated_double,
 )
+from quasiforce import graphs
 
 
 def test_edges_normalized_sorted():
@@ -115,6 +116,30 @@ def test_isomorphism_basics():
     # same degree sequence, different structure: two triangles vs 6-cycle
     two_triangles = Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
     assert not are_isomorphic(cycle_graph(6), two_triangles)
+
+
+def test_isomorphism_answers_sizes_and_empty_graphs_without_refining(monkeypatch):
+    # graphs of different sizes are never isomorphic and two empty graphs
+    # always are: both are answered before any color refinement
+    def no_refinement(*args):
+        raise AssertionError("refined colors")
+
+    monkeypatch.setattr(graphs, "_refine_colors", no_refinement)
+    assert not are_isomorphic(Graph(3, ((0, 1),)), Graph(4, ((0, 1),)))
+    assert are_isomorphic(Graph(0), Graph(0))
+
+
+def test_cycle_needs_three_vertices():
+    for n in (0, 1, 2):
+        with pytest.raises(ValueError, match="at least 3 vertices"):
+            cycle_graph(n)
+
+
+def test_colored_graph_class_checks():
+    with pytest.raises(ValueError, match="at least one color class"):
+        ColoredGraph(Graph(1), ())
+    with pytest.raises(ValueError, match=r"class 1 contains vertex 5 outside \[0, 2\)"):
+        ColoredGraph(Graph(2), ((0,), (1, 5)))
 
 
 def test_isomorphism_size_cap():

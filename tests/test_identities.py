@@ -37,7 +37,7 @@ from quasiforce import (
     pinned_table,
     random_near_constant,
 )
-from quasiforce import density
+from quasiforce import density, identities
 
 
 def test_default_doublings():
@@ -72,6 +72,24 @@ def test_residual_at_matches_table():
             # independent single-tuple route built from pinned densities
             val = identity_residual_at(g, 0.4, 3, 2, (a, b))
             assert val == pytest.approx(rep.per_tuple[a][b], abs=1e-10)
+
+
+def test_residual_at_needs_one_part_per_pinned_vertex():
+    for parts in ((0,), (0, 1, 1)):
+        with pytest.raises(ValueError, match=f"expected 2 part indices, got {len(parts)}"):
+            identity_residual_at(constant_graphon(0.5, 2), 0.5, 3, 2, parts)
+
+
+def test_records_check_their_fields():
+    with pytest.raises(ValueError, match="max_residual must be non-negative"):
+        identities.IdentityResidualReport(3, 2, 0.5, -1e-9, (0, 0))
+    with pytest.raises(ValueError, match="one part index per pinned vertex"):
+        identities.IdentityResidualReport(3, 2, 0.5, 0.0, (0,))
+    with pytest.raises(ValueError, match="one density per chain level"):
+        identities.ChainRecord(3, 2, (0.125, 0.0156), (0.0, 0.0), (0.0, 0.0))
+    for slacks, variances in (((0.0,), (0.0, 0.0)), ((0.0, 0.0), (0.0,))):
+        with pytest.raises(ValueError, match="one slack and one variance"):
+            identities.ChainRecord(3, 2, (0.125, 0.0156, 2.4e-4), slacks, variances)
 
 
 def test_nonconstant_residual_positive():

@@ -313,6 +313,13 @@ def test_perfect_graph_has_empty_witness():
     assert graph_quasirandomness(complete_graph(5).graph, 1, mode="exact") == rep
 
 
+def test_report_epsilon_star_dominates_the_deviation():
+    with pytest.raises(ValueError, match="epsilon_star must dominate"):
+        quasirandom.QuasirandomReport(4, 0.5, 0.1, 0.2, (0, 1), False)
+    # within 1e-12 of the deviation, as rounding leaves it
+    quasirandom.QuasirandomReport(4, 0.5, 0.2 - 1e-13, 0.2, (0, 1), False)
+
+
 def test_exact_cap_enforced():
     g = Graph(25)
     with pytest.raises(UnsupportedSizeError):
