@@ -596,23 +596,17 @@ def _density_plan(motif: Graph, num_parts: int, budget: int) -> tuple[_Step, ...
 
 
 def _check_pinned(motif: Graph, pinned, assignment, num_parts: int):
-    pinned = tuple(_check_count("pinned vertex", v) for v in pinned)
+    pinned = tuple(_check_count("pinned vertex", v, 0, motif.n - 1)
+                   for v in pinned)
     if len(set(pinned)) != len(pinned):
         raise ValueError("pinned vertices must be distinct")
     fixed: dict[int, int] = {}
     for v in pinned:
-        if not 0 <= v < motif.n:
-            raise ValueError(f"pinned vertex {v} outside [0, {motif.n})")
         if assignment is None:
             continue
         if v not in assignment:
             raise ValueError(f"assignment is missing pinned vertex {v}")
-        part = _check_count("assigned part", assignment[v])
-        if not 0 <= part < num_parts:
-            raise ValueError(
-                f"assignment maps vertex {v} to part {part} outside [0, {num_parts})"
-            )
-        fixed[v] = part
+        fixed[v] = _check_count("assigned part", assignment[v], 0, num_parts - 1)
     return pinned, fixed
 
 
@@ -1190,11 +1184,6 @@ def _doubling_shape(colored: ColoredGraph, k: int, m: int,
     slices of k doublings of `colored` over m parts, built once per
     argument tuple: everything _Doubling binds but the weights.  Level
     k-2 runs on version blocks from _VERSION_BLOCK_MIN entries up."""
-    if not 0 <= k <= colored.num_classes:
-        raise ValueError(
-            f"number of doublings {k} out of range for "
-            f"{colored.num_classes} classes"
-        )
     g = colored.graph
     pinned, levels = _doubling_layout(colored.classes, k)
     plan = _checked_plan(m, g.n, g.edges, pinned, budget)
@@ -1290,7 +1279,7 @@ class _Doubling:
     def __init__(self, colored: ColoredGraph, k: int, weights: np.ndarray,
                  budget: int):
         # before the cache, which would take k=True for k=1
-        _check_count("k", k)
+        _check_count("k", k, 0, colored.num_classes)
         self.pinned, self.levels, self.plan, self.versions = _doubling_shape(
             colored, k, weights.size, budget)
         self.m = m = weights.size
@@ -1608,9 +1597,7 @@ def doubling_step_moments(colored: ColoredGraph, j: int, graphon: StepGraphon,
     Cauchy-Schwarz chain and their gap (see _Doubling.moments).
     """
     budget = _check_budget(budget)
-    _check_count("j", j)
-    if not 1 <= j <= colored.num_classes:
-        raise ValueError(f"step {j} out of range for {colored.num_classes} classes")
+    _check_count("j", j, 1, colored.num_classes)
     doubling = _Doubling(colored, j, graphon.weights, budget)
     return doubling.moments(doubling.forward(graphon.values))[-1]
 

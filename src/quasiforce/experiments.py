@@ -37,7 +37,7 @@ from .density import (
     _fold,
     _param_maps,
 )
-from .errors import _check_budget, _check_count
+from .errors import _check_budget, _check_count, _check_probability
 from .graphon import StepGraphon, constant_graphon, random_near_constant
 from .graphs import Graph, ColoredGraph, complete_graph
 from .identities import default_doublings
@@ -88,20 +88,10 @@ def _check_tol(tol: float) -> None:
 def _check_problem(t: int, m: int, p: float, k: int | None) -> int:
     """Check the clique size t, the part count m, p and the doublings k,
     each an integer in its range; returns k, ceil((t+1)/2) when None."""
-    _check_count("t", t)
-    if not 2 <= t <= 5:
-        raise ValueError(f"t must lie in [2, 5]; got {t}")
-    _check_count("m", m)
-    if not 1 <= m <= 8:
-        raise ValueError(f"parts must lie in [1, 8]; got {m}")
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
-    if k is None:
-        return default_doublings(t)
-    _check_count("k", k)
-    if not 1 <= k <= t:
-        raise ValueError(f"k must lie in [1, t={t}]; got {k}")
-    return k
+    _check_count("t", t, 2, 5)
+    _check_count("m", m, 1, 8)
+    _check_probability("p", p, open_low=True)
+    return default_doublings(t) if k is None else _check_count("k", k, 1, t)
 
 
 class _Pair(NamedTuple):
@@ -464,9 +454,7 @@ def forcing_experiment(t: int, p: float, m: int, trials: int, seed: int = 0,
     """
     budget = _check_budget(budget)
     k = _check_problem(t, m, p, k)
-    _check_count("trials", trials)
-    if not 1 <= trials <= _MAX_TRIALS:
-        raise ValueError(f"trials must lie in [1, {_MAX_TRIALS}]; got {trials}")
+    _check_count("trials", trials, 1, _MAX_TRIALS)
     _check_tol(tol)
     _check_count("max_iter", max_iter)
     _check_count("seed", seed)
@@ -685,8 +673,7 @@ def non_forcing_witness(p: float = 0.5) -> tuple[StepGraphon, float]:
     0.55; outside that range the cubic has no admissible root and a
     ValueError is raised.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+    _check_probability("p", p, open_low=True, open_high=True)
 
     def f(b: float) -> float:
         a = 4.0 * p - 2.0 * b

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _check_count
+from .errors import _check_count, _check_probability
 from .graphs import Graph, _fields
 from .serialize import record_dict
 
@@ -86,11 +86,8 @@ class StepGraphon:
 
 def constant_graphon(p: float, parts: int = 1) -> StepGraphon:
     """The graphon identically equal to p, on the given number of parts."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    _check_count("parts", parts)
-    if parts < 1:
-        raise ValueError("parts must be at least 1")
+    _check_probability("p", p)
+    _check_count("parts", parts, 1)
     return StepGraphon(np.full(parts, 1.0 / parts), np.full((parts, parts), float(p)))
 
 
@@ -124,15 +121,15 @@ def _mirror(parts: int) -> tuple[np.ndarray, np.ndarray]:
 def random_near_constant(
     p: float, parts: int, spread: float, rng: np.random.Generator
 ) -> StepGraphon:
-    """Constant-p values plus independent uniform noise in [-spread, spread],
-    for a spread >= 0 whose range 2 * spread is a finite double.
+    """Constant-p values, p in [0, 1], plus independent uniform noise in
+    [-spread, spread], for a spread >= 0 whose range 2 * spread is a finite
+    double.
 
     The upper triangle (including the diagonal) is drawn and mirrored, then
     clamped to [0, 1]; weights stay uniform.
     """
-    _check_count("parts", parts)
-    if parts < 1:
-        raise ValueError("parts must be at least 1")
+    _check_probability("p", p)
+    _check_count("parts", parts, 1)
     # the draw needs its range 2 * spread finite; NaN fails the comparison too
     if not 0.0 <= 2.0 * spread < np.inf:
         raise ValueError(

@@ -184,22 +184,18 @@ class ColoredGraph:
 def complete_graph(t: int) -> ColoredGraph:
     """K_t with its unique proper coloring into t singleton classes, built
     once per t: a ColoredGraph is immutable, so every caller shares it."""
-    return _complete_graph(_check_count("t", t))
+    return _complete_graph(_check_count("t", t, 1))
 
 
 # after the count check, which the cache would skip for True after 1
 @lru_cache(maxsize=16)
 def _complete_graph(t: int) -> ColoredGraph:
-    if t < 1:
-        raise ValueError("complete graph needs at least one vertex")
     edges = tuple(combinations(range(t), 2))
     return ColoredGraph(Graph(t, edges), tuple((i,) for i in range(t)))
 
 
 def cycle_graph(n: int) -> Graph:
-    _check_count("n", n)
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
+    _check_count("n", n, 3)
     return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
@@ -212,10 +208,7 @@ def double(colored: ColoredGraph, class_index: int) -> ColoredGraph:
     the class structure: the shared class is unchanged, every other class is
     the union of its two copies.  Edge count exactly doubles.
     """
-    _check_count("class_index", class_index)
-    t = colored.num_classes
-    if not 0 <= class_index < t:
-        raise ValueError(f"class index {class_index} out of range for {t} classes")
+    _check_count("class_index", class_index, 0, colored.num_classes - 1)
     g = colored.graph
     shared = set(colored.classes[class_index])
     rest = [v for v in range(g.n) if v not in shared]
@@ -241,11 +234,7 @@ def iterated_double(colored: ColoredGraph, k: int) -> ColoredGraph:
     The k-th iterate of K_t has 2^k * t(t-1)/2 edges; up to isomorphism the
     order of the doublings does not matter (see the tests).
     """
-    _check_count("k", k)
-    if not 0 <= k <= colored.num_classes:
-        raise ValueError(
-            f"number of doublings {k} out of range for {colored.num_classes} classes"
-        )
+    _check_count("k", k, 0, colored.num_classes)
     out = colored
     for i in range(k):
         out = double(out, i)
@@ -284,6 +273,7 @@ def are_isomorphic(g: Graph, h: Graph, max_vertices: int = 24) -> bool:
     Graphs larger than ``max_vertices`` are refused with
     UnsupportedSizeError rather than risking an exponential search.
     """
+    _check_count("max_vertices", max_vertices)
     if max(g.n, h.n) > max_vertices:
         raise UnsupportedSizeError(
             f"isomorphism testing is capped at {max_vertices} vertices; "

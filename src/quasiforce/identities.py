@@ -29,7 +29,7 @@ from .density import (
     pinned_table,
     _Doubling,
 )
-from .errors import _check_budget, _check_count
+from .errors import _check_budget, _check_count, _check_probability
 from .graphon import StepGraphon
 from .graphs import complete_graph
 from .serialize import record_dict
@@ -77,16 +77,9 @@ class IdentityResidualReport:
 def _check_tkp(t: int, k: int | None, p: float) -> int:
     """Check the clique size t, the pinned count k and p; returns k,
     ceil((t+1)/2) when None."""
-    _check_count("t", t)
-    if not 3 <= t <= 6:
-        raise ValueError(f"t must lie in [3, 6]; got {t}")
-    if k is None:
-        k = default_doublings(t)
-    _check_count("k", k)
-    if not 1 <= k <= t:
-        raise ValueError(f"k must lie in [1, {t}]; got {k}")
-    if not 0.0 < p <= 1.0:  # NaN fails here too
-        raise ValueError("p must lie in (0, 1]")
+    _check_count("t", t, 3, 6)
+    k = _check_count("k", default_doublings(t) if k is None else k, 1, t)
+    _check_probability("p", p, open_low=True)
     return k
 
 
@@ -188,12 +181,8 @@ def cs_chain_check(t: int, k: int, graphon: StepGraphon,
     Binding checks every level against the budget before any contraction.
     """
     budget = _check_budget(budget)
-    _check_count("t", t)
-    if t < 2:
-        raise ValueError("t must be at least 2")
-    _check_count("k", k)
-    if not 0 <= k <= t:
-        raise ValueError(f"k must lie in [0, {t}]; got {k}")
+    _check_count("t", t, 2)
+    _check_count("k", k, 0, t)
     doubling = _Doubling(complete_graph(t), k, graphon.weights, budget)
     run = doubling.forward(graphon.values)
     moments = doubling.moments(run)

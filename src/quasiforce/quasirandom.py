@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UnsupportedSizeError, _check_count
+from .errors import UnsupportedSizeError, _check_count, _check_probability
 from .graphon import StepGraphon, _adjacency
 from .graphs import Graph
 from .serialize import record_dict
@@ -334,13 +334,10 @@ def graph_quasirandomness(g: Graph, p: float, mode: str = "auto",
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    exact_max_n = _check_count("exact_max_n", exact_max_n)
+    _check_probability("p", p)
+    exact_max_n = _check_count("exact_max_n", exact_max_n, 1, _EXACT_HARD_CAP)
     seed = _check_count("seed", seed)
     restarts = _check_count("restarts", restarts)
-    if not 1 <= exact_max_n <= _EXACT_HARD_CAP:
-        raise ValueError(f"exact_max_n must lie in [1, {_EXACT_HARD_CAP}]")
     if restarts > _MAX_RESTARTS:
         raise UnsupportedSizeError(
             f"restarts are capped at {_MAX_RESTARTS}; got {restarts}")
@@ -394,8 +391,7 @@ def _l2sq(values: np.ndarray, weights: np.ndarray, p: float) -> float:
 
 def graphon_constancy(graphon: StepGraphon, p: float) -> ConstancyReport:
     """linf, weighted l2, and cut-norm distances from the constant p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    _check_probability("p", p)
     m = graphon.num_parts
     w = graphon.weights
     diff = graphon.values - p

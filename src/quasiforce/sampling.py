@@ -5,9 +5,10 @@ a (source, n, seed) triple reproduces the same graph on every platform:
 first one uniform per vertex (part assignment, graphon sampling only),
 then one uniform per unordered pair in lexicographic order (0,1), (0,2),
 ..., (n-2, n-1); a pair is an edge when its uniform falls below the pair's
-probability.  Seeds must be non-negative integers (numpy integers too);
-bools, floats and negative values are refused with a ValueError naming
-``seed``.
+probability.  Sizes ``n`` must be integers in [1, MAX_SAMPLE_VERTICES] and
+seeds non-negative integers (numpy integers too), and a probability must
+lie in [0, 1]; anything else, bools and floats included, is refused with a
+ValueError naming it before any draw.
 """
 
 from __future__ import annotations
@@ -16,20 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _check_count
+from .errors import _check_count, _check_probability
 from .graphon import StepGraphon
 from .graphs import Graph
 
 __all__ = ["SampleSpec", "gnp", "w_random", "sample"]
 
 MAX_SAMPLE_VERTICES = 10_000
-
-
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > MAX_SAMPLE_VERTICES:
-        raise ValueError(f"n must not exceed {MAX_SAMPLE_VERTICES}")
 
 
 def _edges_from_probs(n: int, probs: np.ndarray, pair_u: np.ndarray,
@@ -42,9 +36,8 @@ def _edges_from_probs(n: int, probs: np.ndarray, pair_u: np.ndarray,
 def gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi sample: each pair is an edge independently with
     probability p."""
-    _check_n(n)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    _check_count("n", n, 1, MAX_SAMPLE_VERTICES)
+    _check_probability("p", p)
     _check_count("seed", seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     iu, iv = np.triu_indices(n, 1)
@@ -61,7 +54,7 @@ def w_random(graphon: StepGraphon, n: int, seed: int) -> Graph:
     part's value in distribution (the draw order differs, so the same
     seed gives a different but equally distributed graph).
     """
-    _check_n(n)
+    _check_count("n", n, 1, MAX_SAMPLE_VERTICES)
     _check_count("seed", seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     vertex_u = rng.random(n)
@@ -88,12 +81,10 @@ class SampleSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        _check_n(self.n)
+        _check_count("n", self.n, 1, MAX_SAMPLE_VERTICES)
         _check_count("seed", self.seed)
         if not isinstance(self.source, StepGraphon):
-            p = float(self.source)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("constant source must lie in [0, 1]")
+            _check_probability("source", float(self.source))
 
     def to_dict(self) -> dict:
         source = (

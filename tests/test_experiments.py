@@ -192,6 +192,21 @@ def test_trial_refuses_what_the_experiment_refuses(monkeypatch, t):
             call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: forcing_experiment(3, 0.5, 0, 1),
+    lambda: forcing_experiment(3, 0.5, 9, 1),
+    lambda: run_forcing_trial(3, 0.5, constant_graphon(0.5, 9)),
+], ids=["experiment m=0", "experiment m=9", "trial m=9"])
+def test_part_count_range_refused_as_m(monkeypatch, call):
+    # the range failure names the part count as its type failure does
+    def no_binding(*args, **kwargs):
+        raise AssertionError("bound a pair evaluator before checking m")
+
+    monkeypatch.setattr(experiments, "_PairEvaluator", no_binding)
+    with pytest.raises(ValueError, match=r"^m must lie in \[1, 8\]; got (0|9)$"):
+        call()
+
+
 def test_underflowing_target_refused(monkeypatch):
     # 1e-5 ** (2^3 * C(5,2)) is 1e-400, which is 0.0 in floats: every trial
     # would read as converged at zero iterations

@@ -112,6 +112,15 @@ def test_random_near_constant_refuses_no_parts():
         random_near_constant(0.5, 0, 0.1, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("p", [1.5, -0.2, float("nan")])
+def test_random_near_constant_refuses_p_outside_the_unit_interval(p):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\]; got"):
+        random_near_constant(p, 2, 0.1, rng)
+    # refused before the draw: the generator has not moved
+    assert rng.random() == np.random.default_rng(0).random()
+
+
 def test_round_trip():
     g = StepGraphon(np.array([0.25, 0.75]), np.array([[0.1, 0.7], [0.7, 1.0]]))
     back = StepGraphon.from_dict(g.to_dict())

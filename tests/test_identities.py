@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from quasiforce import (
     Graph,
+    SampleSpec,
     StepGraphon,
     UnsupportedSizeError,
+    are_isomorphic,
     check_identity,
     complete_graph,
     constant_graphon,
@@ -23,6 +25,8 @@ from quasiforce import (
     doubling_density,
     doubling_step_moments,
     forcing_experiment,
+    gnp,
+    graphon_constancy,
     graphon_density,
     graphon_density_gradient,
     hom_count,
@@ -33,9 +37,11 @@ from quasiforce import (
     doubling_density_gradient,
     evaluate_pinned,
     iterated_double,
+    non_forcing_witness,
     pinned_density,
     pinned_table,
     random_near_constant,
+    w_random,
 )
 from quasiforce import density, identities
 
@@ -153,11 +159,44 @@ _K3 = complete_graph(3)
     ("assigned part", lambda: evaluate_pinned(_K3.graph, (1,), {1: 1.7}, _G)),
     ("t", lambda: default_doublings(3.5)),
     ("t", lambda: default_doublings(True)),
+    ("n", lambda: gnp(5.5, 0.5, 0)),
+    ("n", lambda: gnp(True, 0.5, 0)),
+    ("n", lambda: w_random(_G, 4.0, 0)),
+    ("n", lambda: SampleSpec(4.0, 0.5, 0)),
+    ("max_vertices", lambda: are_isomorphic(Graph(2), Graph(2), True)),
+    ("max_vertices", lambda: are_isomorphic(Graph(2), Graph(2), 4.5)),
+    ("max_vertices", lambda: are_isomorphic(Graph(2), Graph(2), -1)),
+    ("max_vertices", lambda: are_isomorphic(Graph(2), Graph(2), "9")),
+    ("m", lambda: forcing_experiment(3, 0.5, 1.5, 1)),
 ], ids=lambda x: x if isinstance(x, str) else "")
 def test_sizes_refused_by_name(name, call):
     # sizes, doublings, pinned vertices and parts are integers, never
     # truncated or read as bools; checked before any range check
     with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer"):
+        call()
+
+
+@pytest.mark.parametrize("message, call", [
+    (r"n must lie in \[1, 10000\]; got 0", lambda: gnp(0, 0.5, 0)),
+    (r"n must lie in \[1, 10000\]; got 10001", lambda: SampleSpec(10001, 0.5, 0)),
+    (r"n must be at least 3; got 2", lambda: cycle_graph(2)),
+    (r"t must be at least 1; got 0", lambda: complete_graph(0)),
+    (r"t must be at least 2; got 1", lambda: cs_chain_check(1, 0, _G)),
+    (r"class_index must lie in \[0, 2\]; got 3", lambda: double(_K3, 3)),
+    (r"k must lie in \[0, 3\]; got 4", lambda: iterated_double(_K3, 4)),
+    (r"k must lie in \[0, 3\]; got 4", lambda: doubling_density(_K3, 4, _G)),
+    (r"k must lie in \[1, 3\]; got 4", lambda: forcing_experiment(3, 0.5, 2, 1, k=4)),
+    (r"j must lie in \[1, 3\]; got 0", lambda: doubling_step_moments(_K3, 0, _G)),
+    (r"pinned vertex must lie in \[0, 2\]; got 3", lambda: pinned_table(_K3.graph, (3,), _G)),
+    (r"assigned part must lie in \[0, 1\]; got 2",
+     lambda: pinned_density(_K3.graph, (0,), {0: 2}, _G)),
+    (r"p must lie in \(0, 1\); got 1.0", lambda: non_forcing_witness(1.0)),
+    (r"p must lie in \[0, 1\]; got nan", lambda: graphon_constancy(_G, float("nan"))),
+    (r"source must lie in \[0, 1\]; got 1.5", lambda: SampleSpec(5, 1.5, 0)),
+], ids=lambda x: x if isinstance(x, str) else "")
+def test_ranges_refused_by_name(message, call):
+    # one form for every range: the argument's name, its interval, the value
+    with pytest.raises(ValueError, match=f"^{message}$"):
         call()
 
 

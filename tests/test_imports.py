@@ -75,6 +75,35 @@ def test_module_imports_are_used(path):
     assert _unused_imports(path.read_text()) == []
 
 
+def _imports_scipy(source: str) -> list[str]:
+    """The scipy modules the source imports, absolute imports at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append(node.module)
+    return sorted(name for name in found if name.split(".")[0] == "scipy")
+
+
+def test_checker_finds_scipy_imports():
+    source = (
+        "import numpy as np, scipy\n"
+        "from scipy.optimize import least_squares\n"
+        "from . import scipy_free\n"
+        "import scipyish\n"
+        "def f():\n"
+        "    import scipy.linalg as la\n"
+    )
+    assert _imports_scipy(source) == ["scipy", "scipy.linalg", "scipy.optimize"]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=[p.name for p in _MODULES])
+def test_module_does_not_import_scipy(path):
+    # scipy is a test-only dependency: the library runs on numpy alone
+    assert _imports_scipy(path.read_text()) == []
+
+
 # the package's public names in order, each module's __all__ in turn:
 # a change here is a change of the public API
 _PUBLIC = [
@@ -196,16 +225,18 @@ _PRIVATE_IMPORTS = {
     ("density", "graphon"): ["_adjacency"],
     ("experiments", "density"): ["_Doubling", "_DoublingRun", "_fold",
                                  "_param_maps"],
-    ("experiments", "errors"): ["_check_budget", "_check_count"],
+    ("experiments", "errors"): ["_check_budget", "_check_count",
+                                "_check_probability"],
     ("experiments", "quasirandom"): ["_l2sq"],
-    ("graphon", "errors"): ["_check_count"],
+    ("graphon", "errors"): ["_check_count", "_check_probability"],
     ("graphon", "graphs"): ["_fields"],
     ("graphs", "errors"): ["_check_count"],
     ("identities", "density"): ["_Doubling"],
-    ("identities", "errors"): ["_check_budget", "_check_count"],
-    ("quasirandom", "errors"): ["_check_count"],
+    ("identities", "errors"): ["_check_budget", "_check_count",
+                               "_check_probability"],
+    ("quasirandom", "errors"): ["_check_count", "_check_probability"],
     ("quasirandom", "graphon"): ["_adjacency"],
-    ("sampling", "errors"): ["_check_count"],
+    ("sampling", "errors"): ["_check_count", "_check_probability"],
 }
 
 
