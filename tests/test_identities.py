@@ -159,10 +159,6 @@ _K3 = complete_graph(3)
     ("assigned part", lambda: evaluate_pinned(_K3.graph, (1,), {1: 1.7}, _G)),
     ("t", lambda: default_doublings(3.5)),
     ("t", lambda: default_doublings(True)),
-    ("n", lambda: gnp(5.5, 0.5, 0)),
-    ("n", lambda: gnp(True, 0.5, 0)),
-    ("n", lambda: w_random(_G, 4.0, 0)),
-    ("n", lambda: SampleSpec(4.0, 0.5, 0)),
     ("max_vertices", lambda: are_isomorphic(Graph(2), Graph(2), True)),
     ("max_vertices", lambda: are_isomorphic(Graph(2), Graph(2), 4.5)),
     ("max_vertices", lambda: are_isomorphic(Graph(2), Graph(2), -1)),
@@ -173,6 +169,18 @@ def test_sizes_refused_by_name(name, call):
     # sizes, doublings, pinned vertices and parts are integers, never
     # truncated or read as bools; checked before any range check
     with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gnp(5.5, 0.5, 0),
+    lambda: gnp(True, 0.5, 0),
+    lambda: w_random(_G, 4.0, 0),
+    lambda: SampleSpec(4.0, 0.5, 0),
+])
+def test_sample_sizes_refused_by_name(call):
+    # sampled graph sizes go through the same integer check as above
+    with pytest.raises(ValueError, match="^n must be a non-negative integer"):
         call()
 
 
